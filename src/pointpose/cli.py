@@ -162,6 +162,7 @@ def cmd_detect(args, config: RunConfig) -> int:
     model = load_object_model(Path(args.model))
     cloud, gt = load_scene(Path(args.scene).with_suffix(""))
     params = config.detect_params()
+    params.voting.workers = _threads(config)
     debug_dir = Path(args.dump_debug) if args.dump_debug else None
 
     if args.oracle:
@@ -196,12 +197,14 @@ def cmd_eval(args, config: RunConfig) -> int:
     if weights is None and not args.oracle:
         print("eval needs --weights or --oracle", file=sys.stderr)
         return 2
-    params = config.detect_params()
     factor = config.evaluation.threshold_factor
 
+    # the thread budget is split across the pool: each worker's kd-tree
+    # queries get their share instead of every CPU
+    n_workers = min(_threads(config), len(stems))
+    threads_each = max(1, _threads(config) // n_workers)
     tasks = [(str(stem), str(args.model), args.weights, bool(args.oracle),
-              config_to_dict(config)) for stem in stems]
-    n_workers = min(_threads(config), len(tasks))
+              config_to_dict(config), threads_each) for stem in stems]
     if n_workers > 1:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             records = list(pool.map(_eval_scene_task, tasks))
@@ -221,15 +224,17 @@ def cmd_eval(args, config: RunConfig) -> int:
 
 def _eval_scene_task(task):
     from .config import config_from_dict
-    stem, model_path, weights_path, use_oracle, config_dict = task
+    stem, model_path, weights_path, use_oracle, config_dict, threads = task
     config = config_from_dict(config_dict)
+    params = config.detect_params()
+    params.voting.workers = threads
     model = load_object_model(Path(model_path))
     weights = load_weights(weights_path) if weights_path else None
     cloud, gt = load_scene(Path(stem))
     if gt is None:
         raise ConfigError(f"{stem}: missing gt pose sidecar")
     from .pipeline import evaluate_scene
-    return evaluate_scene(cloud, gt, model, weights, config.detect_params(),
+    return evaluate_scene(cloud, gt, model, weights, params,
                           config.evaluation.threshold_factor,
                           scene_id=Path(stem).name, use_oracle=use_oracle)
 

@@ -531,17 +531,26 @@ def save_weights(path, weights: Weights) -> None:
         f.write(blob)
 
 
+def _read_exact(f, n: int, what: str) -> bytes:
+    data = f.read(n)
+    if len(data) != n:
+        raise WeightsFormatError(f"weights file ends inside the {what}")
+    return data
+
+
 def load_weights(path, expected_config: Optional[NetworkConfig] = None) -> Weights:
     with open(path, "rb") as f:
         if f.read(4) != _W_MAGIC:
             raise WeightsFormatError("bad weights magic")
-        (hlen,) = struct.unpack("<I", f.read(4))
+        (hlen,) = struct.unpack("<I", _read_exact(f, 4, "header length"))
         try:
-            header = json.loads(f.read(hlen).decode("utf-8"))
+            header = json.loads(_read_exact(f, hlen, "header").decode("utf-8"))
             config = NetworkConfig.from_dict(header["config"])
-        except (ValueError, KeyError) as exc:
-            raise WeightsFormatError(f"bad weights header: {exc}") from exc
-        (crc,) = struct.unpack("<I", f.read(4))
+            input_scale_mm = float(header["input_scale_mm"])
+            normalize = bool(header["normalize"])
+        except (ValueError, KeyError, TypeError) as exc:
+            raise WeightsFormatError(f"bad weights header: {exc!r}") from exc
+        (crc,) = struct.unpack("<I", _read_exact(f, 4, "checksum"))
         blob = f.read()
     if zlib.crc32(blob) & 0xFFFFFFFF != crc:
         raise WeightsFormatError("weights checksum mismatch (corrupted file)")
@@ -566,9 +575,8 @@ def load_weights(path, expected_config: Optional[NetworkConfig] = None) -> Weigh
         return layers
 
     weights = Weights(config=config, encoder=take(enc), classifier=take(cls),
-                      segmenter=take(seg),
-                      input_scale_mm=float(header["input_scale_mm"]),
-                      normalize=bool(header["normalize"]))
+                      segmenter=take(seg), input_scale_mm=input_scale_mm,
+                      normalize=normalize)
     if len(flat):
         raise WeightsFormatError("trailing bytes in weights tensor block")
     return weights

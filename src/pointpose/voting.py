@@ -32,6 +32,9 @@ class VotingParams:
     max_correspondences: int = 500
     min_confidence: float = 0.0
     subsample_seed: int = 0
+    # kd-tree query threads of density_peak (-1: every CPU). A run-time
+    # budget the CLI derives from config.threads, not a config key
+    workers: int = -1
 
     @property
     def delta_r_rad(self) -> float:
@@ -197,7 +200,7 @@ def _mean_rotation(rotations: np.ndarray) -> np.ndarray:
 
 def density_peak(votes: VoteSet, delta_t_mm: float = 10.0,
                  delta_r_rad: float = 0.20943951023931953,
-                 return_supporters: bool = False):
+                 return_supporters: bool = False, workers: int = -1):
     """Max-support vote under translation/rotation kernels.
 
     Support of a vote = number of votes within delta_t translation AND
@@ -206,56 +209,134 @@ def density_peak(votes: VoteSet, delta_t_mm: float = 10.0,
     pose is the mean translation and chordal-mean rotation over the
     winner's supporters; s_kde = support / |votes|.
 
-    A translation voxel hash (side delta_t) plus a 27-neighborhood bound
-    per voxel prunes candidates exactly.
+    The search is exact. Each vote's rotation-neighbour count bounds its
+    support, and candidates are scored one at a time in descending-bound
+    order until the bound falls below the best support; on clean votes
+    that ends within a few candidates. If candidates above the best remain
+    after the first `_EXACT_FIRST` (noise-like correspondences), the rest
+    are also bounded in the joint space [t / delta_t, q / q_radius], where
+    passing both kernel tests puts two votes within sqrt(2) of each other
+    for one of the two signs of q. Candidates under the tighter of the two
+    bounds are counted in vectorised batches over their joint neighbours,
+    and every one whose count could tie or beat the best is re-scored one
+    at a time, so the winner, its supporters and their order are the same
+    on both paths. `workers` is the thread count of the kd-tree queries
+    (-1: every CPU).
     """
-    v = len(votes)
-    if v == 0:
+    if len(votes) == 0:
         raise NoHypothesisError("no votes to cluster")
-    trans = votes.translations
-    rots = votes.rotations
+    (support, _, _), supporters = _peak_search(votes.translations, votes.rotations,
+                                               delta_t_mm, delta_r_rad, workers)
+    pose = RigidPose(_mean_rotation(votes.rotations[supporters]),
+                     votes.translations[supporters].mean(axis=0))
+    hyp = PoseHypothesis(pose=pose, s_kde=support / len(votes), vote_support=support)
+    if return_supporters:
+        return hyp, supporters
+    return hyp
+
+
+# candidates scored one at a time before a vote set counts as noise-like:
+# clean sets end within a handful, so they never build the joint tree
+_EXACT_FIRST = 64
+_SAMPLE_STRIDE = 16  # noise-like sets: every 16th candidate raises the best first
+_BATCH_FIRST = 64    # first vectorised batch of the joint-bound pass; doubles
+_SLACK = 1.0 + 1e-6  # keeps the joint bound and batch counts above float rounding
+
+
+def _peak_search(trans: np.ndarray, rots: np.ndarray, delta_t_mm: float,
+                 delta_r_rad: float, workers: int):
+    """density_peak's search: the winner's score (support, -sum_dist,
+    -index) and its supporters, in the translation tree's order."""
+    from scipy.spatial import cKDTree
+    from scipy.spatial.transform import Rotation
+    v = len(trans)
 
     # |q_i . q_j| >= cos(delta_r/2) is the same boundary as the geodesic
     # trace test but needs 4 components per vote instead of 9
-    from scipy.spatial import cKDTree
-    from scipy.spatial.transform import Rotation
     q_gate = np.cos(delta_r_rad / 2.0)
     quats_all = Rotation.from_matrix(rots).as_quat().astype(np.float64)
     if quats_all.ndim == 1:
         quats_all = quats_all[None, :]
 
-    # the rotation-neighbor count is a cheap upper bound on the true
-    # support (translation clusters are far denser than rotation clusters
-    # for surface-sampled votes); votes are evaluated exactly in
-    # descending-bound order until the bound cannot reach the best support
     tree = cKDTree(trans)
     q_radius = np.sqrt(max(2.0 - 2.0 * q_gate, 0.0))  # |q - q'| for geodesic delta_r
-    q_tree = cKDTree(quats_all)
+    q_tree = cKDTree(quats_all, leafsize=64, balanced_tree=False)
     bound = q_tree.query_ball_point(quats_all, q_radius, return_length=True,
-                                    workers=-1)
+                                    workers=workers)
     bound = bound + q_tree.query_ball_point(-quats_all, q_radius,
-                                            return_length=True, workers=-1)
+                                            return_length=True, workers=workers)
 
-    best = (0, -np.inf, -1)  # (support, -sum_dist, -original_index) maximized
-    best_supporters = None
-    for c in np.lexsort((np.arange(v), -bound)):
-        if bound[c] < best[0]:
-            break
+    def score(c):
         nb = np.asarray(tree.query_ball_point(trans[c], delta_t_mm), dtype=np.int64)
         d = np.linalg.norm(trans[nb] - trans[c], axis=1)
         mask = (d <= delta_t_mm) & (np.abs(quats_all[nb] @ quats_all[c]) >= q_gate)
-        score = (int(mask.sum()), -float(d[mask].sum()), -int(c))
-        if score > best:
-            best = score
-            best_supporters = nb[mask]
+        return (int(mask.sum()), -float(d[mask].sum()), -int(c)), nb[mask]
 
-    supporters = best_supporters
-    pose = RigidPose(_mean_rotation(rots[supporters]),
-                     trans[supporters].mean(axis=0))
-    hyp = PoseHypothesis(pose=pose, s_kde=best[0] / v, vote_support=best[0])
-    if return_supporters:
-        return hyp, supporters
-    return hyp
+    best = (0, -np.inf, -1)  # (support, -sum_dist, -original_index) maximized
+    best_supporters = None
+    order = np.lexsort((np.arange(v), -bound))
+    for c in order[:_EXACT_FIRST]:
+        if bound[c] < best[0]:
+            break
+        s, sup = score(c)
+        if s > best:
+            best, best_supporters = s, sup
+    rest = order[_EXACT_FIRST:]
+    rest = rest[bound[rest] >= best[0]]
+    if len(rest) == 0:
+        return best, best_supporters
+
+    # The joint tree holds each vote once with its quaternion on the w >= 0
+    # hemisphere, plus a sign-flipped copy of the votes with w <= q_radius:
+    # only those can pass the rotation test through the other sign
+    canon = np.where(quats_all[:, 3:] < 0.0, -quats_all, quats_all)
+    scaled = np.hstack([trans / delta_t_mm, canon / q_radius])
+    flip = np.nonzero(canon[:, 3] <= q_radius * _SLACK)[0]
+    flipped = np.hstack([scaled[flip, :3], -scaled[flip, 3:]])
+    joint = cKDTree(np.vstack([scaled, flipped]), leafsize=64, balanced_tree=False)
+    vote_of = np.concatenate([np.arange(v), flip])
+    radius = np.sqrt(2.0) * _SLACK
+
+    def score_batch(cand):
+        nonlocal best, best_supporters
+        lists = joint.query_ball_point(scaled[cand], radius, workers=workers,
+                                       return_sorted=False)
+        owner = np.repeat(np.arange(len(cand)), [len(nb) for nb in lists])
+        nb = vote_of[np.concatenate(lists).astype(np.int64)]
+        d = np.linalg.norm(trans[nb] - trans[cand[owner]], axis=1)
+        # both tests loosened, so a count is never below the exact support
+        # and an equal count has the same supporters
+        dots = np.einsum("ij,ij->i", quats_all[nb], quats_all[cand[owner]])
+        near = (d <= delta_t_mm * _SLACK) & (np.abs(dots) >= q_gate - 1e-9)
+        counts = np.bincount(owner[near], minlength=len(cand))
+        sum_d = np.bincount(owner[near], weights=d[near], minlength=len(cand))
+        # summed distances add in another order than score's: only a sum
+        # beyond the best's by more than rounding settles a tie unscored
+        for i in np.lexsort((cand, sum_d, -counts)):
+            if counts[i] < best[0] or (counts[i] == best[0]
+                                       and sum_d[i] > -best[1] * _SLACK + 1e-9):
+                continue
+            s, sup = score(cand[i])
+            if s > best:
+                best, best_supporters = s, sup
+
+    sample = rest[::_SAMPLE_STRIDE]
+    score_batch(sample)
+    unscored = np.ones(v, dtype=bool)
+    unscored[sample] = False
+    rest = rest[(bound[rest] >= best[0]) & unscored[rest]]
+    jbound = np.minimum(bound[rest], joint.query_ball_point(
+        scaled[rest], radius, return_length=True, workers=workers))
+    by_bound = np.lexsort((rest, -jbound))
+    rest, jbound = rest[by_bound], jbound[by_bound]
+
+    start, size = 0, _BATCH_FIRST
+    while start < len(rest) and jbound[start] >= best[0]:
+        cand = rest[start:start + size]
+        score_batch(cand[jbound[start:start + size] >= best[0]])
+        start += size
+        size *= 2
+    return best, best_supporters
 
 
 def estimate_pose(corr: Correspondences,
@@ -277,7 +358,7 @@ def estimate_pose(corr: Correspondences,
 
     votes = pose_votes(corr, params.n_theta)
     hyp, supporters = density_peak(votes, params.delta_t_mm, params.delta_r_rad,
-                                   return_supporters=True)
+                                   return_supporters=True, workers=params.workers)
 
     support_corr = np.unique(votes.source[supporters])
     if len(support_corr) >= 3:

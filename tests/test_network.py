@@ -1,5 +1,7 @@
 """Network forward/backward/training/weights-file tests."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -292,6 +294,33 @@ def test_weights_corruption_detected(tmp_path):
     data[-3] ^= 0xFF
     path.write_bytes(bytes(data))
     with pytest.raises(WeightsFormatError, match="checksum"):
+        load_weights(path)
+
+
+def test_weights_truncated_file_rejected(tmp_path):
+    path = tmp_path / "w.bin"
+    save_weights(path, init_weights(TINY, seed=0))
+    data = path.read_bytes()
+    hlen = int.from_bytes(data[4:8], "little")
+    # inside the magic, the header length, the header, the checksum, the tensors
+    for cut in (0, 2, 4, 6, 8, 8 + hlen // 2, 8 + hlen, 8 + hlen + 2, 8 + hlen + 4,
+                len(data) - 1):
+        path.write_bytes(data[:cut])
+        with pytest.raises(WeightsFormatError):
+            load_weights(path)
+
+
+@pytest.mark.parametrize("drop", ["config", "input_scale_mm", "normalize"])
+def test_weights_incomplete_header_rejected(tmp_path, drop):
+    path = tmp_path / "w.bin"
+    save_weights(path, init_weights(TINY, seed=0))
+    data = path.read_bytes()
+    hlen = int.from_bytes(data[4:8], "little")
+    header = json.loads(data[8:8 + hlen])
+    del header[drop]
+    raw = json.dumps(header).encode()
+    path.write_bytes(data[:4] + len(raw).to_bytes(4, "little") + raw + data[8 + hlen:])
+    with pytest.raises(WeightsFormatError, match="header"):
         load_weights(path)
 
 

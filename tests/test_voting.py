@@ -8,7 +8,7 @@ from pointpose.modelprep import Keypoint, ObjectModel
 from pointpose.pointcloud import PointCloud
 from pointpose.pose import (RigidPose, random_rotation, rotation_about_axis,
                             rotation_geodesic)
-from pointpose.voting import (Correspondences, VoteSet, VotingParams,
+from pointpose.voting import (Correspondences, VoteSet, VotingParams, _peak_search,
                               correspondences_from_segmentation, density_peak,
                               estimate_pose, pose_votes)
 
@@ -200,17 +200,100 @@ def noisy_votes(rng, n_in=700, n_out=300, sigma_t=2.0, sigma_r_deg=2.0):
     return pose, vote_set(rots, trans)
 
 
-def test_density_peak_matches_bruteforce():
-    rng = np.random.default_rng(6)
-    gt, votes = noisy_votes(rng, n_in=300, n_out=700)
-    hyp = density_peak(votes, 10.0, np.radians(12))
-    (support, neg_sum, neg_idx), mask = brute_force_peak(votes, 10.0, np.radians(12))
+def unit_rows(rng, n):
+    v = rng.standard_normal((n, 3))
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def outlier_mix_set(rng):
+    """300 inliers around a pose among 700 scattered votes."""
+    return noisy_votes(rng, n_in=300, n_out=700)
+
+
+def clean_cluster_set(rng, n_kp=60, repeat=1):
+    """Votes of slightly noisy true correspondences: one dense peak,
+    settled by the rotation bound alone."""
+    model = make_model(n_kp=n_kp)
+    gt = random_pose(rng)
+    corr = exact_correspondences(model, gt, repeat)
+    corr.scene_positions += rng.normal(0, 0.5, corr.scene_positions.shape)
+    return gt, pose_votes(corr, 36)
+
+
+def noise_like_set(rng, m=80):
+    """Votes of random correspondences whose scene normals come from three
+    planes: rotation neighbours abound but few votes agree in translation,
+    so the search needs the joint bound."""
+    planes = unit_rows(rng, 3)
+    corr = Correspondences(
+        scene_positions=rng.uniform(-60, 60, (m, 3)),
+        scene_normals=planes[rng.integers(0, 3, m)],
+        keypoint_ids=np.ones(m, np.int32),
+        keypoint_positions=rng.uniform(-45, 45, (m, 3)),
+        keypoint_normals=unit_rows(rng, m),
+        confidences=np.ones(m))
+    return None, pose_votes(corr, 36)
+
+
+def half_turn_set(rng):
+    """120 votes within a few degrees of a half-turn (w ~ 0, so their
+    quaternions come with both signs) among 1500 votes near another
+    half-turn, scattered in translation. The scattered votes hold the
+    largest rotation bounds, so the peak is found on the joint-bound path."""
+    axis, other = unit_rows(rng, 2)
+    gt = RigidPose(rotation_about_axis(axis, np.pi), rng.uniform(-50, 50, 3))
+    decoy = rotation_about_axis(np.cross(axis, other), np.pi)
+    rots, trans = [], []
+    for center, n, spread in ((gt.rotation, 120, 2.0), (decoy, 1500, None)):
+        for _ in range(n):
+            tilt = rotation_about_axis(rng.standard_normal(3), rng.normal(0, np.radians(2)))
+            rots.append(tilt @ center)
+            trans.append(gt.translation + rng.normal(0, spread, 3) if spread
+                         else rng.uniform(-150, 150, 3))
+    return gt, vote_set(rots, trans)
+
+
+def support_tie_set(rng):
+    """Three clusters of 8 votes with equal support. Cluster A (votes 0-7)
+    is spread along a line, B (8-15) and C (16-23) are stacked, so A loses
+    on summed distance and C on index: vote 8 wins. 400 votes that share
+    one rotation but lie 25 mm apart push the search onto the joint bound."""
+    r_peak, r_noise = random_rotation(rng), random_rotation(rng)
+    trans = ([[x, 0.0, 0.0] for x in range(8)] + [[200.0, 0, 0]] * 8
+             + [[0, 200.0, 0]] * 8)
+    grid = np.stack(np.meshgrid(*[np.arange(8) * 25.0] * 3), -1).reshape(-1, 3)
+    trans += (grid[:400] - 500.0).tolist()
+    return None, vote_set([r_peak] * 24 + [r_noise] * 400, trans)
+
+
+@pytest.mark.parametrize("make_votes", [outlier_mix_set, clean_cluster_set, noise_like_set,
+                                        half_turn_set, support_tie_set])
+def test_density_peak_matches_bruteforce(make_votes):
+    gt, votes = make_votes(np.random.default_rng(6))
+    dr = np.radians(12)
+    hyp, supporters = density_peak(votes, 10.0, dr, return_supporters=True)
+    (support, neg_sum, neg_idx), mask = brute_force_peak(votes, 10.0, dr)
     assert hyp.vote_support == support
     assert hyp.s_kde == support / len(votes)
+    np.testing.assert_array_equal(np.sort(supporters), np.nonzero(mask)[0])
+    (_, search_neg_sum, search_neg_idx), _ = _peak_search(
+        votes.translations, votes.rotations, 10.0, dr, -1)
+    assert search_neg_idx == neg_idx
+    assert search_neg_sum == pytest.approx(neg_sum, rel=1e-12, abs=1e-12)
     expected_t = votes.translations[mask].mean(axis=0)
     np.testing.assert_allclose(hyp.pose.translation, expected_t, atol=1e-9)
-    assert np.linalg.norm(hyp.pose.translation - gt.translation) < 5.0
-    assert rotation_geodesic(hyp.pose.rotation, gt.rotation) < np.radians(5)
+    if gt is not None:
+        assert np.linalg.norm(hyp.pose.translation - gt.translation) < 5.0
+        assert rotation_geodesic(hyp.pose.rotation, gt.rotation) < np.radians(5)
+
+
+def test_density_peak_workers_do_not_change_result():
+    _, votes = noise_like_set(np.random.default_rng(13))
+    a, sa = density_peak(votes, return_supporters=True, workers=1)
+    b, sb = density_peak(votes, return_supporters=True, workers=2)
+    assert a.vote_support == b.vote_support
+    np.testing.assert_array_equal(sa, sb)
+    np.testing.assert_array_equal(a.pose.rotation, b.pose.rotation)
 
 
 def test_density_peak_skde_monotone_in_kernel():
@@ -316,3 +399,25 @@ def test_estimate_pose_robust_to_outliers():
     hyp = estimate_pose(noisy)
     assert np.linalg.norm(hyp.pose.translation - gt.translation) < 5.0
     assert rotation_geodesic(hyp.pose.rotation, gt.rotation) < np.radians(5)
+
+
+# ---------------------------------------------------------------------------
+# kernel micro-benchmarks: pytest -m perf
+
+
+def clean_votes_500(rng):
+    return clean_cluster_set(rng, n_kp=50, repeat=10)[1]
+
+
+def noise_like_votes_500(rng):
+    return noise_like_set(rng, m=500)[1]
+
+
+@pytest.mark.perf
+@pytest.mark.parametrize("make_votes", [clean_votes_500, noise_like_votes_500])
+def test_density_peak_speed(benchmark, make_votes):
+    """500 correspondences x 36 angles, as estimate_pose votes at most."""
+    votes = make_votes(np.random.default_rng(21))
+    assert len(votes) == 500 * 36
+    hyp = benchmark(density_peak, votes)
+    assert 1 <= hyp.vote_support <= len(votes)
