@@ -114,7 +114,6 @@ class DetectSection:
     min_sphere_points: int = 64
     normal_radius_mm: float = 10.0
     oracle_anchors: int = 1
-    classify_chunk: int = 64
 
 
 @dataclass
@@ -219,7 +218,6 @@ class RunConfig:
             normal_radius_mm=d.normal_radius_mm,
             icp_schedule=tuple((float(g), int(it)) for g, it in self.icp.schedule),
             icp_model_leaf_mm=self.icp.model_leaf_mm,
-            classify_chunk=d.classify_chunk,
             oracle_anchors=d.oracle_anchors,
             seed=self.seed,
             voting=self.voting_params(),

@@ -312,7 +312,8 @@ def _cut_sphere(part, center: np.ndarray, radius: float):
 
 def _swap_positive(pos: LabeledExample, easy: Optional[LabeledExample],
                    model: ObjectModel, rng: np.random.Generator,
-                   params: AugmentParams, with_background: bool) -> LabeledExample:
+                   params: AugmentParams, with_background: bool,
+                   radius_factor: float) -> LabeledExample:
     """Background-swap (or object-only) augmented positive."""
     keep = pos.seg_labels > 0
     keep = _drop_segments(pos.seg_labels, keep, rng, params)
@@ -327,7 +328,7 @@ def _swap_positive(pos: LabeledExample, easy: Optional[LabeledExample],
     if pos.meta.anchor_mm is not None and pos.meta.centroid_mm is not None:
         anchor = pos.meta.anchor_mm - pos.meta.centroid_mm
     cut_center = anchor + obj_offset
-    radius = SPHERE_RADIUS_FACTOR * model.diameter
+    radius = radius_factor * model.diameter
 
     parts = [obj_part]
     if with_background and easy is not None:
@@ -341,10 +342,11 @@ def _swap_positive(pos: LabeledExample, easy: Optional[LabeledExample],
 
 
 def _mixed_negative(easies: Sequence[LabeledExample], model: ObjectModel,
-                    rng: np.random.Generator, params: AugmentParams) -> LabeledExample:
+                    rng: np.random.Generator, params: AugmentParams,
+                    radius_factor: float) -> LabeledExample:
     """Negative composed from two shifted easy-negative backgrounds."""
     picks = rng.choice(len(easies), size=min(2, len(easies)), replace=False)
-    radius = SPHERE_RADIUS_FACTOR * model.diameter
+    radius = radius_factor * model.diameter
     parts = []
     for idx in picks:
         e = easies[idx]
@@ -387,8 +389,12 @@ def jitter_example(e: LabeledExample, rng: np.random.Generator,
 
 def augment(instance_examples: Sequence[LabeledExample], model: ObjectModel,
             rng: np.random.Generator,
-            params: AugmentParams = AugmentParams()) -> List[LabeledExample]:
+            params: AugmentParams = AugmentParams(),
+            radius_factor: float = SPHERE_RADIUS_FACTOR) -> List[LabeledExample]:
     """Create the 60 augmented examples for one instance (jitter applied).
+
+    Backgrounds are cut to spheres of radius_factor x diameter, the radius
+    the originals were extracted with.
 
     balanced=True emits 15 background-swap positives, 15 object-only
     positives and 30 mixed-background negatives (equal class split);
@@ -411,13 +417,15 @@ def augment(instance_examples: Sequence[LabeledExample], model: ObjectModel,
     for i in range(n_swap):
         pos = positives[i % len(positives)]
         easy = easies[rng.integers(len(easies))] if easies else None
-        out.append(_swap_positive(pos, easy, model, rng, params, with_background=True))
+        out.append(_swap_positive(pos, easy, model, rng, params, with_background=True,
+                                  radius_factor=radius_factor))
     for i in range(n_obj):
         pos = positives[i % len(positives)]
-        out.append(_swap_positive(pos, None, model, rng, params, with_background=False))
+        out.append(_swap_positive(pos, None, model, rng, params, with_background=False,
+                                  radius_factor=radius_factor))
     if easies:
         for _ in range(n_mix):
-            out.append(_mixed_negative(easies, model, rng, params))
+            out.append(_mixed_negative(easies, model, rng, params, radius_factor))
 
     return [jitter_example(e, rng, params) for e in out]
 
@@ -429,7 +437,7 @@ def build_instance_training_set(scene: PointCloud, model: ObjectModel, gt: Rigid
                                 scene_id: Optional[str] = None) -> InstanceExamples:
     """Full per-instance recipe: 50 originals + 60 augmented, all jittered."""
     inst = generate_instance_examples(scene, model, gt, rng, sampling, scene_id=scene_id)
-    augmented = augment(inst.examples, model, rng, augmentation)
+    augmented = augment(inst.examples, model, rng, augmentation, sampling.radius_factor)
     originals = [jitter_example(e, rng, augmentation) for e in inst.examples]
     return InstanceExamples(examples=originals + augmented,
                             easy_shortfall=inst.easy_shortfall,

@@ -37,6 +37,10 @@ class EmptySceneError(PointPoseError):
     """Detection was asked to run on an empty scene cloud."""
 
 
+class MissingChannelError(PointPoseError):
+    """The scene lacks an input channel the network weights expect (RGB)."""
+
+
 class DatasetFormatError(PointPoseError):
     """Malformed training-example file."""
 

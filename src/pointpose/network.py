@@ -189,12 +189,60 @@ def _masked(delta, act, pool, key):
     return delta
 
 
+# Inference streams the encoder over blocks of about this many points (8
+# spheres of 2048), so the widest layer's (points, width) activation never
+# exists whole: each block's narrow layers stay in cache for its wide GEMMs.
+_FUSED_BLOCK_POINTS = 8 * 2048
+
+
+def _fused_encoder(weights: Weights, x: np.ndarray, want_seg: bool):
+    """Pooled global feature (B, wide) without the (B*N, wide) activation.
+
+    Returns (g, skip); skip is the second layer's (B*N, w1) output when
+    want_seg, else None. Needs N > 1, and at least three encoder layers
+    when want_seg.
+    """
+    b, n, c = x.shape
+    dtype = weights.dtype
+    *narrow, (w_wide, b_wide) = weights.encoder
+    g = np.empty((b, w_wide.shape[1]), dtype=dtype)
+    skip = np.empty((b * n, weights.config.encoder[1]), dtype=dtype) if want_seg else None
+    per_block = min(b, max(1, _FUSED_BLOCK_POINTS // n))
+    # reused across blocks: fresh large arrays would page-fault on every block
+    acts = [np.empty((per_block * n, w.shape[1]), dtype=dtype) for w, _ in narrow]
+    z = np.empty((n, w_wide.shape[1]), dtype=dtype)
+    for start in range(0, b, per_block):
+        stop = min(b, start + per_block)
+        h = x[start:stop].reshape(-1, c)
+        for li, (w, bias) in enumerate(narrow):
+            out = skip[start * n:stop * n] if li == 1 and skip is not None \
+                else acts[li][:len(h)]
+            h = _linear_relu(h, w, bias, out=out)
+        for i in range(stop - start):
+            np.matmul(h[i * n:(i + 1) * n], w_wide, out=z)
+            np.max(z, axis=0, out=g[start + i])
+    # bias and ReLU are monotone, so applying them after the max is exact
+    g += b_wide
+    np.maximum(g, 0.0, out=g)
+    return g, skip
+
+
 def forward(weights: Weights, points: np.ndarray, want_seg: bool = True,
             keep_cache: bool = False, pool: Optional[BufferPool] = None) -> ForwardResult:
     """Run the network on a batch of point sets (B, N, C).
 
     Permutation-covariant: permuting a batch element's points permutes its
     seg logits identically and leaves the class output bit-unchanged.
+
+    Inference (keep_cache=False) never materialises the widest encoder
+    layer. The narrow layers run over blocks of about _FUSED_BLOCK_POINTS
+    points; each example's wide product is max-pooled straight away, and
+    the wide layer's bias and ReLU are applied once to the pooled (B, wide)
+    matrix. Float addition and ReLU are monotone, so they commute with max
+    and the result is bit-identical to the materialised form. That form
+    still serves training (keep_cache=True, with the per-feature argmax
+    for backward), one-point sets and 2-layer encoders under want_seg. A
+    segment call keeps only the second layer's skip features.
 
     The segmenter's first layer is evaluated as a per-point product on the
     skip features plus a per-example product on the global feature
@@ -210,26 +258,32 @@ def forward(weights: Weights, points: np.ndarray, want_seg: bool = True,
     def buf(key, shape):
         return pool.get(key, shape, weights.dtype) if pool is not None else None
 
-    h = x.reshape(bn, -1)
-    enc_acts = [h]
-    for li, (w, bias) in enumerate(weights.encoder):
-        h = _linear_relu(h, w, bias, out=buf(("enc", li), (bn, w.shape[1])))
-        enc_acts.append(h)
-
-    wide = enc_acts[-1].reshape(b, n, -1)
-    arg = None
-    if keep_cache:
-        # contiguous transpose makes the per-feature argmax (first max =
-        # lowest point index) much cheaper than a strided reduction
-        wide_w = wide.shape[2]
-        wide_t = buf(("wide_t",), (b, wide_w, n))
-        if wide_t is None:
-            wide_t = np.empty((b, wide_w, n), dtype=weights.dtype)
-        np.copyto(wide_t, wide.transpose(0, 2, 1))
-        arg = wide_t.argmax(axis=2)
-        g = np.take_along_axis(wide_t, arg[:, :, None], axis=2)[:, :, 0]
+    # with one point per set the wide activation is the pooled matrix itself,
+    # and a one-row product would take BLAS's gemv path, whose sums are
+    # ordered differently from the batch GEMM's
+    if not keep_cache and n > 1 and not (want_seg and len(weights.encoder) == 2):
+        g, skip = _fused_encoder(weights, x, want_seg)
     else:
-        g = wide.max(axis=1)
+        h = x.reshape(bn, -1)
+        enc_acts = [h]
+        for li, (w, bias) in enumerate(weights.encoder):
+            h = _linear_relu(h, w, bias, out=buf(("enc", li), (bn, w.shape[1])))
+            enc_acts.append(h)
+        skip = enc_acts[2]                             # second encoder layer, (B*N, w1)
+
+        wide = enc_acts[-1].reshape(b, n, -1)
+        if keep_cache:
+            # contiguous transpose makes the per-feature argmax (first max =
+            # lowest point index) much cheaper than a strided reduction
+            wide_w = wide.shape[2]
+            wide_t = buf(("wide_t",), (b, wide_w, n))
+            if wide_t is None:
+                wide_t = np.empty((b, wide_w, n), dtype=weights.dtype)
+            np.copyto(wide_t, wide.transpose(0, 2, 1))
+            arg = wide_t.argmax(axis=2)
+            g = np.take_along_axis(wide_t, arg[:, :, None], axis=2)[:, :, 0]
+        else:
+            g = wide.max(axis=1)
 
     c = g
     cls_acts = [c]
@@ -243,7 +297,6 @@ def forward(weights: Weights, points: np.ndarray, want_seg: bool = True,
     seg_logits = None
     seg_acts = None
     if want_seg:
-        skip = enc_acts[2]                             # second encoder layer, (B*N, w1)
         skip_w = cfg.encoder[1]
         w0, b0 = weights.segmenter[0]
         z = np.matmul(skip, w0[:skip_w], out=buf(("seg", 0), (bn, w0.shape[1])))

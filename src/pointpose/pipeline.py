@@ -18,8 +18,9 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dataset import label_scene
-from .errors import EmptySceneError, NoHypothesisError, NoOverlapError
+from .dataset import _sample_fill, label_scene
+from .errors import (EmptySceneError, MissingChannelError, NoHypothesisError,
+                     NoOverlapError)
 from .geometry import NNIndex, estimate_normals, icp_refine, voxel_downsample
 from .modelprep import ObjectModel
 from .network import Weights, forward, _softmax
@@ -43,7 +44,6 @@ class DetectParams:
     normal_radius_mm: float = 10.0
     icp_schedule: Tuple[Tuple[float, int], ...] = ((50.0, 30), (25.0, 30), (10.0, 30))
     icp_model_leaf_mm: float = 5.0
-    classify_chunk: int = 64
     oracle_anchors: int = 1
     seed: int = 0
     voting: VotingParams = field(default_factory=VotingParams)
@@ -96,13 +96,6 @@ def _ensure_channels(scene: PointCloud, params: DetectParams) -> PointCloud:
     return scene
 
 
-def _sample_sphere(ids: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-    if len(ids) >= n:
-        return ids[rng.choice(len(ids), size=n, replace=False)]
-    extra = ids[rng.choice(len(ids), size=n - len(ids), replace=True)]
-    return np.concatenate([ids, extra])
-
-
 def _sphere_features(scene: PointCloud, ids: np.ndarray, weights: Weights) -> np.ndarray:
     """Centered, scaled network inputs for one anchor sphere."""
     with_color = weights.config.input_channels == 10
@@ -116,8 +109,6 @@ def _sphere_features(scene: PointCloud, ids: np.ndarray, weights: Weights) -> np
     feats[:, 3:6] = scene.normals[ids]
     feats[:, 6] = scene.curvatures[ids]
     if with_color:
-        if scene.colors is None:
-            raise ValueError("weights expect RGB input but the scene has no colors")
         feats[:, 7:10] = scene.colors[ids]
     return feats
 
@@ -238,6 +229,8 @@ def detect(scene: PointCloud, model: ObjectModel, weights: Weights,
     """Full pipeline on one scene; hypotheses ranked by localization loss."""
     if len(scene) == 0:
         raise EmptySceneError("detection on an empty scene")
+    if weights.config.input_channels == 10 and scene.colors is None:
+        raise MissingChannelError("weights expect RGB input but the scene has no colors")
     clock = _StageClock()
     scene = _ensure_channels(scene, params)
     clock.lap("normals")
@@ -247,6 +240,7 @@ def detect(scene: PointCloud, model: ObjectModel, weights: Weights,
     radius = params.radius_factor * model.diameter
 
     sphere_ids: List[Optional[np.ndarray]] = []
+    # row k holds the features of the k-th usable sphere
     feats = np.zeros((len(anchors), params.n_points, weights.config.input_channels),
                      dtype=np.float32)
     kept = 0
@@ -258,8 +252,8 @@ def detect(scene: PointCloud, model: ObjectModel, weights: Weights,
             sphere_ids.append(None)
             continue
         rng = np.random.default_rng([params.seed, ai])
-        chosen = _sample_sphere(ids, params.n_points, rng)
-        feats[ai] = _sphere_features(scene, chosen, weights)
+        chosen = _sample_fill(ids, params.n_points, rng)
+        feats[kept] = _sphere_features(scene, chosen, weights)
         sphere_ids.append(chosen)
         kept += 1
     clock.lap("anchors")
@@ -268,17 +262,14 @@ def detect(scene: PointCloud, model: ObjectModel, weights: Weights,
     if len(usable) == 0:
         raise EmptySceneError(f"no anchor sphere held {params.min_sphere_points} points")
 
-    probs = np.empty(len(usable), dtype=np.float64)
-    for start in range(0, len(usable), params.classify_chunk):
-        chunk = usable[start:start + params.classify_chunk]
-        out = forward(weights, feats[chunk], want_seg=False)
-        probs[start:start + len(chunk)] = out.class_prob
+    probs = forward(weights, feats[:kept], want_seg=False).class_prob.astype(np.float64)
     clock.lap("classify")
 
     # 16 highest scores; ties resolve to the lowest anchor index
     order = np.lexsort((usable, -probs))
-    top = usable[order[:params.top_anchors]]
-    seg = forward(weights, feats[top], want_seg=True)
+    top_rows = order[:params.top_anchors]
+    top = usable[top_rows]
+    seg = forward(weights, feats[top_rows], want_seg=True)
     seg_probs = _softmax(seg.seg_logits.astype(np.float64))
     clock.lap("segment")
 
@@ -354,7 +345,7 @@ def oracle_detect(scene: PointCloud, model: ObjectModel, gt_pose: RigidPose,
         ids = ids[labels.labels[ids] >= 0]  # exclude the discard band
         if len(ids) < params.min_sphere_points:
             continue
-        chosen = _sample_sphere(ids, params.n_points, rng)
+        chosen = _sample_fill(ids, params.n_points, rng)
         point_labels = np.maximum(labels.labels[chosen], 0)
         one_hot = np.zeros((len(chosen), model.k + 1))
         one_hot[np.arange(len(chosen)), point_labels] = 1.0

@@ -356,3 +356,24 @@ def test_dataset_bad_magic(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 30)
     with pytest.raises(DatasetFormatError, match="magic"):
         read_dataset(path)
+
+
+def test_augment_cuts_backgrounds_at_the_sampling_radius(setup):
+    """Augmented backgrounds are cut at examples.radius_factor, like the
+    originals, not at the module default."""
+    model, scene, gt, labels = setup
+    factor = 0.4
+    # small background shifts keep every cut non-empty, so no mixed negative
+    # takes the uncut fallback background
+    inst = build_instance_training_set(scene, model, gt, np.random.default_rng(5),
+                                       SamplingParams(radius_factor=factor),
+                                       AugmentParams(background_shift_factor=0.1))
+    augmented = inst.examples[-60:]  # emission order: swaps, object-only, mixed
+    with_background = augmented[:15] + augmented[30:]
+    assert sum(e.class_label for e in with_background) == 15
+    dist = []
+    for e in with_background:
+        cut_center = e.meta.anchor_mm - e.meta.centroid_mm
+        dist.append(np.linalg.norm(e.positions[e.seg_labels == 0] - cut_center, axis=1))
+    dist = np.concatenate(dist)
+    assert len(dist) and dist.max() <= factor * model.diameter + 0.1  # + jitter

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from pointpose import network
 from pointpose.errors import WeightsFormatError
 from pointpose.network import (ForwardResult, NetworkConfig, TrainConfig,
                                Weights, assemble_features, backward, forward,
@@ -15,8 +16,8 @@ TINY = NetworkConfig(k=2, input_channels=7, encoder=(4, 8), classifier=(4, 1),
                      segmenter=(4, 0))
 
 
-def tiny_weights(seed=0, dtype=np.float64, random_bias=False):
-    w = init_weights(TINY, seed=seed, dtype=dtype)
+def tiny_weights(seed=0, dtype=np.float64, random_bias=False, config=TINY):
+    w = init_weights(config, seed=seed, dtype=dtype)
     if random_bias:
         # keep pre-activations off the ReLU kink so central differences are valid
         rng = np.random.default_rng(seed + 1000)
@@ -49,10 +50,46 @@ def test_forward_permutation_covariance_bit_exact():
                                    segmenter=(16, 0)), seed=3, dtype=np.float32)
     x = rng.standard_normal((3, 64, 7)).astype(np.float32)
     perm = rng.permutation(64)
-    a = forward(w, x)
-    b = forward(w, x[:, perm])
-    assert np.array_equal(a.class_prob, b.class_prob)
-    assert np.array_equal(a.seg_logits[:, perm], b.seg_logits)
+    for keep_cache in (False, True):   # fused inference and the training path
+        a = forward(w, x, keep_cache=keep_cache)
+        b = forward(w, x[:, perm], keep_cache=keep_cache)
+        assert np.array_equal(a.class_prob, b.class_prob)
+        assert np.array_equal(a.seg_logits[:, perm], b.seg_logits)
+
+
+# (B, N, duplicated points, examples per block); None keeps the module's
+FUSED_SHAPES = [
+    (7, 16, False, 3),        # B not a multiple of the block
+    (1, 16, False, 3),
+    (5, 1, False, 3),         # one point per set
+    (6, 16, True, 4),         # duplicated points tie in the max-pool
+    (9, 2048, False, None),
+]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("channels", [7, 10])
+@pytest.mark.parametrize("encoder", [(16, 32), (16, 16, 32), (16, 16, 24, 32)])
+@pytest.mark.parametrize("b, n, dup, block", FUSED_SHAPES)
+def test_forward_fused_matches_cached(monkeypatch, dtype, channels, encoder,
+                                      b, n, dup, block):
+    """Inference never materialises the wide layer, yet equals the cached
+    (training) path bit for bit."""
+    if block is not None:
+        monkeypatch.setattr(network, "_FUSED_BLOCK_POINTS", block * n)
+    cfg = NetworkConfig(k=3, input_channels=channels, encoder=encoder,
+                        classifier=(8, 1), segmenter=(8, 0))
+    w = tiny_weights(seed=5, dtype=dtype, random_bias=True, config=cfg)
+    x = np.random.default_rng(6).standard_normal((b, n, channels))
+    if dup:
+        x[:, n // 2:] = x[:, :1]
+    ref = forward(w, x, keep_cache=True)
+    seg = forward(w, x, want_seg=True)
+    cls = forward(w, x, want_seg=False)
+    assert seg.cache is None and cls.seg_logits is None
+    assert np.array_equal(seg.class_prob, ref.class_prob)
+    assert np.array_equal(seg.seg_logits, ref.seg_logits)
+    assert np.array_equal(cls.class_prob, ref.class_prob)
 
 
 def test_forward_zero_weights_prob_half():
@@ -335,3 +372,19 @@ def test_assemble_features_layout():
     assert np.allclose(feats[0, :, 0:3], 0.5)
     assert np.allclose(feats[0, :, 6], 0.25)
     assert np.allclose(feats[0, :, 7:10], 0.5)
+
+
+# ---------------------------------------------------------------------------
+# kernel micro-benchmarks: pytest -m perf
+
+
+@pytest.mark.perf
+@pytest.mark.parametrize("b, want_seg", [(64, False), (16, True)])
+def test_forward_speed(benchmark, b, want_seg):
+    """Full-width network on 2048-point spheres: a detect classify batch
+    (segmentation off) and the 16 segmented anchors."""
+    w = init_weights(NetworkConfig(k=50), seed=0)
+    x = np.random.default_rng(22).standard_normal((b, 2048, 7)).astype(np.float32)
+    out = benchmark(forward, w, x, want_seg=want_seg)
+    assert out.class_prob.shape == (b,)
+    assert (out.seg_logits is not None) == want_seg
