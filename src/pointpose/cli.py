@@ -18,7 +18,8 @@ import numpy as np
 from .config import (RunConfig, apply_override, config_to_dict, load_config,
                      save_config)
 from .dataset import build_instance_training_set, read_dataset, write_dataset
-from .errors import ConfigError, MissingChannelError, PointPoseError
+from .errors import (ConfigError, MissingChannelError, PlyFormatError,
+                     PointPoseError)
 from .modelprep import load_object_model, save_object_model
 from .network import assemble_features, load_weights, save_weights, train
 from .pipeline import detect, oracle_detect
@@ -308,7 +309,7 @@ def main(argv=None) -> int:
     try:
         config = _build_config(args)
         return args.fn(args, config)
-    except (ConfigError, FileNotFoundError, MissingChannelError) as exc:
+    except (ConfigError, FileNotFoundError, MissingChannelError, PlyFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PointPoseError as exc:

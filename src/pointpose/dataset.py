@@ -355,7 +355,13 @@ def _mixed_negative(easies: Sequence[LabeledExample], model: ObjectModel,
         part = _parts_of(e, np.ones(len(e), bool), offset)
         parts.append(_cut_sphere(part, np.zeros(3), radius))
     if all(len(p[0]) == 0 for p in parts):
-        parts = [_parts_of(easies[picks[0]], np.ones(len(easies[picks[0]]), bool), np.zeros(3))]
+        # neither shifted background reaches the sphere: take the first one
+        # unshifted, cut alike. If it was extracted at this radius the cut is
+        # not empty: its points lie within the radius of its anchor, so some
+        # lie within it of their centroid, the origin.
+        first = easies[picks[0]]
+        parts = [_cut_sphere(_parts_of(first, np.ones(len(first), bool), np.zeros(3)),
+                             np.zeros(3), radius)]
     else:
         parts = [p for p in parts if len(p[0])]
     meta = ExampleMeta(scene_id=easies[picks[0]].meta.scene_id, anchor_mm=np.zeros(3))

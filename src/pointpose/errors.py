@@ -45,6 +45,10 @@ class DatasetFormatError(PointPoseError):
     """Malformed training-example file."""
 
 
+class PlyFormatError(PointPoseError, ValueError):
+    """Not a PLY file, or a PLY file this reader cannot parse."""
+
+
 class WeightsFormatError(PointPoseError):
     """Malformed or mismatched network weights file."""
 

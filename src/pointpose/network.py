@@ -7,6 +7,10 @@ feature, a binary classifier head consumes the global feature, and a
 concatenated with the global feature. Backprop, Adam, and weight files
 are implemented here as well; all computation follows the weights' dtype
 (float32 for training speed, float64 for gradient checks).
+
+Neither pass holds the widest encoder layer's (B*N, wide) activation:
+forward max-pools it one example at a time, and backward sends each
+pooled feature's gradient to its single argmax point as a sparse product.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy import sparse
 
 from .errors import WeightsFormatError
 
@@ -195,22 +200,58 @@ def _masked(delta, act, pool, key):
 _FUSED_BLOCK_POINTS = 8 * 2048
 
 
-def _fused_encoder(weights: Weights, x: np.ndarray, want_seg: bool):
+def _pool_first_max(z, g_row, arg_row, eq):
+    """Column max of z into g_row and its lowest row index into arg_row.
+
+    eq is a (rows, cols) boolean scratch. numpy's argmax down the columns
+    copies z transposed first; here the max is a row-wise reduction, and
+    only the few rows that hold some column's max are searched for the
+    first one.
+    """
+    np.max(z, axis=0, out=g_row)
+    np.equal(z, g_row, out=eq)
+    rows = np.flatnonzero(eq.any(axis=1))
+    # a NaN max matches no row; ReLU's tie rule then sends it to point 0
+    arg_row[:] = rows[eq[rows].argmax(axis=0)] if rows.size else 0
+
+
+def _fused_encoder(weights: Weights, x: np.ndarray, want_seg: bool,
+                   keep_cache: bool = False, pool: Optional[BufferPool] = None):
     """Pooled global feature (B, wide) without the (B*N, wide) activation.
 
-    Returns (g, skip); skip is the second layer's (B*N, w1) output when
-    want_seg, else None. Needs N > 1, and at least three encoder layers
-    when want_seg.
+    Returns (g, skip, enc_acts, argmax); skip is the second layer's
+    (B*N, w1) output when want_seg, else None. Needs N > 1, and at least
+    three encoder layers when want_seg.
+
+    Inference streams the narrow layers over blocks of about
+    _FUSED_BLOCK_POINTS points into buffers reused across blocks; enc_acts
+    and argmax are None. With keep_cache the narrow layers run over the
+    whole batch, enc_acts holds every encoder layer's (B*N, width) input,
+    and argmax (B, wide) is each feature's winning point: the bias goes on
+    before the max, so ties resolve to the lowest index after bias and
+    ReLU, as in the materialised form.
     """
     b, n, c = x.shape
     dtype = weights.dtype
+
+    def buf(key, shape, dt=dtype):
+        return pool.get(key, shape, dt) if pool is not None else np.empty(shape, dtype=dt)
+
     *narrow, (w_wide, b_wide) = weights.encoder
-    g = np.empty((b, w_wide.shape[1]), dtype=dtype)
-    skip = np.empty((b * n, weights.config.encoder[1]), dtype=dtype) if want_seg else None
-    per_block = min(b, max(1, _FUSED_BLOCK_POINTS // n))
+    wide_w = w_wide.shape[1]
+    g = np.empty((b, wide_w), dtype=dtype)
+    per_block = b if keep_cache else min(b, max(1, _FUSED_BLOCK_POINTS // n))
     # reused across blocks: fresh large arrays would page-fault on every block
-    acts = [np.empty((per_block * n, w.shape[1]), dtype=dtype) for w, _ in narrow]
-    z = np.empty((n, w_wide.shape[1]), dtype=dtype)
+    acts = [buf(("enc", li + 1), (per_block * n, w.shape[1]))
+            for li, (w, _) in enumerate(narrow)]
+    skip = None
+    if want_seg:
+        skip = acts[1] if keep_cache else np.empty((b * n, narrow[1][0].shape[1]), dtype=dtype)
+    z = buf(("wide_z",), (n, wide_w))
+    arg = None
+    if keep_cache:
+        arg = np.empty((b, wide_w), dtype=np.intp)
+        eq = buf(("wide_eq",), (n, wide_w), np.bool_)
     for start in range(0, b, per_block):
         stop = min(b, start + per_block)
         h = x[start:stop].reshape(-1, c)
@@ -220,11 +261,20 @@ def _fused_encoder(weights: Weights, x: np.ndarray, want_seg: bool):
             h = _linear_relu(h, w, bias, out=out)
         for i in range(stop - start):
             np.matmul(h[i * n:(i + 1) * n], w_wide, out=z)
-            np.max(z, axis=0, out=g[start + i])
-    # bias and ReLU are monotone, so applying them after the max is exact
-    g += b_wide
+            if keep_cache:
+                z += b_wide
+                _pool_first_max(z, g[start + i], arg[start + i], eq)
+            else:
+                np.max(z, axis=0, out=g[start + i])
+    if not keep_cache:
+        # bias and ReLU are monotone, so applying them after the max is exact
+        g += b_wide
     np.maximum(g, 0.0, out=g)
-    return g, skip
+    if not keep_cache:
+        return g, skip, None, None
+    # a feature that ReLU zeroes everywhere ties at 0: its argmax is point 0
+    arg[~(g > 0)] = 0
+    return g, skip, [x.reshape(-1, c)] + acts, arg
 
 
 def forward(weights: Weights, points: np.ndarray, want_seg: bool = True,
@@ -234,15 +284,18 @@ def forward(weights: Weights, points: np.ndarray, want_seg: bool = True,
     Permutation-covariant: permuting a batch element's points permutes its
     seg logits identically and leaves the class output bit-unchanged.
 
-    Inference (keep_cache=False) never materialises the widest encoder
-    layer. The narrow layers run over blocks of about _FUSED_BLOCK_POINTS
-    points; each example's wide product is max-pooled straight away, and
-    the wide layer's bias and ReLU are applied once to the pooled (B, wide)
-    matrix. Float addition and ReLU are monotone, so they commute with max
-    and the result is bit-identical to the materialised form. That form
-    still serves training (keep_cache=True, with the per-feature argmax
-    for backward), one-point sets and 2-layer encoders under want_seg. A
-    segment call keeps only the second layer's skip features.
+    The widest encoder layer is never materialised. Its product runs one
+    example at a time into a reused (N, wide) buffer and is max-pooled at
+    once. Inference streams the narrow layers over blocks of about
+    _FUSED_BLOCK_POINTS points and applies the wide layer's bias and ReLU
+    once to the pooled (B, wide) matrix: float addition and ReLU are
+    monotone, so they commute with max and the result is bit-identical to
+    the materialised form. Training (keep_cache=True) keeps every narrow
+    activation for backward, applies the bias before the max, and caches
+    only the pooled g and each feature's argmax point (lowest index on
+    ties). One-point sets and 2-layer encoders under want_seg, whose wide
+    layer is the skip layer, keep the materialised form. A segment call
+    keeps only the second layer's skip features.
 
     The segmenter's first layer is evaluated as a per-point product on the
     skip features plus a per-example product on the global feature
@@ -261,29 +314,18 @@ def forward(weights: Weights, points: np.ndarray, want_seg: bool = True,
     # with one point per set the wide activation is the pooled matrix itself,
     # and a one-row product would take BLAS's gemv path, whose sums are
     # ordered differently from the batch GEMM's
-    if not keep_cache and n > 1 and not (want_seg and len(weights.encoder) == 2):
-        g, skip = _fused_encoder(weights, x, want_seg)
+    if n > 1 and not (want_seg and len(weights.encoder) == 2):
+        g, skip, enc_acts, arg = _fused_encoder(weights, x, want_seg, keep_cache, pool)
     else:
         h = x.reshape(bn, -1)
         enc_acts = [h]
         for li, (w, bias) in enumerate(weights.encoder):
-            h = _linear_relu(h, w, bias, out=buf(("enc", li), (bn, w.shape[1])))
+            h = _linear_relu(h, w, bias, out=buf(("enc", li + 1), (bn, w.shape[1])))
             enc_acts.append(h)
         skip = enc_acts[2]                             # second encoder layer, (B*N, w1)
-
-        wide = enc_acts[-1].reshape(b, n, -1)
-        if keep_cache:
-            # contiguous transpose makes the per-feature argmax (first max =
-            # lowest point index) much cheaper than a strided reduction
-            wide_w = wide.shape[2]
-            wide_t = buf(("wide_t",), (b, wide_w, n))
-            if wide_t is None:
-                wide_t = np.empty((b, wide_w, n), dtype=weights.dtype)
-            np.copyto(wide_t, wide.transpose(0, 2, 1))
-            arg = wide_t.argmax(axis=2)
-            g = np.take_along_axis(wide_t, arg[:, :, None], axis=2)[:, :, 0]
-        else:
-            g = wide.max(axis=1)
+        wide = enc_acts.pop().reshape(b, n, -1)        # the cache keeps layer inputs
+        g = wide.max(axis=1)
+        arg = wide.argmax(axis=1) if keep_cache else None
 
     c = g
     cls_acts = [c]
@@ -376,9 +418,22 @@ def _mlp_backward(layers, acts, delta):
     return grads, delta
 
 
+def _relu_grad_over(delta, w, act, pool, key, extra=None):
+    """dL/d(pre-activation of `act`) = (delta @ w.T [+ extra]) * (act > 0),
+    written over `act` once its ReLU mask has been taken."""
+    if pool is None:
+        mask = act > 0
+    else:
+        mask = np.greater(act, 0, out=pool.get(key, act.shape, np.bool_))
+    np.matmul(delta, w.T, out=act)
+    if extra is not None:
+        act += extra
+    np.multiply(act, mask, out=act)
+    return act
+
+
 def backward(weights: Weights, points: np.ndarray, class_labels: np.ndarray,
              seg_labels: np.ndarray, w_cls: float = 0.15, w_seg: float = 0.85,
-             fwd: Optional[ForwardResult] = None,
              want_input_grad: bool = False,
              pool: Optional[BufferPool] = None):
     """Loss and gradients for a batch; max-pool routes to the argmax point.
@@ -386,9 +441,16 @@ def backward(weights: Weights, points: np.ndarray, class_labels: np.ndarray,
     Returns (loss, Gradients) or (loss, Gradients, input_grad). The loss is
     evaluated from this pass's own softmax/probabilities (same formulas as
     joint_loss, in the weights' dtype).
+
+    Runs its own forward(keep_cache=True) and overwrites that cache: once a
+    layer's ReLU mask is taken, the gradient at its pre-activation is
+    written over its activation. The pooled layer's gradient is never
+    materialised. Each feature's pooled gradient reaches one point, its
+    argmax, so the weight gradient gathers those rows of the layer input
+    and the input gradient is a sparse (B*N, wide) matrix, B*wide non-zeros,
+    times the weight's transpose.
     """
-    if fwd is None or fwd.cache is None:
-        fwd = forward(weights, points, want_seg=True, keep_cache=True, pool=pool)
+    fwd = forward(weights, points, want_seg=True, keep_cache=True, pool=pool)
     cache = fwd.cache
     b, n = cache["x_shape"]
     bn = b * n
@@ -434,8 +496,7 @@ def backward(weights: Weights, points: np.ndarray, class_labels: np.ndarray,
     for li in range(len(seg_layers) - 1, 0, -1):
         w, _ = seg_layers[li]
         seg_grads[li] = (seg_acts[li].T @ delta, delta.sum(axis=0))
-        delta = np.matmul(delta, w.T, out=buf(("bw_seg", li), (bn, w.shape[0])))
-        _masked(delta, seg_acts[li], pool, ("bw_segmask", li))
+        delta = _relu_grad_over(delta, w, seg_acts[li], pool, ("bw_segmask", li))
     # layer 0 splits into the per-point skip half and per-example pooled half
     skip_w = weights.config.encoder[1]
     w0, _ = seg_layers[0]
@@ -447,38 +508,42 @@ def backward(weights: Weights, points: np.ndarray, class_labels: np.ndarray,
     d_skip = np.matmul(delta, w0[:skip_w].T, out=buf(("bw_skip",), (bn, skip_w)))
     d_g = d_g_cls + delta_ex @ w0[skip_w:].T
 
-    # route pooled gradient to each feature's argmax point
-    wide_w = weights.config.encoder[-1]
-    d_enc_last = buf(("bw_enc_top",), (bn, wide_w))
-    if d_enc_last is None:
-        d_enc_last = np.zeros((bn, wide_w), dtype=dtype)
-    else:
-        d_enc_last.fill(0.0)
-    scatter_rows = cache["argmax"] + (np.arange(b) * n)[:, None]
-    d_enc_last[scatter_rows, np.arange(wide_w)[None, :]] = d_g
-
-    # d_skip lands on enc_acts[2] (second layer output); with a 2-layer
-    # encoder that IS the pooled activation, so it merges immediately
+    # each feature's pooled gradient reaches its argmax point alone
     n_enc = len(weights.encoder)
     enc_acts = cache["enc_acts"]
-    if n_enc == 2:
-        d_enc_last += d_skip
-
     enc_grads = [None] * n_enc
-    delta = d_enc_last
-    _masked(delta, enc_acts[-1], pool, ("bw_encmask", n_enc))
-    for li in range(n_enc - 1, -1, -1):
+    top = n_enc - 1
+    w_top, _ = weights.encoder[top]
+    wide_w = w_top.shape[1]
+    winners = cache["argmax"] + (np.arange(b) * n)[:, None]
+    if n_enc == 2:
+        # the pooled layer is also the skip layer, whose gradient is dense
+        d_skip[winners, np.arange(wide_w)] += d_g
+        delta = _masked(d_skip, skip, pool, ("bw_encmask", 2))
+        below = top
+    else:
+        d_pool = d_g * (g > 0)
+        enc_grads[top] = (np.einsum("bjk,bj->kj", enc_acts[top][winners], d_pool),
+                          d_pool.sum(axis=0))
+        scatter = sparse.csr_array(
+            (d_pool.ravel(), (winners.ravel(), np.tile(np.arange(wide_w), b))),
+            shape=(bn, wide_w))
+        delta = scatter @ w_top.T
+        if top == 2:
+            delta += d_skip
+        delta = _masked(delta, enc_acts[top], pool, ("bw_encmask", top))
+        below = top - 1
+
+    for li in range(below, -1, -1):
         w, _ = weights.encoder[li]
         enc_grads[li] = (enc_acts[li].T @ delta, delta.sum(axis=0))
-        delta = np.matmul(delta, w.T, out=buf(("bw_enc", li), (bn, w.shape[0])))
-        if li == 2:
-            delta += d_skip
         if li > 0:
-            _masked(delta, enc_acts[li], pool, ("bw_encmask", li))
+            delta = _relu_grad_over(delta, w, enc_acts[li], pool, ("bw_encmask", li),
+                                    extra=d_skip if li == 2 else None)
 
     grads = Gradients(encoder=enc_grads, classifier=cls_grads, segmenter=seg_grads)
     if want_input_grad:
-        return loss, grads, delta.reshape(b, n, -1)
+        return loss, grads, (delta @ weights.encoder[0][0].T).reshape(b, n, -1)
     return loss, grads
 
 

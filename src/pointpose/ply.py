@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import PlyFormatError
 from .pointcloud import PointCloud
 
 _PLY_DTYPES = {
@@ -25,67 +26,79 @@ _PLY_DTYPES = {
 
 def _parse_header(f):
     if f.readline().strip() != b"ply":
-        raise ValueError("not a PLY file (missing 'ply' magic)")
+        raise PlyFormatError("not a PLY file (missing 'ply' magic)")
     fmt = None
     elements = []  # (name, count, [(dtype_code, prop_name)])
     while True:
         line = f.readline()
         if not line:
-            raise ValueError("unterminated PLY header")
+            raise PlyFormatError("unterminated PLY header")
         parts = line.decode("ascii", "replace").strip().split()
         if not parts or parts[0] == "comment":
             continue
-        if parts[0] == "format":
-            fmt = parts[1]
-        elif parts[0] == "element":
-            elements.append((parts[1], int(parts[2]), []))
-        elif parts[0] == "property":
-            if not elements:
-                raise ValueError("property before any element")
-            if parts[1] == "list":
-                elements[-1][2].append(("list", (parts[2], parts[3]), parts[4]))
-            else:
-                if parts[1] not in _PLY_DTYPES:
-                    raise ValueError(f"unsupported PLY property type {parts[1]}")
-                elements[-1][2].append((_PLY_DTYPES[parts[1]], None, parts[2]))
-        elif parts[0] == "end_header":
-            break
+        try:
+            if parts[0] == "format":
+                fmt = parts[1]
+            elif parts[0] == "element":
+                elements.append((parts[1], int(parts[2]), []))
+            elif parts[0] == "property":
+                if not elements:
+                    raise PlyFormatError("property before any element")
+                if parts[1] == "list":
+                    elements[-1][2].append(("list", (parts[2], parts[3]), parts[4]))
+                else:
+                    if parts[1] not in _PLY_DTYPES:
+                        raise PlyFormatError(f"unsupported PLY property type {parts[1]}")
+                    elements[-1][2].append((_PLY_DTYPES[parts[1]], None, parts[2]))
+            elif parts[0] == "end_header":
+                break
+        except PlyFormatError:
+            raise
+        except (IndexError, ValueError) as exc:
+            raise PlyFormatError(f"bad PLY header line {' '.join(parts)!r}") from exc
     if fmt not in ("ascii", "binary_little_endian"):
-        raise ValueError(f"unsupported PLY format {fmt}")
+        raise PlyFormatError(f"unsupported PLY format {fmt}")
     return fmt, elements
 
 
 def read_ply(path) -> PointCloud:
+    """Read a PLY file; any format error raises PlyFormatError."""
     with open(path, "rb") as f:
         fmt, elements = _parse_header(f)
         if not elements or elements[0][0] != "vertex":
-            raise ValueError("PLY file must lead with a vertex element")
+            raise PlyFormatError("PLY file must lead with a vertex element")
         _, count, props = elements[0]
         if any(code == "list" for code, _, _ in props):
-            raise ValueError("list properties on vertices are not supported")
+            raise PlyFormatError("list properties on vertices are not supported")
         names = [name for _, _, name in props]
-        dtype = np.dtype([(name, "<" + code) for code, _, name in props])
+        try:
+            dtype = np.dtype([(name, "<" + code) for code, _, name in props])
+        except ValueError as exc:  # a repeated property name
+            raise PlyFormatError(f"bad PLY vertex properties: {exc}") from exc
 
         if fmt == "binary_little_endian":
             raw = f.read(count * dtype.itemsize)
             if len(raw) != count * dtype.itemsize:
-                raise ValueError("truncated PLY vertex data")
+                raise PlyFormatError("truncated PLY vertex data")
             data = np.frombuffer(raw, dtype=dtype)
         else:
             rows = []
             for k in range(count):
                 line = f.readline()
                 if not line:
-                    raise ValueError(f"truncated ASCII PLY at vertex {k}")
-                rows.append(tuple(line.decode("ascii").split()[: len(names)]))
-            data = np.array(rows, dtype=dtype) if rows else np.empty(0, dtype=dtype)
+                    raise PlyFormatError(f"truncated ASCII PLY at vertex {k}")
+                rows.append(tuple(line.decode("ascii", "replace").split()[: len(names)]))
+            try:
+                data = np.array(rows, dtype=dtype) if rows else np.empty(0, dtype=dtype)
+            except ValueError as exc:
+                raise PlyFormatError(f"bad ASCII PLY vertex data: {exc}") from exc
 
     def col(name):
         return data[name].astype(np.float64)
 
     for axis in ("x", "y", "z"):
         if axis not in names:
-            raise ValueError(f"vertex element lacks '{axis}' property")
+            raise PlyFormatError(f"vertex element lacks '{axis}' property")
     positions = np.stack([col("x"), col("y"), col("z")], axis=1)
 
     normals = None

@@ -364,7 +364,7 @@ def test_augment_cuts_backgrounds_at_the_sampling_radius(setup):
     model, scene, gt, labels = setup
     factor = 0.4
     # small background shifts keep every cut non-empty, so no mixed negative
-    # takes the uncut fallback background
+    # takes the fallback background
     inst = build_instance_training_set(scene, model, gt, np.random.default_rng(5),
                                        SamplingParams(radius_factor=factor),
                                        AugmentParams(background_shift_factor=0.1))
@@ -377,3 +377,17 @@ def test_augment_cuts_backgrounds_at_the_sampling_radius(setup):
         dist.append(np.linalg.norm(e.positions[e.seg_labels == 0] - cut_center, axis=1))
     dist = np.concatenate(dist)
     assert len(dist) and dist.max() <= factor * model.diameter + 0.1  # + jitter
+
+
+def test_augment_examples_lie_within_the_radius_of_their_anchor(setup):
+    """With the default background shifts some mixed negative finds neither
+    shifted background inside its cut sphere; its fallback background is cut
+    at the same radius around the anchor it records."""
+    model, scene, gt, labels = setup
+    factor = 0.4
+    inst = build_instance_training_set(scene, model, gt, np.random.default_rng(5),
+                                       SamplingParams(radius_factor=factor))
+    for i, e in enumerate(inst.examples[-60:]):
+        center = e.meta.anchor_mm - e.meta.centroid_mm
+        dist = np.linalg.norm(e.positions - center, axis=1)
+        assert dist.max() <= factor * model.diameter + 0.1, i  # + jitter

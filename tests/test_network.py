@@ -1,6 +1,7 @@
 """Network forward/backward/training/weights-file tests."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -190,10 +191,19 @@ def _numeric_grad(w: Weights, x, y, seg, w_cls, w_seg, param, idx, h=1e-4):
     return (up - down) / (2 * h)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_gradcheck_tiny_configs(seed):
+# the 2-layer cases keep their plain seed ids; deeper encoders put the
+# pooled layer above a separate skip layer
+GRADCHECK_CASES = [pytest.param(seed, enc, id=str(seed) if len(enc) == 2 else
+                                "-".join(map(str, enc + (seed,))))
+                   for enc in [(4, 8), (4, 6, 8), (4, 6, 6, 8)] for seed in (0, 1, 2)]
+
+
+@pytest.mark.parametrize("seed, encoder", GRADCHECK_CASES)
+def test_gradcheck_tiny_configs(seed, encoder):
+    cfg = NetworkConfig(k=2, input_channels=7, encoder=encoder, classifier=(4, 1),
+                        segmenter=(4, 0))
     rng = np.random.default_rng(seed)
-    w = tiny_weights(seed=seed, dtype=np.float64, random_bias=True)
+    w = tiny_weights(seed=seed, dtype=np.float64, random_bias=True, config=cfg)
     x = random_batch(rng, b=2, n=8)
     y = rng.integers(0, 2, 2)
     seg = rng.integers(0, 3, (2, 8))
@@ -202,6 +212,7 @@ def test_gradcheck_tiny_configs(seed):
     loss, grads = backward(w, x, y, seg, w_cls, w_seg)
     assert np.isfinite(loss)
     for p, g in zip(w.params(), grads.params()):
+        assert g.shape == p.shape
         assert np.all(np.isfinite(g))
         it = np.nditer(p, flags=["multi_index"])
         while not it.finished:
@@ -210,6 +221,121 @@ def test_gradcheck_tiny_configs(seed):
             denom = max(abs(g[idx]) + abs(fd), 1e-8)
             assert abs(g[idx] - fd) / denom < 1e-4, (idx, g[idx], fd)
             it.iternext()
+
+
+def dense_reference(w: Weights, x, y, seg, w_cls=0.15, w_seg=0.85):
+    """The materialised route: the whole (B*N, wide) activation, its argmax
+    over points, and the dense pooled gradient scattered onto it. Returns
+    (loss, prob, seg_logits, g, argmax, Gradients, input_grad)."""
+    cfg, dtype = w.config, w.dtype
+    x = np.asarray(x, dtype=dtype)
+    b, n, _ = x.shape
+    bn = b * n
+    enc = [x.reshape(bn, -1)]
+    for wm, bias in w.encoder:
+        enc.append(np.maximum(enc[-1] @ wm + bias, 0.0))
+    wide = enc[-1].reshape(b, n, -1)
+    arg = wide.argmax(axis=1)
+    g = np.take_along_axis(wide, arg[:, None], axis=1)[:, 0]
+    cls_acts = [g]
+    for wm, bias in w.classifier[:-1]:
+        cls_acts.append(np.maximum(cls_acts[-1] @ wm + bias, 0.0))
+    w_last, b_last = w.classifier[-1]
+    prob = network._sigmoid((cls_acts[-1] @ w_last + b_last).reshape(b))
+    skip, skip_w = enc[2], cfg.encoder[1]
+    w0, b0 = w.segmenter[0]
+    g_part = g @ w0[skip_w:]
+    g_part += b0
+    s = ((skip @ w0[:skip_w]).reshape(b, n, -1) + g_part[:, None]).reshape(bn, -1)
+    seg_acts = [skip]
+    for wm, bias in w.segmenter[1:]:
+        s = np.maximum(s, 0.0)
+        seg_acts.append(s)
+        s = s @ wm + bias
+
+    yv = np.asarray(y, dtype=dtype).reshape(b)
+    labels = np.asarray(seg, dtype=np.int64).reshape(bn)
+    rows = np.arange(bn)
+    gmax = s.max()
+    e = np.exp(s - gmax)
+    e_sum = e @ np.ones(s.shape[1], dtype=dtype)
+    ce = -np.mean(s[rows, labels].astype(np.float64) - gmax
+                  - np.log(e_sum.astype(np.float64)))
+    p64, y64 = prob.astype(np.float64), yv.astype(np.float64)
+    bce = -np.mean(y64 * np.log(np.maximum(p64, 1e-12))
+                   + (1.0 - y64) * np.log(np.maximum(1.0 - p64, 1e-12)))
+    loss = float(w_cls * bce + w_seg * ce)
+
+    d_logit = ((w_cls / b) * (prob - yv)).astype(dtype)
+    cls_grads, d_g_cls = network._mlp_backward(w.classifier, cls_acts, d_logit[:, None])
+    delta = e
+    delta /= e_sum[:, None]
+    delta[rows, labels] -= 1.0
+    delta *= w_seg / bn
+    seg_grads = [None] * len(w.segmenter)
+    for li in range(len(w.segmenter) - 1, 0, -1):
+        seg_grads[li] = (seg_acts[li].T @ delta, delta.sum(axis=0))
+        delta = (delta @ w.segmenter[li][0].T) * (seg_acts[li] > 0)
+    delta_ex = delta.reshape(b, n, -1).sum(axis=1)
+    seg_grads[0] = (np.concatenate([skip.T @ delta, g.T @ delta_ex]), delta.sum(axis=0))
+    d_skip = delta @ w0[:skip_w].T
+    d_g = d_g_cls + delta_ex @ w0[skip_w:].T
+
+    n_enc = len(w.encoder)
+    delta = np.zeros((bn, cfg.encoder[-1]), dtype=dtype)
+    delta[arg + (np.arange(b) * n)[:, None], np.arange(cfg.encoder[-1])] = d_g
+    if n_enc == 2:
+        delta += d_skip
+    delta *= enc[-1] > 0
+    enc_grads = [None] * n_enc
+    for li in range(n_enc - 1, -1, -1):
+        enc_grads[li] = (enc[li].T @ delta, delta.sum(axis=0))
+        delta = delta @ w.encoder[li][0].T
+        if li == 2:
+            delta += d_skip
+        if li > 0:
+            delta *= enc[li] > 0
+    grads = network.Gradients(encoder=enc_grads, classifier=cls_grads, segmenter=seg_grads)
+    return loss, prob, s.reshape(b, n, -1), g, arg, grads, delta.reshape(b, n, -1)
+
+
+def _close(a, ref, rtol):
+    return np.abs(a - ref).max() <= rtol * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("dtype, rtol", [(np.float32, 1e-6), (np.float64, 1e-12)])
+@pytest.mark.parametrize("encoder", [(16, 64), (16, 16, 64), (16, 16, 24, 64)])
+@pytest.mark.parametrize("b", [1, 7])
+@pytest.mark.parametrize("n", [1, 2048])
+def test_backward_matches_dense_reference(dtype, rtol, encoder, b, n):
+    """The sparse pooled gradient equals the dense scatter route: forward
+    outputs, argmax, loss and head gradients bit for bit, encoder gradients
+    up to float reordering."""
+    cfg = NetworkConfig(k=4, encoder=encoder, classifier=(16, 1), segmenter=(32, 16, 0))
+    w = tiny_weights(seed=11, dtype=dtype, random_bias=True, config=cfg)
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal((b, n, 7))
+    x[:, n // 2:] = x[:, :n - n // 2]       # duplicated points: argmax ties
+    y = rng.integers(0, 2, b)
+    seg = rng.integers(0, 5, (b, n))
+    loss_r, prob_r, logits_r, g_r, arg_r, grads_r, dx_r = dense_reference(w, x, y, seg)
+
+    fwd = forward(w, x, keep_cache=True)
+    assert np.array_equal(fwd.class_prob, prob_r)
+    assert np.array_equal(fwd.seg_logits, logits_r)
+    assert np.array_equal(fwd.cache["g"], g_r)
+    assert np.array_equal(fwd.cache["argmax"], arg_r)
+
+    loss, grads, dx = backward(w, x, y, seg, want_input_grad=True)
+    assert loss == loss_r
+    for got, ref in zip(grads.classifier + grads.segmenter,
+                        grads_r.classifier + grads_r.segmenter):
+        assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+    for got, ref in zip(grads.encoder, grads_r.encoder):
+        for a, r in zip(got, ref):
+            assert a.shape == r.shape and a.dtype == dtype
+            assert _close(a, r, rtol)
+    assert _close(dx, dx_r, rtol)
 
 
 def test_gradient_zero_at_constructed_minimum():
@@ -236,6 +362,39 @@ def test_maxpool_routes_gradient_to_lowest_tied_index():
                         w_cls=1.0, w_seg=0.0, want_input_grad=True)
     assert np.abs(dx[0, 0]).max() > 0
     assert np.abs(dx[0, 1]).max() == 0.0
+
+
+def test_backward_nan_weights_give_nan_loss():
+    """A diverged step leaves NaN weights; the next step reports a NaN loss
+    instead of failing in the pooled argmax, whose NaN max matches no point."""
+    w = init_weights(NetworkConfig(k=2, encoder=(8, 8, 16), classifier=(4, 1),
+                                   segmenter=(4, 0)), seed=0)
+    w.encoder[0][0][:] = np.nan
+    x = np.random.default_rng(0).standard_normal((2, 16, 7))
+    loss, _ = backward(w, x, np.ones(2), np.zeros((2, 16), int))
+    assert np.isnan(loss)
+
+
+def test_backward_memory_stays_below_wide_layer():
+    """One training step never holds a (B*N, wide) array. tracemalloc peak of
+    this backward, with a fresh pool: 196.5 MiB with the dense scatter route
+    (the wide activation, its transposed copy, the dense gradient and its
+    mask, 32 MiB each), 70.0 MiB with the sparse route. The bound is less
+    than one more such array above the latter."""
+    w = init_weights(NetworkConfig(k=50), seed=0)
+    rng = np.random.default_rng(3)
+    b, n = 4, 2048
+    x = rng.standard_normal((b, n, 7)).astype(np.float32)
+    y, seg = rng.integers(0, 2, b), rng.integers(0, 51, (b, n))
+    pool = network.BufferPool()
+    tracemalloc.start()
+    try:
+        backward(w, x, y, seg, pool=pool)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 90 * 2 ** 20, peak / 2 ** 20
+    assert all(buf.size < b * n * 1024 for buf in pool._bufs.values())
 
 
 # ---------------------------------------------------------------------------
@@ -388,3 +547,16 @@ def test_forward_speed(benchmark, b, want_seg):
     out = benchmark(forward, w, x, want_seg=want_seg)
     assert out.class_prob.shape == (b,)
     assert (out.seg_logits is not None) == want_seg
+
+
+@pytest.mark.perf
+def test_backward_speed(benchmark):
+    """One training step of the full-width network: 16 spheres of 2048
+    points, k=50, reusing the training loop's buffer pool."""
+    w = init_weights(NetworkConfig(k=50), seed=0)
+    rng = np.random.default_rng(22)
+    x = rng.standard_normal((16, 2048, 7)).astype(np.float32)
+    y, seg = rng.integers(0, 2, 16), rng.integers(0, 51, (16, 2048))
+    loss, grads = benchmark(backward, w, x, y, seg, pool=network.BufferPool())
+    assert np.isfinite(loss)
+    assert [g.shape for g in grads.params()] == [p.shape for p in w.params()]

@@ -1,4 +1,4 @@
-"""Input contracts of detect, the CLI and the run configuration."""
+"""Input contracts of detect, the CLI, the run configuration and scene files."""
 
 import numpy as np
 import pytest
@@ -54,3 +54,21 @@ def test_classify_chunk_is_not_a_config_key():
         config_from_dict({"detect": {"classify_chunk": 64}})
     with pytest.raises(ConfigError, match="classify_chunk"):
         apply_override(RunConfig(), "detect.classify_chunk=64")
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"hello, world\n", "not a PLY file"),
+    (b"ply\nformat ascii 1.0\nelement vertex many\nend_header\n", "bad PLY header line"),
+    (b"ply\nformat ascii 1.0\nelement vertex 1\nproperty float x\nproperty float y\n"
+     b"property float z\nend_header\n1 two 3\n", "bad ASCII PLY vertex data"),
+])
+def test_cli_detect_malformed_scene_exits_2(model, tmp_path, capsys, content, message):
+    save_object_model(tmp_path / "model", model)
+    (tmp_path / "scene.ply").write_bytes(content)
+    code = cli.main(["detect", "--scene", str(tmp_path / "scene.ply"),
+                     "--model", str(tmp_path / "model"), "--oracle",
+                     "--out", str(tmp_path / "pose.json")])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "pose.json").exists()
+

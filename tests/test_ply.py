@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from pointpose.errors import PlyFormatError
 from pointpose.ply import read_ply, write_ply
 from pointpose.pointcloud import PointCloud
 from pointpose.pose import (RigidPose, load_pose_json, random_rotation,
@@ -76,6 +77,14 @@ def test_ply_rejects_truncated_binary(tmp_path):
     path.write_bytes(data[:-10])
     with pytest.raises(ValueError):
         read_ply(path)
+
+
+def test_ply_format_error_is_a_value_error(tmp_path):
+    path = tmp_path / "bad.ply"
+    path.write_bytes(b"ply\nformat binary_big_endian 1.0\nend_header\n")
+    with pytest.raises(PlyFormatError, match="unsupported PLY format") as info:
+        read_ply(path)
+    assert isinstance(info.value, ValueError)
 
 
 def test_pose_json_roundtrip(tmp_path):
