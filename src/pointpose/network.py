@@ -273,9 +273,9 @@ def _fused_encoder(weights: Weights, x: np.ndarray, want_seg: bool,
     if not keep_cache:
         # bias and ReLU are monotone, so applying them after the max is exact
         g += b_wide
-    np.maximum(g, 0.0, out=g)
-    if not keep_cache:
+        np.maximum(g, 0.0, out=g)
         return g, skip, None, None
+    np.maximum(g, 0.0, out=g)
     # a feature that ReLU zeroes everywhere ties at 0: its argmax is point 0
     arg[~(g > 0)] = 0
     return g, skip, [x.reshape(-1, c)] + acts, arg
