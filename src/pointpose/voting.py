@@ -76,7 +76,11 @@ class PoseHypothesis:
 
 @dataclass
 class VoteSet:
-    rotations: np.ndarray     # (V, 3, 3)
+    """Rigid-pose votes, one row each. A vote's rotation is its unit
+    quaternion (x, y, z, w), whose sign is arbitrary: q and -q are the same
+    rotation, and every test on rotations here is sign-blind."""
+
+    quats: np.ndarray         # (V, 4) unit quaternions, scalar last
     translations: np.ndarray  # (V, 3)
     source: np.ndarray        # (V,) correspondence index
 
@@ -114,24 +118,22 @@ def correspondences_from_segmentation(scene_positions: np.ndarray,
     )
 
 
-def _rodrigues_batch(axes: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    """Rotation matrices for unit axes (..., 3) and angles (...)."""
-    c = np.cos(angles)[..., None, None]
-    s = np.sin(angles)[..., None, None]
-    a = axes
-    outer = a[..., :, None] * a[..., None, :]
-    zeros = np.zeros_like(angles)
-    skew = np.stack([
-        np.stack([zeros, -a[..., 2], a[..., 1]], axis=-1),
-        np.stack([a[..., 2], zeros, -a[..., 0]], axis=-1),
-        np.stack([-a[..., 1], a[..., 0], zeros], axis=-1),
+def quat_to_matrix(quats: np.ndarray) -> np.ndarray:
+    """Rotation matrices (..., 3, 3) of unit quaternions (..., 4), scalar last."""
+    x, y, z, w = np.moveaxis(np.asarray(quats, dtype=np.float64), -1, 0)
+    xx, yy, zz = x * x, y * y, z * z
+    xy, xz, yz = x * y, x * z, y * z
+    wx, wy, wz = w * x, w * y, w * z
+    return np.stack([
+        np.stack([1.0 - 2.0 * (yy + zz), 2.0 * (xy - wz), 2.0 * (xz + wy)], axis=-1),
+        np.stack([2.0 * (xy + wz), 1.0 - 2.0 * (xx + zz), 2.0 * (yz - wx)], axis=-1),
+        np.stack([2.0 * (xz - wy), 2.0 * (yz + wx), 1.0 - 2.0 * (xx + yy)], axis=-1),
     ], axis=-2)
-    eye = np.broadcast_to(np.eye(3), outer.shape)
-    return c * eye + s * skew + (1.0 - c) * outer
 
 
-def _base_rotations(kp_normals: np.ndarray, scene_normals: np.ndarray) -> np.ndarray:
-    """Minimal rotations mapping each keypoint normal onto its scene normal.
+def _base_quats(kp_normals: np.ndarray, scene_normals: np.ndarray) -> np.ndarray:
+    """Quaternions (M, 4) of the minimal rotations mapping each keypoint
+    normal onto its scene normal.
 
     Anti-parallel pairs rotate by pi about normalize(scene_normal x x_hat),
     falling back to the y axis cross product when degenerate.
@@ -160,34 +162,41 @@ def _base_rotations(kp_normals: np.ndarray, scene_normals: np.ndarray) -> np.nda
     parallel = (~regular) & (cos >= 0)
     axes[parallel] = _X  # angle ~ 0: axis is irrelevant
     angles[parallel] = 0.0
-    return _rodrigues_batch(axes, angles)
+    half = angles / 2.0
+    return np.hstack([np.sin(half)[:, None] * axes, np.cos(half)[:, None]])
 
 
 def pose_votes(corr: Correspondences, n_theta: int = 36) -> VoteSet:
     """The 1-DoF pose family of each correspondence, sampled at n_theta angles.
 
     Every emitted vote maps the keypoint exactly onto the scene point and
-    the keypoint normal exactly onto the scene normal.
+    the keypoint normal exactly onto the scene normal. Correspondence m
+    first turns its keypoint normal onto the scene normal n_m by the
+    minimal rotation b_m, then spins by theta_t about n_m; as quaternions
+    (scalar last) the vote is the Hamilton product
+    q_mt = (sin(theta_t/2) n_m, cos(theta_t/2)) * b_m, which is linear in
+    the half-angle's cosine and sine: q_mt = cos(theta_t/2) b_m +
+    sin(theta_t/2) (n_m, 0) * b_m. Translations come from the same
+    quaternions through their rotation matrices.
     """
     if n_theta < 4:
         raise ValueError("n_theta must be at least 4")
     m = len(corr)
     if m == 0:
-        return VoteSet(np.zeros((0, 3, 3)), np.zeros((0, 3)), np.zeros(0, dtype=np.int32))
+        return VoteSet(np.zeros((0, 4)), np.zeros((0, 3)), np.zeros(0, dtype=np.int32))
 
-    base = _base_rotations(corr.keypoint_normals, corr.scene_normals)  # (M, 3, 3)
-    thetas = 2.0 * np.pi * np.arange(n_theta) / n_theta
-    spin = _rodrigues_batch(
-        np.broadcast_to(corr.scene_normals[:, None, :], (m, n_theta, 3)),
-        np.broadcast_to(thetas[None, :], (m, n_theta)),
-    )  # (M, T, 3, 3)
-    rotations = np.einsum("mtij,mjk->mtik", spin, base)
-    translations = corr.scene_positions[:, None, :] - np.einsum(
-        "mtij,mj->mti", rotations, corr.keypoint_positions)
+    base = _base_quats(corr.keypoint_normals, corr.scene_normals)  # (M, 4)
+    n, u, w = corr.scene_normals, base[:, :3], base[:, 3:]
+    # (n, 0) * (u, w) = (w n + n x u, -n . u)
+    turned = np.hstack([w * n + np.cross(n, u), -np.einsum("ij,ij->i", n, u)[:, None]])
+    half = np.pi * np.arange(n_theta) / n_theta
+    quats = (np.cos(half)[None, :, None] * base[:, None, :]
+             + np.sin(half)[None, :, None] * turned[:, None, :]).reshape(-1, 4)
+    kp = np.repeat(corr.keypoint_positions, n_theta, axis=0)
+    translations = (np.repeat(corr.scene_positions, n_theta, axis=0)
+                    - np.einsum("vij,vj->vi", quat_to_matrix(quats), kp))
     source = np.repeat(np.arange(m, dtype=np.int32), n_theta)
-    return VoteSet(rotations=rotations.reshape(-1, 3, 3),
-                   translations=translations.reshape(-1, 3),
-                   source=source)
+    return VoteSet(quats=quats, translations=translations, source=source)
 
 
 def _mean_rotation(rotations: np.ndarray) -> np.ndarray:
@@ -209,25 +218,36 @@ def density_peak(votes: VoteSet, delta_t_mm: float = 10.0,
     pose is the mean translation and chordal-mean rotation over the
     winner's supporters; s_kde = support / |votes|.
 
+    Rotations are compared as quaternions: two rotations are within
+    delta_r exactly when |q . q'| >= cos(delta_r / 2), that is when q' or
+    -q' lies within q_radius = sqrt(2 - 2 cos(delta_r / 2)) of q.
+
     The search is exact. Each vote's rotation-neighbour count bounds its
     support, and candidates are scored one at a time in descending-bound
     order until the bound falls below the best support; on clean votes
-    that ends within a few candidates. If candidates above the best remain
-    after the first `_EXACT_FIRST` (noise-like correspondences), the rest
-    are also bounded in the joint space [t / delta_t, q / q_radius], where
-    passing both kernel tests puts two votes within sqrt(2) of each other
-    for one of the two signs of q. Candidates under the tighter of the two
-    bounds are counted in vectorised batches over their joint neighbours,
-    and every one whose count could tie or beat the best is re-scored one
-    at a time, so the winner, its supporters and their order are the same
-    on both paths. `workers` is the thread count of the kd-tree queries
-    (-1: every CPU).
+    that ends within a few candidates. The count is one kd-tree query of
+    the votes, each with its quaternion on the w >= 0 hemisphere, against
+    a tree of those quaternions plus sign-flipped copies of the votes with
+    w <= q_radius. It equals counting q' and -q' separately:
+    |q - q'|^2 + |q + q'|^2 = 4, so for q_radius < sqrt(2) at most one sign
+    of a vote is near, and -q' can be near a w >= 0 quaternion only if q'
+    has w <= q_radius.
+
+    If candidates above the best remain after the first `_EXACT_FIRST`
+    (noise-like correspondences), the rest are also bounded in the joint
+    space [t / delta_t, q / q_radius] over the same flipped set, where
+    passing both kernel tests puts two votes within sqrt(2) of each other.
+    Candidates under the tighter of the two bounds are counted in
+    vectorised batches over their joint neighbours, and every one whose
+    count could tie or beat the best is re-scored one at a time, so the
+    winner, its supporters and their order are the same on both paths.
+    `workers` is the thread count of the kd-tree queries (-1: every CPU).
     """
     if len(votes) == 0:
         raise NoHypothesisError("no votes to cluster")
-    (support, _, _), supporters = _peak_search(votes.translations, votes.rotations,
+    (support, _, _), supporters = _peak_search(votes.translations, votes.quats,
                                                delta_t_mm, delta_r_rad, workers)
-    pose = RigidPose(_mean_rotation(votes.rotations[supporters]),
+    pose = RigidPose(_mean_rotation(quat_to_matrix(votes.quats[supporters])),
                      votes.translations[supporters].mean(axis=0))
     hyp = PoseHypothesis(pose=pose, s_kde=support / len(votes), vote_support=support)
     if return_supporters:
@@ -241,35 +261,51 @@ _EXACT_FIRST = 64
 _SAMPLE_STRIDE = 16  # noise-like sets: every 16th candidate raises the best first
 _BATCH_FIRST = 64    # first vectorised batch of the joint-bound pass; doubles
 _SLACK = 1.0 + 1e-6  # keeps the joint bound and batch counts above float rounding
+_LEAFSIZE = 128      # kd-tree leaf size: the fastest of 16-128 on 18,000-vote sets
 
 
-def _peak_search(trans: np.ndarray, rots: np.ndarray, delta_t_mm: float,
+def _hemisphere_rows(quats: np.ndarray, q_radius: float):
+    """The rows of both rotation kd-trees and the vote of each row: every
+    vote's quaternion on the w >= 0 hemisphere, then a sign-flipped copy of
+    the votes with w <= q_radius, the only ones that can be within q_radius
+    of a w >= 0 quaternion through -q."""
+    canon = np.where(quats[:, 3:] < 0.0, -quats, quats)
+    flip = np.nonzero(canon[:, 3] <= q_radius * _SLACK)[0]
+    return np.vstack([canon, -canon[flip]]), np.concatenate([np.arange(len(quats)), flip])
+
+
+def _rotation_bound(q_rows: np.ndarray, v: int, q_radius: float, workers: int) -> np.ndarray:
+    """Rotation neighbours of each of the v votes, itself included: one
+    query of the first v rows of `_hemisphere_rows` against all of them."""
+    from scipy.spatial import cKDTree
+    q_tree = cKDTree(q_rows, leafsize=_LEAFSIZE, balanced_tree=False)
+    in_tree_order = q_tree.indices[q_tree.indices < v]  # queries near in memory
+    bound = np.empty(v, dtype=np.int64)
+    bound[in_tree_order] = q_tree.query_ball_point(
+        q_rows[in_tree_order], q_radius, return_length=True, workers=workers)
+    return bound
+
+
+def _peak_search(trans: np.ndarray, quats: np.ndarray, delta_t_mm: float,
                  delta_r_rad: float, workers: int):
     """density_peak's search: the winner's score (support, -sum_dist,
     -index) and its supporters, in the translation tree's order."""
     from scipy.spatial import cKDTree
-    from scipy.spatial.transform import Rotation
     v = len(trans)
 
     # |q_i . q_j| >= cos(delta_r/2) is the same boundary as the geodesic
     # trace test but needs 4 components per vote instead of 9
     q_gate = np.cos(delta_r_rad / 2.0)
-    quats_all = Rotation.from_matrix(rots).as_quat().astype(np.float64)
-    if quats_all.ndim == 1:
-        quats_all = quats_all[None, :]
-
-    tree = cKDTree(trans)
     q_radius = np.sqrt(max(2.0 - 2.0 * q_gate, 0.0))  # |q - q'| for geodesic delta_r
-    q_tree = cKDTree(quats_all, leafsize=64, balanced_tree=False)
-    bound = q_tree.query_ball_point(quats_all, q_radius, return_length=True,
-                                    workers=workers)
-    bound = bound + q_tree.query_ball_point(-quats_all, q_radius,
-                                            return_length=True, workers=workers)
+    q_rows, vote_of = _hemisphere_rows(quats, q_radius)
+    canon = q_rows[:v]
+    bound = _rotation_bound(q_rows, v, q_radius, workers)
+    tree = cKDTree(trans)
 
     def score(c):
         nb = np.asarray(tree.query_ball_point(trans[c], delta_t_mm), dtype=np.int64)
         d = np.linalg.norm(trans[nb] - trans[c], axis=1)
-        mask = (d <= delta_t_mm) & (np.abs(quats_all[nb] @ quats_all[c]) >= q_gate)
+        mask = (d <= delta_t_mm) & (np.abs(canon[nb] @ canon[c]) >= q_gate)
         return (int(mask.sum()), -float(d[mask].sum()), -int(c)), nb[mask]
 
     best = (0, -np.inf, -1)  # (support, -sum_dist, -original_index) maximized
@@ -286,15 +322,8 @@ def _peak_search(trans: np.ndarray, rots: np.ndarray, delta_t_mm: float,
     if len(rest) == 0:
         return best, best_supporters
 
-    # The joint tree holds each vote once with its quaternion on the w >= 0
-    # hemisphere, plus a sign-flipped copy of the votes with w <= q_radius:
-    # only those can pass the rotation test through the other sign
-    canon = np.where(quats_all[:, 3:] < 0.0, -quats_all, quats_all)
-    scaled = np.hstack([trans / delta_t_mm, canon / q_radius])
-    flip = np.nonzero(canon[:, 3] <= q_radius * _SLACK)[0]
-    flipped = np.hstack([scaled[flip, :3], -scaled[flip, 3:]])
-    joint = cKDTree(np.vstack([scaled, flipped]), leafsize=64, balanced_tree=False)
-    vote_of = np.concatenate([np.arange(v), flip])
+    scaled = np.hstack([trans[vote_of] / delta_t_mm, q_rows / q_radius])
+    joint = cKDTree(scaled, leafsize=_LEAFSIZE, balanced_tree=False)
     radius = np.sqrt(2.0) * _SLACK
 
     def score_batch(cand):
@@ -306,7 +335,7 @@ def _peak_search(trans: np.ndarray, rots: np.ndarray, delta_t_mm: float,
         d = np.linalg.norm(trans[nb] - trans[cand[owner]], axis=1)
         # both tests loosened, so a count is never below the exact support
         # and an equal count has the same supporters
-        dots = np.einsum("ij,ij->i", quats_all[nb], quats_all[cand[owner]])
+        dots = np.einsum("ij,ij->i", canon[nb], canon[cand[owner]])
         near = (d <= delta_t_mm * _SLACK) & (np.abs(dots) >= q_gate - 1e-9)
         counts = np.bincount(owner[near], minlength=len(cand))
         sum_d = np.bincount(owner[near], weights=d[near], minlength=len(cand))

@@ -2,15 +2,18 @@
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
+from scipy.spatial.transform import Rotation
 
 from pointpose.errors import NoHypothesisError
 from pointpose.modelprep import Keypoint, ObjectModel
 from pointpose.pointcloud import PointCloud
 from pointpose.pose import (RigidPose, random_rotation, rotation_about_axis,
                             rotation_geodesic)
-from pointpose.voting import (Correspondences, VoteSet, VotingParams, _peak_search,
+from pointpose.voting import (Correspondences, VoteSet, VotingParams, _hemisphere_rows,
+                              _peak_search, _rotation_bound,
                               correspondences_from_segmentation, density_peak,
-                              estimate_pose, pose_votes)
+                              estimate_pose, pose_votes, quat_to_matrix)
 
 
 def make_model(n_kp=50, seed=0):
@@ -89,7 +92,7 @@ def test_votes_count_and_constraints():
     corr = exact_correspondences(model, pose)
     votes = pose_votes(corr, n_theta=36)
     assert len(votes) == 36
-    for r, t in zip(votes.rotations, votes.translations):
+    for r, t in zip(quat_to_matrix(votes.quats), votes.translations):
         mapped = r @ corr.keypoint_positions[0] + t
         assert np.linalg.norm(mapped - corr.scene_positions[0]) < 1e-9
         n_mapped = r @ corr.keypoint_normals[0]
@@ -103,7 +106,7 @@ def test_votes_identity_family_contains_identity():
     eye = np.eye(3)
     for ci in range(len(corr)):
         sel = votes.source == ci
-        geos = [rotation_geodesic(r, eye) for r in votes.rotations[sel]]
+        geos = [rotation_geodesic(r, eye) for r in quat_to_matrix(votes.quats[sel])]
         assert min(geos) <= 2 * np.pi / 36 + 1e-9
 
 
@@ -117,8 +120,8 @@ def test_votes_family_contains_true_pose():
     hits = 0
     for ci in range(len(corr)):
         sel = np.nonzero(votes.source == ci)[0]
-        rot_ok = np.array([rotation_geodesic(votes.rotations[i], pose.rotation)
-                           for i in sel])
+        rot_ok = np.array([rotation_geodesic(r, pose.rotation)
+                           for r in quat_to_matrix(votes.quats[sel])])
         t_ok = np.linalg.norm(votes.translations[sel] - pose.translation, axis=1)
         if np.any((rot_ok <= 2 * np.pi / n_theta) & (t_ok <= 1.0)):
             hits += 1
@@ -133,10 +136,57 @@ def test_votes_antiparallel_normals_are_exact():
         corr = Correspondences(np.array([[50.0, 20, 5]]), scene_n,
                                np.array([1], np.int32), kp, kn, np.ones(1))
         votes = pose_votes(corr, n_theta=8)
-        for r, t in zip(votes.rotations, votes.translations):
+        for r, t in zip(quat_to_matrix(votes.quats), votes.translations):
             assert np.abs(r.T @ r - np.eye(3)).max() < 1e-12
             assert np.linalg.norm((r @ kp[0] + t) - [50, 20, 5]) < 1e-9
             assert np.linalg.norm(r @ kn[0] - scene_n[0]) < 1e-9
+
+
+def matrix_votes(corr, n_theta):
+    """Vote rotations built as matrices: the minimal rotation taking each
+    keypoint normal onto its scene normal (a half-turn about scene normal
+    x x_hat, or x y_hat, when they are opposite), then a spin about the
+    scene normal."""
+    rots = []
+    for kn, sn in zip(corr.keypoint_normals, corr.scene_normals):
+        cross = np.cross(kn, sn)
+        sin, cos = np.linalg.norm(cross), kn @ sn
+        if sin > 1e-12:
+            base = rotation_about_axis(cross, np.arctan2(sin, cos))
+        elif cos < 0:
+            alt = np.cross(sn, [1.0, 0, 0])
+            if np.linalg.norm(alt) < 1e-9:
+                alt = np.cross(sn, [0, 1.0, 0])
+            base = rotation_about_axis(alt, np.pi)
+        else:
+            base = np.eye(3)
+        rots += [rotation_about_axis(sn, 2 * np.pi * t / n_theta) @ base
+                 for t in range(n_theta)]
+    return np.array(rots)
+
+
+def test_vote_quaternions_match_matrix_construction():
+    rng = np.random.default_rng(14)
+    m = 40
+    kn = unit_rows(rng, m)
+    sn = unit_rows(rng, m)
+    sn[:4] = -kn[:4]                        # anti-parallel
+    sn[4:6] = kn[4:6]                       # parallel
+    kn[6], sn[6] = [1.0, 0, 0], [-1.0, 0, 0]  # anti-parallel along x: y fallback
+    corr = Correspondences(rng.uniform(-60, 60, (m, 3)), sn, np.ones(m, np.int32),
+                           rng.uniform(-45, 45, (m, 3)), kn, np.ones(m))
+    votes = pose_votes(corr, n_theta=36)
+    rots = matrix_votes(corr, 36)
+    want = Rotation.from_matrix(rots).as_quat()
+    err = np.minimum(np.abs(votes.quats - want).max(axis=1),
+                     np.abs(votes.quats + want).max(axis=1))
+    assert err.max() < 1e-12
+    np.testing.assert_allclose(quat_to_matrix(votes.quats), rots, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(
+        votes.translations,
+        np.repeat(corr.scene_positions, 36, axis=0)
+        - np.einsum("vij,vj->vi", rots, np.repeat(corr.keypoint_positions, 36, axis=0)),
+        rtol=0, atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +194,9 @@ def test_votes_antiparallel_normals_are_exact():
 
 
 def vote_set(rotations, translations):
-    return VoteSet(np.asarray(rotations, float), np.asarray(translations, float),
+    """Votes from rotation matrices, carried as quaternions."""
+    return VoteSet(Rotation.from_matrix(np.asarray(rotations, float)).as_quat(),
+                   np.asarray(translations, float),
                    np.arange(len(translations), dtype=np.int32))
 
 
@@ -173,11 +225,12 @@ def test_density_peak_cluster_beats_scatter():
 
 def brute_force_peak(votes, dt, dr):
     v = len(votes)
+    rotations = quat_to_matrix(votes.quats)
     best = (-1, 0.0, -1)
     best_mask = None
     for i in range(v):
         d = np.linalg.norm(votes.translations - votes.translations[i], axis=1)
-        tr = np.einsum("vij,ij->v", votes.rotations, votes.rotations[i])
+        tr = np.einsum("vij,ij->v", rotations, rotations[i])
         geo = np.arccos(np.clip((tr - 1) / 2, -1, 1))
         mask = (d <= dt) & (geo <= dr)
         score = (int(mask.sum()), -float(d[mask].sum()), -i)
@@ -220,19 +273,22 @@ def clean_cluster_set(rng, n_kp=60, repeat=1):
     return gt, pose_votes(corr, 36)
 
 
-def noise_like_set(rng, m=80):
-    """Votes of random correspondences whose scene normals come from three
-    planes: rotation neighbours abound but few votes agree in translation,
-    so the search needs the joint bound."""
+def noise_like_correspondences(rng, m):
+    """Random correspondences whose scene normals come from three planes."""
     planes = unit_rows(rng, 3)
-    corr = Correspondences(
+    return Correspondences(
         scene_positions=rng.uniform(-60, 60, (m, 3)),
         scene_normals=planes[rng.integers(0, 3, m)],
         keypoint_ids=np.ones(m, np.int32),
         keypoint_positions=rng.uniform(-45, 45, (m, 3)),
         keypoint_normals=unit_rows(rng, m),
         confidences=np.ones(m))
-    return None, pose_votes(corr, 36)
+
+
+def noise_like_set(rng, m=80):
+    """Votes of noise-like correspondences: rotation neighbours abound but
+    few votes agree in translation, so the search needs the joint bound."""
+    return None, pose_votes(noise_like_correspondences(rng, m), 36)
 
 
 def half_turn_set(rng):
@@ -266,8 +322,11 @@ def support_tie_set(rng):
     return None, vote_set([r_peak] * 24 + [r_noise] * 400, trans)
 
 
-@pytest.mark.parametrize("make_votes", [outlier_mix_set, clean_cluster_set, noise_like_set,
-                                        half_turn_set, support_tie_set])
+PEAK_SETS = [outlier_mix_set, clean_cluster_set, noise_like_set, half_turn_set,
+             support_tie_set]
+
+
+@pytest.mark.parametrize("make_votes", PEAK_SETS)
 def test_density_peak_matches_bruteforce(make_votes):
     gt, votes = make_votes(np.random.default_rng(6))
     dr = np.radians(12)
@@ -277,7 +336,7 @@ def test_density_peak_matches_bruteforce(make_votes):
     assert hyp.s_kde == support / len(votes)
     np.testing.assert_array_equal(np.sort(supporters), np.nonzero(mask)[0])
     (_, search_neg_sum, search_neg_idx), _ = _peak_search(
-        votes.translations, votes.rotations, 10.0, dr, -1)
+        votes.translations, votes.quats, 10.0, dr, -1)
     assert search_neg_idx == neg_idx
     assert search_neg_sum == pytest.approx(neg_sum, rel=1e-12, abs=1e-12)
     expected_t = votes.translations[mask].mean(axis=0)
@@ -285,6 +344,26 @@ def test_density_peak_matches_bruteforce(make_votes):
     if gt is not None:
         assert np.linalg.norm(hyp.pose.translation - gt.translation) < 5.0
         assert rotation_geodesic(hyp.pose.rotation, gt.rotation) < np.radians(5)
+
+
+def two_query_bound(quats, q_radius):
+    """Rotation neighbours counted once for q and once for -q."""
+    tree = cKDTree(quats, leafsize=64, balanced_tree=False)
+    return (tree.query_ball_point(quats, q_radius, return_length=True)
+            + tree.query_ball_point(-quats, q_radius, return_length=True))
+
+
+@pytest.mark.parametrize("make_votes", PEAK_SETS)
+def test_rotation_bound_one_query_matches_two(make_votes):
+    _, votes = make_votes(np.random.default_rng(6))
+    q_radius = np.sqrt(2.0 - 2.0 * np.cos(np.radians(12) / 2.0))
+    rows, vote_of = _hemisphere_rows(votes.quats, q_radius)
+    bound = _rotation_bound(rows, len(votes), q_radius, -1)
+    np.testing.assert_array_equal(bound, two_query_bound(votes.quats, q_radius))
+    assert (rows[:len(votes), 3] >= 0).all()
+    np.testing.assert_array_equal(vote_of[:len(votes)], np.arange(len(votes)))
+    if make_votes is half_turn_set:     # quaternions on both sides of w = 0
+        assert len(rows) > len(votes) and (votes.quats[:, 3] < 0).any()
 
 
 def test_density_peak_workers_do_not_change_result():
@@ -308,7 +387,7 @@ def test_density_peak_skde_monotone_in_kernel():
 def test_density_peak_duplication_invariant():
     rng = np.random.default_rng(8)
     _, votes = noisy_votes(rng, n_in=80, n_out=40)
-    doubled = VoteSet(np.concatenate([votes.rotations] * 2),
+    doubled = VoteSet(np.concatenate([votes.quats] * 2),
                       np.concatenate([votes.translations] * 2),
                       np.concatenate([votes.source, votes.source + len(votes)]))
     a = density_peak(votes, 10.0, np.radians(12))
@@ -321,7 +400,8 @@ def test_density_peak_duplication_invariant():
 
 def test_density_peak_empty_votes():
     with pytest.raises(NoHypothesisError):
-        density_peak(vote_set(np.zeros((0, 3, 3)), np.zeros((0, 3))), 10.0, 0.2)
+        density_peak(VoteSet(np.zeros((0, 4)), np.zeros((0, 3)), np.zeros(0, np.int32)),
+                     10.0, 0.2)
 
 
 # ---------------------------------------------------------------------------
@@ -414,10 +494,18 @@ def noise_like_votes_500(rng):
 
 
 @pytest.mark.perf
+@pytest.mark.parametrize("workers", [-1, 1])  # 1: each eval pool worker on 2 CPUs
 @pytest.mark.parametrize("make_votes", [clean_votes_500, noise_like_votes_500])
-def test_density_peak_speed(benchmark, make_votes):
+def test_density_peak_speed(benchmark, make_votes, workers):
     """500 correspondences x 36 angles, as estimate_pose votes at most."""
     votes = make_votes(np.random.default_rng(21))
     assert len(votes) == 500 * 36
-    hyp = benchmark(density_peak, votes)
+    hyp = benchmark(density_peak, votes, workers=workers)
     assert 1 <= hyp.vote_support <= len(votes)
+
+
+@pytest.mark.perf
+def test_pose_votes_speed(benchmark):
+    corr = noise_like_correspondences(np.random.default_rng(21), 500)
+    votes = benchmark(pose_votes, corr, 36)
+    assert len(votes) == 500 * 36
