@@ -19,12 +19,13 @@ from .config import (RunConfig, apply_override, config_to_dict, load_config,
                      save_config)
 from .dataset import build_instance_training_set, read_dataset, write_dataset
 from .errors import (ConfigError, MissingChannelError, PlyFormatError,
-                     PointPoseError)
+                     PointPoseError, SceneFormatError)
 from .modelprep import load_object_model, save_object_model
 from .network import assemble_features, load_weights, save_weights, train
 from .pipeline import detect, oracle_detect
 from .pose import save_pose_json
-from .synth import load_scene, make_test_object, save_scene, synth_scene
+from .synth import (load_scene, make_test_object, read_scene_sidecar, save_scene,
+                    synth_scene)
 
 
 def _build_config(args) -> RunConfig:
@@ -49,10 +50,8 @@ def _scene_stems(scenes_dir: Path):
     stems = []
     for ply in sorted(Path(scenes_dir).glob("*.ply")):
         sidecar = ply.with_suffix(".json")
-        if sidecar.exists():
-            with open(sidecar) as f:
-                if "pose" in json.load(f):
-                    stems.append(ply.with_suffix(""))
+        if sidecar.exists() and read_scene_sidecar(sidecar)[0] is not None:
+            stems.append(ply.with_suffix(""))
     if not stems:
         raise FileNotFoundError(f"no annotated scenes (.ply + pose sidecar) in {scenes_dir}")
     return stems
@@ -309,7 +308,8 @@ def main(argv=None) -> int:
     try:
         config = _build_config(args)
         return args.fn(args, config)
-    except (ConfigError, FileNotFoundError, MissingChannelError, PlyFormatError) as exc:
+    except (ConfigError, FileNotFoundError, MissingChannelError, PlyFormatError,
+            SceneFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PointPoseError as exc:

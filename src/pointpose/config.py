@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import typing
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from .dataset import AugmentParams, SamplingParams
 from .errors import ConfigError
@@ -234,6 +235,37 @@ class RunConfig:
                            table_step_mm=s.table_step_mm)
 
 
+def _fits(tp, value) -> bool:
+    """Whether a parsed JSON value fits a field's declared type: an int
+    field takes no bool or str, a float field also takes an int, and only an
+    Optional field takes null."""
+    if tp is bool:
+        return isinstance(value, bool)
+    if tp is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    if tp is float:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if tp is str:
+        return isinstance(value, str)
+    if tp is type(None):
+        return value is None
+    args = typing.get_args(tp)
+    if typing.get_origin(tp) is list:
+        return isinstance(value, list) and all(_fits(args[0], v) for v in value)
+    if typing.get_origin(tp) is typing.Union:
+        return any(_fits(a, value) for a in args)
+    raise TypeError(f"no JSON type check for {tp}")
+
+
+def _checked(cls, name: str, value, key: str):
+    """`value` if it fits the declared type of field `name` of `cls`."""
+    tp = typing.get_type_hints(cls)[name]
+    if not _fits(tp, value):
+        expected = tp.__name__ if isinstance(tp, type) else str(tp).replace("typing.", "")
+        raise ConfigError(f"{key}: expected {expected}, got {json.dumps(value)}")
+    return value
+
+
 def _from_dict(cls, data, path=""):
     if not isinstance(data, dict):
         raise ConfigError(f"{path or 'config'}: expected an object, got {type(data).__name__}")
@@ -251,7 +283,7 @@ def _from_dict(cls, data, path=""):
         elif isinstance(value, dict):
             raise ConfigError(f"{path}{name}: unexpected nested object")
         else:
-            kwargs[name] = value
+            kwargs[name] = _checked(cls, name, value, f"{path}{name}")
     return cls(**kwargs)
 
 
@@ -300,4 +332,4 @@ def apply_override(config: RunConfig, assignment: str) -> None:
         raise ConfigError(f"unknown config key: {key}")
     if dataclasses.is_dataclass(getattr(target, leaf)):
         raise ConfigError(f"{key} is a section, not a value")
-    setattr(target, leaf, value)
+    setattr(target, leaf, _checked(type(target), leaf, value, key))

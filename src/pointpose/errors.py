@@ -49,6 +49,11 @@ class PlyFormatError(PointPoseError, ValueError):
     """Not a PLY file, or a PLY file this reader cannot parse."""
 
 
+class SceneFormatError(PointPoseError, ValueError):
+    """Malformed scene sidecar (`<scene>.json`): invalid JSON, or a pose,
+    intrinsics or view origin of the wrong type or shape."""
+
+
 class WeightsFormatError(PointPoseError):
     """Malformed or mismatched network weights file."""
 

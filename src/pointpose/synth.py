@@ -16,10 +16,11 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from .errors import SceneFormatError
 from .modelprep import ObjectModel, build_object_model
 from .ply import read_ply, write_ply
 from .pointcloud import Intrinsics, PointCloud, concatenate_clouds
-from .pose import (RigidPose, pose_from_dict, pose_to_dict, random_rotation)
+from .pose import RigidPose, pose_to_dict, random_rotation
 
 DEFAULT_INTRINSICS = Intrinsics(fx=570.0, fy=570.0, cx=320.0, cy=240.0,
                                 width=640, height=480)
@@ -257,6 +258,62 @@ def save_scene(stem, scene: SyntheticScene) -> None:
         json.dump(sidecar, f, indent=2)
 
 
+def _is_number(value, types=(int, float)) -> bool:
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
+def _sidecar_array(value, shape, where: str) -> np.ndarray:
+    """A sidecar field as a float array of `shape`, or SceneFormatError."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:   # ragged nesting
+        arr = None
+    if (arr is None or arr.dtype.kind not in "iuf" or arr.shape != shape
+            or not np.isfinite(arr).all()):
+        raise SceneFormatError(f"{where}: expected {'x'.join(map(str, shape))} "
+                               f"finite numbers")
+    return arr.astype(np.float64)
+
+
+def read_scene_sidecar(path):
+    """A scene sidecar's (ground-truth pose, intrinsics, view origin), each
+    None when absent. Raises SceneFormatError on invalid JSON, or on a
+    field of the wrong type or shape."""
+    try:
+        with open(path) as f:
+            sidecar = json.load(f)
+    except ValueError as exc:   # invalid JSON or not UTF-8
+        raise SceneFormatError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(sidecar, dict):
+        raise SceneFormatError(f"{path}: expected a JSON object")
+
+    gt = intrinsics = view_origin = None
+    if "pose" in sidecar:
+        d = sidecar["pose"]
+        if not isinstance(d, dict):
+            raise SceneFormatError(f"{path}: pose: expected an object")
+        rotation = _sidecar_array(d.get("rotation"), (3, 3), f"{path}: pose.rotation")
+        translation = _sidecar_array(d.get("translation_mm"), (3,),
+                                     f"{path}: pose.translation_mm")
+        try:
+            gt = RigidPose(rotation, translation)
+        except ValueError as exc:   # not a proper rotation
+            raise SceneFormatError(f"{path}: pose: {exc}") from exc
+    if "intrinsics" in sidecar:
+        d = sidecar["intrinsics"]
+        if not (isinstance(d, dict)
+                and all(_is_number(d.get(k)) for k in ("fx", "fy", "cx", "cy"))
+                and all(_is_number(d.get(k), int) for k in ("width", "height"))):
+            raise SceneFormatError(f"{path}: intrinsics: expected numbers fx, fy, cx, cy "
+                                   f"and integers width, height")
+        intrinsics = Intrinsics(fx=d["fx"], fy=d["fy"], cx=d["cx"], cy=d["cy"],
+                                width=d["width"], height=d["height"])
+    if "view_origin_mm" in sidecar:
+        view_origin = _sidecar_array(sidecar["view_origin_mm"], (3,),
+                                     f"{path}: view_origin_mm")
+    return gt, intrinsics, view_origin
+
+
 def load_scene(stem) -> Tuple[PointCloud, Optional[RigidPose]]:
     """Read `<stem>.ply` (+ `<stem>.json` sidecar when present)."""
     stem = Path(stem)
@@ -264,13 +321,9 @@ def load_scene(stem) -> Tuple[PointCloud, Optional[RigidPose]]:
     gt = None
     sidecar_path = stem.with_suffix(".json")
     if sidecar_path.exists():
-        with open(sidecar_path) as f:
-            sidecar = json.load(f)
-        gt = pose_from_dict(sidecar["pose"]) if "pose" in sidecar else None
-        if "intrinsics" in sidecar:
-            d = sidecar["intrinsics"]
-            cloud.intrinsics = Intrinsics(fx=d["fx"], fy=d["fy"], cx=d["cx"], cy=d["cy"],
-                                          width=d["width"], height=d["height"])
-        if "view_origin_mm" in sidecar:
-            cloud.view_origin = np.array(sidecar["view_origin_mm"], dtype=np.float64)
+        gt, intrinsics, view_origin = read_scene_sidecar(sidecar_path)
+        if intrinsics is not None:
+            cloud.intrinsics = intrinsics
+        if view_origin is not None:
+            cloud.view_origin = view_origin
     return cloud, gt
