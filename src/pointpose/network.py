@@ -183,15 +183,17 @@ def _linear_relu(h, w, bias, out=None):
     return z
 
 
-def _masked(delta, act, pool, key):
-    """delta *= (act > 0), with the boolean mask in a pooled buffer."""
-    if pool is None:
-        delta *= act > 0
-        return delta
-    mask = pool.get(key, act.shape, np.bool_)
-    np.greater(act, 0, out=mask)
-    np.multiply(delta, mask, out=delta)
-    return delta
+def _relu_mask(act, masks):
+    """act > 0, written into the front of the flat bool buffer `masks` when
+    one is given: each layer's mask is read only within its own step."""
+    if masks is None:
+        return act > 0
+    return np.greater(act, 0, out=masks[:act.size].reshape(act.shape))
+
+
+def _masked(delta, act, masks):
+    """delta *= (act > 0)."""
+    return np.multiply(delta, _relu_mask(act, masks), out=delta)
 
 
 # Inference streams the encoder over blocks of about this many points (8
@@ -422,13 +424,10 @@ def _mlp_backward(layers, acts, delta):
     return grads, delta
 
 
-def _relu_grad_over(delta, w, act, pool, key, extra=None):
+def _relu_grad_over(delta, w, act, masks, extra=None):
     """dL/d(pre-activation of `act`) = (delta @ w.T [+ extra]) * (act > 0),
     written over `act` once its ReLU mask has been taken."""
-    if pool is None:
-        mask = act > 0
-    else:
-        mask = np.greater(act, 0, out=pool.get(key, act.shape, np.bool_))
+    mask = _relu_mask(act, masks)
     np.matmul(delta, w.T, out=act)
     if extra is not None:
         act += extra
@@ -496,11 +495,15 @@ def backward(weights: Weights, points: np.ndarray, class_labels: np.ndarray,
 
     seg_layers = weights.segmenter
     seg_acts = cache["seg_acts"]
+    enc_acts = cache["enc_acts"]
+    # one ReLU mask buffer, sized for the widest layer, serves every layer
+    masks = None if pool is None else pool.get(
+        ("bw_mask",), (max(a.size for a in seg_acts + enc_acts),), np.bool_)
     seg_grads = [None] * len(seg_layers)
     for li in range(len(seg_layers) - 1, 0, -1):
         w, _ = seg_layers[li]
         seg_grads[li] = (seg_acts[li].T @ delta, delta.sum(axis=0))
-        delta = _relu_grad_over(delta, w, seg_acts[li], pool, ("bw_segmask", li))
+        delta = _relu_grad_over(delta, w, seg_acts[li], masks)
     # layer 0 splits into the per-point skip half and per-example pooled half
     skip_w = weights.config.encoder[1]
     w0, _ = seg_layers[0]
@@ -514,7 +517,6 @@ def backward(weights: Weights, points: np.ndarray, class_labels: np.ndarray,
 
     # each feature's pooled gradient reaches its argmax point alone
     n_enc = len(weights.encoder)
-    enc_acts = cache["enc_acts"]
     enc_grads = [None] * n_enc
     top = n_enc - 1
     w_top, _ = weights.encoder[top]
@@ -523,7 +525,7 @@ def backward(weights: Weights, points: np.ndarray, class_labels: np.ndarray,
     if n_enc == 2:
         # the pooled layer is also the skip layer, whose gradient is dense
         d_skip[winners, np.arange(wide_w)] += d_g
-        delta = _masked(d_skip, skip, pool, ("bw_encmask", 2))
+        delta = _masked(d_skip, skip, masks)
         below = top
     else:
         d_pool = d_g * (g > 0)
@@ -535,14 +537,14 @@ def backward(weights: Weights, points: np.ndarray, class_labels: np.ndarray,
         delta = scatter @ w_top.T
         if top == 2:
             delta += d_skip
-        delta = _masked(delta, enc_acts[top], pool, ("bw_encmask", top))
+        delta = _masked(delta, enc_acts[top], masks)
         below = top - 1
 
     for li in range(below, -1, -1):
         w, _ = weights.encoder[li]
         enc_grads[li] = (enc_acts[li].T @ delta, delta.sum(axis=0))
         if li > 0:
-            delta = _relu_grad_over(delta, w, enc_acts[li], pool, ("bw_encmask", li),
+            delta = _relu_grad_over(delta, w, enc_acts[li], masks,
                                     extra=d_skip if li == 2 else None)
 
     grads = Gradients(encoder=enc_grads, classifier=cls_grads, segmenter=seg_grads)

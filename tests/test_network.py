@@ -397,6 +397,31 @@ def test_backward_memory_stays_below_wide_layer():
     assert all(buf.size < b * n * 1024 for buf in pool._bufs.values())
 
 
+def test_backward_relu_masks_share_one_buffer():
+    """Every backward ReLU mask is a view of one pooled bool buffer sized for
+    the widest masked layer (512 features per point); the forward's argmax
+    scratch, (N, 1024), is the only other bool buffer. A pool of one mask
+    per layer held 1152 bytes per point instead of 512. Gradients over two
+    steps on one pool equal those computed without a pool, bit for bit."""
+    w = init_weights(NetworkConfig(k=50), seed=0)
+    rng = np.random.default_rng(4)
+    b, n = 4, 2048
+    pool = network.BufferPool()
+    for _ in range(2):
+        x = rng.standard_normal((b, n, 7)).astype(np.float32)
+        y, seg = rng.integers(0, 2, b), rng.integers(0, 51, (b, n))
+        got = backward(w, x, y, seg, want_input_grad=True, pool=pool)
+        want = backward(w, x, y, seg, want_input_grad=True)
+        assert got[0] == want[0]
+        for layers in ("encoder", "classifier", "segmenter"):
+            for g_got, g_want in zip(getattr(got[1], layers), getattr(want[1], layers)):
+                np.testing.assert_array_equal(g_got[0], g_want[0])
+                np.testing.assert_array_equal(g_got[1], g_want[1])
+        np.testing.assert_array_equal(got[2], want[2])
+    bool_bytes = sum(buf.nbytes for buf in pool._bufs.values() if buf.dtype == np.bool_)
+    assert bool_bytes == b * n * 512 + n * 1024
+
+
 # ---------------------------------------------------------------------------
 # training
 
