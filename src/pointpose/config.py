@@ -12,7 +12,7 @@ import dataclasses
 import json
 import typing
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 from .dataset import AugmentParams, SamplingParams
 from .errors import ConfigError
@@ -26,7 +26,6 @@ from .voting import VotingParams
 @dataclass
 class KeypointSection:
     spacing_mm: float = 25.0
-    merge_tol_mm: Optional[float] = None  # None -> spacing / 2
 
 
 @dataclass
@@ -237,8 +236,8 @@ class RunConfig:
 
 def _fits(tp, value) -> bool:
     """Whether a parsed JSON value fits a field's declared type: an int
-    field takes no bool or str, a float field also takes an int, and only an
-    Optional field takes null."""
+    field takes no bool or str, a float field also takes an int, and no field
+    takes null."""
     if tp is bool:
         return isinstance(value, bool)
     if tp is int:
@@ -247,13 +246,9 @@ def _fits(tp, value) -> bool:
         return isinstance(value, (int, float)) and not isinstance(value, bool)
     if tp is str:
         return isinstance(value, str)
-    if tp is type(None):
-        return value is None
     args = typing.get_args(tp)
     if typing.get_origin(tp) is list:
         return isinstance(value, list) and all(_fits(args[0], v) for v in value)
-    if typing.get_origin(tp) is typing.Union:
-        return any(_fits(a, value) for a in args)
     raise TypeError(f"no JSON type check for {tp}")
 
 

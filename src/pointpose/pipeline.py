@@ -1,11 +1,13 @@
 """End-to-end inference and evaluation.
 
-detect() runs the full stage chain on a scene: anchors from a voxel grid,
-2048-point spheres classified for object presence, segmentation of the 16
-best anchors, correspondence voting, coarse-to-fine ICP, and multi-modal
-verification; the hypothesis minimizing the localization loss wins.
-oracle_detect() bypasses the network with ground-truth labels to exercise
-the later stages in isolation.
+One stage chain runs on every scene: normals, anchor spheres and their
+keypoint segmentation, then per segmented anchor correspondence voting,
+coarse-to-fine ICP and multi-modal verification; the hypothesis minimizing
+the localization loss wins. Only the segmentation source differs between
+the two entry points. detect() takes anchors from a voxel grid, classifies
+their 2048-point spheres for object presence and segments the 16 best with
+the network. oracle_detect() labels spheres around random foreground points
+from the ground-truth pose, to exercise the later stages in isolation.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import csv
 import io
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -24,12 +27,12 @@ from .errors import (EmptySceneError, MissingChannelError, NoHypothesisError,
 from .geometry import NNIndex, estimate_normals, icp_refine, voxel_downsample
 from .modelprep import ObjectModel
 from .network import Weights, forward, _softmax
-from .pointcloud import Intrinsics, PointCloud
+from .pointcloud import PointCloud
 from .pose import RigidPose
 from .verification import (VerificationParams, build_depth_buffer,
                            remove_occluded, verify)
-from .voting import (Correspondences, PoseHypothesis, VotingParams,
-                     correspondences_from_segmentation, estimate_pose)
+from .voting import (PoseHypothesis, VotingParams, correspondences_from_segmentation,
+                     estimate_pose)
 
 STAGES = ("normals", "anchors", "classify", "segment", "vote", "icp", "verify")
 
@@ -224,63 +227,111 @@ def _best_anchor_votes(scene: PointCloud, ids: np.ndarray, seg_probs: np.ndarray
     return pose_votes(corr, params.voting.n_theta).translations
 
 
-def detect(scene: PointCloud, model: ObjectModel, weights: Weights,
-           params: DetectParams = DetectParams(), debug_dir=None) -> DetectionResult:
-    """Full pipeline on one scene; hypotheses ranked by localization loss."""
+@dataclass
+class _Segmentation:
+    """What a segmentation source hands the rest of the chain."""
+
+    anchors: np.ndarray                  # (anchors_total, 3)
+    skipped: int                         # anchors_skipped
+    scored: Tuple[np.ndarray, np.ndarray]  # anchors with a sphere, class scores
+    sphere_ids: List[np.ndarray]         # scene indices per segmented anchor
+    seg_probs: Sequence[np.ndarray]      # (n, K+1) per segmented anchor
+
+
+def _network_segmentation(weights: Weights, scene: PointCloud, scene_index: NNIndex,
+                          model: ObjectModel, params: DetectParams,
+                          clock: _StageClock) -> _Segmentation:
+    """Voxel-grid anchors, classified spheres, the best ones segmented."""
+    anchors = voxel_downsample(scene, params.anchor_leaf_mm).positions
+    radius = params.radius_factor * model.diameter
+
+    usable: List[int] = []
+    spheres: List[np.ndarray] = []
+    # row k holds the features of the k-th usable sphere
+    feats = np.zeros((len(anchors), params.n_points, weights.config.input_channels),
+                     dtype=np.float32)
+    for ai, anchor in enumerate(anchors):
+        ids = scene_index.ball(anchor, radius)
+        if len(ids) < params.min_sphere_points:
+            continue
+        rng = np.random.default_rng([params.seed, ai])
+        chosen = _sample_fill(ids, params.n_points, rng)
+        feats[len(spheres)] = _sphere_features(scene, chosen, weights)
+        usable.append(ai)
+        spheres.append(chosen)
+    clock.lap("anchors")
+    if not spheres:
+        raise EmptySceneError(f"no anchor sphere held {params.min_sphere_points} points")
+
+    probs = forward(weights, feats[:len(spheres)], want_seg=False).class_prob.astype(np.float64)
+    clock.lap("classify")
+
+    # 16 highest scores; ties resolve to the lowest anchor index
+    top_rows = np.lexsort((usable, -probs))[:params.top_anchors]
+    seg = forward(weights, feats[top_rows], want_seg=True)
+    seg_probs = _softmax(seg.seg_logits.astype(np.float64))
+    clock.lap("segment")
+    return _Segmentation(anchors=anchors, skipped=len(anchors) - len(spheres),
+                         scored=(anchors[usable], probs),
+                         sphere_ids=[spheres[r] for r in top_rows], seg_probs=seg_probs)
+
+
+def _oracle_segmentation(gt_pose: RigidPose, scene: PointCloud, scene_index: NNIndex,
+                         model: ObjectModel, params: DetectParams,
+                         clock: _StageClock) -> _Segmentation:
+    """Ground-truth labels of spheres around random foreground points."""
+    labels = label_scene(scene, model, gt_pose)
+    fg = np.nonzero(labels.foreground_mask)[0]
+    draws = params.oracle_anchors if len(fg) else 0
+    rng = np.random.default_rng([params.seed, 0xFACE])
+    radius = params.radius_factor * model.diameter
+    # a bool one-hot gives correspondences the same labels and unit
+    # confidences as float probabilities, at an eighth of the memory
+    one_hot = np.eye(model.k + 1, dtype=bool)
+
+    anchors, sphere_ids, seg_probs = [], [], []
+    for _ in range(draws):
+        anchor = scene.positions[fg[rng.integers(len(fg))]]
+        ids = scene_index.ball(anchor, radius)
+        ids = ids[labels.labels[ids] >= 0]  # exclude the discard band
+        if len(ids) < params.min_sphere_points:
+            continue
+        chosen = _sample_fill(ids, params.n_points, rng)
+        anchors.append(anchor)
+        sphere_ids.append(chosen)
+        seg_probs.append(one_hot[np.maximum(labels.labels[chosen], 0)])
+    clock.lap("segment")
+    anchors = np.reshape(anchors, (-1, 3))
+    return _Segmentation(anchors=anchors, skipped=draws - len(anchors),
+                         scored=(anchors, np.ones(len(anchors))),
+                         sphere_ids=sphere_ids, seg_probs=seg_probs)
+
+
+def _stage_chain(scene: PointCloud, model: ObjectModel, params: DetectParams,
+                 segment, debug_dir, rgb_input: bool = False) -> DetectionResult:
+    """Every stage but segmentation, which `segment` supplies."""
     if len(scene) == 0:
         raise EmptySceneError("detection on an empty scene")
-    if weights.config.input_channels == 10 and scene.colors is None:
+    if rgb_input and scene.colors is None:
         raise MissingChannelError("weights expect RGB input but the scene has no colors")
     clock = _StageClock()
     scene = _ensure_channels(scene, params)
     clock.lap("normals")
-
-    anchors = voxel_downsample(scene, params.anchor_leaf_mm).positions
     scene_index = NNIndex(scene.positions)
-    radius = params.radius_factor * model.diameter
-
-    sphere_ids: List[Optional[np.ndarray]] = []
-    # row k holds the features of the k-th usable sphere
-    feats = np.zeros((len(anchors), params.n_points, weights.config.input_channels),
-                     dtype=np.float32)
-    kept = 0
-    skipped = 0
-    for ai, anchor in enumerate(anchors):
-        ids = scene_index.ball(anchor, radius)
-        if len(ids) < params.min_sphere_points:
-            skipped += 1
-            sphere_ids.append(None)
-            continue
-        rng = np.random.default_rng([params.seed, ai])
-        chosen = _sample_fill(ids, params.n_points, rng)
-        feats[kept] = _sphere_features(scene, chosen, weights)
-        sphere_ids.append(chosen)
-        kept += 1
     clock.lap("anchors")
 
-    usable = np.array([i for i, s in enumerate(sphere_ids) if s is not None], dtype=int)
-    if len(usable) == 0:
-        raise EmptySceneError(f"no anchor sphere held {params.min_sphere_points} points")
-
-    probs = forward(weights, feats[:kept], want_seg=False).class_prob.astype(np.float64)
-    clock.lap("classify")
-
-    # 16 highest scores; ties resolve to the lowest anchor index
-    order = np.lexsort((usable, -probs))
-    top_rows = order[:params.top_anchors]
-    top = usable[top_rows]
-    seg = forward(weights, feats[top_rows], want_seg=True)
-    seg_probs = _softmax(seg.seg_logits.astype(np.float64))
-    clock.lap("segment")
+    seg = segment(scene, scene_index, model, params, clock)
 
     icp_model = _icp_model_points(model, params.icp_model_leaf_mm)
+    clock.lap("icp")
     depth_buffer = build_depth_buffer(scene, params.verification.splat_px) \
         if scene.intrinsics is not None else None
+    clock.lap("verify")
 
     hypotheses = []
     hyp_anchor = []
-    for k, ai in enumerate(top):
-        hyp = _finish_anchor(scene, scene_index, model, sphere_ids[ai], seg_probs[k],
+    for k, (ids, probs) in enumerate(zip(seg.sphere_ids, seg.seg_probs)):
+        hyp = _finish_anchor(scene, scene_index, model, ids, probs,
                              icp_model, params, depth_buffer, clock)
         if hyp is not None:
             hypotheses.append(hyp)
@@ -288,92 +339,42 @@ def detect(scene: PointCloud, model: ObjectModel, weights: Weights,
 
     ranked = _rank(hypotheses)
     result = DetectionResult(best=ranked[0] if ranked else None, ranked=ranked,
-                             timings_ms=clock.timings, anchors_total=len(anchors),
-                             anchors_skipped=skipped, anchors_segmented=len(top))
+                             timings_ms=clock.timings, anchors_total=len(seg.anchors),
+                             anchors_skipped=seg.skipped,
+                             anchors_segmented=len(seg.sphere_ids))
 
-    if debug_dir is not None:
+    if debug_dir is not None and seg.sphere_ids:
         best_k = hyp_anchor[int(np.argmin([h.l_loc for h in hypotheses]))] \
             if hypotheses else 0
-        sphere_pts = np.concatenate([scene.positions[sphere_ids[ai]] for ai in top])
-        seg_pts = scene.positions[sphere_ids[top[best_k]]]
-        seg_lab = np.argmax(seg_probs[best_k], axis=1)
+        best_ids, best_probs = seg.sphere_ids[best_k], seg.seg_probs[best_k]
         dbg = {
-            "anchors": anchors,
-            "scored": (anchors[usable], probs),
-            "spheres": sphere_pts,
-            "segmentation": (seg_pts, seg_lab, model.k),
-            "votes": _best_anchor_votes(scene, sphere_ids[top[best_k]],
-                                        seg_probs[best_k], model, params),
+            "anchors": seg.anchors,
+            "scored": seg.scored,
+            "spheres": scene.positions[np.concatenate(seg.sphere_ids)],
+            "segmentation": (scene.positions[best_ids], np.argmax(best_probs, axis=1),
+                             model.k),
+            "votes": _best_anchor_votes(scene, best_ids, best_probs, model, params),
         }
         _write_debug_stages(debug_dir, dbg, result)
     return result
+
+
+def detect(scene: PointCloud, model: ObjectModel, weights: Weights,
+           params: DetectParams = DetectParams(), debug_dir=None) -> DetectionResult:
+    """Full pipeline on one scene; hypotheses ranked by localization loss."""
+    return _stage_chain(scene, model, params, partial(_network_segmentation, weights),
+                        debug_dir, rgb_input=weights.config.input_channels == 10)
 
 
 def oracle_detect(scene: PointCloud, model: ObjectModel, gt_pose: RigidPose,
                   params: DetectParams = DetectParams(), debug_dir=None) -> DetectionResult:
-    """Stages E-F with ground-truth segmentation at random foreground anchors.
+    """The detect chain with ground-truth segmentation at random foreground anchors.
 
     Bypasses the network entirely: anchor spheres get one-hot probabilities
     from the scene labeling, isolating voting + ICP + verification.
     """
-    if len(scene) == 0:
-        raise EmptySceneError("detection on an empty scene")
-    clock = _StageClock()
-    scene = _ensure_channels(scene, params)
-    labels = label_scene(scene, model, gt_pose)
-    clock.lap("normals")
-
-    fg = np.nonzero(labels.foreground_mask)[0]
-    scene_index = NNIndex(scene.positions)
-    clock.lap("anchors")
-    if len(fg) == 0:
-        return DetectionResult(best=None, ranked=[], timings_ms=clock.timings,
-                               anchors_total=0, anchors_skipped=0, anchors_segmented=0)
-
-    rng = np.random.default_rng([params.seed, 0xFACE])
-    radius = params.radius_factor * model.diameter
-    icp_model = _icp_model_points(model, params.icp_model_leaf_mm)
-    depth_buffer = build_depth_buffer(scene, params.verification.splat_px) \
-        if scene.intrinsics is not None else None
-
-    hypotheses = []
-    n_anchors = 0
-    oracle_dumps = []
-    for _ in range(params.oracle_anchors):
-        anchor = scene.positions[fg[rng.integers(len(fg))]]
-        ids = scene_index.ball(anchor, radius)
-        ids = ids[labels.labels[ids] >= 0]  # exclude the discard band
-        if len(ids) < params.min_sphere_points:
-            continue
-        chosen = _sample_fill(ids, params.n_points, rng)
-        point_labels = np.maximum(labels.labels[chosen], 0)
-        one_hot = np.zeros((len(chosen), model.k + 1))
-        one_hot[np.arange(len(chosen)), point_labels] = 1.0
-        clock.lap("segment")
-        n_anchors += 1
-        if debug_dir is not None:
-            oracle_dumps.append((anchor, chosen, one_hot, point_labels))
-        hyp = _finish_anchor(scene, scene_index, model, chosen, one_hot,
-                             icp_model, params, depth_buffer, clock)
-        if hyp is not None:
-            hypotheses.append(hyp)
-
-    ranked = _rank(hypotheses)
-    result = DetectionResult(best=ranked[0] if ranked else None, ranked=ranked,
-                             timings_ms=clock.timings, anchors_total=n_anchors,
-                             anchors_skipped=params.oracle_anchors - n_anchors,
-                             anchors_segmented=n_anchors)
-    if debug_dir is not None and oracle_dumps:
-        anchor, chosen, one_hot, point_labels = oracle_dumps[0]
-        dbg = {
-            "anchors": np.asarray([anchor]),
-            "scored": (np.asarray([anchor]), np.ones(1)),
-            "spheres": scene.positions[chosen],
-            "segmentation": (scene.positions[chosen], point_labels, model.k),
-            "votes": _best_anchor_votes(scene, chosen, one_hot, model, params),
-        }
-        _write_debug_stages(debug_dir, dbg, result)
-    return result
+    return _stage_chain(scene, model, params, partial(_oracle_segmentation, gt_pose),
+                        debug_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -488,30 +489,3 @@ def evaluate(scenes: Sequence[Tuple[str, PointCloud, RigidPose]], model: ObjectM
             progress(i + 1, len(scenes), records[-1])
     return EvaluationReport(records=records, threshold_factor=threshold_factor,
                             diameter=model.diameter)
-
-
-# ---------------------------------------------------------------------------
-# RGB-D ingestion
-
-
-def backproject_rgbd(depth_mm: np.ndarray, rgb: Optional[np.ndarray],
-                     intrinsics: Intrinsics) -> PointCloud:
-    """Pinhole back-projection of a u16 depth image (mm) with optional RGB."""
-    depth_mm = np.asarray(depth_mm)
-    if depth_mm.shape != (intrinsics.height, intrinsics.width):
-        raise ValueError(f"depth image {depth_mm.shape} does not match intrinsics "
-                         f"({intrinsics.height}, {intrinsics.width})")
-    if rgb is not None and rgb.shape[:2] != depth_mm.shape:
-        raise ValueError("rgb and depth dimensions differ")
-
-    v, u = np.nonzero(depth_mm > 0)
-    z = depth_mm[v, u].astype(np.float64)
-    x = (u - intrinsics.cx) * z / intrinsics.fx
-    y = (v - intrinsics.cy) * z / intrinsics.fy
-    colors = None
-    if rgb is not None:
-        colors = rgb[v, u].astype(np.float64)
-        if rgb.dtype == np.uint8:
-            colors = colors / 255.0
-    return PointCloud(positions=np.stack([x, y, z], axis=1), colors=colors,
-                      view_origin=np.zeros(3), intrinsics=intrinsics)

@@ -25,16 +25,6 @@ class Intrinsics:
     height: int
 
 
-@dataclass(frozen=True)
-class Point:
-    """Single point view; handy for tests and debugging."""
-
-    position: np.ndarray
-    normal: Optional[np.ndarray] = None
-    curvature: Optional[float] = None
-    color: Optional[np.ndarray] = None
-
-
 @dataclass
 class PointCloud:
     """Unordered set of 3-D points with optional per-point channels.
@@ -74,14 +64,6 @@ class PointCloud:
 
     def __len__(self) -> int:
         return len(self.positions)
-
-    def point(self, i: int) -> Point:
-        return Point(
-            position=self.positions[i],
-            normal=None if self.normals is None else self.normals[i],
-            curvature=None if self.curvatures is None else float(self.curvatures[i]),
-            color=None if self.colors is None else self.colors[i],
-        )
 
     def select(self, idx) -> "PointCloud":
         """New cloud holding the points at `idx` (fancy index or mask)."""

@@ -34,7 +34,6 @@ class SynthParams:
     table_size_mm: float = 500.0
     table_distance_mm: float = 900.0
     table_step_mm: float = 3.5
-    model_visible: bool = True  # force the object into the camera frustum
     hpr_margin_mm: float = 6.0
     hpr_splat_px: int = 1
     intrinsics: Intrinsics = field(default_factory=lambda: DEFAULT_INTRINSICS)

@@ -1,7 +1,10 @@
-"""Input contracts of detect, the CLI, the run configuration and scene files."""
+"""End-to-end runs of detect and oracle_detect, their stage timings and debug
+dump, and the input contracts of detect, the CLI, the run configuration and
+scene files."""
 
 import json
 import re
+import time
 
 import numpy as np
 import pytest
@@ -11,9 +14,9 @@ from pointpose.config import RunConfig, apply_override, config_from_dict
 from pointpose.errors import ConfigError, MissingChannelError
 from pointpose.modelprep import save_object_model
 from pointpose.network import NetworkConfig, init_weights, save_weights
-from pointpose.ply import write_ply
+from pointpose.ply import read_ply, write_ply
 from pointpose.pointcloud import PointCloud
-from pointpose.synth import make_test_object
+from pointpose.synth import SynthParams, make_test_object, save_scene, synth_scene
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +60,14 @@ def test_classify_chunk_is_not_a_config_key():
         config_from_dict({"detect": {"classify_chunk": 64}})
     with pytest.raises(ConfigError, match="classify_chunk"):
         apply_override(RunConfig(), "detect.classify_chunk=64")
+
+
+@pytest.mark.parametrize("value", ["null", "3"])
+def test_merge_tol_mm_is_not_a_config_key(value):
+    with pytest.raises(ConfigError, match="unknown config key: keypoints.merge_tol_mm"):
+        config_from_dict({"keypoints": {"merge_tol_mm": json.loads(value)}})
+    with pytest.raises(ConfigError, match="unknown config key: keypoints.merge_tol_mm"):
+        apply_override(RunConfig(), f"keypoints.merge_tol_mm={value}")
 
 
 @pytest.mark.parametrize("content, message", [
@@ -119,7 +130,6 @@ def test_cli_eval_malformed_sidecar_exits_2(model, tmp_path, capsys):
 
 @pytest.mark.parametrize("assignment", [
     "synth.clutter_count=4", "voting.delta_t_mm=5", "voting.delta_t_mm=5.5",
-    "keypoints.merge_tol_mm=null", "keypoints.merge_tol_mm=3",
     "network.use_color=true", "icp.schedule=[[50, 30]]",
     'augmentation.jitter_channels=["xyz"]',
 ])
@@ -138,7 +148,6 @@ def test_config_value_of_declared_type_is_accepted(assignment):
     ("synth.clutter_count=3.0", "expected int"),
     ("voting.delta_t_mm=null", "expected float"),
     ('voting.delta_t_mm="5"', "expected float"),
-    ('keypoints.merge_tol_mm="3"', "expected Optional[float]"),
     ("network.use_color=1", "expected bool"),
     ('icp.schedule=[[50, "30"]]', "expected List[List[float]]"),
     ("seed=1.5", "expected int"),
@@ -162,3 +171,135 @@ def test_cli_mistyped_config_value_exits_2(tmp_path, capsys):
     assert code == 2
     assert 'synth.clutter_count: expected int, got "three"' in capsys.readouterr().err
     assert not (tmp_path / "scenes").exists()
+
+
+# ---------------------------------------------------------------------------
+# whole detections on seeded synthetic scenes: the Baseline object, 0.5 mm
+# sensor noise and an occluder in front of the object on 30% of scenes
+
+NOISY = SynthParams(noise_sigma_mm=0.5, occluder_probability=0.3)
+# a cheap network detect: coarse anchors, small spheres, two segmented
+# anchors, fewer votes
+SMALL_DETECT = ["detect.anchor_leaf_mm=80", "detect.top_anchors=2",
+                "examples.n_points=512", "voting.max_correspondences=100"]
+
+
+@pytest.fixture(scope="module")
+def baseline_model():
+    return make_test_object()
+
+
+@pytest.fixture(scope="module")
+def noisy_scenes(baseline_model):
+    return [synth_scene(baseline_model, np.random.default_rng([11, i]), NOISY,
+                        scene_id=f"scene_{i:04d}") for i in range(4)]
+
+
+@pytest.fixture(scope="module")
+def small_scene(baseline_model):
+    """A third of the points: no clutter, a smaller table."""
+    params = SynthParams(noise_sigma_mm=0.5, occluder_probability=0.3, clutter_count=0,
+                         table_size_mm=250.0)
+    return synth_scene(baseline_model, np.random.default_rng([11, 4]), params)
+
+
+def raw(cloud):
+    """The cloud as a depth sensor gives it: no normals or curvature."""
+    return PointCloud(positions=cloud.positions, view_origin=cloud.view_origin,
+                      intrinsics=cloud.intrinsics)
+
+
+def proper(pose):
+    r = pose.rotation
+    return np.allclose(r.T @ r, np.eye(3), atol=1e-9) and np.isclose(np.linalg.det(r), 1.0)
+
+
+@pytest.mark.parametrize("i", range(4))
+def test_oracle_detect_recovers_the_pose(baseline_model, noisy_scenes, i):
+    scene = noisy_scenes[i]
+    result = pipeline.oracle_detect(scene.cloud, baseline_model, scene.gt_pose)
+    assert not result.failed
+    add = pipeline.add_metric(result.best.pose, scene.gt_pose, baseline_model)
+    assert add < 0.1 * baseline_model.diameter
+    assert proper(result.best.pose)
+
+
+def test_detect_with_untrained_weights_runs_every_stage(baseline_model, noisy_scenes):
+    weights = init_weights(NetworkConfig(k=baseline_model.k), seed=0)
+    config = RunConfig()
+    for assignment in SMALL_DETECT:
+        apply_override(config, assignment)
+    params = config.detect_params()
+    result = pipeline.detect(raw(noisy_scenes[0].cloud), baseline_model, weights, params)
+
+    assert set(result.timings_ms) == set(pipeline.STAGES)
+    assert all(t > 0 for t in result.timings_ms.values())
+    assert 0 <= result.anchors_skipped < result.anchors_total
+    assert result.anchors_segmented == min(params.top_anchors,
+                                           result.anchors_total - result.anchors_skipped)
+    assert 1 <= len(result.ranked) <= result.anchors_segmented
+    assert result.best is result.ranked[0]
+    l_loc = [h.l_loc for h in result.ranked]
+    assert l_loc == sorted(l_loc)
+    assert all(proper(h.pose) for h in result.ranked)
+    assert all(h.vote_support >= 1 for h in result.ranked)
+
+
+def sleeping(fn, seconds):
+    def slow(*args, **kwargs):
+        time.sleep(seconds)
+        return fn(*args, **kwargs)
+    return slow
+
+
+SLOW_S = 0.3
+
+
+@pytest.mark.parametrize("name, stage", [("label_scene", "segment"),
+                                         ("build_depth_buffer", "verify")])
+def test_stage_timing_measures_only_its_stage(baseline_model, small_scene, monkeypatch,
+                                              name, stage):
+    monkeypatch.setattr(pipeline, name, sleeping(getattr(pipeline, name), SLOW_S))
+    timings = pipeline.oracle_detect(small_scene.cloud, baseline_model,
+                                     small_scene.gt_pose).timings_ms
+    assert timings[stage] >= 1000 * SLOW_S
+    for other in ("normals", "segment", "vote"):
+        if other != stage:
+            assert timings[other] < 1000 * SLOW_S, (other, timings)
+
+
+def scene_files(tmp_path, model, scene):
+    save_object_model(tmp_path / "model", model)
+    save_scene(tmp_path / "scene", scene)
+    return ["--scene", str(tmp_path / "scene.ply"), "--model", str(tmp_path / "model"),
+            "--out", str(tmp_path / "pose.json"), "--dump-debug", str(tmp_path / "debug")]
+
+
+DEBUG_FILES = ("A_anchors.ply", "B_scores.ply", "C_top_spheres.ply",
+               "D_segmentation.ply", "E_votes.ply", "F_pose.json")
+
+
+@pytest.mark.parametrize("source", ["oracle", "weights"])
+def test_cli_detect_dump_debug_writes_every_stage(baseline_model, small_scene, tmp_path,
+                                                  capsys, source):
+    argv = ["detect"] + scene_files(tmp_path, baseline_model, small_scene)
+    if source == "oracle":
+        argv += ["--oracle", "--set", "detect.oracle_anchors=3"]
+    else:
+        save_weights(tmp_path / "w.bin", init_weights(NetworkConfig(k=baseline_model.k), 0))
+        argv += ["--weights", str(tmp_path / "w.bin")]
+        argv += [f"--set={assignment}" for assignment in SMALL_DETECT]
+    assert cli.main(argv) == 0
+    info = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+
+    debug = tmp_path / "debug"
+    assert all((debug / name).exists() for name in DEBUG_FILES)
+    payload = json.loads((debug / "F_pose.json").read_text())
+    assert len(payload["hypotheses"]) == info["hypotheses"] >= 1
+    # A holds every anchor counted, C every segmented sphere, D one sphere
+    n_points = 2048 if source == "oracle" else 512
+    assert len(read_ply(debug / "A_anchors.ply")) == payload["anchors_total"]
+    assert len(read_ply(debug / "C_top_spheres.ply")) == payload["anchors_segmented"] * n_points
+    assert len(read_ply(debug / "D_segmentation.ply")) == n_points
+    if source == "oracle":
+        assert payload["anchors_segmented"] == 3
