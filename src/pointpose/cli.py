@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -18,11 +17,11 @@ import numpy as np
 from .config import (RunConfig, apply_override, config_to_dict, load_config,
                      save_config)
 from .dataset import build_instance_training_set, read_dataset, write_dataset
-from .errors import (ConfigError, MissingChannelError, PlyFormatError,
-                     PointPoseError, SceneFormatError)
+from .errors import (ConfigError, MissingChannelError, NonFiniteSceneError,
+                     PlyFormatError, PointPoseError, SceneFormatError)
 from .modelprep import load_object_model, save_object_model
 from .network import assemble_features, load_weights, save_weights, train
-from .pipeline import detect, oracle_detect
+from .pipeline import detect, oracle_detect, thread_budget
 from .pose import save_pose_json
 from .synth import (load_scene, make_test_object, read_scene_sidecar, save_scene,
                     synth_scene)
@@ -42,7 +41,7 @@ def _build_config(args) -> RunConfig:
 
 
 def _threads(config: RunConfig) -> int:
-    return config.threads if config.threads > 0 else (os.cpu_count() or 1)
+    return thread_budget(config.threads)
 
 
 def _scene_stems(scenes_dir: Path):
@@ -199,8 +198,8 @@ def cmd_eval(args, config: RunConfig) -> int:
         return 2
     factor = config.evaluation.threshold_factor
 
-    # the thread budget is split across the pool: each worker's kd-tree
-    # queries get their share instead of every CPU
+    # the thread budget is split across the pool: each worker's anchors and
+    # kd-tree queries get their share instead of every CPU
     n_workers = min(_threads(config), len(stems))
     threads_each = max(1, _threads(config) // n_workers)
     tasks = [(str(stem), str(args.model), args.weights, bool(args.oracle),
@@ -248,7 +247,9 @@ def make_parser() -> argparse.ArgumentParser:
     common.add_argument("--set", action="append", metavar="KEY=VALUE",
                         help="override a config value (repeatable)")
     common.add_argument("--seed", type=int, help="override config seed")
-    common.add_argument("--threads", type=int, help="worker pool size")
+    common.add_argument("--threads", type=int,
+                        help="thread budget: detect runs its anchors on it, eval "
+                             "splits it over a worker pool (default: every CPU)")
     common.add_argument("--dump-config", metavar="PATH",
                         help="write the effective config JSON and continue")
 
@@ -308,8 +309,8 @@ def main(argv=None) -> int:
     try:
         config = _build_config(args)
         return args.fn(args, config)
-    except (ConfigError, FileNotFoundError, MissingChannelError, PlyFormatError,
-            SceneFormatError) as exc:
+    except (ConfigError, FileNotFoundError, MissingChannelError, NonFiniteSceneError,
+            PlyFormatError, SceneFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PointPoseError as exc:

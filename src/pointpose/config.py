@@ -134,7 +134,7 @@ class SynthSection:
 @dataclass
 class RunConfig:
     seed: int = 0
-    threads: int = 0  # 0 -> hardware parallelism
+    threads: int = 0  # 0 -> every CPU this process may use
     keypoints: KeypointSection = field(default_factory=KeypointSection)
     labeling: LabelingSection = field(default_factory=LabelingSection)
     examples: ExampleSection = field(default_factory=ExampleSection)

@@ -37,6 +37,10 @@ class EmptySceneError(PointPoseError):
     """Detection was asked to run on an empty scene cloud."""
 
 
+class NonFiniteSceneError(PointPoseError, ValueError):
+    """A scene point position is NaN or infinite."""
+
+
 class MissingChannelError(PointPoseError):
     """The scene lacks an input channel the network weights expect (RGB)."""
 

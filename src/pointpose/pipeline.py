@@ -8,13 +8,20 @@ the two entry points. detect() takes anchors from a voxel grid, classifies
 their 2048-point spheres for object presence and segments the 16 best with
 the network. oracle_detect() labels spheres around random foreground points
 from the ground-truth pose, to exercise the later stages in isolation.
+
+The segmented anchors are independent, so their vote, ICP and verify
+stages run concurrently on the thread budget `VotingParams.workers`: the
+calling thread plus a thread pool, with the same results at every budget.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import os
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import List, Optional, Sequence, Tuple
@@ -23,7 +30,7 @@ import numpy as np
 
 from .dataset import _sample_fill, label_scene
 from .errors import (EmptySceneError, MissingChannelError, NoHypothesisError,
-                     NoOverlapError)
+                     NonFiniteSceneError, NoOverlapError)
 from .geometry import NNIndex, estimate_normals, icp_refine, voxel_downsample
 from .modelprep import ObjectModel
 from .network import Weights, forward, _softmax
@@ -55,6 +62,13 @@ class DetectParams:
 
 @dataclass
 class DetectionResult:
+    """Hypotheses ranked by localization loss, and where the time went.
+
+    `timings_ms` holds milliseconds per name in STAGES. The vote, icp and
+    verify entries are sums of per-anchor times; when anchors run on more
+    than one thread these sums overlap, and can exceed the wall time.
+    """
+
     best: Optional[PoseHypothesis]
     ranked: List[PoseHypothesis]
     timings_ms: dict
@@ -151,6 +165,60 @@ def _finish_anchor(scene: PointCloud, scene_index: NNIndex, model: ObjectModel,
                  scene_index=scene_index, depth_buffer=depth_buffer)
     clock.lap("verify")
     return hyp
+
+
+def thread_budget(workers: int) -> int:
+    """Threads a run may use: `workers`, or with -1 the CPUs this process may use."""
+    return workers if workers > 0 else len(os.sched_getaffinity(0))
+
+
+def _finish_anchors(scene: PointCloud, scene_index: NNIndex, model: ObjectModel,
+                    seg: "_Segmentation", icp_model: np.ndarray, params: DetectParams,
+                    depth_buffer, clock: _StageClock) -> List[Optional[PoseHypothesis]]:
+    """`_finish_anchor` for every segmented anchor, on the thread budget.
+
+    The budget is `params.voting.workers`. min(budget, anchors) participants,
+    the calling thread and a pool of the rest, pull anchor indices from one
+    shared list; each gets budget // participants kd-tree threads. Anchors
+    are independent (each vote subsample draws from its own RNG; the index,
+    depth buffer and model are only read), and each result is stored at its
+    anchor's index, so the results are the same at every budget. The vote,
+    icp and verify laps of every participant are summed into `clock`.
+    """
+    n_anchors = len(seg.sphere_ids)
+    budget = thread_budget(params.voting.workers)
+    n = max(1, min(budget, n_anchors))
+    params = replace(params, voting=replace(params.voting, workers=max(1, budget // n)))
+    results: List[Optional[PoseHypothesis]] = [None] * n_anchors
+    pending = list(range(n_anchors - 1, -1, -1))  # popped from the end: anchor order
+    lock = threading.Lock()
+
+    def drain() -> dict:
+        own = _StageClock()
+        while True:
+            with lock:
+                if not pending:
+                    return own.timings
+                k = pending.pop()
+            try:
+                results[k] = _finish_anchor(scene, scene_index, model, seg.sphere_ids[k],
+                                            seg.seg_probs[k], icp_model, params,
+                                            depth_buffer, own)
+            except BaseException:
+                with lock:
+                    pending.clear()  # the other participants stop after their anchor
+                raise
+
+    if n == 1:
+        laps = [drain()]
+    else:
+        with ThreadPoolExecutor(max_workers=n - 1) as pool:
+            futures = [pool.submit(drain) for _ in range(n - 1)]
+            laps = [drain()] + [f.result() for f in futures]
+    for timings in laps:
+        for stage in ("vote", "icp", "verify"):
+            clock.timings[stage] += timings[stage]
+    return results
 
 
 def _rank(hypotheses: List[PoseHypothesis]) -> List[PoseHypothesis]:
@@ -312,6 +380,10 @@ def _stage_chain(scene: PointCloud, model: ObjectModel, params: DetectParams,
     """Every stage but segmentation, which `segment` supplies."""
     if len(scene) == 0:
         raise EmptySceneError("detection on an empty scene")
+    finite = np.isfinite(scene.positions).all(axis=1)
+    if not finite.all():
+        raise NonFiniteSceneError(f"{int((~finite).sum())} of {len(scene)} scene points "
+                                  "have a NaN or infinite coordinate")
     if rgb_input and scene.colors is None:
         raise MissingChannelError("weights expect RGB input but the scene has no colors")
     clock = _StageClock()
@@ -328,14 +400,10 @@ def _stage_chain(scene: PointCloud, model: ObjectModel, params: DetectParams,
         if scene.intrinsics is not None else None
     clock.lap("verify")
 
-    hypotheses = []
-    hyp_anchor = []
-    for k, (ids, probs) in enumerate(zip(seg.sphere_ids, seg.seg_probs)):
-        hyp = _finish_anchor(scene, scene_index, model, ids, probs,
-                             icp_model, params, depth_buffer, clock)
-        if hyp is not None:
-            hypotheses.append(hyp)
-            hyp_anchor.append(k)
+    per_anchor = _finish_anchors(scene, scene_index, model, seg, icp_model, params,
+                                 depth_buffer, clock)
+    hyp_anchor = [k for k, hyp in enumerate(per_anchor) if hyp is not None]
+    hypotheses = [per_anchor[k] for k in hyp_anchor]
 
     ranked = _rank(hypotheses)
     result = DetectionResult(best=ranked[0] if ranked else None, ranked=ranked,

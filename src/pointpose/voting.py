@@ -32,7 +32,9 @@ class VotingParams:
     max_correspondences: int = 500
     min_confidence: float = 0.0
     subsample_seed: int = 0
-    # kd-tree query threads of density_peak (-1: every CPU). A run-time
+    # thread budget (-1: every CPU this process may use). density_peak's
+    # kd-tree queries use it directly; the detect stage chain shares it
+    # between concurrent anchors and their kd-tree queries. A run-time
     # budget the CLI derives from config.threads, not a config key
     workers: int = -1
 
@@ -124,11 +126,18 @@ def quat_to_matrix(quats: np.ndarray) -> np.ndarray:
     xx, yy, zz = x * x, y * y, z * z
     xy, xz, yz = x * y, x * z, y * z
     wx, wy, wz = w * x, w * y, w * z
-    return np.stack([
-        np.stack([1.0 - 2.0 * (yy + zz), 2.0 * (xy - wz), 2.0 * (xz + wy)], axis=-1),
-        np.stack([2.0 * (xy + wz), 1.0 - 2.0 * (xx + zz), 2.0 * (yz - wx)], axis=-1),
-        np.stack([2.0 * (xz - wy), 2.0 * (yz + wx), 1.0 - 2.0 * (xx + yy)], axis=-1),
-    ], axis=-2)
+    # entries written in place: no per-entry or per-row arrays to stack
+    r = np.empty(x.shape + (3, 3))
+    r[..., 0, 0] = 1.0 - 2.0 * (yy + zz)
+    r[..., 0, 1] = 2.0 * (xy - wz)
+    r[..., 0, 2] = 2.0 * (xz + wy)
+    r[..., 1, 0] = 2.0 * (xy + wz)
+    r[..., 1, 1] = 1.0 - 2.0 * (xx + zz)
+    r[..., 1, 2] = 2.0 * (yz - wx)
+    r[..., 2, 0] = 2.0 * (xz - wy)
+    r[..., 2, 1] = 2.0 * (yz + wx)
+    r[..., 2, 2] = 1.0 - 2.0 * (xx + yy)
+    return r
 
 
 def _base_quats(kp_normals: np.ndarray, scene_normals: np.ndarray) -> np.ndarray:

@@ -2,20 +2,25 @@
 dump, and the input contracts of detect, the CLI, the run configuration and
 scene files."""
 
+import itertools
 import json
 import re
+import threading
 import time
+from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 
 from pointpose import cli, pipeline
 from pointpose.config import RunConfig, apply_override, config_from_dict
-from pointpose.errors import ConfigError, MissingChannelError
+from pointpose.errors import ConfigError, MissingChannelError, NonFiniteSceneError
 from pointpose.modelprep import save_object_model
 from pointpose.network import NetworkConfig, init_weights, save_weights
 from pointpose.ply import read_ply, write_ply
 from pointpose.pointcloud import PointCloud
+from pointpose.pose import RigidPose
 from pointpose.synth import SynthParams, make_test_object, save_scene, synth_scene
 
 
@@ -52,6 +57,42 @@ def test_cli_detect_rgb_weights_on_colourless_scene_exits_2(model, tmp_path, cap
                      "--out", str(tmp_path / "pose.json")])
     assert code == 2
     assert "no colors" in capsys.readouterr().err
+    assert not (tmp_path / "pose.json").exists()
+
+
+def nan_scene(n=500):
+    cloud = colourless_scene(n)
+    cloud.positions[7, 2] = np.nan
+    return cloud
+
+
+IDENTITY_SIDECAR = ('{"pose": {"rotation": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],'
+                    ' "translation_mm": [0, 0, 900]}}')
+
+
+@pytest.mark.parametrize("entry", ["oracle_detect", "detect"])
+def test_detect_non_finite_scene_is_rejected(model, monkeypatch, entry):
+    def no_index(*args, **kwargs):
+        raise AssertionError("an index was built before the input check")
+
+    monkeypatch.setattr(pipeline, "NNIndex", no_index)
+    monkeypatch.setattr(pipeline, "estimate_normals", no_index)
+    with pytest.raises(NonFiniteSceneError, match="1 of 500 scene points"):
+        if entry == "detect":
+            pipeline.detect(nan_scene(), model, init_weights(NetworkConfig(k=model.k), 0))
+        else:
+            pipeline.oracle_detect(nan_scene(), model, RigidPose.identity())
+
+
+def test_cli_detect_non_finite_scene_exits_2(model, tmp_path, capsys):
+    save_object_model(tmp_path / "model", model)
+    write_ply(tmp_path / "scene.ply", nan_scene())
+    (tmp_path / "scene.json").write_text(IDENTITY_SIDECAR)
+    code = cli.main(["detect", "--scene", str(tmp_path / "scene.ply"),
+                     "--model", str(tmp_path / "model"), "--oracle",
+                     "--out", str(tmp_path / "pose.json")])
+    assert code == 2
+    assert "NaN or infinite" in capsys.readouterr().err
     assert not (tmp_path / "pose.json").exists()
 
 
@@ -303,3 +344,102 @@ def test_cli_detect_dump_debug_writes_every_stage(baseline_model, small_scene, t
     assert len(read_ply(debug / "D_segmentation.ply")) == n_points
     if source == "oracle":
         assert payload["anchors_segmented"] == 3
+
+
+# ---------------------------------------------------------------------------
+# the per-anchor stages on the thread budget (VotingParams.workers)
+
+
+def with_budget(params, budget):
+    return replace(params, voting=replace(params.voting, workers=budget))
+
+
+def outputs(result):
+    """Everything a detection reports but its timings."""
+    ranked = result.ranked
+    return (np.array([h.pose.rotation for h in ranked]).reshape(-1, 3, 3),
+            np.array([h.pose.translation for h in ranked]).reshape(-1, 3),
+            np.array([h.vote_support for h in ranked]),
+            np.array([h.l_loc for h in ranked]),
+            (result.anchors_total, result.anchors_skipped, result.anchors_segmented))
+
+
+def small_detect_params():
+    config = RunConfig()
+    for assignment in SMALL_DETECT:
+        apply_override(config, assignment)
+    return config.detect_params()
+
+
+@pytest.mark.parametrize("source", ["oracle_0", "oracle_1", "detect"])
+def test_detection_is_the_same_at_every_thread_budget(baseline_model, noisy_scenes, source):
+    if source == "detect":
+        weights = init_weights(NetworkConfig(k=baseline_model.k), seed=0)
+        params = small_detect_params()
+        run = partial(pipeline.detect, raw(noisy_scenes[0].cloud), baseline_model, weights)
+    else:
+        scene = noisy_scenes[int(source[-1])]
+        params = pipeline.DetectParams(oracle_anchors=5)
+        run = partial(pipeline.oracle_detect, scene.cloud, baseline_model, scene.gt_pose)
+
+    results = [run(with_budget(params, budget)) for budget in (1, 2, 3)]
+    want = outputs(results[0])
+    assert len(want[2]) >= 2
+    for result in results:
+        assert tuple(result.timings_ms) == pipeline.STAGES
+        got = outputs(result)
+        assert all(np.array_equal(g, w) for g, w in zip(got[:4], want[:4]))
+        assert got[4] == want[4]
+
+
+def test_budget_1_starts_no_thread(baseline_model, small_scene, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was started at budget 1")
+
+    monkeypatch.setattr(pipeline, "ThreadPoolExecutor", no_pool)
+    params = with_budget(pipeline.DetectParams(oracle_anchors=3), 1)
+    result = pipeline.oracle_detect(small_scene.cloud, baseline_model,
+                                    small_scene.gt_pose, params)
+    assert len(result.ranked) == 3
+
+
+def test_anchor_error_reaches_the_caller(baseline_model, small_scene, monkeypatch):
+    calls = itertools.count(1)
+    icp_refine = pipeline.icp_refine
+
+    def failing_third(*args, **kwargs):
+        if next(calls) == 3:
+            raise RuntimeError("third anchor failed")
+        return icp_refine(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "icp_refine", failing_third)
+    params = with_budget(pipeline.DetectParams(oracle_anchors=5), 2)
+    raised = []
+
+    def run():
+        try:
+            pipeline.oracle_detect(small_scene.cloud, baseline_model,
+                                   small_scene.gt_pose, params)
+        except RuntimeError as exc:
+            raised.append(exc)
+
+    caller = threading.Thread(target=run, daemon=True)
+    caller.start()
+    caller.join(timeout=120)
+    assert not caller.is_alive(), "detection hung after an anchor failed"
+    assert [str(exc) for exc in raised] == ["third anchor failed"]
+
+
+# kernel micro-benchmarks: pytest -m perf
+
+
+@pytest.mark.perf
+@pytest.mark.parametrize("budget", [1, 2])
+def test_oracle_detect_anchor_threads_speed(benchmark, baseline_model, noisy_scenes, budget):
+    """One oracle scene, 16 anchors, serial and on two threads."""
+    scene = noisy_scenes[0]
+    params = with_budget(pipeline.DetectParams(oracle_anchors=16), budget)
+    result = benchmark.pedantic(pipeline.oracle_detect,
+                                (scene.cloud, baseline_model, scene.gt_pose, params),
+                                rounds=3, iterations=1)
+    assert result.anchors_segmented == 16

@@ -189,6 +189,28 @@ def test_vote_quaternions_match_matrix_construction():
         rtol=0, atol=1e-9)
 
 
+def stacked_quat_to_matrix(quats):
+    """quat_to_matrix as nested np.stack calls over the same expressions."""
+    x, y, z, w = np.moveaxis(np.asarray(quats, dtype=np.float64), -1, 0)
+    xx, yy, zz = x * x, y * y, z * z
+    xy, xz, yz = x * y, x * z, y * z
+    wx, wy, wz = w * x, w * y, w * z
+    return np.stack([
+        np.stack([1.0 - 2.0 * (yy + zz), 2.0 * (xy - wz), 2.0 * (xz + wy)], axis=-1),
+        np.stack([2.0 * (xy + wz), 1.0 - 2.0 * (xx + zz), 2.0 * (yz - wx)], axis=-1),
+        np.stack([2.0 * (xz - wy), 2.0 * (yz + wx), 1.0 - 2.0 * (xx + yy)], axis=-1),
+    ], axis=-2)
+
+
+@pytest.mark.parametrize("shape", [(18000, 4), (2, 9000, 4), (0, 4)])
+def test_quat_to_matrix_equals_the_stacked_formula(shape):
+    quats = np.random.default_rng(15).standard_normal(shape)
+    quats /= np.linalg.norm(quats, axis=-1, keepdims=True)
+    got = quat_to_matrix(quats)
+    assert got.shape == shape[:-1] + (3, 3)
+    assert np.array_equal(got, stacked_quat_to_matrix(quats))
+
+
 # ---------------------------------------------------------------------------
 # density_peak
 
