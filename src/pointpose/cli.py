@@ -40,10 +40,6 @@ def _build_config(args) -> RunConfig:
     return config
 
 
-def _threads(config: RunConfig) -> int:
-    return thread_budget(config.threads)
-
-
 def _scene_stems(scenes_dir: Path):
     """Scene stems = .ply files whose JSON sidecar carries a gt pose."""
     stems = []
@@ -161,7 +157,7 @@ def cmd_detect(args, config: RunConfig) -> int:
     model = load_object_model(Path(args.model))
     cloud, gt = load_scene(Path(args.scene).with_suffix(""))
     params = config.detect_params()
-    params.voting.workers = _threads(config)
+    params.voting.workers = thread_budget(config.threads)
     debug_dir = Path(args.dump_debug) if args.dump_debug else None
 
     if args.oracle:
@@ -200,8 +196,9 @@ def cmd_eval(args, config: RunConfig) -> int:
 
     # the thread budget is split across the pool: each worker's anchors and
     # kd-tree queries get their share instead of every CPU
-    n_workers = min(_threads(config), len(stems))
-    threads_each = max(1, _threads(config) // n_workers)
+    budget = thread_budget(config.threads)
+    n_workers = min(budget, len(stems))
+    threads_each = max(1, budget // n_workers)
     tasks = [(str(stem), str(args.model), args.weights, bool(args.oracle),
               config_to_dict(config), threads_each) for stem in stems]
     if n_workers > 1:
@@ -249,7 +246,8 @@ def make_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, help="override config seed")
     common.add_argument("--threads", type=int,
                         help="thread budget: detect runs its anchors on it, eval "
-                             "splits it over a worker pool (default: every CPU)")
+                             "splits it over a worker pool (default: the CPUs this "
+                             "process may use)")
     common.add_argument("--dump-config", metavar="PATH",
                         help="write the effective config JSON and continue")
 

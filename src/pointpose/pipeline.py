@@ -168,7 +168,8 @@ def _finish_anchor(scene: PointCloud, scene_index: NNIndex, model: ObjectModel,
 
 
 def thread_budget(workers: int) -> int:
-    """Threads a run may use: `workers`, or with -1 the CPUs this process may use."""
+    """Threads a run may use: `workers`, or with -1 (any value below 1) the
+    CPUs this process may use."""
     return workers if workers > 0 else len(os.sched_getaffinity(0))
 
 

@@ -225,6 +225,13 @@ SMALL_DETECT = ["detect.anchor_leaf_mm=80", "detect.top_anchors=2",
                 "examples.n_points=512", "voting.max_correspondences=100"]
 
 
+def small_detect_params():
+    config = RunConfig()
+    for assignment in SMALL_DETECT:
+        apply_override(config, assignment)
+    return config.detect_params()
+
+
 @pytest.fixture(scope="module")
 def baseline_model():
     return make_test_object()
@@ -267,10 +274,7 @@ def test_oracle_detect_recovers_the_pose(baseline_model, noisy_scenes, i):
 
 def test_detect_with_untrained_weights_runs_every_stage(baseline_model, noisy_scenes):
     weights = init_weights(NetworkConfig(k=baseline_model.k), seed=0)
-    config = RunConfig()
-    for assignment in SMALL_DETECT:
-        apply_override(config, assignment)
-    params = config.detect_params()
+    params = small_detect_params()
     result = pipeline.detect(raw(noisy_scenes[0].cloud), baseline_model, weights, params)
 
     assert set(result.timings_ms) == set(pipeline.STAGES)
@@ -362,13 +366,6 @@ def outputs(result):
             np.array([h.vote_support for h in ranked]),
             np.array([h.l_loc for h in ranked]),
             (result.anchors_total, result.anchors_skipped, result.anchors_segmented))
-
-
-def small_detect_params():
-    config = RunConfig()
-    for assignment in SMALL_DETECT:
-        apply_override(config, assignment)
-    return config.detect_params()
 
 
 @pytest.mark.parametrize("source", ["oracle_0", "oracle_1", "detect"])
