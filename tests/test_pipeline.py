@@ -5,6 +5,7 @@ scene files."""
 import itertools
 import json
 import re
+import sys
 import threading
 import time
 from dataclasses import replace
@@ -387,6 +388,34 @@ def test_detection_is_the_same_at_every_thread_budget(baseline_model, noisy_scen
         got = outputs(result)
         assert all(np.array_equal(g, w) for g, w in zip(got[:4], want[:4]))
         assert got[4] == want[4]
+
+
+def test_every_anchor_runs_once_under_fast_thread_switching(monkeypatch):
+    calls = []
+
+    def record(scene, scene_index, model, ids, probs, icp_model, params, depth_buffer,
+               clock):
+        calls.append(int(ids[0]))
+        return int(ids[0])
+
+    monkeypatch.setattr(pipeline, "_finish_anchor", record)
+    n = 16
+    seg = pipeline._Segmentation(anchors=np.zeros((n, 3)), skipped=0, scored=None,
+                                 sphere_ids=[np.array([k]) for k in range(n)],
+                                 seg_probs=[None] * n)
+    params = with_budget(pipeline.DetectParams(), 4)  # more threads than CPUs
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        # the last anchors of each call are where participants race
+        for _ in range(300):
+            calls.clear()
+            results = pipeline._finish_anchors(None, None, None, seg, None, params, None,
+                                               pipeline._StageClock())
+            assert results == list(range(n))
+            assert sorted(calls) == list(range(n))
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_budget_1_starts_no_thread(baseline_model, small_scene, monkeypatch):
