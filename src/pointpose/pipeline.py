@@ -12,6 +12,8 @@ from the ground-truth pose, to exercise the later stages in isolation.
 The segmented anchors are independent, so their vote, ICP and verify
 stages run concurrently on the thread budget `VotingParams.workers`: the
 calling thread plus a thread pool, with the same results at every budget.
+While a stage function is wrapped, as by a span tracer, they run on the
+calling thread alone.
 """
 
 from __future__ import annotations
@@ -169,8 +171,20 @@ def _finish_anchor(scene: PointCloud, scene_index: NNIndex, model: ObjectModel,
 
 def thread_budget(workers: int) -> int:
     """Threads a run may use: `workers`, or with -1 (any value below 1) the
-    CPUs this process may use."""
-    return workers if workers > 0 else len(os.sched_getaffinity(0))
+    CPUs this process may use (all CPUs where the OS cannot say)."""
+    if workers > 0:
+        return workers
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _stages_wrapped() -> bool:
+    """Whether a per-anchor stage function is a wrapper, marked by the
+    `__wrapped__` that `functools.wraps` sets. Instrumenting wrappers, such
+    as span tracers, may keep one call stack for every thread."""
+    return any(hasattr(fn, "__wrapped__")
+               for fn in (estimate_pose, remove_occluded, icp_refine, verify))
 
 
 def _finish_anchors(scene: PointCloud, scene_index: NNIndex, model: ObjectModel,
@@ -185,10 +199,12 @@ def _finish_anchors(scene: PointCloud, scene_index: NNIndex, model: ObjectModel,
     depth buffer and model are only read), and each result is stored at its
     anchor's index, so the results are the same at every budget. The vote,
     icp and verify laps of every participant are summed into `clock`.
+    When a stage function is wrapped, the calling thread drains every anchor
+    alone, since a wrapper need not be thread-safe.
     """
     n_anchors = len(seg.sphere_ids)
     budget = thread_budget(params.voting.workers)
-    n = max(1, min(budget, n_anchors))
+    n = 1 if _stages_wrapped() else max(1, min(budget, n_anchors))
     params = replace(params, voting=replace(params.voting, workers=max(1, budget // n)))
     results: List[Optional[PoseHypothesis]] = [None] * n_anchors
     pending = list(range(n_anchors - 1, -1, -1))  # popped from the end: anchor order

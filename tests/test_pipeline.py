@@ -9,7 +9,7 @@ import sys
 import threading
 import time
 from dataclasses import replace
-from functools import partial
+from functools import partial, wraps
 
 import numpy as np
 import pytest
@@ -427,6 +427,38 @@ def test_budget_1_starts_no_thread(baseline_model, small_scene, monkeypatch):
     result = pipeline.oracle_detect(small_scene.cloud, baseline_model,
                                     small_scene.gt_pose, params)
     assert len(result.ranked) == 3
+
+
+def test_wrapped_stage_runs_anchors_on_the_calling_thread(baseline_model, small_scene,
+                                                         monkeypatch):
+    # a tracer-style wrapper may keep one call stack for every thread
+    threads = []
+    icp_refine = pipeline.icp_refine
+
+    @wraps(icp_refine)
+    def traced(*args, **kwargs):
+        threads.append(threading.get_ident())
+        return icp_refine(*args, **kwargs)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was started for a wrapped stage")
+
+    monkeypatch.setattr(pipeline, "icp_refine", traced)
+    monkeypatch.setattr(pipeline, "ThreadPoolExecutor", no_pool)
+    params = with_budget(pipeline.DetectParams(oracle_anchors=3), 2)
+    result = pipeline.oracle_detect(small_scene.cloud, baseline_model,
+                                    small_scene.gt_pose, params)
+    assert len(result.ranked) == 3
+    assert threads == [threading.get_ident()] * 3
+
+
+def test_thread_budget_without_cpu_affinity(monkeypatch):
+    monkeypatch.delattr(pipeline.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(pipeline.os, "cpu_count", lambda: 3)
+    assert pipeline.thread_budget(-1) == 3
+    assert pipeline.thread_budget(2) == 2
+    monkeypatch.setattr(pipeline.os, "cpu_count", lambda: None)
+    assert pipeline.thread_budget(-1) == 1
 
 
 def test_anchor_error_reaches_the_caller(baseline_model, small_scene, monkeypatch):
