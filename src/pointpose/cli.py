@@ -14,8 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import (RunConfig, apply_override, config_to_dict, load_config,
-                     save_config)
+from .config import (RunConfig, apply_override, config_from_dict, config_to_dict,
+                     load_config, save_config)
 from .dataset import build_instance_training_set, read_dataset, write_dataset
 from .errors import (ConfigError, MissingChannelError, NonFiniteSceneError,
                      PlyFormatError, PointPoseError, SceneFormatError)
@@ -31,6 +31,8 @@ def _build_config(args) -> RunConfig:
     config = load_config(args.config) if args.config else RunConfig()
     for assignment in args.set or []:
         apply_override(config, assignment)
+    # one validation of the finished config: a section's checks see every override
+    config = config_from_dict(config_to_dict(config))
     if args.seed is not None:
         config.seed = args.seed
     if args.threads is not None:
@@ -64,10 +66,9 @@ def cmd_synth(args, config: RunConfig) -> int:
     else:
         model = make_test_object(spacing=config.keypoints.spacing_mm)
         save_object_model(out / "model", model)
-    params = config.synth_params()
     for i in range(args.count):
         rng = np.random.default_rng([config.seed, i])
-        scene = synth_scene(model, rng, params, scene_id=f"scene_{i:04d}")
+        scene = synth_scene(model, rng, config.synth, scene_id=f"scene_{i:04d}")
         save_scene(out / f"scene_{i:04d}", scene)
     print(json.dumps({"scenes": args.count, "model_keypoints": model.k,
                       "model_diameter_mm": model.diameter, "out": str(out)}))
@@ -78,7 +79,6 @@ def cmd_prepare(args, config: RunConfig) -> int:
     model = load_object_model(Path(args.model))
     stems = _scene_stems(args.scenes)
     sampling = config.sampling_params()
-    augmentation = config.augment_params()
 
     examples = []
     failures = []
@@ -92,7 +92,7 @@ def cmd_prepare(args, config: RunConfig) -> int:
         try:
             inst = build_instance_training_set(
                 cloud, model, gt, np.random.default_rng([config.seed, i]),
-                sampling, augmentation, scene_id=stem.name)
+                sampling, config.augmentation, scene_id=stem.name)
         except PointPoseError as exc:
             failures.append({"scene": stem.name, "error": str(exc)})
             continue
@@ -219,7 +219,6 @@ def cmd_eval(args, config: RunConfig) -> int:
 
 
 def _eval_scene_task(task):
-    from .config import config_from_dict
     stem, model_path, weights_path, use_oracle, config_dict, threads = task
     config = config_from_dict(config_dict)
     params = config.detect_params()

@@ -4,6 +4,13 @@ All defaults carried here match the pipeline's canonical values (25 mm
 keypoint/anchor spacing, 10/20 mm labeling band, 2048-point spheres of
 radius 0.6 x diameter, 20/20/10 sampling, 0.15/0.85 loss weights, batch
 16, learning rate 0.001). Unknown keys are rejected.
+
+A module dataclass is a section when its fields are that section's keys,
+apart from fields marked `metadata={"config": False}`, which the run fills
+in (a seed, a thread budget): `augmentation`, `training`, `voting`,
+`verification` and `synth`. The other sections span several module classes
+or feed derived values, so the builders below assemble those. A section's
+own `__post_init__` check fails as a `ConfigError` naming the section.
 """
 
 from __future__ import annotations
@@ -11,7 +18,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List
 
 from .dataset import AugmentParams, SamplingParams
@@ -49,19 +56,6 @@ class SamplingSection:
 
 
 @dataclass
-class AugmentSection:
-    balanced: bool = True
-    background_swap_multiplier: int = 1
-    jitter_sigma: float = 0.01
-    jitter_channels: List[str] = field(default_factory=lambda: ["xyz", "normal",
-                                                                "curvature", "rgb"])
-    segment_drop_prob: float = 0.2
-    max_segment_drop_fraction: float = 0.5
-    object_shift_factor: float = 0.05
-    background_shift_factor: float = 0.5
-
-
-@dataclass
 class NetworkSection:
     use_color: bool = False
     encoder: List[int] = field(default_factory=lambda: [64, 64, 128, 1024])
@@ -71,40 +65,11 @@ class NetworkSection:
 
 
 @dataclass
-class TrainingSection:
-    batch_size: int = 16
-    learning_rate: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    epochs: int = 80
-    w_cls: float = 0.15
-    w_seg: float = 0.85
-
-
-@dataclass
-class VotingSection:
-    n_theta: int = 36
-    delta_t_mm: float = 10.0
-    delta_r_deg: float = 12.0
-    min_correspondences: int = 10
-    max_correspondences: int = 500
-    min_confidence: float = 0.0
-
-
-@dataclass
 class IcpSection:
     schedule: List[List[float]] = field(default_factory=lambda: [[50.0, 30],
                                                                  [25.0, 30],
                                                                  [10.0, 30]])
     model_leaf_mm: float = 5.0
-
-
-@dataclass
-class VerificationSection:
-    occlusion_margin_mm: float = 5.0
-    splat_px: int = 2
-    color: bool = True
 
 
 @dataclass
@@ -122,16 +87,6 @@ class EvaluationSection:
 
 
 @dataclass
-class SynthSection:
-    noise_sigma_mm: float = 0.0
-    clutter_count: int = 3
-    occluder_probability: float = 0.0
-    table_size_mm: float = 500.0
-    table_distance_mm: float = 900.0
-    table_step_mm: float = 3.5
-
-
-@dataclass
 class RunConfig:
     seed: int = 0
     threads: int = 0  # 0 -> every CPU this process may use
@@ -139,15 +94,15 @@ class RunConfig:
     labeling: LabelingSection = field(default_factory=LabelingSection)
     examples: ExampleSection = field(default_factory=ExampleSection)
     sampling: SamplingSection = field(default_factory=SamplingSection)
-    augmentation: AugmentSection = field(default_factory=AugmentSection)
+    augmentation: AugmentParams = field(default_factory=AugmentParams)
     network: NetworkSection = field(default_factory=NetworkSection)
-    training: TrainingSection = field(default_factory=TrainingSection)
-    voting: VotingSection = field(default_factory=VotingSection)
+    training: TrainConfig = field(default_factory=TrainConfig)
+    voting: VotingParams = field(default_factory=VotingParams)
     icp: IcpSection = field(default_factory=IcpSection)
-    verification: VerificationSection = field(default_factory=VerificationSection)
+    verification: VerificationParams = field(default_factory=VerificationParams)
     detect: DetectSection = field(default_factory=DetectSection)
     evaluation: EvaluationSection = field(default_factory=EvaluationSection)
-    synth: SynthSection = field(default_factory=SynthSection)
+    synth: SynthParams = field(default_factory=SynthParams)
 
     # -- builders for the module-level parameter objects ---------------------
 
@@ -163,19 +118,6 @@ class RunConfig:
             hard_band=tuple(self.sampling.hard_band),
         )
 
-    def augment_params(self) -> AugmentParams:
-        a = self.augmentation
-        return AugmentParams(
-            balanced=a.balanced,
-            background_swap_multiplier=a.background_swap_multiplier,
-            jitter_sigma=a.jitter_sigma,
-            jitter_channels=tuple(a.jitter_channels),
-            segment_drop_prob=a.segment_drop_prob,
-            max_segment_drop_fraction=a.max_segment_drop_fraction,
-            object_shift_factor=a.object_shift_factor,
-            background_shift_factor=a.background_shift_factor,
-        )
-
     def network_config(self, k: int, with_color: bool) -> NetworkConfig:
         n = self.network
         return NetworkConfig(
@@ -187,25 +129,7 @@ class RunConfig:
         )
 
     def train_config(self) -> TrainConfig:
-        t = self.training
-        return TrainConfig(batch_size=t.batch_size, learning_rate=t.learning_rate,
-                           beta1=t.beta1, beta2=t.beta2, epsilon=t.epsilon,
-                           epochs=t.epochs, w_cls=t.w_cls, w_seg=t.w_seg,
-                           seed=self.seed)
-
-    def voting_params(self) -> VotingParams:
-        v = self.voting
-        return VotingParams(n_theta=v.n_theta, delta_t_mm=v.delta_t_mm,
-                            delta_r_deg=v.delta_r_deg,
-                            min_correspondences=v.min_correspondences,
-                            max_correspondences=v.max_correspondences,
-                            min_confidence=v.min_confidence,
-                            subsample_seed=self.seed)
-
-    def verification_params(self) -> VerificationParams:
-        v = self.verification
-        return VerificationParams(occlusion_margin_mm=v.occlusion_margin_mm,
-                                  splat_px=v.splat_px, color=v.color)
+        return replace(self.training, seed=self.seed)
 
     def detect_params(self) -> DetectParams:
         d = self.detect
@@ -220,24 +144,20 @@ class RunConfig:
             icp_model_leaf_mm=self.icp.model_leaf_mm,
             oracle_anchors=d.oracle_anchors,
             seed=self.seed,
-            voting=self.voting_params(),
-            verification=self.verification_params(),
+            voting=replace(self.voting, subsample_seed=self.seed),
+            verification=replace(self.verification),
         )
 
-    def synth_params(self) -> SynthParams:
-        s = self.synth
-        return SynthParams(noise_sigma_mm=s.noise_sigma_mm,
-                           clutter_count=s.clutter_count,
-                           occluder_probability=s.occluder_probability,
-                           table_size_mm=s.table_size_mm,
-                           table_distance_mm=s.table_distance_mm,
-                           table_step_mm=s.table_step_mm)
+
+def _keys(cls) -> dict:
+    """The fields of a dataclass (or of its instance) that are config keys."""
+    return {f.name: f for f in dataclasses.fields(cls) if f.metadata.get("config", True)}
 
 
 def _fits(tp, value) -> bool:
     """Whether a parsed JSON value fits a field's declared type: an int
-    field takes no bool or str, a float field also takes an int, and no field
-    takes null."""
+    field takes no bool or str, a float field also takes an int, a list or
+    tuple field takes an array, and no field takes null."""
     if tp is bool:
         return isinstance(value, bool)
     if tp is int:
@@ -249,22 +169,29 @@ def _fits(tp, value) -> bool:
     args = typing.get_args(tp)
     if typing.get_origin(tp) is list:
         return isinstance(value, list) and all(_fits(args[0], v) for v in value)
+    if typing.get_origin(tp) is tuple:
+        if not isinstance(value, list):
+            return False
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        return len(value) == len(args) and all(_fits(a, v) for a, v in zip(args, value))
     raise TypeError(f"no JSON type check for {tp}")
 
 
 def _checked(cls, name: str, value, key: str):
-    """`value` if it fits the declared type of field `name` of `cls`."""
+    """`value` if it fits the declared type of field `name` of `cls`; a
+    tuple field gets a tuple."""
     tp = typing.get_type_hints(cls)[name]
     if not _fits(tp, value):
         expected = tp.__name__ if isinstance(tp, type) else str(tp).replace("typing.", "")
         raise ConfigError(f"{key}: expected {expected}, got {json.dumps(value)}")
-    return value
+    return tuple(value) if typing.get_origin(tp) is tuple else value
 
 
 def _from_dict(cls, data, path=""):
     if not isinstance(data, dict):
         raise ConfigError(f"{path or 'config'}: expected an object, got {type(data).__name__}")
-    fields = {f.name: f for f in dataclasses.fields(cls)}
+    fields = _keys(cls)
     unknown = sorted(set(data) - set(fields))
     if unknown:
         raise ConfigError(f"unknown config key{'s' if len(unknown) > 1 else ''}: "
@@ -279,15 +206,25 @@ def _from_dict(cls, data, path=""):
             raise ConfigError(f"{path}{name}: unexpected nested object")
         else:
             kwargs[name] = _checked(cls, name, value, f"{path}{name}")
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{path.rstrip('.') or 'config'}: {exc}") from exc
 
 
 def config_from_dict(data: dict) -> RunConfig:
     return _from_dict(RunConfig, data)
 
 
-def config_to_dict(config: RunConfig) -> dict:
-    return dataclasses.asdict(config)
+def config_to_dict(config) -> dict:
+    """The config keys of a config or section as JSON values, tuples as lists."""
+    def plain(value):
+        if dataclasses.is_dataclass(value):
+            return config_to_dict(value)
+        if isinstance(value, (list, tuple)):
+            return [plain(v) for v in value]
+        return value
+    return {name: plain(getattr(config, name)) for name in _keys(config)}
 
 
 def load_config(path) -> RunConfig:
@@ -307,7 +244,10 @@ def save_config(path, config: RunConfig) -> None:
 
 def apply_override(config: RunConfig, assignment: str) -> None:
     """Apply one `dotted.key=value` override; the value parses as JSON when
-    possible and falls back to a plain string."""
+    possible and falls back to a plain string. Only its type is checked: the
+    sections' own checks run when the finished config is rebuilt through
+    `config_from_dict`, so that values checked together (the loss weights)
+    can be set one at a time."""
     if "=" not in assignment:
         raise ConfigError(f"--set expects key=value, got {assignment!r}")
     key, raw = assignment.split("=", 1)
@@ -319,11 +259,11 @@ def apply_override(config: RunConfig, assignment: str) -> None:
     target = config
     parts = key.split(".")
     for part in parts[:-1]:
-        if not dataclasses.is_dataclass(target) or part not in {f.name for f in dataclasses.fields(target)}:
+        if not dataclasses.is_dataclass(target) or part not in _keys(target):
             raise ConfigError(f"unknown config key: {key}")
         target = getattr(target, part)
     leaf = parts[-1]
-    if not dataclasses.is_dataclass(target) or leaf not in {f.name for f in dataclasses.fields(target)}:
+    if not dataclasses.is_dataclass(target) or leaf not in _keys(target):
         raise ConfigError(f"unknown config key: {key}")
     if dataclasses.is_dataclass(getattr(target, leaf)):
         raise ConfigError(f"{key} is a section, not a value")

