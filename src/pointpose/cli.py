@@ -128,7 +128,7 @@ def cmd_train(args, config: RunConfig) -> int:
         model = load_object_model(Path(args.model))
         input_scale = config.examples.radius_factor * model.diameter
 
-    net_config = config.network_config(header.k, with_color)
+    net_config = config.network.network_config(header.k, with_color)
     feats = assemble_features(examples, input_scale_mm=input_scale, with_color=with_color)
     cls = np.array([e.class_label for e in examples], dtype=np.int64)
     seg = np.stack([e.seg_labels for e in examples]).astype(np.int64)

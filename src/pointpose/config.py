@@ -9,8 +9,10 @@ A module dataclass is a section when its fields are that section's keys,
 apart from fields marked `metadata={"config": False}`, which the run fills
 in (a seed, a thread budget): `augmentation`, `training`, `voting`,
 `verification` and `synth`. The other sections span several module classes
-or feed derived values, so the builders below assemble those. A section's
-own `__post_init__` check fails as a `ConfigError` naming the section.
+or feed derived values, so the builders below assemble those; `network`
+and `icp` run the checks of the module values they feed when they load. A
+section's own `__post_init__` check fails as a `ConfigError` naming the
+section.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from typing import List
 
 from .dataset import AugmentParams, SamplingParams
 from .errors import ConfigError
+from .geometry import check_icp_schedule
 from .network import NetworkConfig, TrainConfig
 from .pipeline import DetectParams
 from .synth import SynthParams
@@ -63,6 +66,19 @@ class NetworkSection:
     segmenter_hidden: List[int] = field(default_factory=lambda: [512, 256, 128])
     normalize: bool = True  # divide xyz by 0.6 x diameter
 
+    def __post_init__(self):
+        # NetworkConfig's checks at load; the dataset sets k and the input width
+        self.network_config(k=1, with_color=False)
+
+    def network_config(self, k: int, with_color: bool) -> NetworkConfig:
+        return NetworkConfig(
+            k=k,
+            input_channels=10 if with_color else 7,
+            encoder=tuple(self.encoder),
+            classifier=tuple(self.classifier),
+            segmenter=tuple(self.segmenter_hidden) + (k + 1,),
+        )
+
 
 @dataclass
 class IcpSection:
@@ -70,6 +86,9 @@ class IcpSection:
                                                                  [25.0, 30],
                                                                  [10.0, 30]])
     model_leaf_mm: float = 5.0
+
+    def __post_init__(self):
+        check_icp_schedule(self.schedule)
 
 
 @dataclass
@@ -116,16 +135,6 @@ class RunConfig:
             easy_negatives=self.sampling.easy_negatives,
             hard_negatives=self.sampling.hard_negatives,
             hard_band=tuple(self.sampling.hard_band),
-        )
-
-    def network_config(self, k: int, with_color: bool) -> NetworkConfig:
-        n = self.network
-        return NetworkConfig(
-            k=k,
-            input_channels=10 if with_color else 7,
-            encoder=tuple(n.encoder),
-            classifier=tuple(n.classifier),
-            segmenter=tuple(n.segmenter_hidden) + (k + 1,),
         )
 
     def train_config(self) -> TrainConfig:

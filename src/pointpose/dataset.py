@@ -114,7 +114,9 @@ def label_scene(scene: PointCloud, model: ObjectModel, gt: RigidPose,
                 background_mm: float = BACKGROUND_MM) -> SceneLabels:
     """Label scene points by distance to the posed dense model cloud."""
     posed = model.cloud.transformed(gt)
-    _, dist = NNIndex(posed.positions).nearest_batch(scene.positions)
+    # points beyond the background band are all background: a bounded
+    # search leaves them early instead of finding their nearest model point
+    _, dist = NNIndex(posed.positions, max_dist=background_mm).nearest_batch(scene.positions)
 
     labels = np.zeros(len(scene), dtype=np.int32)
     labels[(dist > foreground_mm) & (dist <= background_mm)] = DISCARD
@@ -221,7 +223,7 @@ def generate_instance_examples(scene: PointCloud, model: ObjectModel, gt: RigidP
     # easy negatives: no foreground anywhere in the sphere
     easy_taken = 0
     if len(bg_ids) and len(fg_ids):
-        fg_index = NNIndex(scene.positions[fg_ids])
+        fg_index = NNIndex(scene.positions[fg_ids], max_dist=radius)
         _, fg_dist = fg_index.nearest_batch(scene.positions[bg_ids])
         candidates = bg_ids[fg_dist > radius]
         for i in rng.permutation(len(candidates))[:params.easy_negatives]:

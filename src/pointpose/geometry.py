@@ -143,10 +143,16 @@ class NNIndex:
 
     Queries return exactly what a linear scan would: the minimum distance,
     ties broken by the lowest point index. Read-only after construction.
+
+    Nearest-point queries look no farther than `max_dist`: a query with no
+    indexed point within it gets distance inf and id len(self). A finite
+    bound ends the search of such queries early, which makes queries far
+    from the indexed points cheap.
     """
 
-    def __init__(self, positions: np.ndarray):
+    def __init__(self, positions: np.ndarray, max_dist: float = np.inf):
         self.positions = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
+        self.max_dist = max_dist
         self._tree = cKDTree(self.positions) if len(self.positions) else None
 
     def __len__(self) -> int:
@@ -168,14 +174,20 @@ class NNIndex:
             raise EmptyIndexError("nearest-neighbor query on an empty index")
         queries = np.asarray(queries, dtype=np.float64).reshape(-1, 3)
         k = min(2, len(self.positions))
-        dists, ids = self._tree.query(queries, k=k)
+        # the kd search leaves out points at exactly its bound
+        upper = self.max_dist * (1 + 1e-9) + 1e-12
+        dists, ids = self._tree.query(queries, k=k, distance_upper_bound=upper)
         if k == 1:
-            return ids.astype(np.int64).reshape(-1), dists.reshape(-1)
-        best_d = dists[:, 0].copy()
-        best_i = ids[:, 0].astype(np.int64)
-        tied = np.nonzero(dists[:, 0] == dists[:, 1])[0]
-        if len(tied):
-            self._resolve_ties(queries, best_i, best_d, tied)
+            best_d, best_i = dists.reshape(-1), ids.astype(np.int64).reshape(-1)
+        else:
+            best_d = dists[:, 0].copy()
+            best_i = ids[:, 0].astype(np.int64)
+            tied = np.nonzero((dists[:, 0] == dists[:, 1]) & np.isfinite(dists[:, 0]))[0]
+            if len(tied):
+                self._resolve_ties(queries, best_i, best_d, tied)
+        beyond = best_d > self.max_dist
+        best_d[beyond] = np.inf
+        best_i[beyond] = len(self.positions)
         return best_i, best_d
 
     def nearest(self, query: np.ndarray) -> Tuple[int, float]:
@@ -215,6 +227,21 @@ def kabsch_align(src: np.ndarray, dst: np.ndarray) -> RigidPose:
     return RigidPose(rotation, translation)
 
 
+def check_icp_schedule(schedule: Sequence[Sequence[float]]) -> None:
+    """Raise ValueError unless the schedule is one or more (gate, iterations)
+    pairs, with positive, strictly decreasing gates and whole, positive
+    iteration counts."""
+    if not schedule:
+        raise ValueError("schedule must not be empty")
+    if any(len(level) != 2 for level in schedule):
+        raise ValueError("each schedule level must be a [gate, iterations] pair")
+    gates = [g for g, _ in schedule]
+    if any(g <= 0 for g in gates) or any(b >= a for a, b in zip(gates, gates[1:])):
+        raise ValueError("correspondence gates must be positive and strictly decreasing")
+    if any(it < 1 or it != int(it) for _, it in schedule):
+        raise ValueError("iterations must be whole numbers of at least 1")
+
+
 def icp_refine(model_points: np.ndarray, scene: NNIndex, init: RigidPose,
                schedule: Sequence[Tuple[float, int]],
                history_out: Optional[list] = None) -> RigidPose:
@@ -229,11 +256,7 @@ def icp_refine(model_points: np.ndarray, scene: NNIndex, init: RigidPose,
     history_out, when given, receives one list of RMS values per level.
     """
     schedule = list(schedule)
-    if not schedule:
-        raise ValueError("schedule must not be empty")
-    gates = [g for g, _ in schedule]
-    if any(g <= 0 for g in gates) or any(b >= a for a, b in zip(gates, gates[1:])):
-        raise ValueError("correspondence gates must be positive and strictly decreasing")
+    check_icp_schedule(schedule)
 
     model_points = np.asarray(model_points, dtype=np.float64).reshape(-1, 3)
     pose = init

@@ -54,6 +54,8 @@ class NetworkConfig:
             object.__setattr__(self, "segmenter", seg)
         if not self.segmenter or self.segmenter[-1] != self.k + 1:
             raise ValueError("segmenter must end in k+1 units")
+        if min(*self.encoder, *self.classifier, *self.segmenter) < 1:
+            raise ValueError("layer widths must be positive")
 
     @property
     def seg_input_width(self) -> int:

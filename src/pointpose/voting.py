@@ -244,6 +244,15 @@ def density_peak(votes: VoteSet, delta_t_mm: float = 10.0,
     of a vote is near, and -q' can be near a w >= 0 quaternion only if q'
     has w <= q_radius.
 
+    On clean votes those exact counts would be most of the search, so a
+    cheaper bound prefilters them: a vote's box count, the rows in the
+    3^4 cells around its own on a 4-D grid of side q_radius. The vote
+    with the most rotation neighbours among the `_EXACT_FIRST` highest box
+    counts is scored first; its support is a floor on the best. Only votes
+    whose box count reaches the floor are counted exactly. The others
+    keep their box count as the bound, and it is below the best support,
+    so the winner and its supporters are those of the exact counts.
+
     If candidates above the best remain after the first `_EXACT_FIRST`
     (noise-like correspondences), the rest are also bounded in the joint
     space [t / delta_t, q / q_radius] over the same flipped set, where
@@ -266,13 +275,18 @@ def density_peak(votes: VoteSet, delta_t_mm: float = 10.0,
     return hyp
 
 
-# candidates scored one at a time before a vote set counts as noise-like:
-# clean sets end within a handful, so they never build the joint tree
+# candidates scored one at a time before a vote set counts as noise-like,
+# and the highest box counts that pick the first of them: clean sets end
+# within a handful, so they never build the joint tree
 _EXACT_FIRST = 64
 _SAMPLE_STRIDE = 16  # noise-like sets: every 16th candidate raises the best first
 _BATCH_FIRST = 64    # first vectorised batch of the joint-bound pass; doubles
 _SLACK = 1.0 + 1e-6  # keeps the joint bound and batch counts above float rounding
 _LEAFSIZE = 128      # kd-tree leaf size: the fastest of 16-128 on 18,000-vote sets
+# box grid cells at most (1 MB of int32 counts): the default 12-degree kernel
+# needs ~88,000 cells, but the count grows as delta_r^-4, so a 4-degree
+# kernel would need 11 million
+_BOX_CELLS = 1 << 18
 
 
 def _hemisphere_rows(quats: np.ndarray, q_radius: float):
@@ -285,16 +299,47 @@ def _hemisphere_rows(quats: np.ndarray, q_radius: float):
     return np.vstack([canon, -canon[flip]]), np.concatenate([np.arange(len(quats)), flip])
 
 
-def _rotation_bound(q_rows: np.ndarray, v: int, q_radius: float, workers: int) -> np.ndarray:
-    """Rotation neighbours of each of the v votes, itself included: one
-    query of the first v rows of `_hemisphere_rows` against all of them."""
-    from scipy.spatial import cKDTree
-    q_tree = cKDTree(q_rows, leafsize=_LEAFSIZE, balanced_tree=False)
-    in_tree_order = q_tree.indices[q_tree.indices < v]  # queries near in memory
-    bound = np.empty(v, dtype=np.int64)
-    bound[in_tree_order] = q_tree.query_ball_point(
-        q_rows[in_tree_order], q_radius, return_length=True, workers=workers)
-    return bound
+def _rotation_bound(q_tree, ids: np.ndarray, q_radius: float, workers: int) -> np.ndarray:
+    """Rotation neighbours of the votes `ids`, each itself included: one
+    query of their rows of `_hemisphere_rows` against the tree of all rows,
+    issued in tree order so that queries near in space are near in memory."""
+    wanted = np.zeros(q_tree.n, dtype=bool)
+    wanted[ids] = True
+    in_tree_order = q_tree.indices[wanted[q_tree.indices]]
+    counts = np.zeros(q_tree.n, dtype=np.int64)
+    counts[in_tree_order] = q_tree.query_ball_point(
+        q_tree.data[in_tree_order], q_radius, return_length=True, workers=workers)
+    return counts[ids]
+
+
+def _box_bound(q_rows: np.ndarray, v: int, q_radius: float) -> np.ndarray:
+    """An upper bound on `_rotation_bound` for each of the first v rows:
+    the rows in the 3^4 cells around its cell, on a grid over the rows'
+    range with a side of at least q_radius * _SLACK, so that a row within
+    q_radius is at most one cell away on every axis. The side widens
+    beyond that when the grid would exceed `_BOX_CELLS` cells."""
+    lo = q_rows.min(axis=0)
+    span = q_rows.max(axis=0) - lo
+    side = max(q_radius * _SLACK, 1e-9)  # a zero kernel still gets a grid
+    while np.prod(np.floor(span / side) + 1) > _BOX_CELLS:
+        side *= 2
+    shape = (span / side).astype(np.int64) + 1
+    flat = np.zeros(len(q_rows), dtype=np.int64)  # cell of each row, built an axis at a time
+    for axis in range(4):
+        flat *= shape[axis]
+        flat += ((q_rows[:, axis] - lo[axis]) / side).astype(np.int64)
+    grid = np.bincount(flat, minlength=int(np.prod(shape))).astype(np.int32)
+    grid = grid.reshape(tuple(shape))
+    for axis in range(4):  # 3-wide sums along each axis, in place
+        g = np.moveaxis(grid, axis, 0)
+        below = np.zeros_like(g[0])
+        for i in range(len(g)):
+            here = g[i].copy()
+            g[i] += below
+            if i + 1 < len(g):
+                g[i] += g[i + 1]
+            below = here
+    return grid.reshape(-1)[flat[:v]]
 
 
 def _peak_search(trans: np.ndarray, quats: np.ndarray, delta_t_mm: float,
@@ -310,7 +355,6 @@ def _peak_search(trans: np.ndarray, quats: np.ndarray, delta_t_mm: float,
     q_radius = np.sqrt(max(2.0 - 2.0 * q_gate, 0.0))  # |q - q'| for geodesic delta_r
     q_rows, vote_of = _hemisphere_rows(quats, q_radius)
     canon = q_rows[:v]
-    bound = _rotation_bound(q_rows, v, q_radius, workers)
     tree = cKDTree(trans)
 
     def score(c):
@@ -319,8 +363,15 @@ def _peak_search(trans: np.ndarray, quats: np.ndarray, delta_t_mm: float,
         mask = (d <= delta_t_mm) & (np.abs(canon[nb] @ canon[c]) >= q_gate)
         return (int(mask.sum()), -float(d[mask].sum()), -int(c)), nb[mask]
 
-    best = (0, -np.inf, -1)  # (support, -sum_dist, -original_index) maximized
-    best_supporters = None
+    # box counts bound every vote; the first candidate's support is a floor
+    # on the best, and only box counts that reach it are made exact
+    q_tree = cKDTree(q_rows, leafsize=_LEAFSIZE, balanced_tree=False)
+    bound = _box_bound(q_rows, v, q_radius)
+    top = np.argpartition(-bound, min(_EXACT_FIRST, v) - 1)[:_EXACT_FIRST]
+    first = top[np.argmax(_rotation_bound(q_tree, top, q_radius, workers))]
+    best, best_supporters = score(first)  # best: (support, -sum_dist, -index), maximized
+    exact = np.nonzero(bound >= best[0])[0]
+    bound[exact] = _rotation_bound(q_tree, exact, q_radius, workers)
     order = np.lexsort((np.arange(v), -bound))
     for c in order[:_EXACT_FIRST]:
         if bound[c] < best[0]:

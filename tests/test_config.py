@@ -2,6 +2,7 @@
 are not keys, section checks, and the builders of the remaining sections."""
 
 import json
+import re
 from pathlib import Path
 from typing import Tuple
 
@@ -71,7 +72,7 @@ def test_builders_match_module_defaults():
     config = RunConfig()
     assert config.detect_params() == DetectParams()
     assert config.sampling_params() == SamplingParams()
-    assert config.network_config(50, False) == NetworkConfig(k=50)
+    assert config.network.network_config(50, False) == NetworkConfig(k=50)
     assert config.train_config() == TrainConfig()
 
 
@@ -98,6 +99,30 @@ def test_section_check_fails_as_config_error(assignment, message, tmp_path, caps
     assert code == 2
     assert f"error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "scenes").exists()
+
+
+@pytest.mark.parametrize("command, assignment, message", [
+    ("train", "network.classifier=[512, 2]",
+     "network: classifier must end in a single logistic unit"),
+    ("train", "network.encoder=[64, 0]", "network: layer widths must be positive"),
+    ("detect", "icp.schedule=[[50]]",
+     "icp: each schedule level must be a [gate, iterations] pair"),
+    ("detect", "icp.schedule=[[25, 30], [50, 30]]",
+     "icp: correspondence gates must be positive and strictly decreasing"),
+    ("detect", "icp.schedule=[[50, 0.5]]", "icp: iterations must be whole numbers of at least 1"),
+])
+def test_mirror_section_check_fails_at_load(command, assignment, message, tmp_path, capsys):
+    config = RunConfig()
+    apply_override(config, assignment)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        config_from_dict(config_to_dict(config))
+
+    # none of these input files exists: the config must fail before any is read
+    files = {"train": ["--dataset", "d.bin", "--model", "model", "--out", "w.bin"],
+             "detect": ["--oracle", "--scene", "scene", "--model", "model", "--out", "pose.json"]}
+    argv = [command] + [a if a.startswith("--") else str(tmp_path / a) for a in files[command]]
+    assert cli.main(argv + ["--set", assignment]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("order", [1, -1])

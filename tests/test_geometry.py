@@ -152,6 +152,22 @@ def test_nearest_matches_linear_scan():
         assert d == pytest.approx(scan[j], rel=1e-12)
 
 
+@pytest.mark.parametrize("n_points", [1, 500])
+def test_nearest_within_max_dist_keeps_near_rows(n_points):
+    rng = np.random.default_rng(43)
+    # integer coordinates: equal distances (ties) and rows at exactly max_dist
+    points = rng.integers(-50, 50, size=(n_points, 3)).astype(float)
+    queries = rng.integers(-80, 80, size=(400, 3)).astype(float)
+    ids, dists = NNIndex(points).nearest_batch(queries)
+    max_dist = float(np.sort(dists)[len(dists) // 2])
+    near_ids, near_d = NNIndex(points, max_dist=max_dist).nearest_batch(queries)
+    near = dists <= max_dist
+    assert (dists == max_dist).any() and not near.all()
+    np.testing.assert_array_equal(near_ids[near], ids[near])
+    np.testing.assert_array_equal(near_d[near], dists[near])
+    assert np.isinf(near_d[~near]).all() and (near_ids[~near] == n_points).all()
+
+
 def test_nearest_tie_breaks_to_lowest_index():
     pts = np.array([[1.0, 0, 0], [-1.0, 0, 0], [0, 1.0, 0]])
     idx = NNIndex(pts)

@@ -2,16 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 from scipy.spatial.transform import Rotation
 
+from pointpose.dataset import label_scene
 from pointpose.errors import NoHypothesisError
 from pointpose.modelprep import Keypoint, ObjectModel
 from pointpose.pointcloud import PointCloud
 from pointpose.pose import (RigidPose, random_rotation, rotation_about_axis,
                             rotation_geodesic)
-from pointpose.voting import (Correspondences, VoteSet, VotingParams, _hemisphere_rows,
-                              _peak_search, _rotation_bound,
+from pointpose.synth import SynthParams, make_test_object, synth_scene
+from pointpose.voting import (_LEAFSIZE, _SLACK, Correspondences, VoteSet, VotingParams,
+                              _box_bound, _hemisphere_rows, _peak_search, _rotation_bound,
                               correspondences_from_segmentation, density_peak,
                               estimate_pose, pose_votes, quat_to_matrix)
 
@@ -344,8 +348,29 @@ def support_tie_set(rng):
     return None, vote_set([r_peak] * 24 + [r_noise] * 400, trans)
 
 
+def oracle_like_set(rng, m=150):
+    """Votes of m ground-truth correspondences of one oracle anchor: the
+    labelled points of a sphere around a foreground point of a seeded
+    `make_test_object` + `synth_scene` scene, subsampled as estimate_pose
+    does. Few votes have many rotation neighbours: the oracle benchmark's
+    shape. No pose is returned to check against: the peak's mean rotation
+    is several degrees off until estimate_pose's least-squares polish."""
+    model = make_test_object()
+    scene = synth_scene(model, rng, SynthParams(noise_sigma_mm=0.5,
+                                                occluder_probability=0.3))
+    labels = label_scene(scene.cloud, model, scene.gt_pose).labels
+    fg = np.nonzero(labels > 0)[0]
+    anchor = scene.cloud.positions[fg[rng.integers(len(fg))]]
+    near = np.linalg.norm(scene.cloud.positions[fg] - anchor, axis=1) <= 0.6 * model.diameter
+    ids = np.sort(rng.choice(fg[near], size=m, replace=False))
+    corr = correspondences_from_segmentation(
+        scene.cloud.positions[ids], scene.cloud.normals[ids],
+        np.eye(model.k + 1)[labels[ids]], model)
+    return None, pose_votes(corr, 36)
+
+
 PEAK_SETS = [outlier_mix_set, clean_cluster_set, noise_like_set, half_turn_set,
-             support_tie_set]
+             support_tie_set, oracle_like_set]
 
 
 @pytest.mark.parametrize("make_votes", PEAK_SETS)
@@ -375,17 +400,56 @@ def two_query_bound(quats, q_radius):
             + tree.query_ball_point(-quats, q_radius, return_length=True))
 
 
+Q_RADIUS = np.sqrt(2.0 - 2.0 * np.cos(np.radians(12) / 2.0))
+
+
+def hemisphere_tree(rows):
+    return cKDTree(rows, leafsize=_LEAFSIZE, balanced_tree=False)
+
+
 @pytest.mark.parametrize("make_votes", PEAK_SETS)
 def test_rotation_bound_one_query_matches_two(make_votes):
     _, votes = make_votes(np.random.default_rng(6))
-    q_radius = np.sqrt(2.0 - 2.0 * np.cos(np.radians(12) / 2.0))
-    rows, vote_of = _hemisphere_rows(votes.quats, q_radius)
-    bound = _rotation_bound(rows, len(votes), q_radius, -1)
-    np.testing.assert_array_equal(bound, two_query_bound(votes.quats, q_radius))
+    rows, vote_of = _hemisphere_rows(votes.quats, Q_RADIUS)
+    tree = hemisphere_tree(rows)
+    expected = two_query_bound(votes.quats, Q_RADIUS)
+    ids = np.random.default_rng(1).permutation(len(votes))[:len(votes) // 2]
+    np.testing.assert_array_equal(_rotation_bound(tree, ids, Q_RADIUS, -1), expected[ids])
+    np.testing.assert_array_equal(
+        _rotation_bound(tree, np.arange(len(votes)), Q_RADIUS, -1), expected)
     assert (rows[:len(votes), 3] >= 0).all()
     np.testing.assert_array_equal(vote_of[:len(votes)], np.arange(len(votes)))
     if make_votes is half_turn_set:     # quaternions on both sides of w = 0
         assert len(rows) > len(votes) and (votes.quats[:, 3] < 0).any()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 400),
+       spread=st.sampled_from([0.3, 1.0, 3.0, 30.0]), snapped=st.floats(0.0, 1.0),
+       delta_r_deg=st.sampled_from([12.0, 4.0]))
+def test_box_bound_is_at_least_the_rotation_bound(seed, n, spread, snapped, delta_r_deg):
+    """Quaternions around a half-turn (w ~ 0, so with flipped copies) and
+    around a random rotation. A share of their coordinates is moved onto
+    cell boundaries of the box grid, whose origin a corner row fixes, and
+    every row gets a partner just within q_radius along one axis. At 4
+    degrees the grid would exceed `_BOX_CELLS`, so its cells widen."""
+    q_radius = np.sqrt(2.0 - 2.0 * np.cos(np.radians(delta_r_deg) / 2.0))
+    rng = np.random.default_rng(seed)
+    half_turn = np.append(unit_rows(rng, 1)[0], 0.0)
+    centers = np.stack([half_turn, Rotation.random(random_state=rng).as_quat()])
+    quats = centers[rng.integers(0, 2, n)] + rng.normal(0, spread * q_radius, (n, 4))
+    quats /= np.linalg.norm(quats, axis=1, keepdims=True)
+    rows, _ = _hemisphere_rows(quats, q_radius)
+    corner = np.array([-1.2, -1.2, -1.2, -0.25])  # below every row and partner
+    side = q_radius * _SLACK
+    snap = rng.random(rows.shape) < snapped
+    rows[snap] = (corner + np.round((rows - corner) / side) * side)[snap]
+    partners = rows.copy()
+    partners[np.arange(len(rows)), rng.integers(0, 4, len(rows))] += (
+        rng.choice([-1.0, 1.0], len(rows)) * q_radius * (1 - 1e-9))
+    rows = np.vstack([rows, partners, corner])
+    exact = _rotation_bound(hemisphere_tree(rows), np.arange(n), q_radius, 1)
+    assert (_box_bound(rows, n, q_radius) >= exact).all()
 
 
 def test_density_peak_workers_do_not_change_result():
@@ -515,9 +579,14 @@ def noise_like_votes_500(rng):
     return noise_like_set(rng, m=500)[1]
 
 
+def oracle_like_votes_500(rng):
+    return oracle_like_set(rng, m=500)[1]
+
+
 @pytest.mark.perf
 @pytest.mark.parametrize("workers", [-1, 1])  # 1: each eval pool worker on 2 CPUs
-@pytest.mark.parametrize("make_votes", [clean_votes_500, noise_like_votes_500])
+@pytest.mark.parametrize("make_votes", [clean_votes_500, noise_like_votes_500,
+                                        oracle_like_votes_500])
 def test_density_peak_speed(benchmark, make_votes, workers):
     """500 correspondences x 36 angles, as estimate_pose votes at most."""
     votes = make_votes(np.random.default_rng(21))
