@@ -8,9 +8,17 @@ concatenated with the global feature. Backprop, Adam, and weight files
 are implemented here as well; all computation follows the weights' dtype
 (float32 for training speed, float64 for gradient checks).
 
+`forward` is `encode` (encoder and max-pool), then `classify` (the
+classifier head on the pooled features), then the segmenter. The first
+two are public so that a caller can encode a large set of examples in
+blocks and classify the pooled rows at once, as `pipeline.detect` does.
+
 Neither pass holds the widest encoder layer's (B*N, wide) activation:
 forward max-pools it one example at a time, and backward sends each
 pooled feature's gradient to its single argmax point as a sparse product.
+Inference holds no (B*N, width) segmenter activation either: the
+segmenter runs one example at a time into reused (N, width) buffers.
+Training keeps those activations whole, because backward reads them.
 """
 
 from __future__ import annotations
@@ -242,7 +250,7 @@ def _fused_encoder(weights: Weights, x: np.ndarray, want_seg: bool,
     *narrow, (w_wide, b_wide) = weights.encoder
     wide_w = w_wide.shape[1]
     g = np.empty((b, wide_w), dtype=dtype)
-    per_block = b if keep_cache else min(b, max(1, _FUSED_BLOCK_POINTS // n))
+    per_block = b if keep_cache else min(b, encoder_block(n))
     skip = None
     if want_seg and not keep_cache:
         # allocated before the block buffers: the other order leaves the
@@ -283,17 +291,121 @@ def _fused_encoder(weights: Weights, x: np.ndarray, want_seg: bool,
     return g, skip, [x.reshape(-1, c)] + acts, arg
 
 
+def _network_input(weights: Weights, points) -> np.ndarray:
+    x = np.asarray(points, dtype=weights.dtype)
+    if x.ndim != 3 or x.shape[2] != weights.config.input_channels:
+        raise ValueError(f"expected (B, N, {weights.config.input_channels}) input, "
+                         f"got {x.shape}")
+    return x
+
+
+def encoder_block(n: int) -> int:
+    """Examples per block of the inference encoder for N-point sets."""
+    return max(1, _FUSED_BLOCK_POINTS // n)
+
+
+def encode(weights: Weights, points: np.ndarray, want_seg: bool = False,
+           keep_cache: bool = False, pool: Optional[BufferPool] = None):
+    """Shared encoder and max-pool of a batch (B, N, C).
+
+    Returns (g, skip, enc_acts, argmax): the pooled (B, wide) global
+    feature; the second layer's (B*N, w1) output when want_seg, else None;
+    with keep_cache each encoder layer's input and each pooled feature's
+    winning point, else None. The fused form (see forward) runs for N > 1;
+    one-point sets and 2-layer encoders under want_seg, whose wide layer is
+    the skip layer, take the materialised form.
+    """
+    x = _network_input(weights, points)
+    b, n, _ = x.shape
+    # with one point per set the wide activation is the pooled matrix itself,
+    # and a one-row product would take BLAS's gemv path, whose sums are
+    # ordered differently from the batch GEMM's
+    if n > 1 and not (want_seg and len(weights.encoder) == 2):
+        return _fused_encoder(weights, x, want_seg, keep_cache, pool)
+    bn = b * n
+    h = x.reshape(bn, -1)
+    enc_acts = [h]
+    for li, (w, bias) in enumerate(weights.encoder):
+        out = pool.get(("enc", li + 1), (bn, w.shape[1]), weights.dtype) \
+            if pool is not None else None
+        h = _linear_relu(h, w, bias, out=out)
+        enc_acts.append(h)
+    skip = enc_acts[2]                             # second encoder layer, (B*N, w1)
+    wide = enc_acts.pop().reshape(b, n, -1)        # the cache keeps layer inputs
+    arg = wide.argmax(axis=1) if keep_cache else None
+    return wide.max(axis=1), skip, enc_acts, arg
+
+
+def classify(weights: Weights, g: np.ndarray):
+    """Classifier head on pooled features (B, wide): (logit, prob, acts),
+    where acts holds each layer's input."""
+    c = g
+    acts = [c]
+    for w, bias in weights.classifier[:-1]:
+        c = _linear_relu(c, w, bias)
+        acts.append(c)
+    w_last, b_last = weights.classifier[-1]
+    logit = (c @ w_last + b_last).reshape(len(g))
+    return logit, _sigmoid(logit), acts
+
+
+def _segment(weights: Weights, skip: np.ndarray, g: np.ndarray, n: int,
+             keep_cache: bool, pool: Optional[BufferPool]):
+    """Segmentation logits (B, N, K+1) and, with keep_cache, each layer's
+    (B*N, width) input for backward, else None.
+
+    Runs one example at a time. Inference writes each layer into one
+    (N, width) buffer reused by every example; training writes into the
+    example's rows of the whole cached activations. One-point sets run as
+    one block, since a one-row product would take BLAS's gemv path.
+    """
+    b = len(g)
+    dtype = weights.dtype
+    layers = weights.segmenter
+    skip_w = weights.config.encoder[1]
+    w0, b0 = layers[0]
+    g_part = g @ w0[skip_w:]
+    g_part += b0
+    per = b if n == 1 else 1
+
+    def buf(key, shape):
+        return pool.get(key, shape, dtype) if pool is not None else np.empty(shape, dtype)
+
+    height = b * n if keep_cache else per * n
+    hidden = [buf(("seg", li), (height, w.shape[1])) for li, (w, _) in enumerate(layers[:-1])]
+    logits = buf(("seg_out",), (b * n, layers[-1][0].shape[1]))
+    last = len(layers) - 1
+    for start in range(0, b, per):
+        ex = slice(start * n, (start + per) * n)
+        rows = ex if keep_cache else slice(0, per * n)
+        h = skip[ex]
+        for li, (w, bias) in enumerate(layers):
+            out = logits[ex] if li == last else hidden[li][rows]
+            if li == 0:
+                z = np.matmul(h, w[:skip_w], out=out)
+                z3 = z.reshape(per, n, -1)
+                z3 += g_part[start:start + per, None, :]
+            else:
+                z = np.matmul(h, w, out=out)
+                z += bias
+            if li < last:
+                np.maximum(z, 0.0, out=z)
+            h = z
+    return logits.reshape(b, n, -1), [skip] + hidden if keep_cache else None
+
+
 def forward(weights: Weights, points: np.ndarray, want_seg: bool = True,
             keep_cache: bool = False, pool: Optional[BufferPool] = None) -> ForwardResult:
-    """Run the network on a batch of point sets (B, N, C).
+    """Run the network on a batch of point sets (B, N, C): encode, then
+    classify, then (want_seg) segment.
 
     Permutation-covariant: permuting a batch element's points permutes its
     seg logits identically and leaves the class output bit-unchanged.
 
     The widest encoder layer is never materialised. Its product runs one
     example at a time into a reused (N, wide) buffer and is max-pooled at
-    once. Inference streams the narrow layers over blocks of about
-    _FUSED_BLOCK_POINTS points and applies the wide layer's bias and ReLU
+    once. Inference streams the narrow layers over blocks of
+    encoder_block(N) examples and applies the wide layer's bias and ReLU
     once to the pooled (B, wide) matrix: float addition and ReLU are
     monotone, so they commute with max and the result is bit-identical to
     the materialised form. Training (keep_cache=True) keeps every narrow
@@ -303,69 +415,21 @@ def forward(weights: Weights, points: np.ndarray, want_seg: bool = True,
     layer is the skip layer, keep the materialised form. A segment call
     keeps only the second layer's skip features.
 
-    The segmenter's first layer is evaluated as a per-point product on the
-    skip features plus a per-example product on the global feature
-    (broadcast over points); this equals the concatenated form.
+    The segmenter runs one example at a time, so inference holds one
+    example's (N, width) activations, never the batch's; training writes
+    each example's rows of the cached (B*N, width) activations that
+    backward reads. One-point sets run the whole batch as one block, like
+    the encoder. Its first layer is a per-point product on the skip
+    features plus a per-example product on the global feature (broadcast
+    over points); this equals the concatenated form.
     """
-    cfg = weights.config
-    x = np.asarray(points, dtype=weights.dtype)
-    if x.ndim != 3 or x.shape[2] != cfg.input_channels:
-        raise ValueError(f"expected (B, N, {cfg.input_channels}) input, got {x.shape}")
+    x = _network_input(weights, points)
     b, n, _ = x.shape
-    bn = b * n
-
-    def buf(key, shape):
-        return pool.get(key, shape, weights.dtype) if pool is not None else None
-
-    # with one point per set the wide activation is the pooled matrix itself,
-    # and a one-row product would take BLAS's gemv path, whose sums are
-    # ordered differently from the batch GEMM's
-    if n > 1 and not (want_seg and len(weights.encoder) == 2):
-        g, skip, enc_acts, arg = _fused_encoder(weights, x, want_seg, keep_cache, pool)
-    else:
-        h = x.reshape(bn, -1)
-        enc_acts = [h]
-        for li, (w, bias) in enumerate(weights.encoder):
-            h = _linear_relu(h, w, bias, out=buf(("enc", li + 1), (bn, w.shape[1])))
-            enc_acts.append(h)
-        skip = enc_acts[2]                             # second encoder layer, (B*N, w1)
-        wide = enc_acts.pop().reshape(b, n, -1)        # the cache keeps layer inputs
-        g = wide.max(axis=1)
-        arg = wide.argmax(axis=1) if keep_cache else None
-
-    c = g
-    cls_acts = [c]
-    for w, bias in weights.classifier[:-1]:
-        c = _linear_relu(c, w, bias)
-        cls_acts.append(c)
-    w_last, b_last = weights.classifier[-1]
-    logit = (c @ w_last + b_last).reshape(b)
-    prob = _sigmoid(logit)
-
-    seg_logits = None
-    seg_acts = None
+    g, skip, enc_acts, arg = encode(weights, x, want_seg, keep_cache, pool)
+    logit, prob, cls_acts = classify(weights, g)
+    seg_logits = seg_acts = None
     if want_seg:
-        skip_w = cfg.encoder[1]
-        w0, b0 = weights.segmenter[0]
-        z = np.matmul(skip, w0[:skip_w], out=buf(("seg", 0), (bn, w0.shape[1])))
-        g_part = g @ w0[skip_w:]
-        g_part += b0
-        z3 = z.reshape(b, n, -1)
-        z3 += g_part[:, None, :]
-        if len(weights.segmenter) == 1:
-            seg_logits = z3
-            seg_acts = [skip]
-        else:
-            np.maximum(z, 0.0, out=z)
-            s = z
-            seg_acts = [skip, s]
-            for li, (w, bias) in enumerate(weights.segmenter[1:-1], start=1):
-                s = _linear_relu(s, w, bias, out=buf(("seg", li), (bn, w.shape[1])))
-                seg_acts.append(s)
-            w_s, b_s = weights.segmenter[-1]
-            out = np.matmul(s, w_s, out=buf(("seg_out",), (bn, w_s.shape[1])))
-            out += b_s
-            seg_logits = out.reshape(b, n, -1)
+        seg_logits, seg_acts = _segment(weights, skip, g, n, keep_cache, pool)
 
     cache = None
     if keep_cache:

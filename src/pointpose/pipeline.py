@@ -35,7 +35,8 @@ from .errors import (EmptySceneError, MissingChannelError, NoHypothesisError,
                      NonFiniteSceneError, NoOverlapError)
 from .geometry import NNIndex, estimate_normals, icp_refine, voxel_downsample
 from .modelprep import ObjectModel
-from .network import Weights, forward, _softmax
+from .network import (BufferPool, Weights, _softmax, classify, encode, encoder_block,
+                      forward)
 from .pointcloud import PointCloud
 from .pose import RigidPose
 from .verification import (VerificationParams, build_depth_buffer,
@@ -326,35 +327,55 @@ class _Segmentation:
 def _network_segmentation(weights: Weights, scene: PointCloud, scene_index: NNIndex,
                           model: ObjectModel, params: DetectParams,
                           clock: _StageClock) -> _Segmentation:
-    """Voxel-grid anchors, classified spheres, the best ones segmented."""
+    """Voxel-grid anchors, classified spheres, the best ones segmented.
+
+    No (spheres, points, channels) array is held. The spheres are encoded
+    in blocks of `network.encoder_block(n_points)`: each block's features
+    are built into one reused buffer, and one `BufferPool` serves every
+    block's encoder buffers. The pooled features of all spheres then go
+    through the classifier head at once, as in one `forward` call over all
+    of them, so the scores are bit-identical to it. The top spheres'
+    features are rebuilt from their ids for the segment call, and their
+    softmax is taken one sphere at a time. Ball queries, sampling and
+    feature building count as "anchors"; encoder blocks and the head as
+    "classify".
+    """
     anchors = voxel_downsample(scene, params.anchor_leaf_mm).positions
     radius = params.radius_factor * model.diameter
 
     usable: List[int] = []
     spheres: List[np.ndarray] = []
-    # row k holds the features of the k-th usable sphere
-    feats = np.zeros((len(anchors), params.n_points, weights.config.input_channels),
-                     dtype=np.float32)
     for ai, anchor in enumerate(anchors):
         ids = scene_index.ball(anchor, radius)
         if len(ids) < params.min_sphere_points:
             continue
         rng = np.random.default_rng([params.seed, ai])
-        chosen = _sample_fill(ids, params.n_points, rng)
-        feats[len(spheres)] = _sphere_features(scene, chosen, weights)
         usable.append(ai)
-        spheres.append(chosen)
+        spheres.append(_sample_fill(ids, params.n_points, rng))
     clock.lap("anchors")
     if not spheres:
         raise EmptySceneError(f"no anchor sphere held {params.min_sphere_points} points")
 
-    probs = forward(weights, feats[:len(spheres)], want_seg=False).class_prob.astype(np.float64)
+    per_block = min(len(spheres), encoder_block(params.n_points))
+    feats = np.empty((per_block, params.n_points, weights.config.input_channels),
+                     dtype=np.float32)
+    pooled = np.empty((len(spheres), weights.config.encoder[-1]), dtype=weights.dtype)
+    pool = BufferPool()
+    for start in range(0, len(spheres), per_block):
+        block = spheres[start:start + per_block]
+        for row, ids in zip(feats, block):
+            row[:] = _sphere_features(scene, ids, weights)
+        clock.lap("anchors")
+        pooled[start:start + len(block)] = encode(weights, feats[:len(block)], pool=pool)[0]
+        clock.lap("classify")
+    probs = classify(weights, pooled)[1].astype(np.float64)
     clock.lap("classify")
 
     # 16 highest scores; ties resolve to the lowest anchor index
     top_rows = np.lexsort((usable, -probs))[:params.top_anchors]
-    seg = forward(weights, feats[top_rows], want_seg=True)
-    seg_probs = _softmax(seg.seg_logits.astype(np.float64))
+    top_feats = np.stack([_sphere_features(scene, spheres[r], weights) for r in top_rows])
+    seg = forward(weights, top_feats, want_seg=True)
+    seg_probs = [_softmax(logits.astype(np.float64)) for logits in seg.seg_logits]
     clock.lap("segment")
     return _Segmentation(anchors=anchors, skipped=len(anchors) - len(spheres),
                          scored=(anchors[usable], probs),

@@ -68,18 +68,12 @@ FUSED_SHAPES = [
 ]
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("channels", [7, 10])
-@pytest.mark.parametrize("encoder", [(16, 32), (16, 16, 32), (16, 16, 24, 32)])
-@pytest.mark.parametrize("b, n, dup, block", FUSED_SHAPES)
-def test_forward_fused_matches_cached(monkeypatch, dtype, channels, encoder,
-                                      b, n, dup, block):
-    """Inference never materialises the wide layer, yet equals the cached
-    (training) path bit for bit."""
+def _check_fused_matches_cached(monkeypatch, dtype, channels, encoder, segmenter,
+                                b, n, dup, block):
     if block is not None:
         monkeypatch.setattr(network, "_FUSED_BLOCK_POINTS", block * n)
     cfg = NetworkConfig(k=3, input_channels=channels, encoder=encoder,
-                        classifier=(8, 1), segmenter=(8, 0))
+                        classifier=(8, 1), segmenter=segmenter)
     w = tiny_weights(seed=5, dtype=dtype, random_bias=True, config=cfg)
     x = np.random.default_rng(6).standard_normal((b, n, channels))
     if dup:
@@ -91,6 +85,48 @@ def test_forward_fused_matches_cached(monkeypatch, dtype, channels, encoder,
     assert np.array_equal(seg.class_prob, ref.class_prob)
     assert np.array_equal(seg.seg_logits, ref.seg_logits)
     assert np.array_equal(cls.class_prob, ref.class_prob)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("channels", [7, 10])
+@pytest.mark.parametrize("encoder", [(16, 32), (16, 16, 32), (16, 16, 24, 32)])
+@pytest.mark.parametrize("b, n, dup, block", FUSED_SHAPES)
+def test_forward_fused_matches_cached(monkeypatch, dtype, channels, encoder,
+                                      b, n, dup, block):
+    """Inference never materialises the wide layer, yet equals the cached
+    (training) path bit for bit."""
+    _check_fused_matches_cached(monkeypatch, dtype, channels, encoder, (8, 0),
+                                b, n, dup, block)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("encoder", [(16, 32), (16, 16, 32), (16, 16, 24, 32)])
+@pytest.mark.parametrize("b, n, dup, block", FUSED_SHAPES)
+@pytest.mark.parametrize("segmenter", [(0,), (8, 8, 0)], ids=["seg1", "seg3"])
+def test_forward_fused_matches_cached_segmenter_depth(monkeypatch, segmenter, dtype,
+                                                      encoder, b, n, dup, block):
+    """The same for 1- and 3-layer segmenters: the segmenter loop's output
+    layer is its first, or follows two hidden layers."""
+    _check_fused_matches_cached(monkeypatch, dtype, 7, encoder, segmenter,
+                                b, n, dup, block)
+
+
+def test_forward_segment_memory_stays_below_one_hidden_layer():
+    """A segment call on 16 spheres of 2048 points never holds a
+    (B*N, width) segmenter activation. tracemalloc peak of this forward:
+    126.6 MiB with the batched segmenter, which held the (B*N, 512),
+    (B*N, 256) and (B*N, 128) activations; 32.1 MiB one example at a time.
+    The bound is one (B*N, 512) float32 activation."""
+    w = init_weights(NetworkConfig(k=50), seed=0)
+    b, n = 16, 2048
+    x = np.random.default_rng(7).standard_normal((b, n, 7)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        forward(w, x, want_seg=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < b * n * 512 * 4, peak / 2 ** 20
 
 
 def test_forward_zero_weights_prob_half():
@@ -246,12 +282,22 @@ def dense_reference(w: Weights, x, y, seg, w_cls=0.15, w_seg=0.85):
     w0, b0 = w.segmenter[0]
     g_part = g @ w0[skip_w:]
     g_part += b0
-    s = ((skip @ w0[:skip_w]).reshape(b, n, -1) + g_part[:, None]).reshape(bn, -1)
-    seg_acts = [skip]
-    for wm, bias in w.segmenter[1:]:
-        s = np.maximum(s, 0.0)
-        seg_acts.append(s)
-        s = s @ wm + bias
+    # the segmenter runs one example at a time, as in forward (one-point
+    # sets as one block): OpenBLAS picks its sgemm kernel by problem size,
+    # and its small-matrix kernel (below ~1e6 multiply-adds) rounds
+    # differently from the batched product
+    per = b if n == 1 else 1
+    blocks = []
+    for i in range(0, b, per):
+        s = ((skip[i * n:(i + per) * n] @ w0[:skip_w]).reshape(per, n, -1)
+             + g_part[i:i + per, None]).reshape(per * n, -1)
+        acts = [s]
+        for wm, bias in w.segmenter[1:]:
+            acts[-1] = np.maximum(acts[-1], 0.0)
+            acts.append(acts[-1] @ wm + bias)
+        blocks.append(acts)
+    layers = [np.concatenate(a) for a in zip(*blocks)]
+    s, seg_acts = layers[-1], [skip] + layers[:-1]
 
     yv = np.asarray(y, dtype=dtype).reshape(b)
     labels = np.asarray(seg, dtype=np.int64).reshape(bn)
@@ -311,7 +357,22 @@ def test_backward_matches_dense_reference(dtype, rtol, encoder, b, n):
     """The sparse pooled gradient equals the dense scatter route: forward
     outputs, argmax, loss and head gradients bit for bit, encoder gradients
     up to float reordering."""
-    cfg = NetworkConfig(k=4, encoder=encoder, classifier=(16, 1), segmenter=(32, 16, 0))
+    _check_backward_matches_dense(dtype, rtol, encoder, (32, 16, 0), b, n)
+
+
+@pytest.mark.parametrize("dtype, rtol", [(np.float32, 1e-6), (np.float64, 1e-12)])
+@pytest.mark.parametrize("encoder", [(16, 64), (16, 16, 64), (16, 16, 24, 64)])
+@pytest.mark.parametrize("b", [1, 7])
+@pytest.mark.parametrize("n", [1, 2048])
+@pytest.mark.parametrize("segmenter", [(0,), (32, 0)], ids=["seg1", "seg2"])
+def test_backward_matches_dense_reference_segmenter_depth(segmenter, dtype, rtol,
+                                                          encoder, b, n):
+    """The same for 1- and 2-layer segmenters."""
+    _check_backward_matches_dense(dtype, rtol, encoder, segmenter, b, n)
+
+
+def _check_backward_matches_dense(dtype, rtol, encoder, segmenter, b, n):
+    cfg = NetworkConfig(k=4, encoder=encoder, classifier=(16, 1), segmenter=segmenter)
     w = tiny_weights(seed=11, dtype=dtype, random_bias=True, config=cfg)
     rng = np.random.default_rng(12)
     x = rng.standard_normal((b, n, 7))
