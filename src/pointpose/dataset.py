@@ -71,10 +71,6 @@ class SceneLabels:
     def background_mask(self) -> np.ndarray:
         return self.labels == BACKGROUND
 
-    @property
-    def discard_mask(self) -> np.ndarray:
-        return self.labels == DISCARD
-
 
 @dataclass
 class ExampleMeta:

@@ -138,6 +138,17 @@ def estimate_normals(cloud: PointCloud, radius: float,
     )
 
 
+class NearestBatch(tuple):
+    """`(ids, dists)` of `NNIndex.nearest_batch`, with `second` alongside."""
+
+    second: np.ndarray
+
+    def __new__(cls, ids: np.ndarray, dists: np.ndarray, second: np.ndarray):
+        out = super().__new__(cls, (ids, dists))
+        out.second = second
+        return out
+
+
 class NNIndex:
     """k-d tree over point positions with brute-force-exact results.
 
@@ -168,8 +179,15 @@ class NNIndex:
             ids[r] = cand[d == dmin].min()
             dists[r] = dmin
 
-    def nearest_batch(self, queries: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """(ids, distances) of the nearest indexed point for each query row."""
+    def nearest_batch(self, queries: np.ndarray) -> NearestBatch:
+        """(ids, distances) of the nearest indexed point for each query row.
+
+        The result unpacks as `ids, dists` and also carries `second`: per
+        row, the distance to the second-nearest indexed point, capped at the
+        search bound and inf when the index holds one point. Every indexed
+        point other than the returned one lies at least `second` away (on a
+        tie, `second` equals the distance).
+        """
         if self._tree is None:
             raise EmptyIndexError("nearest-neighbor query on an empty index")
         queries = np.asarray(queries, dtype=np.float64).reshape(-1, 3)
@@ -179,16 +197,18 @@ class NNIndex:
         dists, ids = self._tree.query(queries, k=k, distance_upper_bound=upper)
         if k == 1:
             best_d, best_i = dists.reshape(-1), ids.astype(np.int64).reshape(-1)
+            second = np.full(len(queries), np.inf)
         else:
             best_d = dists[:, 0].copy()
             best_i = ids[:, 0].astype(np.int64)
+            second = np.minimum(dists[:, 1], upper)
             tied = np.nonzero((dists[:, 0] == dists[:, 1]) & np.isfinite(dists[:, 0]))[0]
             if len(tied):
                 self._resolve_ties(queries, best_i, best_d, tied)
         beyond = best_d > self.max_dist
         best_d[beyond] = np.inf
         best_i[beyond] = len(self.positions)
-        return best_i, best_d
+        return NearestBatch(best_i, best_d, second)
 
     def nearest(self, query: np.ndarray) -> Tuple[int, float]:
         ids, dists = self.nearest_batch(np.asarray(query).reshape(1, 3))
@@ -242,6 +262,41 @@ def check_icp_schedule(schedule: Sequence[Sequence[float]]) -> None:
         raise ValueError("iterations must be whole numbers of at least 1")
 
 
+class _TrackedNearest:
+    """Nearest scene points of a moving point set, re-queried only where the
+    certificate of `icp_refine` fails.
+
+    Per point it keeps the nearest scene id, the position of its last query
+    and that query's `second`. Certified rows take their distance from the
+    same arithmetic as the kd-tree, so every result equals a full query bit
+    for bit.
+    """
+
+    def __init__(self, scene: NNIndex, n: int):
+        self.scene = scene
+        self.ids = np.full(n, len(scene), dtype=np.int64)   # no point: never certified
+        self.queried_at = np.zeros((n, 3))
+        self.second = np.zeros(n)
+
+    def nearest(self, points: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        scene = self.scene
+        found = self.ids < len(scene)
+        dists = np.full(len(points), np.inf)
+        dists[found] = np.linalg.norm(scene.positions[self.ids[found]] - points[found], axis=1)
+        moved = np.linalg.norm(points - self.queried_at, axis=1)
+        # one query per call, even with no stale row: counted queries count iterations
+        stale = np.flatnonzero(~((dists + moved) * (1 + 1e-9) + 1e-9 < self.second))
+        result = scene.nearest_batch(points[stale])
+        self.ids[stale], dists[stale] = result
+        self.queried_at[stale] = points[stale]
+        self.second[stale] = result.second
+        ids = self.ids.copy()
+        beyond = dists > scene.max_dist
+        ids[beyond] = len(scene)
+        dists[beyond] = np.inf
+        return ids, dists
+
+
 def icp_refine(model_points: np.ndarray, scene: NNIndex, init: RigidPose,
                schedule: Sequence[Tuple[float, int]],
                history_out: Optional[list] = None) -> RigidPose:
@@ -253,6 +308,14 @@ def icp_refine(model_points: np.ndarray, scene: NNIndex, init: RigidPose,
     level, so the per-level residual sequence is non-increasing. Raises
     NoOverlapError if no level ever finds 3 pairs.
 
+    Each iteration makes one `scene.nearest_batch` call, over only the model
+    points whose nearest scene point may have changed. A point last queried
+    at p_q, with nearest scene point s1 and second-nearest distance `second`
+    there, now at p: every other scene point lies at least
+    `second - |p - p_q|` away, so s1 is still the unique nearest point while
+    `|p - s1| + |p - p_q| < second` (checked with a rounding margin). Pairs,
+    poses and history are those of querying every point each iteration.
+
     history_out, when given, receives one list of RMS values per level.
     """
     schedule = list(schedule)
@@ -261,13 +324,14 @@ def icp_refine(model_points: np.ndarray, scene: NNIndex, init: RigidPose,
     model_points = np.asarray(model_points, dtype=np.float64).reshape(-1, 3)
     pose = init
     found_pairs = False
+    tracked = _TrackedNearest(scene, len(model_points))
 
     for gate, max_iters in schedule:
         prev_rms = None
         level_hist: list = []
         for _ in range(max_iters):
             transformed = pose.apply(model_points)
-            ids, dists = scene.nearest_batch(transformed)
+            ids, dists = tracked.nearest(transformed)
             keep = dists <= gate
             if keep.sum() < 3:
                 break

@@ -36,11 +36,6 @@ class RigidPose:
         pts = np.asarray(points, dtype=np.float64)
         return pts @ self.rotation.T + self.translation
 
-    def compose(self, other: "RigidPose") -> "RigidPose":
-        """self after other: (self ∘ other)(x) = self(other(x))."""
-        return RigidPose(self.rotation @ other.rotation,
-                         self.rotation @ other.translation + self.translation)
-
     def inverse(self) -> "RigidPose":
         rt = self.rotation.T
         return RigidPose(rt, -rt @ self.translation)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pointpose.dataset import (AugmentParams, SamplingParams, augment,
+from pointpose.dataset import (DISCARD, AugmentParams, SamplingParams, augment,
                                build_instance_training_set, extract_example,
                                generate_instance_examples, iter_dataset,
                                jitter_example, label_scene, read_dataset,
@@ -190,7 +190,7 @@ def test_generate_split_and_invariants(setup):
         assert 0.6 * model.diameter < d <= 1.2 * model.diameter
 
     # no discard points in any example
-    discard_pos = scene.positions[labels.discard_mask]
+    discard_pos = scene.positions[labels.labels == DISCARD]
     assert len(discard_pos) > 0
     for e in inst.examples[::7]:
         originals = e.positions.astype(np.float64) + e.meta.centroid_mm

@@ -5,11 +5,12 @@ import pytest
 
 from pointpose.errors import (DegenerateCorrespondencesError, EmptyIndexError,
                               NoOverlapError)
-from pointpose.geometry import (NNIndex, estimate_normals, icp_refine,
+from pointpose.geometry import (NNIndex, _TrackedNearest, estimate_normals, icp_refine,
                                 kabsch_align, voxel_downsample)
 from pointpose.pointcloud import PointCloud
 from pointpose.pose import (RigidPose, random_rotation, rotation_about_axis,
                             rotation_geodesic)
+from pointpose.synth import SynthParams, make_test_object, synth_scene
 
 
 def make_cloud(positions, **kw):
@@ -186,6 +187,100 @@ def test_nearest_empty_index_raises():
         idx.nearest(np.zeros(3))
 
 
+def _brute_second(points, queries):
+    d = np.linalg.norm(points[None, :, :] - queries[:, None, :], axis=2)
+    return np.sort(d, axis=1)[:, 1]
+
+
+def test_nearest_second_matches_brute_force():
+    rng = np.random.default_rng(44)
+    points = rng.uniform(-100, 100, (800, 3))
+    queries = rng.uniform(-120, 120, (300, 3))
+    result = NNIndex(points).nearest_batch(queries)
+    np.testing.assert_array_equal(result.second, _brute_second(points, queries))
+    ids, dists = result
+    assert (result.second > dists).all()
+
+
+def test_nearest_second_of_ties_equals_distance():
+    points = np.array([[2.0, 2, 2], [2.0, 2, 2], [9, 9, 9.0]])
+    result = NNIndex(points).nearest_batch(np.array([[2.0, 2, 2.1], [8, 8, 8.0]]))
+    assert result.second[0] == result[1][0]
+    assert result.second[1] > result[1][1]
+
+
+def test_nearest_second_one_point_index_is_inf():
+    queries = np.random.default_rng(45).uniform(-10, 10, (20, 3))
+    for max_dist in (np.inf, 5.0):
+        assert np.isinf(NNIndex(np.zeros((1, 3)), max_dist=max_dist)
+                        .nearest_batch(queries).second).all()
+
+
+def test_nearest_second_capped_at_search_bound():
+    rng = np.random.default_rng(46)
+    points = rng.uniform(-100, 100, (300, 3))
+    queries = rng.uniform(-120, 120, (400, 3))
+    max_dist = 12.0
+    second = NNIndex(points, max_dist=max_dist).nearest_batch(queries).second
+    brute = _brute_second(points, queries)
+    within = brute <= max_dist
+    assert within.any() and not within.all()
+    np.testing.assert_array_equal(second[within], brute[within])
+    # beyond the bound `second` is the bound itself: finite, and no farther
+    assert np.isfinite(second).all()
+    assert (second[~within] >= max_dist).all()
+    assert (second[~within] <= max_dist * (1 + 1e-6)).all()
+
+
+@pytest.mark.parametrize("n_points", [1, 50])
+def test_nearest_empty_queries(n_points):
+    points = np.random.default_rng(47).uniform(-10, 10, (n_points, 3))
+    result = NNIndex(points).nearest_batch(np.zeros((0, 3)))
+    ids, dists = result
+    assert ids.shape == dists.shape == result.second.shape == (0,)
+    assert ids.dtype == np.int64
+
+
+def test_certified_distance_formula_matches_kd_bits():
+    """Rows whose nearest point is reused take their distance from this formula."""
+    rng = np.random.default_rng(48)
+    points = rng.uniform(-300, 300, (5000, 3))
+    index = NNIndex(points)
+    for scale in (1.0, 0.01):
+        queries = rng.uniform(-320, 320, (2000, 3)) * scale
+        ids, dists = index.nearest_batch(queries)
+        np.testing.assert_array_equal(np.linalg.norm(points[ids] - queries, axis=1), dists)
+    near = points[rng.integers(0, len(points), 2000)] + rng.normal(0, 1e-3, (2000, 3))
+    ids, dists = index.nearest_batch(near)
+    np.testing.assert_array_equal(np.linalg.norm(points[ids] - near, axis=1), dists)
+
+
+@pytest.mark.parametrize("max_dist", [np.inf, 4.0])
+@pytest.mark.parametrize("duplicated", [False, True])
+def test_tracked_nearest_equals_full_query_along_a_walk(max_dist, duplicated):
+    """Points drifting over a sparse set: the certified rows match a full query."""
+    rng = np.random.default_rng(49)
+    points = rng.uniform(-40, 40, (200, 3))
+    if duplicated:
+        points = np.vstack([points, points[:100]])
+    index = NNIndex(points, max_dist=max_dist)
+    tracked = _TrackedNearest(index, 300)
+    walkers = rng.uniform(-45, 45, (300, 3))
+    reused = 0
+    for step in range(60):
+        calls = []
+        index.nearest_batch = lambda q: calls.append(len(q)) or NNIndex.nearest_batch(index, q)
+        ids, dists = tracked.nearest(walkers)
+        del index.nearest_batch
+        want_ids, want_dists = index.nearest_batch(walkers)
+        np.testing.assert_array_equal(ids, want_ids)
+        np.testing.assert_array_equal(dists, want_dists)
+        assert len(calls) == 1
+        reused += len(walkers) - calls[0]
+        walkers = walkers + rng.normal(0, 0.6, walkers.shape)
+    assert reused > 0
+
+
 # ---------------------------------------------------------------------------
 # kabsch_align
 
@@ -306,6 +401,162 @@ def test_icp_validates_schedule():
                    [(10.0, 5), (20.0, 5)])
 
 
+def _icp_always_query(model_points, scene, init, schedule, history_out):
+    """icp_refine as it was before nearest points were reused: every
+    iteration queries every model point."""
+    pose = init
+    found_pairs = False
+    for gate, max_iters in schedule:
+        prev_rms = None
+        level_hist = []
+        for _ in range(max_iters):
+            transformed = pose.apply(model_points)
+            ids, dists = scene.nearest_batch(transformed)
+            keep = dists <= gate
+            if keep.sum() < 3:
+                break
+            found_pairs = True
+            src = model_points[keep]
+            dst = scene.positions[ids[keep]]
+            try:
+                new_pose = kabsch_align(src, dst)
+            except DegenerateCorrespondencesError:
+                break
+            residual = new_pose.apply(src) - dst
+            rms = float(np.sqrt(np.mean(np.sum(residual * residual, axis=1))))
+            if prev_rms is not None and rms > prev_rms:
+                break
+            pose = new_pose
+            level_hist.append(rms)
+            if prev_rms is not None and abs(prev_rms - rms) < 1e-6:
+                break
+            prev_rms = rms
+        history_out.append(level_hist)
+    if not found_pairs:
+        raise NoOverlapError("no schedule level found 3 gated correspondences")
+    return pose
+
+
+def _nudged(pose, rng, degrees, mm):
+    direction = rng.standard_normal(3)
+    direction /= np.linalg.norm(direction)
+    turn = rotation_about_axis(rng.standard_normal(3), np.radians(degrees))
+    return RigidPose(turn @ pose.rotation, pose.translation + mm * direction)
+
+
+@pytest.fixture(scope="module")
+def scene_anchor():
+    """(model points, scene index, ground truth) of one synthetic scene: the
+    5 mm voxel subset of the test object that faces the camera, as
+    pipeline ICP pairs it."""
+    model = make_test_object()
+    scene = synth_scene(model, np.random.default_rng(5),
+                        SynthParams(noise_sigma_mm=0.5, occluder_probability=0.3))
+    cloud, gt = model.cloud, scene.gt_pose
+    ids, _ = NNIndex(cloud.positions).nearest_batch(voxel_downsample(cloud, 5.0).positions)
+    ids = np.unique(ids)
+    to_camera = scene.cloud.view_origin - gt.apply(cloud.positions[ids])
+    facing = np.einsum("ij,ij->i", cloud.normals[ids] @ gt.rotation.T, to_camera) > 0
+    return cloud.positions[ids][facing], NNIndex(scene.cloud.positions), gt
+
+
+def oracle_like_anchor(scene_anchor):
+    """A voted pose as oracle segmentation gives it: ~2 degrees, ~0.7 mm off."""
+    points, index, gt = scene_anchor
+    return points, index, _nudged(gt, np.random.default_rng(7), 2.0, 0.7)
+
+
+def noise_like_anchor(scene_anchor):
+    """A voted pose as untrained detect gives it: 30 degrees, 45 mm off."""
+    points, index, gt = scene_anchor
+    return points, index, _nudged(gt, np.random.default_rng(7), 30.0, 45.0)
+
+
+def _icp_case(name, scene_anchor):
+    rng = np.random.default_rng(31)
+    if name in ("oracle_like", "noise_like_caps"):
+        make = oracle_like_anchor if name == "oracle_like" else noise_like_anchor
+        return make(scene_anchor)
+    model, scene, gt = _synthetic_pair(rng, n=600)
+    if name == "clean":
+        return model, NNIndex(scene), gt
+    if name == "perturbed":
+        return model, NNIndex(scene), _nudged(gt, rng, 6.0, 8.0)
+    if name == "duplicated_points":
+        return model, NNIndex(np.vstack([scene, scene])), _nudged(gt, rng, 4.0, 5.0)
+    if name == "one_point":
+        return model, NNIndex(scene[:1]), _nudged(gt, rng, 4.0, 5.0)
+    if name == "finite_max_dist":
+        # a sparse scene: many model points have no second scene point in reach
+        model, scene, gt = _synthetic_pair(rng, n=300)
+        return model, NNIndex(scene, max_dist=4.0), _nudged(gt, rng, 3.0, 2.0)
+    raise ValueError(name)
+
+
+ICP_CASES = ["clean", "perturbed", "oracle_like", "noise_like_caps", "duplicated_points",
+             "one_point", "finite_max_dist"]
+
+
+@pytest.mark.parametrize("case", ICP_CASES)
+def test_icp_reuse_matches_always_query_loop(case, scene_anchor):
+    model, index, init = _icp_case(case, scene_anchor)
+    schedule = [(50.0, 30), (25.0, 30), (10.0, 30)]
+    want_hist, got_hist = [], []
+    want = _icp_always_query(model, index, init, schedule, want_hist)
+    got = icp_refine(model, index, init, schedule, history_out=got_hist)
+    np.testing.assert_array_equal(got.rotation, want.rotation)
+    np.testing.assert_array_equal(got.translation, want.translation)
+    assert got_hist == want_hist
+    if case == "noise_like_caps":
+        assert any(len(level) == 30 for level in got_hist)
+    if case == "finite_max_dist":
+        _, dists = index.nearest_batch(init.apply(model))
+        assert np.isinf(dists).any()
+
+
+def _count_queries(index):
+    """Record the row count of every nearest_batch call on `index`."""
+    calls = []
+    original = index.nearest_batch
+
+    def counted(queries):
+        calls.append(len(queries))
+        return original(queries)
+
+    index.nearest_batch = counted
+    return calls
+
+
+def _loop_passes(history, schedule):
+    """Iterations icp_refine ran: the recorded ones, plus one per level that
+    ended on a rejected update, too few pairs or a degenerate fit."""
+    passes = 0
+    for level, (_, max_iters) in zip(history, schedule):
+        converged = len(level) >= 2 and abs(level[-1] - level[-2]) < 1e-6
+        passes += len(level) + (0 if converged or len(level) == max_iters else 1)
+    return passes
+
+
+@pytest.mark.parametrize("case", ICP_CASES)
+def test_icp_queries_once_per_iteration(case, scene_anchor):
+    model, index, init = _icp_case(case, scene_anchor)
+    schedule = [(50.0, 30), (25.0, 30), (10.0, 30)]
+    calls = _count_queries(index)
+    history = []
+    icp_refine(model, index, init, schedule, history_out=history)
+    del index.nearest_batch
+    assert len(calls) == _loop_passes(history, schedule)
+
+
+def test_icp_queries_few_rows_on_oracle_like_anchor(scene_anchor):
+    model, index, init = oracle_like_anchor(scene_anchor)
+    calls = _count_queries(index)
+    icp_refine(model, index, init, [(50.0, 30), (25.0, 30), (10.0, 30)])
+    del index.nearest_batch
+    # every call would query every model point without the certificate
+    assert sum(calls) <= 0.4 * len(calls) * len(model)
+
+
 # ---------------------------------------------------------------------------
 # rotation_geodesic
 
@@ -338,3 +589,15 @@ def test_geodesic_symmetry_and_triangle_inequality():
         ab, ba = rotation_geodesic(a, b), rotation_geodesic(b, a)
         assert ab == pytest.approx(ba, abs=1e-9)
         assert rotation_geodesic(a, c) <= ab + rotation_geodesic(b, c) + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# kernel micro-benchmarks: pytest -m perf
+
+
+@pytest.mark.perf
+@pytest.mark.parametrize("make_anchor", [oracle_like_anchor, noise_like_anchor])
+def test_icp_refine_speed(benchmark, scene_anchor, make_anchor):
+    model, index, init = make_anchor(scene_anchor)
+    pose = benchmark(icp_refine, model, index, init, [(50.0, 30), (25.0, 30), (10.0, 30)])
+    assert np.isfinite(pose.translation).all()

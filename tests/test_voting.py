@@ -541,9 +541,11 @@ def test_estimate_pose_equivariant():
             confidences=corr.confidences,
         )
         hyp_g = estimate_pose(moved)
-        expected = g.compose(hyp.pose)
-        assert rotation_geodesic(hyp_g.pose.rotation, expected.rotation) < 1e-6
-        np.testing.assert_allclose(hyp_g.pose.translation, expected.translation, atol=1e-6)
+        # expected pose: g after the unmoved estimate
+        expected_rotation = g.rotation @ hyp.pose.rotation
+        expected_translation = g.rotation @ hyp.pose.translation + g.translation
+        assert rotation_geodesic(hyp_g.pose.rotation, expected_rotation) < 1e-6
+        np.testing.assert_allclose(hyp_g.pose.translation, expected_translation, atol=1e-6)
 
 
 def test_estimate_pose_robust_to_outliers():
