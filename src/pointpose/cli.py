@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +21,7 @@ from .errors import (ConfigError, MissingChannelError, NonFiniteSceneError,
                      PlyFormatError, PointPoseError, SceneFormatError)
 from .modelprep import load_object_model, save_object_model
 from .network import assemble_features, load_weights, save_weights, train
-from .pipeline import detect, oracle_detect, thread_budget
+from .pipeline import detect, evaluate, oracle_detect, thread_budget
 from .pose import save_pose_json
 from .synth import (load_scene, make_test_object, read_scene_sidecar, save_scene,
                     synth_scene)
@@ -42,16 +42,24 @@ def _build_config(args) -> RunConfig:
     return config
 
 
-def _scene_stems(scenes_dir: Path):
-    """Scene stems = .ply files whose JSON sidecar carries a gt pose."""
-    stems = []
-    for ply in sorted(Path(scenes_dir).glob("*.ply")):
-        sidecar = ply.with_suffix(".json")
-        if sidecar.exists() and read_scene_sidecar(sidecar)[0] is not None:
-            stems.append(ply.with_suffix(""))
-    if not stems:
-        raise FileNotFoundError(f"no annotated scenes (.ply + pose sidecar) in {scenes_dir}")
-    return stems
+class _SceneFiles(Sequence):
+    """The annotated scenes of a directory: .ply files whose JSON sidecar
+    carries a gt pose. Indexing reads one scene as (id, cloud, gt pose)."""
+
+    def __init__(self, scenes_dir):
+        self.stems = [ply.with_suffix("") for ply in sorted(Path(scenes_dir).glob("*.ply"))
+                      if ply.with_suffix(".json").exists()
+                      and read_scene_sidecar(ply.with_suffix(".json"))[0] is not None]
+        if not self.stems:
+            raise FileNotFoundError(
+                f"no annotated scenes (.ply + pose sidecar) in {scenes_dir}")
+
+    def __len__(self) -> int:
+        return len(self.stems)
+
+    def __getitem__(self, i):
+        cloud, gt = load_scene(self.stems[i])
+        return self.stems[i].name, cloud, gt
 
 
 # ---------------------------------------------------------------------------
@@ -77,24 +85,19 @@ def cmd_synth(args, config: RunConfig) -> int:
 
 def cmd_prepare(args, config: RunConfig) -> int:
     model = load_object_model(Path(args.model))
-    stems = _scene_stems(args.scenes)
     sampling = config.sampling_params()
 
     examples = []
     failures = []
     stats = {"scenes": 0, "positives": 0, "negatives": 0,
              "easy_shortfall": 0, "hard_shortfall": 0}
-    for i, stem in enumerate(stems):
-        cloud, gt = load_scene(stem)
-        if gt is None:
-            failures.append({"scene": stem.name, "error": "missing gt pose sidecar"})
-            continue
+    for i, (scene_id, cloud, gt) in enumerate(_SceneFiles(args.scenes)):
         try:
             inst = build_instance_training_set(
                 cloud, model, gt, np.random.default_rng([config.seed, i]),
-                sampling, config.augmentation, scene_id=stem.name)
+                sampling, config.augmentation, scene_id=scene_id)
         except PointPoseError as exc:
-            failures.append({"scene": stem.name, "error": str(exc)})
+            failures.append({"scene": scene_id, "error": str(exc)})
             continue
         examples.extend(inst.examples)
         stats["scenes"] += 1
@@ -187,51 +190,20 @@ def cmd_detect(args, config: RunConfig) -> int:
 
 def cmd_eval(args, config: RunConfig) -> int:
     model = load_object_model(Path(args.model))
-    stems = _scene_stems(args.scenes)
+    scenes = _SceneFiles(args.scenes)
     weights = load_weights(args.weights) if args.weights else None
     if weights is None and not args.oracle:
         print("eval needs --weights or --oracle", file=sys.stderr)
         return 2
-    factor = config.evaluation.threshold_factor
-
-    # the thread budget is split across the pool: each worker's anchors and
-    # kd-tree queries get their share instead of every CPU
-    budget = thread_budget(config.threads)
-    n_workers = min(budget, len(stems))
-    threads_each = max(1, budget // n_workers)
-    tasks = [(str(stem), str(args.model), args.weights, bool(args.oracle),
-              config_to_dict(config), threads_each) for stem in stems]
-    if n_workers > 1:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            records = list(pool.map(_eval_scene_task, tasks))
-    else:
-        records = [_eval_scene_task(t) for t in tasks]
-
-    from .pipeline import EvaluationReport
-    report = EvaluationReport(records=records, threshold_factor=factor,
-                              diameter=model.diameter)
-    csv_text = report.to_csv()
-    Path(args.out_csv).write_text(csv_text)
+    params = config.detect_params()
+    params.voting.workers = config.threads   # evaluate splits it over scenes and anchors
+    report = evaluate(scenes, model, weights, params, config.evaluation.threshold_factor,
+                      use_oracle=args.oracle)
+    Path(args.out_csv).write_text(report.to_csv())
     summary = report.summary()
     Path(args.out_json).write_text(json.dumps(summary, indent=2) + "\n")
     print(json.dumps(summary))
     return 0
-
-
-def _eval_scene_task(task):
-    stem, model_path, weights_path, use_oracle, config_dict, threads = task
-    config = config_from_dict(config_dict)
-    params = config.detect_params()
-    params.voting.workers = threads
-    model = load_object_model(Path(model_path))
-    weights = load_weights(weights_path) if weights_path else None
-    cloud, gt = load_scene(Path(stem))
-    if gt is None:
-        raise ConfigError(f"{stem}: missing gt pose sidecar")
-    from .pipeline import evaluate_scene
-    return evaluate_scene(cloud, gt, model, weights, params,
-                          config.evaluation.threshold_factor,
-                          scene_id=Path(stem).name, use_oracle=use_oracle)
 
 
 # ---------------------------------------------------------------------------

@@ -14,16 +14,21 @@ stages run concurrently on the thread budget `VotingParams.workers`: the
 calling thread plus a thread pool, with the same results at every budget.
 While a stage function is wrapped, as by a span tracer, they run on the
 calling thread alone.
+
+evaluate(), the one evaluation loop and the one behind `cli eval`, splits
+the budget over a pool of forked processes, one scene at a time; each
+worker reads its own scenes.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import multiprocessing
 import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import List, Optional, Sequence, Tuple
@@ -42,7 +47,7 @@ from .pose import RigidPose
 from .verification import (VerificationParams, build_depth_buffer,
                            remove_occluded, verify)
 from .voting import (PoseHypothesis, VotingParams, correspondences_from_segmentation,
-                     estimate_pose)
+                     estimate_pose, pose_votes, subsample_correspondences)
 
 STAGES = ("normals", "anchors", "classify", "segment", "vote", "icp", "verify")
 
@@ -299,17 +304,10 @@ def _write_debug_stages(debug_dir, dbg: dict, result: "DetectionResult") -> None
 def _best_anchor_votes(scene: PointCloud, ids: np.ndarray, seg_probs: np.ndarray,
                        model: ObjectModel, params: DetectParams) -> np.ndarray:
     """Vote translations for one anchor (debug dump only)."""
-    from .voting import pose_votes
     corr = correspondences_from_segmentation(
         scene.positions[ids], scene.normals[ids], seg_probs, model,
         params.voting.min_confidence)
-    if len(corr) == 0:
-        return np.zeros((0, 3))
-    if len(corr) > params.voting.max_correspondences:
-        rng = np.random.default_rng(params.voting.subsample_seed)
-        keep = np.sort(rng.choice(len(corr), params.voting.max_correspondences,
-                                  replace=False))
-        corr = corr.subset(keep)
+    corr = subsample_correspondences(corr, params.voting)
     return pose_votes(corr, params.voting.n_theta).translations
 
 
@@ -548,14 +546,16 @@ class EvaluationReport:
         return out.getvalue()
 
     def summary(self) -> dict:
+        """Counts and mean ADD as strict JSON values: `mean_add_mm` averages the
+        scenes with a pose (a failed detection has none), None if none has."""
+        adds = [r.add for r in self.records if np.isfinite(r.add)]
         return {
             "scenes": len(self.records),
             "successes": int(sum(r.success for r in self.records)),
             "success_fraction": self.success_fraction,
             "threshold_factor": self.threshold_factor,
             "threshold_mm": self.threshold_factor * self.diameter,
-            "mean_add_mm": float(np.mean([r.add for r in self.records]))
-            if self.records else None,
+            "mean_add_mm": float(np.mean(adds)) if adds else None,
         }
 
 
@@ -581,17 +581,46 @@ def evaluate_scene(scene: PointCloud, gt: RigidPose, model: ObjectModel,
                        timings_ms=result.timings_ms)
 
 
+_worker_run: tuple = ()   # a pool worker's evaluate() arguments, set when it starts
+
+
+def _init_worker(run: tuple) -> None:
+    global _worker_run
+    _worker_run = run
+
+
+def _evaluate_one(i: int, run: tuple = ()) -> SceneRecord:
+    """Scene i of `run`, or in a pool worker of the run it was started with."""
+    scenes, model, weights, params, threshold_factor, use_oracle = run or _worker_run
+    scene_id, cloud, gt = scenes[i]
+    # a module global looked up at call time, so a wrapper installed on
+    # `pipeline.evaluate_scene` before the pool forks runs in the workers too
+    return evaluate_scene(cloud, gt, model, weights, params, threshold_factor,
+                          scene_id, use_oracle)
+
+
 def evaluate(scenes: Sequence[Tuple[str, PointCloud, RigidPose]], model: ObjectModel,
              weights: Optional[Weights], params: DetectParams = DetectParams(),
-             threshold_factor: float = 0.1, use_oracle: bool = False,
-             progress=None) -> EvaluationReport:
+             threshold_factor: float = 0.1, use_oracle: bool = False) -> EvaluationReport:
     """Detect on every (id, cloud, gt) scene; success = ADD (ADD-S when the
-    model is symmetric) below threshold_factor x diameter."""
-    records = []
-    for i, (scene_id, cloud, gt) in enumerate(scenes):
-        records.append(evaluate_scene(cloud, gt, model, weights, params,
-                                      threshold_factor, scene_id, use_oracle))
-        if progress is not None:
-            progress(i + 1, len(scenes), records[-1])
+    model is symmetric) below threshold_factor x diameter.
+
+    The thread budget `params.voting.workers` runs min(budget, scenes)
+    processes, with budget // processes threads for each scene's anchors;
+    one process is the calling one. Forked workers get the arguments once,
+    unpickled, and index `scenes` themselves, so a sequence that reads a
+    scene when indexed keeps every cloud out of the calling process.
+    Records are in scene order and the same at every budget.
+    """
+    budget = thread_budget(params.voting.workers)
+    n = max(1, min(budget, len(scenes)))
+    params = replace(params, voting=replace(params.voting, workers=max(1, budget // n)))
+    run = (scenes, model, weights, params, threshold_factor, use_oracle)
+    if n == 1:
+        records = [_evaluate_one(i, run) for i in range(len(scenes))]
+    else:
+        with ProcessPoolExecutor(n, multiprocessing.get_context("fork"),
+                                 initializer=_init_worker, initargs=(run,)) as pool:
+            records = list(pool.map(_evaluate_one, range(len(scenes))))
     return EvaluationReport(records=records, threshold_factor=threshold_factor,
                             diameter=model.diameter)

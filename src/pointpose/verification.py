@@ -105,15 +105,6 @@ def remove_occluded(model_points: np.ndarray, scene: PointCloud,
     return OcclusionResult(visible_mask=visible)
 
 
-def geometric_loss(visible_points: np.ndarray, scene_index: NNIndex) -> float:
-    """RMS Euclidean distance from each visible point to its scene NN."""
-    visible_points = np.asarray(visible_points, dtype=np.float64).reshape(-1, 3)
-    if len(visible_points) == 0:
-        return INFINITE_LOSS
-    _, dists = scene_index.nearest_batch(visible_points)
-    return float(np.sqrt(np.mean(dists * dists)))
-
-
 def color_loss(point_colors: Optional[np.ndarray],
                nn_colors: Optional[np.ndarray]) -> Tuple[float, bool]:
     """RMS RGB distance to the geometric nearest neighbors' colors.

@@ -430,6 +430,16 @@ def _peak_search(trans: np.ndarray, quats: np.ndarray, delta_t_mm: float,
     return best, best_supporters
 
 
+def subsample_correspondences(corr: Correspondences, params: VotingParams) -> Correspondences:
+    """The correspondences `estimate_pose` votes with: all of them, or
+    `max_correspondences` drawn by `subsample_seed`, kept in their order."""
+    if len(corr) <= params.max_correspondences:
+        return corr
+    rng = np.random.default_rng(params.subsample_seed)
+    idx = np.sort(rng.choice(len(corr), size=params.max_correspondences, replace=False))
+    return corr.subset(idx)
+
+
 def estimate_pose(corr: Correspondences,
                   params: VotingParams = VotingParams()) -> PoseHypothesis:
     """Vote, find the density peak, and polish with least squares.
@@ -442,11 +452,7 @@ def estimate_pose(corr: Correspondences,
         raise NoHypothesisError(
             f"{len(corr)} correspondences < {params.min_correspondences} required")
 
-    if len(corr) > params.max_correspondences:
-        rng = np.random.default_rng(params.subsample_seed)
-        idx = np.sort(rng.choice(len(corr), size=params.max_correspondences, replace=False))
-        corr = corr.subset(idx)
-
+    corr = subsample_correspondences(corr, params)
     votes = pose_votes(corr, params.n_theta)
     hyp, supporters = density_peak(votes, params.delta_t_mm, params.delta_r_rad,
                                    return_supporters=True, workers=params.workers)

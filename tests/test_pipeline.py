@@ -2,8 +2,11 @@
 dump, and the input contracts of detect, the CLI, the run configuration and
 scene files."""
 
+import csv
+import io
 import itertools
 import json
+import os
 import re
 import sys
 import threading
@@ -11,6 +14,7 @@ import time
 import tracemalloc
 from dataclasses import replace
 from functools import partial, wraps
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,12 +23,13 @@ from pointpose import cli, network, pipeline
 from pointpose.config import RunConfig, apply_override, config_from_dict
 from pointpose.errors import ConfigError, MissingChannelError, NonFiniteSceneError
 from pointpose.geometry import NNIndex
-from pointpose.modelprep import save_object_model
+from pointpose.modelprep import load_object_model, save_object_model
 from pointpose.network import NetworkConfig, init_weights, save_weights
 from pointpose.ply import read_ply, write_ply
 from pointpose.pointcloud import PointCloud
 from pointpose.pose import RigidPose
-from pointpose.synth import SynthParams, make_test_object, save_scene, synth_scene
+from pointpose.synth import (SynthParams, load_scene, make_test_object, save_scene,
+                             synth_scene)
 
 
 @pytest.fixture(scope="module")
@@ -546,6 +551,98 @@ def test_anchor_error_reaches_the_caller(baseline_model, small_scene, monkeypatc
     caller.join(timeout=120)
     assert not caller.is_alive(), "detection hung after an anchor failed"
     assert [str(exc) for exc in raised] == ["third anchor failed"]
+
+
+# ---------------------------------------------------------------------------
+# evaluation: one loop, in the calling process or on a pool of forked workers
+
+
+@pytest.fixture(scope="module")
+def eval_files(baseline_model, noisy_scenes, tmp_path_factory):
+    """The 4 noisy scenes and the model as files."""
+    root = tmp_path_factory.mktemp("eval")
+    (root / "scenes").mkdir()
+    save_object_model(root / "model", baseline_model)
+    for scene in noisy_scenes:
+        save_scene(root / "scenes" / scene.scene_id, scene)
+    return root
+
+
+def cli_eval(root, threads, capsys):
+    """`cli eval --oracle`: its CSV without the `_ms` columns, and its summary."""
+    out = root / f"threads{threads}"
+    assert cli.main(["eval", "--oracle", "--threads", str(threads),
+                     "--scenes", str(root / "scenes"), "--model", str(root / "model"),
+                     "--out-csv", f"{out}.csv", "--out-json", f"{out}.json"]) == 0
+    summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert summary == json.loads(Path(f"{out}.json").read_text())
+    return without_timings(Path(f"{out}.csv").read_text()), summary
+
+
+def without_timings(text):
+    rows = list(csv.reader(io.StringIO(text)))
+    keep = [j for j, name in enumerate(rows[0]) if not name.endswith("_ms")]
+    return [[row[j] for j in keep] for row in rows]
+
+
+def test_cli_eval_is_the_same_serial_and_pooled(eval_files, capsys, monkeypatch):
+    serial, summary = cli_eval(eval_files, 1, capsys)
+
+    caller = os.getpid()
+
+    def load_in_a_worker(stem):
+        if os.getpid() == caller:
+            raise AssertionError("the calling process loaded a scene")
+        return load_scene(stem)
+
+    monkeypatch.setattr(cli, "load_scene", load_in_a_worker)
+    pooled, pooled_summary = cli_eval(eval_files, 2, capsys)
+    monkeypatch.undo()
+
+    assert pooled == serial
+    assert pooled_summary == summary
+    assert summary["scenes"] == 4 and summary["success_fraction"] == 1.0
+
+    plys = sorted((eval_files / "scenes").glob("*.ply"))
+    scenes = [(ply.stem, *load_scene(ply.with_suffix(""))) for ply in plys]
+    config = RunConfig()
+    report = pipeline.evaluate(scenes, load_object_model(eval_files / "model"), None,
+                               with_budget(config.detect_params(), 1),
+                               config.evaluation.threshold_factor, use_oracle=True)
+    assert without_timings(report.to_csv()) == serial
+
+
+def test_pool_workers_look_up_evaluate_scene_when_they_run(model, tmp_path, monkeypatch):
+    """A wrapper installed on `pipeline.evaluate_scene` before the pool forks,
+    as a span tracer installs one, runs in every worker."""
+    calls = tmp_path / "calls.txt"
+
+    def logged(cloud, gt, model, weights, params, threshold_factor, scene_id, use_oracle):
+        with open(calls, "a") as f:
+            f.write(f"{scene_id} {os.getpid()}\n")
+        return pipeline.SceneRecord(scene_id=scene_id, add=1.0, adds=1.0, l_loc=1.0,
+                                    s_kde=1.0, success=True, timings_ms={})
+
+    monkeypatch.setattr(pipeline, "evaluate_scene", logged)
+    scenes = [(f"scene_{i}", None, None) for i in range(4)]
+    report = pipeline.evaluate(scenes, model, None,
+                               with_budget(pipeline.DetectParams(), 2), use_oracle=True)
+
+    assert [r.scene_id for r in report.records] == [s[0] for s in scenes]
+    logged_ids, pids = zip(*(line.split() for line in calls.read_text().splitlines()))
+    assert sorted(logged_ids) == [s[0] for s in scenes]
+    assert str(os.getpid()) not in pids
+
+
+@pytest.mark.parametrize("adds, mean", [([2.0, float("inf"), 4.0], 3.0),
+                                        ([float("inf")], None)])
+def test_eval_summary_is_strict_json(adds, mean):
+    records = [pipeline.SceneRecord(scene_id=f"s{i}", add=a, adds=a, l_loc=a, s_kde=0.0,
+                                    success=False, timings_ms={})
+               for i, a in enumerate(adds)]
+    summary = pipeline.EvaluationReport(records, 0.1, 100.0).summary()
+    json.dumps(summary, allow_nan=False)
+    assert summary["mean_add_mm"] == mean
 
 
 # kernel micro-benchmarks: pytest -m perf

@@ -9,8 +9,8 @@ from pointpose.modelprep import Keypoint, ObjectModel
 from pointpose.pointcloud import Intrinsics, PointCloud
 from pointpose.pose import RigidPose, random_rotation
 from pointpose.verification import (VerificationParams, build_depth_buffer,
-                                    color_loss, geometric_loss,
-                                    localization_loss, remove_occluded, verify)
+                                    color_loss, localization_loss,
+                                    remove_occluded, verify)
 from pointpose.voting import PoseHypothesis
 
 INTR = Intrinsics(fx=500.0, fy=500.0, cx=160.0, cy=120.0, width=320, height=240)
@@ -105,35 +105,6 @@ def test_occlusion_idempotent_and_subset():
 # losses
 
 
-def test_geometric_loss_perfect_overlay():
-    rng = np.random.default_rng(3)
-    pts = rng.uniform(-50, 50, (400, 3))
-    assert geometric_loss(pts, NNIndex(pts)) < 1e-9
-
-
-def test_geometric_loss_constant_distance():
-    pts = np.zeros((100, 3))
-    pts[:, 0] = np.arange(100) * 10.0
-    probe = pts + np.array([0.0, 2.0, 0.0])
-    assert geometric_loss(probe, NNIndex(pts)) == pytest.approx(2.0, abs=1e-12)
-
-
-def test_geometric_loss_matches_scalar_oracle():
-    rng = np.random.default_rng(4)
-    scene = rng.uniform(-100, 100, (500, 3))
-    probe = rng.uniform(-100, 100, (200, 3))
-    index = NNIndex(scene)
-    got = geometric_loss(probe, index)
-    acc = 0.0
-    for p in probe:
-        acc += np.min(np.sum((scene - p) ** 2, axis=1))
-    assert got == pytest.approx(np.sqrt(acc / len(probe)), rel=1e-9)
-
-
-def test_geometric_loss_empty_is_infinite():
-    assert geometric_loss(np.zeros((0, 3)), NNIndex(np.ones((5, 3)))) == float("inf")
-
-
 def test_color_loss_identical_and_analytic():
     c = np.random.default_rng(5).uniform(0, 1, (50, 3))
     assert color_loss(c, c)[0] == 0.0
@@ -206,6 +177,24 @@ def test_verify_true_pose_beats_perturbations():
         if h.l_loc > base.l_loc:
             worse += 1
     assert worse == 100
+
+
+@pytest.mark.parametrize("offset_mm", [0.0, 2.0])
+def test_verify_geometric_loss_is_rms_nearest_distance(offset_mm):
+    rng = np.random.default_rng(10)
+    model = small_model(with_color=False)
+    gt = RigidPose(random_rotation(rng), np.array([0.0, 0.0, 700.0]))
+    scene = model.cloud.transformed(gt)   # no intrinsics: every point is visible
+    pose = RigidPose(gt.rotation, gt.translation + np.array([0.0, offset_mm, 0.0]))
+    h = verify(PoseHypothesis(pose=pose, s_kde=0.5, vote_support=1), model, scene)
+
+    acc = 0.0
+    for p in pose.apply(model.cloud.positions):
+        acc += np.min(np.sum((scene.positions - p) ** 2, axis=1))
+    assert h.occlusion_fallback and h.visible_count == len(model.cloud)
+    assert h.l_geometric == pytest.approx(np.sqrt(acc / len(model.cloud)), rel=1e-9,
+                                          abs=1e-12)
+    assert h.l_geometric <= offset_mm + 1e-9
 
 
 def test_verify_empty_visible_is_sentinel():
