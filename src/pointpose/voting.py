@@ -39,6 +39,16 @@ class VotingParams:
     def __post_init__(self):
         if self.n_theta < 4:
             raise ValueError("n_theta must be at least 4")
+        if not self.delta_t_mm > 0:  # written so that NaN fails too
+            raise ValueError("delta_t_mm must be positive")
+        # density_peak's hemisphere identity needs q_radius < sqrt(2)
+        if not 0 < self.delta_r_deg < 180:
+            raise ValueError("delta_r_deg must be above 0 and below 180")
+        if not 1 <= self.min_correspondences <= self.max_correspondences:
+            raise ValueError("min_correspondences must be at least 1 and at most "
+                             "max_correspondences")
+        if not 0 <= self.min_confidence <= 1:
+            raise ValueError("min_confidence must be between 0 and 1")
 
     @property
     def delta_r_rad(self) -> float:
@@ -227,7 +237,8 @@ def density_peak(votes: VoteSet, delta_t_mm: float = 10.0,
     delta_r geodesic rotation distance. Ties break toward the smaller
     summed translation distance, then the lowest vote index. The returned
     pose is the mean translation and chordal-mean rotation over the
-    winner's supporters; s_kde = support / |votes|.
+    winner's supporters, which come (and are summed) in ascending vote
+    index; s_kde = support / |votes|.
 
     Rotations are compared as quaternions: two rotations are within
     delta_r exactly when |q . q'| >= cos(delta_r / 2), that is when q' or
@@ -236,7 +247,10 @@ def density_peak(votes: VoteSet, delta_t_mm: float = 10.0,
     The search is exact. Each vote's rotation-neighbour count bounds its
     support, and candidates are scored one at a time in descending-bound
     order until the bound falls below the best support; on clean votes
-    that ends within a few candidates. The count is one kd-tree query of
+    that ends within a few candidates. Scoring one needs no translation
+    tree: one matrix-vector product over every vote's translation keeps
+    those within delta_t plus a rounding margin, and only they get the
+    exact distance and rotation tests. The count is one kd-tree query of
     the votes, each with its quaternion on the w >= 0 hemisphere, against
     a tree of those quaternions plus sign-flipped copies of the votes with
     w <= q_radius. It equals counting q' and -q' separately:
@@ -259,8 +273,9 @@ def density_peak(votes: VoteSet, delta_t_mm: float = 10.0,
     passing both kernel tests puts two votes within sqrt(2) of each other.
     Candidates under the tighter of the two bounds are counted in
     vectorised batches over their joint neighbours, and every one whose
-    count could tie or beat the best is re-scored one at a time, so the
-    winner, its supporters and their order are the same on both paths.
+    count could tie or beat the best is re-scored exactly from its joint
+    neighbours, which hold all its supporters, so the winner, its
+    supporters and their order are the same on both paths.
     `workers` is the thread count of the kd-tree queries (-1: every CPU).
     """
     if len(votes) == 0:
@@ -281,7 +296,7 @@ def density_peak(votes: VoteSet, delta_t_mm: float = 10.0,
 _EXACT_FIRST = 64
 _SAMPLE_STRIDE = 16  # noise-like sets: every 16th candidate raises the best first
 _BATCH_FIRST = 64    # first vectorised batch of the joint-bound pass; doubles
-_SLACK = 1.0 + 1e-6  # keeps the joint bound and batch counts above float rounding
+_SLACK = 1.0 + 1e-6  # keeps joint bounds, batch counts and joint lists above float rounding
 _LEAFSIZE = 128      # kd-tree leaf size: the fastest of 16-128 on 18,000-vote sets
 # box grid cells at most (1 MB of int32 counts): the default 12-degree kernel
 # needs ~88,000 cells, but the count grows as delta_r^-4, so a 4-degree
@@ -332,20 +347,16 @@ def _box_bound(q_rows: np.ndarray, v: int, q_radius: float) -> np.ndarray:
     grid = grid.reshape(tuple(shape))
     for axis in range(4):  # 3-wide sums along each axis, in place
         g = np.moveaxis(grid, axis, 0)
-        below = np.zeros_like(g[0])
-        for i in range(len(g)):
-            here = g[i].copy()
-            g[i] += below
-            if i + 1 < len(g):
-                g[i] += g[i + 1]
-            below = here
+        own = g.copy()
+        g[1:] += own[:-1]
+        g[:-1] += own[1:]
     return grid.reshape(-1)[flat[:v]]
 
 
 def _peak_search(trans: np.ndarray, quats: np.ndarray, delta_t_mm: float,
                  delta_r_rad: float, workers: int):
     """density_peak's search: the winner's score (support, -sum_dist,
-    -index) and its supporters, in the translation tree's order."""
+    -index) and its supporters, in ascending vote index."""
     from scipy.spatial import cKDTree
     v = len(trans)
 
@@ -355,13 +366,25 @@ def _peak_search(trans: np.ndarray, quats: np.ndarray, delta_t_mm: float,
     q_radius = np.sqrt(max(2.0 - 2.0 * q_gate, 0.0))  # |q - q'| for geodesic delta_r
     q_rows, vote_of = _hemisphere_rows(quats, q_radius)
     canon = q_rows[:v]
-    tree = cKDTree(trans)
 
-    def score(c):
-        nb = np.asarray(tree.query_ball_point(trans[c], delta_t_mm), dtype=np.int64)
+    # translation prefilter |t|^2 - 2 t.t_c + |t_c|^2 <= delta_t^2 + margin,
+    # one GEMV per candidate: the expression is within ~10u (|t|^2 + |t_c|^2)
+    # of |t - t_c|^2, and a row passing the norm test below is within
+    # delta_t^2 (1 + ~12u) of t_c (u = eps / 2), so a margin of
+    # 8 eps (delta_t^2 + 2 max |t|^2) keeps every row that test keeps
+    sq = np.einsum("ij,ij->i", trans, trans)
+    dt2 = delta_t_mm * delta_t_mm
+    reach = dt2 + 8.0 * np.finfo(np.float64).eps * (dt2 + 2.0 * sq.max())
+
+    def exact(c, nb):
+        """c's score over the ascending vote ids nb, a superset of its supporters."""
         d = np.linalg.norm(trans[nb] - trans[c], axis=1)
         mask = (d <= delta_t_mm) & (np.abs(canon[nb] @ canon[c]) >= q_gate)
         return (int(mask.sum()), -float(d[mask].sum()), -int(c)), nb[mask]
+
+    def score(c):
+        d2 = sq - 2.0 * (trans @ trans[c]) + sq[c]
+        return exact(c, np.nonzero(d2 <= reach)[0])
 
     # box counts bound every vote; the first candidate's support is a floor
     # on the best, and only box counts that reach it are made exact
@@ -370,16 +393,17 @@ def _peak_search(trans: np.ndarray, quats: np.ndarray, delta_t_mm: float,
     top = np.argpartition(-bound, min(_EXACT_FIRST, v) - 1)[:_EXACT_FIRST]
     first = top[np.argmax(_rotation_bound(q_tree, top, q_radius, workers))]
     best, best_supporters = score(first)  # best: (support, -sum_dist, -index), maximized
-    exact = np.nonzero(bound >= best[0])[0]
-    bound[exact] = _rotation_bound(q_tree, exact, q_radius, workers)
-    order = np.lexsort((np.arange(v), -bound))
-    for c in order[:_EXACT_FIRST]:
+    live = np.nonzero(bound >= best[0])[0]
+    bound[live] = _rotation_bound(q_tree, live, q_radius, workers)
+    live = live[bound[live] >= best[0]]
+    live = live[np.argsort(-bound[live], kind="stable")]  # ties: lowest index first
+    for c in live[:_EXACT_FIRST]:
         if bound[c] < best[0]:
             break
         s, sup = score(c)
         if s > best:
             best, best_supporters = s, sup
-    rest = order[_EXACT_FIRST:]
+    rest = live[_EXACT_FIRST:]
     rest = rest[bound[rest] >= best[0]]
     if len(rest) == 0:
         return best, best_supporters
@@ -392,7 +416,9 @@ def _peak_search(trans: np.ndarray, quats: np.ndarray, delta_t_mm: float,
         nonlocal best, best_supporters
         lists = joint.query_ball_point(scaled[cand], radius, workers=workers,
                                        return_sorted=False)
-        owner = np.repeat(np.arange(len(cand)), [len(nb) for nb in lists])
+        sizes = np.array([len(nb) for nb in lists], dtype=np.int64)
+        ends = np.cumsum(sizes)
+        owner = np.repeat(np.arange(len(cand)), sizes)
         nb = vote_of[np.concatenate(lists).astype(np.int64)]
         d = np.linalg.norm(trans[nb] - trans[cand[owner]], axis=1)
         # both tests loosened, so a count is never below the exact support
@@ -407,7 +433,9 @@ def _peak_search(trans: np.ndarray, quats: np.ndarray, delta_t_mm: float,
             if counts[i] < best[0] or (counts[i] == best[0]
                                        and sum_d[i] > -best[1] * _SLACK + 1e-9):
                 continue
-            s, sup = score(cand[i])
+            # a joint list holds every supporter (a vote may appear twice,
+            # through its flipped row), so it is scored exactly in place
+            s, sup = exact(cand[i], np.unique(nb[ends[i] - sizes[i]:ends[i]]))
             if s > best:
                 best, best_supporters = s, sup
 

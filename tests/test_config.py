@@ -87,6 +87,16 @@ def test_builders_fill_in_the_run_seed():
 @pytest.mark.parametrize("assignment, message", [
     ("verification.splat_px=-1", "verification: margin and splat radius must be non-negative"),
     ("voting.n_theta=3", "voting: n_theta must be at least 4"),
+    ("voting.delta_t_mm=0", "voting: delta_t_mm must be positive"),
+    ("voting.delta_t_mm=NaN", "voting: delta_t_mm must be positive"),
+    ("voting.delta_r_deg=0", "voting: delta_r_deg must be above 0 and below 180"),
+    ("voting.delta_r_deg=180", "voting: delta_r_deg must be above 0 and below 180"),
+    ("voting.min_correspondences=0",
+     "voting: min_correspondences must be at least 1 and at most max_correspondences"),
+    ("voting.max_correspondences=0",
+     "voting: min_correspondences must be at least 1 and at most max_correspondences"),
+    ("voting.min_confidence=2", "voting: min_confidence must be between 0 and 1"),
+    ("voting.min_confidence=-0.5", "voting: min_confidence must be between 0 and 1"),
     ("training.w_cls=0.5", "training: loss weights must sum to 1"),
 ])
 def test_section_check_fails_as_config_error(assignment, message, tmp_path, capsys):

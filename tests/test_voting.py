@@ -14,8 +14,9 @@ from pointpose.pointcloud import PointCloud
 from pointpose.pose import (RigidPose, random_rotation, rotation_about_axis,
                             rotation_geodesic)
 from pointpose.synth import SynthParams, make_test_object, synth_scene
-from pointpose.voting import (_LEAFSIZE, _SLACK, Correspondences, VoteSet, VotingParams,
-                              _box_bound, _hemisphere_rows, _peak_search, _rotation_bound,
+from pointpose.voting import (_BOX_CELLS, _LEAFSIZE, _SLACK, Correspondences, VoteSet,
+                              VotingParams, _box_bound, _hemisphere_rows, _peak_search,
+                              _rotation_bound,
                               correspondences_from_segmentation, density_peak,
                               estimate_pose, pose_votes, quat_to_matrix)
 
@@ -381,13 +382,11 @@ def test_density_peak_matches_bruteforce(make_votes):
     (support, neg_sum, neg_idx), mask = brute_force_peak(votes, 10.0, dr)
     assert hyp.vote_support == support
     assert hyp.s_kde == support / len(votes)
-    np.testing.assert_array_equal(np.sort(supporters), np.nonzero(mask)[0])
-    (_, search_neg_sum, search_neg_idx), _ = _peak_search(
-        votes.translations, votes.quats, 10.0, dr, -1)
-    assert search_neg_idx == neg_idx
-    assert search_neg_sum == pytest.approx(neg_sum, rel=1e-12, abs=1e-12)
-    expected_t = votes.translations[mask].mean(axis=0)
-    np.testing.assert_allclose(hyp.pose.translation, expected_t, atol=1e-9)
+    np.testing.assert_array_equal(supporters, np.nonzero(mask)[0])  # ascending
+    # the summed distance adds in ascending vote index, as the brute force does
+    best, _ = _peak_search(votes.translations, votes.quats, 10.0, dr, -1)
+    assert best == (support, neg_sum, neg_idx)
+    assert np.array_equal(hyp.pose.translation, votes.translations[mask].mean(axis=0))
     if gt is not None:
         assert np.linalg.norm(hyp.pose.translation - gt.translation) < 5.0
         assert rotation_geodesic(hyp.pose.rotation, gt.rotation) < np.radians(5)
@@ -449,11 +448,58 @@ def test_box_bound_is_at_least_the_rotation_bound(seed, n, spread, snapped, delt
         rng.choice([-1.0, 1.0], len(rows)) * q_radius * (1 - 1e-9))
     rows = np.vstack([rows, partners, corner])
     exact = _rotation_bound(hemisphere_tree(rows), np.arange(n), q_radius, 1)
-    assert (_box_bound(rows, n, q_radius) >= exact).all()
+    box = _box_bound(rows, n, q_radius)
+    assert (box >= exact).all()
+    np.testing.assert_array_equal(box, cell_neighbours(rows, q_radius)[:n])
 
 
-def test_density_peak_workers_do_not_change_result():
-    _, votes = noise_like_set(np.random.default_rng(13))
+def cell_neighbours(rows, q_radius):
+    """Pairwise reference of `_box_bound`: the rows at most one cell away on
+    every axis from each row's cell, on the same grid."""
+    lo = rows.min(axis=0)
+    span = rows.max(axis=0) - lo
+    side = q_radius * _SLACK
+    while np.prod(np.floor(span / side) + 1) > _BOX_CELLS:
+        side *= 2
+    cells = ((rows - lo) / side).astype(np.int64)
+    return (np.abs(cells[:, None] - cells[None]).max(axis=2) <= 1).sum(axis=1)
+
+
+_PHI = (1.0 + np.sqrt(5.0)) / 2.0
+# the 12 vertices of an icosahedron: unit vectors at least 1.05 apart
+ICOSAHEDRON = np.array([p for a, b in ((1.0, _PHI), (-1.0, _PHI), (1.0, -_PHI), (-1.0, -_PHI))
+                        for p in ((0.0, a, b), (a, b, 0.0), (b, 0.0, a))])
+ICOSAHEDRON /= np.linalg.norm(ICOSAHEDRON, axis=1, keepdims=True)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), delta_t=st.floats(0.5, 50.0),
+       offset_mm=st.floats(0.0, 1e4),
+       ulps=st.lists(st.integers(-4, 4), min_size=12, max_size=12))
+def test_translation_prefilter_keeps_votes_on_the_kernel_boundary(seed, delta_t, offset_mm,
+                                                                   ulps):
+    """Three stacked votes at t_c and twelve at delta_t (1 + k eps), |k| <= 4,
+    from it along icosahedron directions, so more than delta_t apart from
+    each other. t_c lies offset_mm from the origin, where the prefilter's
+    |t|^2 - 2 t.t_c + |t_c|^2 cancels worst, and the rounding of each
+    t_c + delta_t u puts the twelve on both sides of the boundary. Every vote shares one
+    rotation, so the translation test alone decides support."""
+    rng = np.random.default_rng(seed)
+    center = unit_rows(rng, 1)[0] * offset_mm
+    dirs = ICOSAHEDRON @ Rotation.random(random_state=rng).as_matrix().T
+    radii = delta_t * (1.0 + np.array(ulps) * np.finfo(np.float64).eps)
+    trans = np.vstack([np.tile(center, (3, 1)), center + dirs * radii[:, None]])
+    votes = vote_set([random_rotation(rng)] * len(trans), trans[rng.permutation(len(trans))])
+    dr = np.radians(12)
+    best, supporters = _peak_search(votes.translations, votes.quats, delta_t, dr, 1)
+    expected, mask = brute_force_peak(votes, delta_t, dr)
+    assert best == expected
+    np.testing.assert_array_equal(supporters, np.nonzero(mask)[0])
+
+
+@pytest.mark.parametrize("make_votes", [noise_like_set, oracle_like_set, support_tie_set])
+def test_density_peak_workers_do_not_change_result(make_votes):
+    _, votes = make_votes(np.random.default_rng(13))
     a, sa = density_peak(votes, return_supporters=True, workers=1)
     b, sb = density_peak(votes, return_supporters=True, workers=2)
     assert a.vote_support == b.vote_support
