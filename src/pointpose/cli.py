@@ -17,11 +17,12 @@ import numpy as np
 from .config import (RunConfig, apply_override, config_from_dict, config_to_dict,
                      load_config, save_config)
 from .dataset import build_instance_training_set, read_dataset, write_dataset
-from .errors import (ConfigError, MissingChannelError, NonFiniteSceneError,
-                     PlyFormatError, PointPoseError, SceneFormatError)
+from .errors import (ConfigError, DatasetFormatError, MissingChannelError,
+                     NonFiniteSceneError, PlyFormatError, PointPoseError,
+                     SceneFormatError, WeightsFormatError)
 from .modelprep import load_object_model, save_object_model
 from .network import assemble_features, load_weights, save_weights, train
-from .pipeline import detect, evaluate, oracle_detect, thread_budget
+from .pipeline import detect, evaluate, oracle_detect
 from .pose import save_pose_json
 from .synth import (load_scene, make_test_object, read_scene_sidecar, save_scene,
                     synth_scene)
@@ -95,7 +96,7 @@ def cmd_prepare(args, config: RunConfig) -> int:
         try:
             inst = build_instance_training_set(
                 cloud, model, gt, np.random.default_rng([config.seed, i]),
-                sampling, config.augmentation, scene_id=scene_id)
+                sampling, config.augmentation)
         except PointPoseError as exc:
             failures.append({"scene": scene_id, "error": str(exc)})
             continue
@@ -160,7 +161,6 @@ def cmd_detect(args, config: RunConfig) -> int:
     model = load_object_model(Path(args.model))
     cloud, gt = load_scene(Path(args.scene).with_suffix(""))
     params = config.detect_params()
-    params.voting.workers = thread_budget(config.threads)
     debug_dir = Path(args.dump_debug) if args.dump_debug else None
 
     if args.oracle:
@@ -196,7 +196,6 @@ def cmd_eval(args, config: RunConfig) -> int:
         print("eval needs --weights or --oracle", file=sys.stderr)
         return 2
     params = config.detect_params()
-    params.voting.workers = config.threads   # evaluate splits it over scenes and anchors
     report = evaluate(scenes, model, weights, params, config.evaluation.threshold_factor,
                       use_oracle=args.oracle)
     Path(args.out_csv).write_text(report.to_csv())
@@ -278,8 +277,9 @@ def main(argv=None) -> int:
     try:
         config = _build_config(args)
         return args.fn(args, config)
-    except (ConfigError, FileNotFoundError, MissingChannelError, NonFiniteSceneError,
-            PlyFormatError, SceneFormatError) as exc:
+    except (ConfigError, DatasetFormatError, FileNotFoundError, MissingChannelError,
+            NonFiniteSceneError, PlyFormatError, SceneFormatError,
+            WeightsFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PointPoseError as exc:

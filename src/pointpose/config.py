@@ -7,7 +7,7 @@ radius 0.6 x diameter, 20/20/10 sampling, 0.15/0.85 loss weights, batch
 
 A module dataclass is a section when its fields are that section's keys,
 apart from fields marked `metadata={"config": False}`, which the run fills
-in (a seed, a thread budget): `augmentation`, `training`, `voting`,
+in (a seed): `augmentation`, `training`, `voting`,
 `verification` and `synth`. The other sections span several module classes
 or feed derived values, so the builders below assemble those; `network`
 and `icp` run the checks of the module values they feed when they load. A
@@ -153,6 +153,7 @@ class RunConfig:
             icp_model_leaf_mm=self.icp.model_leaf_mm,
             oracle_anchors=d.oracle_anchors,
             seed=self.seed,
+            threads=self.threads,
             voting=replace(self.voting, subsample_seed=self.seed),
             verification=replace(self.verification),
         )

@@ -60,8 +60,6 @@ class SceneLabels:
     """Per-point label: -1 discard, 0 background, 1..K nearest keypoint."""
 
     labels: np.ndarray
-    foreground_mm: float = FOREGROUND_MM
-    background_mm: float = BACKGROUND_MM
 
     @property
     def foreground_mask(self) -> np.ndarray:
@@ -74,7 +72,6 @@ class SceneLabels:
 
 @dataclass
 class ExampleMeta:
-    scene_id: Optional[str] = None
     anchor_mm: Optional[np.ndarray] = None    # sphere center, scene/working frame
     centroid_mm: Optional[np.ndarray] = None  # subtracted centroid, same frame
 
@@ -121,8 +118,7 @@ def label_scene(scene: PointCloud, model: ObjectModel, gt: RigidPose,
         posed_kps = [replace_position(kp, gt) for kp in model.keypoints]
         fg_cloud = scene.select(np.nonzero(fg)[0])
         labels[fg] = nearest_keypoint_labels(fg_cloud, posed_kps)
-    return SceneLabels(labels=labels, foreground_mm=foreground_mm,
-                       background_mm=background_mm)
+    return SceneLabels(labels=labels)
 
 
 def replace_position(kp: Keypoint, pose: RigidPose) -> Keypoint:
@@ -143,8 +139,7 @@ def extract_example(scene: PointCloud, labels: SceneLabels, center: np.ndarray,
                     model: ObjectModel, class_label: int, rng: np.random.Generator,
                     scene_index: Optional[NNIndex] = None,
                     n_points: int = POINTS_PER_EXAMPLE,
-                    radius_factor: float = SPHERE_RADIUS_FACTOR,
-                    scene_id: Optional[str] = None) -> LabeledExample:
+                    radius_factor: float = SPHERE_RADIUS_FACTOR) -> LabeledExample:
     """Uniformly sample a centered n-point sphere around `center`.
 
     Discard-band points are excluded. Fewer than n available points are
@@ -170,7 +165,7 @@ def extract_example(scene: PointCloud, labels: SceneLabels, center: np.ndarray,
         seg_labels=seg,
         class_label=class_label,
         colors=scene.colors[chosen] if scene.colors is not None else None,
-        meta=ExampleMeta(scene_id=scene_id, anchor_mm=center, centroid_mm=centroid),
+        meta=ExampleMeta(anchor_mm=center, centroid_mm=centroid),
     )
 
 
@@ -179,14 +174,12 @@ class InstanceExamples:
     examples: List[LabeledExample]
     easy_shortfall: int = 0
     hard_shortfall: int = 0
-    labels: Optional[SceneLabels] = None
 
 
 def generate_instance_examples(scene: PointCloud, model: ObjectModel, gt: RigidPose,
                                rng: np.random.Generator,
                                params: SamplingParams = SamplingParams(),
-                               labels: Optional[SceneLabels] = None,
-                               scene_id: Optional[str] = None) -> InstanceExamples:
+                               labels: Optional[SceneLabels] = None) -> InstanceExamples:
     """20 positives, 20 easy negatives, 10 hard negatives for one instance.
 
     Positives center on random foreground points. Easy negatives center on
@@ -208,7 +201,7 @@ def generate_instance_examples(scene: PointCloud, model: ObjectModel, gt: RigidP
     def extract(center, cls):
         return extract_example(scene, labels, center, model, cls, rng,
                                scene_index=index, n_points=params.n_points,
-                               radius_factor=params.radius_factor, scene_id=scene_id)
+                               radius_factor=params.radius_factor)
 
     examples: List[LabeledExample] = []
 
@@ -242,7 +235,6 @@ def generate_instance_examples(scene: PointCloud, model: ObjectModel, gt: RigidP
         examples=examples,
         easy_shortfall=params.easy_negatives - easy_taken,
         hard_shortfall=params.hard_negatives - hard_taken,
-        labels=labels,
     )
 
 
@@ -335,7 +327,7 @@ def _swap_positive(pos: LabeledExample, easy: Optional[LabeledExample],
         bg_part = _parts_of(easy, np.ones(len(easy), bool), bg_offset)
         parts.append(_cut_sphere(bg_part, cut_center, radius))
 
-    meta = ExampleMeta(scene_id=pos.meta.scene_id, anchor_mm=cut_center)
+    meta = ExampleMeta(anchor_mm=cut_center)
     return _assemble(parts, len(pos), rng, 1, meta)
 
 
@@ -362,7 +354,7 @@ def _mixed_negative(easies: Sequence[LabeledExample], model: ObjectModel,
                              np.zeros(3), radius)]
     else:
         parts = [p for p in parts if len(p[0])]
-    meta = ExampleMeta(scene_id=easies[picks[0]].meta.scene_id, anchor_mm=np.zeros(3))
+    meta = ExampleMeta(anchor_mm=np.zeros(3))
     return _assemble(parts, len(easies[picks[0]]), rng, 0, meta)
 
 
@@ -437,16 +429,15 @@ def augment(instance_examples: Sequence[LabeledExample], model: ObjectModel,
 def build_instance_training_set(scene: PointCloud, model: ObjectModel, gt: RigidPose,
                                 rng: np.random.Generator,
                                 sampling: SamplingParams = SamplingParams(),
-                                augmentation: AugmentParams = AugmentParams(),
-                                scene_id: Optional[str] = None) -> InstanceExamples:
+                                augmentation: AugmentParams = AugmentParams()
+                                ) -> InstanceExamples:
     """Full per-instance recipe: 50 originals + 60 augmented, all jittered."""
-    inst = generate_instance_examples(scene, model, gt, rng, sampling, scene_id=scene_id)
+    inst = generate_instance_examples(scene, model, gt, rng, sampling)
     augmented = augment(inst.examples, model, rng, augmentation, sampling.radius_factor)
     originals = [jitter_example(e, rng, augmentation) for e in inst.examples]
     return InstanceExamples(examples=originals + augmented,
                             easy_shortfall=inst.easy_shortfall,
-                            hard_shortfall=inst.hard_shortfall,
-                            labels=inst.labels)
+                            hard_shortfall=inst.hard_shortfall)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,8 @@ def voxel_downsample(cloud: PointCloud, leaf: float) -> PointCloud:
         return cloud.select(np.zeros(0, dtype=int))
 
     keys = np.floor(cloud.positions / leaf).astype(np.int64)
-    _, inverse, counts = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
+    _, first, inverse, counts = np.unique(keys, axis=0, return_index=True,
+                                          return_inverse=True, return_counts=True)
     nvox = len(counts)
 
     def mean_per_voxel(values: np.ndarray) -> np.ndarray:
@@ -51,9 +52,6 @@ def voxel_downsample(cloud: PointCloud, leaf: float) -> PointCloud:
         bad = norms < 1e-12
         if bad.any():
             # Cancelled-out means: fall back to the first member's normal.
-            first = np.full(nvox, -1, dtype=np.int64)
-            for i in range(n - 1, -1, -1):
-                first[inverse[i]] = i
             normals[bad] = cloud.normals[first[bad]]
             norms = np.linalg.norm(normals, axis=1)
         normals /= norms[:, None]
@@ -209,10 +207,6 @@ class NNIndex:
         best_d[beyond] = np.inf
         best_i[beyond] = len(self.positions)
         return NearestBatch(best_i, best_d, second)
-
-    def nearest(self, query: np.ndarray) -> Tuple[int, float]:
-        ids, dists = self.nearest_batch(np.asarray(query).reshape(1, 3))
-        return int(ids[0]), float(dists[0])
 
     def ball(self, center: np.ndarray, radius: float) -> np.ndarray:
         """Sorted indices of points within `radius` of `center` (closed ball)."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -218,13 +218,11 @@ def nearest_keypoint_labels(cloud: PointCloud, keypoints: List[Keypoint]) -> np.
 
 
 def build_object_model(cloud: PointCloud, spacing: float = DEFAULT_KEYPOINT_SPACING_MM,
-                       symmetry: Optional[SymmetryDescriptor] = None,
-                       merge_tol: Optional[float] = None) -> ObjectModel:
+                       symmetry: Optional[SymmetryDescriptor] = None) -> ObjectModel:
     """Full preparation: sample keypoints, reduce symmetry, measure diameter."""
     symmetry = symmetry or SymmetryDescriptor()
     keypoints = sample_keypoints(cloud, spacing)
-    tol = merge_tol if merge_tol is not None else 0.5 * spacing
-    keypoints = reduce_symmetric_keypoints(keypoints, symmetry, tol)
+    keypoints = reduce_symmetric_keypoints(keypoints, symmetry, 0.5 * spacing)
     return ObjectModel(cloud=cloud, keypoints=keypoints,
                        diameter=model_diameter(cloud), symmetry=symmetry)
 

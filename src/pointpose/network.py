@@ -27,7 +27,7 @@ import json
 import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -164,7 +164,6 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 @dataclass
 class ForwardResult:
     class_prob: np.ndarray               # (B,)
-    class_logit: np.ndarray              # (B,)
     seg_logits: Optional[np.ndarray]     # (B, N, K+1) or None
     cache: Optional[dict] = None
 
@@ -436,8 +435,7 @@ def forward(weights: Weights, points: np.ndarray, want_seg: bool = True,
         cache = {"x_shape": (b, n), "enc_acts": enc_acts, "argmax": arg, "g": g,
                  "cls_acts": cls_acts, "seg_acts": seg_acts,
                  "logit": logit, "prob": prob, "seg_logits": seg_logits}
-    return ForwardResult(class_prob=prob, class_logit=logit,
-                         seg_logits=seg_logits, cache=cache)
+    return ForwardResult(class_prob=prob, seg_logits=seg_logits, cache=cache)
 
 
 def joint_loss(class_prob: np.ndarray, seg_logits: np.ndarray,
@@ -671,22 +669,16 @@ def train(features: np.ndarray, class_labels: np.ndarray, seg_labels: np.ndarray
 
 
 def assemble_features(examples, input_scale_mm: float = 0.0,
-                      with_color: bool = False, out: Optional[np.ndarray] = None,
-                      offset: int = 0) -> np.ndarray:
+                      with_color: bool = False) -> np.ndarray:
     """Stack LabeledExamples into the network input tensor (M, N, C).
 
     Channel order: xyz (divided by input_scale_mm when > 0), normal,
-    curvature, then rgb when with_color. Pass `out`/`offset` to fill a
-    preallocated slab.
+    curvature, then rgb when with_color.
     """
     channels = 10 if with_color else 7
-    n = len(examples[0])
-    if out is None:
-        out = np.empty((len(examples), n, channels), dtype=np.float32)
-        offset = 0
+    out = np.empty((len(examples), len(examples[0]), channels), dtype=np.float32)
     scale = np.float32(1.0 / input_scale_mm) if input_scale_mm > 0 else np.float32(1.0)
-    for i, e in enumerate(examples):
-        row = out[offset + i]
+    for row, e in zip(out, examples):
         row[:, 0:3] = e.positions * scale
         row[:, 3:6] = e.normals
         row[:, 6] = e.curvatures
@@ -726,7 +718,7 @@ def _read_exact(f, n: int, what: str) -> bytes:
     return data
 
 
-def load_weights(path, expected_config: Optional[NetworkConfig] = None) -> Weights:
+def load_weights(path) -> Weights:
     with open(path, "rb") as f:
         if f.read(4) != _W_MAGIC:
             raise WeightsFormatError("bad weights magic")
@@ -742,9 +734,6 @@ def load_weights(path, expected_config: Optional[NetworkConfig] = None) -> Weigh
         blob = f.read()
     if zlib.crc32(blob) & 0xFFFFFFFF != crc:
         raise WeightsFormatError("weights checksum mismatch (corrupted file)")
-    if expected_config is not None and config != expected_config:
-        raise WeightsFormatError(
-            f"weights config {config.to_dict()} != expected {expected_config.to_dict()}")
 
     flat = np.frombuffer(blob, dtype="<f4")
     enc, cls, seg = _layer_dims(config)

@@ -10,10 +10,10 @@ the network. oracle_detect() labels spheres around random foreground points
 from the ground-truth pose, to exercise the later stages in isolation.
 
 The segmented anchors are independent, so their vote, ICP and verify
-stages run concurrently on the thread budget `VotingParams.workers`: the
-calling thread plus a thread pool, with the same results at every budget.
-While a stage function is wrapped, as by a span tracer, they run on the
-calling thread alone.
+stages run concurrently on the thread budget `DetectParams.threads` (0:
+every CPU this process may use): the calling thread plus a thread pool,
+with the same results at every budget. While a stage function is wrapped,
+as by a span tracer, they run on the calling thread alone.
 
 evaluate(), the one evaluation loop and the one behind `cli eval`, splits
 the budget over a pool of forked processes, one scene at a time; each
@@ -37,7 +37,7 @@ import numpy as np
 
 from .dataset import _sample_fill, label_scene
 from .errors import (EmptySceneError, MissingChannelError, NoHypothesisError,
-                     NonFiniteSceneError, NoOverlapError)
+                     NonFiniteSceneError, NoOverlapError, WeightsFormatError)
 from .geometry import NNIndex, estimate_normals, icp_refine, voxel_downsample
 from .modelprep import ObjectModel
 from .network import (BufferPool, Weights, _softmax, classify, encode, encoder_block,
@@ -64,6 +64,7 @@ class DetectParams:
     icp_model_leaf_mm: float = 5.0
     oracle_anchors: int = 1
     seed: int = 0
+    threads: int = 0  # thread budget; 0 -> every CPU this process may use
     voting: VotingParams = field(default_factory=VotingParams)
     verification: VerificationParams = field(default_factory=VerificationParams)
 
@@ -175,11 +176,11 @@ def _finish_anchor(scene: PointCloud, scene_index: NNIndex, model: ObjectModel,
     return hyp
 
 
-def thread_budget(workers: int) -> int:
-    """Threads a run may use: `workers`, or with -1 (any value below 1) the
+def thread_budget(threads: int) -> int:
+    """Threads a run may use: `threads`, or with 0 (any value below 1) the
     CPUs this process may use (all CPUs where the OS cannot say)."""
-    if workers > 0:
-        return workers
+    if threads > 0:
+        return threads
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -198,20 +199,18 @@ def _finish_anchors(scene: PointCloud, scene_index: NNIndex, model: ObjectModel,
                     depth_buffer, clock: _StageClock) -> List[Optional[PoseHypothesis]]:
     """`_finish_anchor` for every segmented anchor, on the thread budget.
 
-    The budget is `params.voting.workers`. min(budget, anchors) participants,
-    the calling thread and a pool of the rest, pull anchor indices from one
-    shared list; each gets budget // participants kd-tree threads. Anchors
-    are independent (each vote subsample draws from its own RNG; the index,
-    depth buffer and model are only read), and each result is stored at its
-    anchor's index, so the results are the same at every budget. The vote,
-    icp and verify laps of every participant are summed into `clock`.
+    The budget is `params.threads` (0: every CPU this process may use).
+    min(budget, anchors) participants, the calling thread and a pool of the
+    rest, pull anchor indices from one shared list. Anchors are independent
+    (each vote subsample draws from its own RNG; the index, depth buffer and
+    model are only read), and each result is stored at its anchor's index,
+    so the results are the same at every budget. The vote, icp and verify
+    laps of every participant are summed into `clock`.
     When a stage function is wrapped, the calling thread drains every anchor
     alone, since a wrapper need not be thread-safe.
     """
     n_anchors = len(seg.sphere_ids)
-    budget = thread_budget(params.voting.workers)
-    n = 1 if _stages_wrapped() else max(1, min(budget, n_anchors))
-    params = replace(params, voting=replace(params.voting, workers=max(1, budget // n)))
+    n = 1 if _stages_wrapped() else max(1, min(thread_budget(params.threads), n_anchors))
     results: List[Optional[PoseHypothesis]] = [None] * n_anchors
     pending = list(range(n_anchors - 1, -1, -1))  # popped from the end: anchor order
     lock = threading.Lock()
@@ -466,6 +465,9 @@ def _stage_chain(scene: PointCloud, model: ObjectModel, params: DetectParams,
 def detect(scene: PointCloud, model: ObjectModel, weights: Weights,
            params: DetectParams = DetectParams(), debug_dir=None) -> DetectionResult:
     """Full pipeline on one scene; hypotheses ranked by localization loss."""
+    if weights.config.k != model.k:
+        raise WeightsFormatError(f"weights segment {weights.config.k} keypoints, "
+                                 f"the model has {model.k}")
     return _stage_chain(scene, model, params, partial(_network_segmentation, weights),
                         debug_dir, rgb_input=weights.config.input_channels == 10)
 
@@ -605,16 +607,17 @@ def evaluate(scenes: Sequence[Tuple[str, PointCloud, RigidPose]], model: ObjectM
     """Detect on every (id, cloud, gt) scene; success = ADD (ADD-S when the
     model is symmetric) below threshold_factor x diameter.
 
-    The thread budget `params.voting.workers` runs min(budget, scenes)
-    processes, with budget // processes threads for each scene's anchors;
-    one process is the calling one. Forked workers get the arguments once,
-    unpickled, and index `scenes` themselves, so a sequence that reads a
-    scene when indexed keeps every cloud out of the calling process.
+    The thread budget `params.threads` (0: every CPU this process may use)
+    runs min(budget, scenes) processes, with budget // processes threads
+    for each scene's anchors; one process is the calling one. Forked
+    workers get the arguments once, unpickled, and index `scenes`
+    themselves, so a sequence that reads a scene when indexed keeps every
+    cloud out of the calling process.
     Records are in scene order and the same at every budget.
     """
-    budget = thread_budget(params.voting.workers)
+    budget = thread_budget(params.threads)
     n = max(1, min(budget, len(scenes)))
-    params = replace(params, voting=replace(params.voting, workers=max(1, budget // n)))
+    params = replace(params, threads=max(1, budget // n))
     run = (scenes, model, weights, params, threshold_factor, use_oracle)
     if n == 1:
         records = [_evaluate_one(i, run) for i in range(len(scenes))]

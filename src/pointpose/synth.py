@@ -44,7 +44,6 @@ class SyntheticScene:
     cloud: PointCloud
     gt_pose: RigidPose
     params: SynthParams
-    model_point_count: int = 0   # visible object points in the cloud
     scene_id: Optional[str] = None
 
 
@@ -93,8 +92,7 @@ def _sphere_surface(radius: float, step: float,
     return dirs * radius, dirs
 
 
-def make_test_object(base_radius: float = 45.0, n_points: int = 4500,
-                     spacing: float = 25.0, seed: int = 1234) -> ObjectModel:
+def make_test_object(n_points: int = 4500, spacing: float = 25.0) -> ObjectModel:
     """Smooth asymmetric blob: a sphere with chiral radial lobes.
 
     Smoothness keeps segment-member normals coherent with their keypoint's
@@ -103,13 +101,13 @@ def make_test_object(base_radius: float = 45.0, n_points: int = 4500,
     come from the same PCA estimator the pipeline uses on scenes; colors
     follow a positional gradient so the color loss is informative.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(1234)
     u = rng.standard_normal((n_points, 3))
     u /= np.linalg.norm(u, axis=1, keepdims=True)
     ux, uy, uz = u[:, 0], u[:, 1], u[:, 2]
     bump = (0.22 * ux + 0.16 * ux * uy + 0.14 * uy * uz
             - 0.18 * uz * ux * ux + 0.12 * uz)
-    r = base_radius * (1.0 + bump)
+    r = 45.0 * (1.0 + bump)
     pts = u * r[:, None]
     pts -= (pts.max(axis=0) + pts.min(axis=0)) / 2
 
@@ -225,17 +223,12 @@ def synth_scene(model: ObjectModel, rng: np.random.Generator,
     in_frustum = (z > 0) & (xs >= 0) & (xs < intr.width) & (ys >= 0) & (ys < intr.height)
     keep = occ.visible_mask & in_frustum
 
-    n_table = len(table)
-    n_model = len(posed_model)
-    model_kept = int(keep[n_table:n_table + n_model].sum())
-
     visible = combined.select(np.nonzero(keep)[0])
     if params.noise_sigma_mm > 0:
         visible.positions = visible.positions \
             + rng.normal(0.0, params.noise_sigma_mm, visible.positions.shape)
 
-    return SyntheticScene(cloud=visible, gt_pose=gt, params=params,
-                          model_point_count=model_kept, scene_id=scene_id)
+    return SyntheticScene(cloud=visible, gt_pose=gt, params=params, scene_id=scene_id)
 
 
 # ---------------------------------------------------------------------------

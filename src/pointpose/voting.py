@@ -10,7 +10,7 @@ the hypothesis, scored by the fraction of votes that support it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -32,9 +32,6 @@ class VotingParams:
     max_correspondences: int = 500
     min_confidence: float = 0.0
     subsample_seed: int = field(default=0, metadata={"config": False})
-    # thread budget of the anchors and their kd-tree queries (-1: every CPU
-    # this process may use); the CLI derives it from config.threads
-    workers: int = field(default=-1, metadata={"config": False})
 
     def __post_init__(self):
         if self.n_theta < 4:
@@ -229,9 +226,10 @@ def _mean_rotation(rotations: np.ndarray) -> np.ndarray:
 
 
 def density_peak(votes: VoteSet, delta_t_mm: float = 10.0,
-                 delta_r_rad: float = 0.20943951023931953,
-                 return_supporters: bool = False, workers: int = -1):
-    """Max-support vote under translation/rotation kernels.
+                 delta_r_rad: float = 0.20943951023931953
+                 ) -> Tuple[PoseHypothesis, np.ndarray]:
+    """Max-support vote under translation/rotation kernels, as
+    (hypothesis, supporters): the winner's supporting vote indices, ascending.
 
     Support of a vote = number of votes within delta_t translation AND
     delta_r geodesic rotation distance. Ties break toward the smaller
@@ -276,18 +274,20 @@ def density_peak(votes: VoteSet, delta_t_mm: float = 10.0,
     count could tie or beat the best is re-scored exactly from its joint
     neighbours, which hold all its supporters, so the winner, its
     supporters and their order are the same on both paths.
-    `workers` is the thread count of the kd-tree queries (-1: every CPU).
     """
+    if not delta_t_mm > 0:  # written so that NaN fails too
+        raise ValueError(f"delta_t_mm must be positive, got {delta_t_mm}")
+    # the hemisphere identity above needs q_radius < sqrt(2)
+    if not 0 < delta_r_rad < np.pi:
+        raise ValueError(f"delta_r_rad must be above 0 and below pi, got {delta_r_rad}")
     if len(votes) == 0:
         raise NoHypothesisError("no votes to cluster")
     (support, _, _), supporters = _peak_search(votes.translations, votes.quats,
-                                               delta_t_mm, delta_r_rad, workers)
+                                               delta_t_mm, delta_r_rad)
     pose = RigidPose(_mean_rotation(quat_to_matrix(votes.quats[supporters])),
                      votes.translations[supporters].mean(axis=0))
-    hyp = PoseHypothesis(pose=pose, s_kde=support / len(votes), vote_support=support)
-    if return_supporters:
-        return hyp, supporters
-    return hyp
+    return PoseHypothesis(pose=pose, s_kde=support / len(votes),
+                          vote_support=support), supporters
 
 
 # candidates scored one at a time before a vote set counts as noise-like,
@@ -314,7 +314,7 @@ def _hemisphere_rows(quats: np.ndarray, q_radius: float):
     return np.vstack([canon, -canon[flip]]), np.concatenate([np.arange(len(quats)), flip])
 
 
-def _rotation_bound(q_tree, ids: np.ndarray, q_radius: float, workers: int) -> np.ndarray:
+def _rotation_bound(q_tree, ids: np.ndarray, q_radius: float) -> np.ndarray:
     """Rotation neighbours of the votes `ids`, each itself included: one
     query of their rows of `_hemisphere_rows` against the tree of all rows,
     issued in tree order so that queries near in space are near in memory."""
@@ -323,7 +323,7 @@ def _rotation_bound(q_tree, ids: np.ndarray, q_radius: float, workers: int) -> n
     in_tree_order = q_tree.indices[wanted[q_tree.indices]]
     counts = np.zeros(q_tree.n, dtype=np.int64)
     counts[in_tree_order] = q_tree.query_ball_point(
-        q_tree.data[in_tree_order], q_radius, return_length=True, workers=workers)
+        q_tree.data[in_tree_order], q_radius, return_length=True)
     return counts[ids]
 
 
@@ -354,7 +354,7 @@ def _box_bound(q_rows: np.ndarray, v: int, q_radius: float) -> np.ndarray:
 
 
 def _peak_search(trans: np.ndarray, quats: np.ndarray, delta_t_mm: float,
-                 delta_r_rad: float, workers: int):
+                 delta_r_rad: float):
     """density_peak's search: the winner's score (support, -sum_dist,
     -index) and its supporters, in ascending vote index."""
     from scipy.spatial import cKDTree
@@ -391,10 +391,10 @@ def _peak_search(trans: np.ndarray, quats: np.ndarray, delta_t_mm: float,
     q_tree = cKDTree(q_rows, leafsize=_LEAFSIZE, balanced_tree=False)
     bound = _box_bound(q_rows, v, q_radius)
     top = np.argpartition(-bound, min(_EXACT_FIRST, v) - 1)[:_EXACT_FIRST]
-    first = top[np.argmax(_rotation_bound(q_tree, top, q_radius, workers))]
+    first = top[np.argmax(_rotation_bound(q_tree, top, q_radius))]
     best, best_supporters = score(first)  # best: (support, -sum_dist, -index), maximized
     live = np.nonzero(bound >= best[0])[0]
-    bound[live] = _rotation_bound(q_tree, live, q_radius, workers)
+    bound[live] = _rotation_bound(q_tree, live, q_radius)
     live = live[bound[live] >= best[0]]
     live = live[np.argsort(-bound[live], kind="stable")]  # ties: lowest index first
     for c in live[:_EXACT_FIRST]:
@@ -414,8 +414,7 @@ def _peak_search(trans: np.ndarray, quats: np.ndarray, delta_t_mm: float,
 
     def score_batch(cand):
         nonlocal best, best_supporters
-        lists = joint.query_ball_point(scaled[cand], radius, workers=workers,
-                                       return_sorted=False)
+        lists = joint.query_ball_point(scaled[cand], radius, return_sorted=False)
         sizes = np.array([len(nb) for nb in lists], dtype=np.int64)
         ends = np.cumsum(sizes)
         owner = np.repeat(np.arange(len(cand)), sizes)
@@ -445,7 +444,7 @@ def _peak_search(trans: np.ndarray, quats: np.ndarray, delta_t_mm: float,
     unscored[sample] = False
     rest = rest[(bound[rest] >= best[0]) & unscored[rest]]
     jbound = np.minimum(bound[rest], joint.query_ball_point(
-        scaled[rest], radius, return_length=True, workers=workers))
+        scaled[rest], radius, return_length=True))
     by_bound = np.lexsort((rest, -jbound))
     rest, jbound = rest[by_bound], jbound[by_bound]
 
@@ -482,8 +481,7 @@ def estimate_pose(corr: Correspondences,
 
     corr = subsample_correspondences(corr, params)
     votes = pose_votes(corr, params.n_theta)
-    hyp, supporters = density_peak(votes, params.delta_t_mm, params.delta_r_rad,
-                                   return_supporters=True, workers=params.workers)
+    hyp, supporters = density_peak(votes, params.delta_t_mm, params.delta_r_rad)
 
     support_corr = np.unique(votes.source[supporters])
     if len(support_corr) >= 3:

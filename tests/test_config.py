@@ -21,7 +21,7 @@ from pointpose.pipeline import DetectParams
 DEFAULT_CONFIG = Path(__file__).parent / "data" / "default_config.json"
 
 # fields the run fills in (seeds, the thread budget), and a synth constant
-NOT_KEYS = ["training.seed", "voting.subsample_seed", "voting.workers",
+NOT_KEYS = ["training.seed", "voting.subsample_seed", "detect.threads",
             "synth.hpr_splat_px"]
 
 
@@ -82,6 +82,11 @@ def test_builders_fill_in_the_run_seed():
     params = config.detect_params()
     assert params.seed == params.voting.subsample_seed == 5
     assert config.training.seed == config.voting.subsample_seed == 0
+
+
+def test_builder_fills_in_the_thread_budget():
+    assert RunConfig(threads=3).detect_params().threads == 3
+    assert RunConfig().detect_params().threads == 0
 
 
 @pytest.mark.parametrize("assignment, message", [

@@ -90,6 +90,17 @@ def test_voxel_averages_channels_and_renormalizes():
     np.testing.assert_allclose(out.colors[0], [0.5, 0, 0.5])
 
 
+def test_voxel_cancelled_normals_take_the_first_member():
+    # point 0 opens the highest-keyed voxel; points 1 and 2 the lowest
+    cloud = make_cloud([[130, 130, 130], [1, 1, 1], [2, 2, 2], [131, 131, 131],
+                        [60, 60, 60]],
+                       normals=[[0, 0, 1], [1, 0, 0], [-1, 0, 0], [0, 0, -1], [0, 1, 0]])
+    out = voxel_downsample(cloud, 25.0)
+    np.testing.assert_allclose(out.positions, [[1.5, 1.5, 1.5], [60, 60, 60],
+                                               [130.5, 130.5, 130.5]])
+    np.testing.assert_array_equal(out.normals, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+
+
 # ---------------------------------------------------------------------------
 # estimate_normals
 
@@ -127,7 +138,7 @@ def test_normals_isolated_point():
 
 def test_nearest_345():
     idx = NNIndex(np.array([[0.0, 0, 0]]))
-    i, d = idx.nearest(np.array([3.0, 4.0, 0.0]))
+    (i,), (d,) = idx.nearest_batch(np.array([3.0, 4.0, 0.0]))
     assert i == 0
     assert d == pytest.approx(5.0, abs=1e-12)
 
@@ -135,7 +146,7 @@ def test_nearest_345():
 def test_nearest_identity_query():
     pts = np.random.default_rng(0).uniform(0, 10, (50, 3))
     idx = NNIndex(pts)
-    i, d = idx.nearest(pts[17])
+    (i,), (d,) = idx.nearest_batch(pts[17])
     assert i == 17
     assert d == 0.0
 
@@ -172,19 +183,19 @@ def test_nearest_within_max_dist_keeps_near_rows(n_points):
 def test_nearest_tie_breaks_to_lowest_index():
     pts = np.array([[1.0, 0, 0], [-1.0, 0, 0], [0, 1.0, 0]])
     idx = NNIndex(pts)
-    i, d = idx.nearest(np.zeros(3))
+    (i,), (d,) = idx.nearest_batch(np.zeros(3))
     assert i == 0
     assert d == pytest.approx(1.0)
     # exact duplicates
     idx2 = NNIndex(np.array([[2.0, 2, 2], [2.0, 2, 2], [9, 9, 9.0]]))
-    i2, _ = idx2.nearest(np.array([2.0, 2, 2.1]))
+    (i2,), _ = idx2.nearest_batch(np.array([2.0, 2, 2.1]))
     assert i2 == 0
 
 
 def test_nearest_empty_index_raises():
     idx = NNIndex(np.zeros((0, 3)))
     with pytest.raises(EmptyIndexError):
-        idx.nearest(np.zeros(3))
+        idx.nearest_batch(np.zeros(3))
 
 
 def _brute_second(points, queries):

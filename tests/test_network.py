@@ -8,7 +8,7 @@ import pytest
 
 from pointpose import network
 from pointpose.errors import WeightsFormatError
-from pointpose.network import (ForwardResult, NetworkConfig, TrainConfig,
+from pointpose.network import (NetworkConfig, TrainConfig,
                                Weights, assemble_features, backward, forward,
                                init_weights, joint_loss, load_weights,
                                save_weights, train)
@@ -558,15 +558,6 @@ def test_weights_roundtrip_bit_identical_forward(tmp_path):
     b = forward(back, feats[:2])
     assert np.array_equal(a.class_prob, b.class_prob)
     assert np.array_equal(a.seg_logits, b.seg_logits)
-
-
-def test_weights_wrong_k_rejected(tmp_path):
-    w = init_weights(TINY, seed=0)
-    path = tmp_path / "w.bin"
-    save_weights(path, w)
-    other = NetworkConfig(k=5, encoder=(4, 8), classifier=(4, 1), segmenter=(4, 0))
-    with pytest.raises(WeightsFormatError):
-        load_weights(path, expected_config=other)
 
 
 def test_weights_corruption_detected(tmp_path):

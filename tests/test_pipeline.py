@@ -12,6 +12,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from functools import partial, wraps
 from pathlib import Path
@@ -21,7 +22,8 @@ import pytest
 
 from pointpose import cli, network, pipeline
 from pointpose.config import RunConfig, apply_override, config_from_dict
-from pointpose.errors import ConfigError, MissingChannelError, NonFiniteSceneError
+from pointpose.errors import (ConfigError, MissingChannelError, NonFiniteSceneError,
+                              WeightsFormatError)
 from pointpose.geometry import NNIndex
 from pointpose.modelprep import load_object_model, save_object_model
 from pointpose.network import NetworkConfig, init_weights, save_weights
@@ -175,6 +177,53 @@ def test_cli_eval_malformed_sidecar_exits_2(model, tmp_path, capsys):
                      "--out-json", str(tmp_path / "eval.json")])
     assert code == 2
     assert "invalid JSON" in capsys.readouterr().err
+
+
+def other_k_weights(model):
+    return init_weights(NetworkConfig(k=model.k + 3), seed=0)
+
+
+def test_detect_weights_for_another_keypoint_count(model, monkeypatch):
+    def no_normals(*args, **kwargs):
+        raise AssertionError("normals were estimated before the weights check")
+
+    monkeypatch.setattr(pipeline, "estimate_normals", no_normals)
+    with pytest.raises(WeightsFormatError, match=f"{model.k + 3} keypoints.* {model.k}"):
+        pipeline.detect(colourless_scene(), model, other_k_weights(model))
+
+
+@pytest.mark.parametrize("command", ["detect", "eval"])
+def test_cli_weights_for_another_keypoint_count_exit_2(model, tmp_path, capsys, command):
+    annotated_scene(tmp_path, model, IDENTITY_SIDECAR)
+    save_weights(tmp_path / "w.bin", other_k_weights(model))
+    argv = [command, "--model", str(tmp_path / "model"), "--weights", str(tmp_path / "w.bin")]
+    if command == "detect":
+        argv += ["--scene", str(tmp_path / "scene.ply"), "--out", str(tmp_path / "pose.json")]
+    else:
+        argv += ["--scenes", str(tmp_path), "--out-csv", str(tmp_path / "eval.csv"),
+                 "--out-json", str(tmp_path / "eval.json")]
+    assert cli.main(argv) == 2
+    assert f"error: weights segment {model.k + 3} keypoints" in capsys.readouterr().err
+
+
+def test_cli_detect_truncated_weights_exits_2(model, tmp_path, capsys):
+    annotated_scene(tmp_path, model, IDENTITY_SIDECAR)
+    save_weights(tmp_path / "w.bin", init_weights(NetworkConfig(k=model.k), seed=0))
+    (tmp_path / "w.bin").write_bytes((tmp_path / "w.bin").read_bytes()[:10])
+    code = cli.main(["detect", "--scene", str(tmp_path / "scene.ply"),
+                     "--model", str(tmp_path / "model"), "--weights", str(tmp_path / "w.bin"),
+                     "--out", str(tmp_path / "pose.json")])
+    assert code == 2
+    assert "error: weights file ends inside the header" in capsys.readouterr().err
+
+
+def test_cli_train_garbage_dataset_exits_2(tmp_path, capsys):
+    (tmp_path / "data.bin").write_bytes(b"garbage")
+    code = cli.main(["train", "--dataset", str(tmp_path / "data.bin"),
+                     "--out", str(tmp_path / "w.bin")])
+    assert code == 2
+    assert "error: file too short for header" in capsys.readouterr().err
+    assert not (tmp_path / "w.bin").exists()
 
 
 @pytest.mark.parametrize("assignment", [
@@ -417,11 +466,11 @@ def test_cli_detect_dump_debug_writes_every_stage(baseline_model, small_scene, t
 
 
 # ---------------------------------------------------------------------------
-# the per-anchor stages on the thread budget (VotingParams.workers)
+# the per-anchor stages on the thread budget (DetectParams.threads)
 
 
 def with_budget(params, budget):
-    return replace(params, voting=replace(params.voting, workers=budget))
+    return replace(params, threads=budget)
 
 
 def outputs(result):
@@ -494,6 +543,26 @@ def test_budget_1_starts_no_thread(baseline_model, small_scene, monkeypatch):
     assert len(result.ranked) == 3
 
 
+@pytest.mark.parametrize("threads, pools", [(1, []), (3, [2])])
+def test_cli_threads_reach_the_anchor_pool(baseline_model, small_scene, tmp_path,
+                                           monkeypatch, threads, pools):
+    started = []
+
+    def counted_pool(max_workers):
+        started.append(max_workers)
+        return ThreadPoolExecutor(max_workers)
+
+    monkeypatch.setattr(pipeline, "ThreadPoolExecutor", counted_pool)
+    save_object_model(tmp_path / "model", baseline_model)
+    save_scene(tmp_path / "scene", small_scene)
+    assert cli.main(["detect", "--oracle", "--threads", str(threads),
+                     "--set", "detect.oracle_anchors=3",
+                     "--scene", str(tmp_path / "scene.ply"),
+                     "--model", str(tmp_path / "model"),
+                     "--out", str(tmp_path / "pose.json")]) == 0
+    assert started == pools
+
+
 def test_wrapped_stage_runs_anchors_on_the_calling_thread(baseline_model, small_scene,
                                                          monkeypatch):
     # a tracer-style wrapper may keep one call stack for every thread
@@ -520,10 +589,10 @@ def test_wrapped_stage_runs_anchors_on_the_calling_thread(baseline_model, small_
 def test_thread_budget_without_cpu_affinity(monkeypatch):
     monkeypatch.delattr(pipeline.os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(pipeline.os, "cpu_count", lambda: 3)
-    assert pipeline.thread_budget(-1) == 3
+    assert pipeline.thread_budget(0) == 3
     assert pipeline.thread_budget(2) == 2
     monkeypatch.setattr(pipeline.os, "cpu_count", lambda: None)
-    assert pipeline.thread_budget(-1) == 1
+    assert pipeline.thread_budget(0) == 1
 
 
 def test_anchor_error_reaches_the_caller(baseline_model, small_scene, monkeypatch):

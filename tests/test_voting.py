@@ -230,7 +230,7 @@ def vote_set(rotations, translations):
 def test_density_peak_identical_votes():
     r = random_rotation(np.random.default_rng(4))
     votes = vote_set([r] * 20, [[1.0, 2, 3]] * 20)
-    hyp = density_peak(votes, 10.0, np.radians(12))
+    hyp, _ = density_peak(votes, 10.0, np.radians(12))
     assert hyp.s_kde == 1.0
     assert hyp.vote_support == 20
     np.testing.assert_allclose(hyp.pose.rotation, r, atol=1e-12)
@@ -245,7 +245,7 @@ def test_density_peak_cluster_beats_scatter():
     for k in range(10):
         rots.append(rotation_about_axis(rng.standard_normal(3), np.radians(60 + k)) @ r_a)
         trans.append((rng.uniform(100, 200, 3) * rng.choice([-1, 1], 3)).tolist())
-    hyp = density_peak(vote_set(rots, trans), 10.0, np.radians(12))
+    hyp, _ = density_peak(vote_set(rots, trans), 10.0, np.radians(12))
     assert hyp.vote_support == 50
     np.testing.assert_allclose(hyp.pose.translation, [0, 0, 0], atol=1e-9)
 
@@ -378,13 +378,13 @@ PEAK_SETS = [outlier_mix_set, clean_cluster_set, noise_like_set, half_turn_set,
 def test_density_peak_matches_bruteforce(make_votes):
     gt, votes = make_votes(np.random.default_rng(6))
     dr = np.radians(12)
-    hyp, supporters = density_peak(votes, 10.0, dr, return_supporters=True)
+    hyp, supporters = density_peak(votes, 10.0, dr)
     (support, neg_sum, neg_idx), mask = brute_force_peak(votes, 10.0, dr)
     assert hyp.vote_support == support
     assert hyp.s_kde == support / len(votes)
     np.testing.assert_array_equal(supporters, np.nonzero(mask)[0])  # ascending
     # the summed distance adds in ascending vote index, as the brute force does
-    best, _ = _peak_search(votes.translations, votes.quats, 10.0, dr, -1)
+    best, _ = _peak_search(votes.translations, votes.quats, 10.0, dr)
     assert best == (support, neg_sum, neg_idx)
     assert np.array_equal(hyp.pose.translation, votes.translations[mask].mean(axis=0))
     if gt is not None:
@@ -413,9 +413,9 @@ def test_rotation_bound_one_query_matches_two(make_votes):
     tree = hemisphere_tree(rows)
     expected = two_query_bound(votes.quats, Q_RADIUS)
     ids = np.random.default_rng(1).permutation(len(votes))[:len(votes) // 2]
-    np.testing.assert_array_equal(_rotation_bound(tree, ids, Q_RADIUS, -1), expected[ids])
+    np.testing.assert_array_equal(_rotation_bound(tree, ids, Q_RADIUS), expected[ids])
     np.testing.assert_array_equal(
-        _rotation_bound(tree, np.arange(len(votes)), Q_RADIUS, -1), expected)
+        _rotation_bound(tree, np.arange(len(votes)), Q_RADIUS), expected)
     assert (rows[:len(votes), 3] >= 0).all()
     np.testing.assert_array_equal(vote_of[:len(votes)], np.arange(len(votes)))
     if make_votes is half_turn_set:     # quaternions on both sides of w = 0
@@ -447,7 +447,7 @@ def test_box_bound_is_at_least_the_rotation_bound(seed, n, spread, snapped, delt
     partners[np.arange(len(rows)), rng.integers(0, 4, len(rows))] += (
         rng.choice([-1.0, 1.0], len(rows)) * q_radius * (1 - 1e-9))
     rows = np.vstack([rows, partners, corner])
-    exact = _rotation_bound(hemisphere_tree(rows), np.arange(n), q_radius, 1)
+    exact = _rotation_bound(hemisphere_tree(rows), np.arange(n), q_radius)
     box = _box_bound(rows, n, q_radius)
     assert (box >= exact).all()
     np.testing.assert_array_equal(box, cell_neighbours(rows, q_radius)[:n])
@@ -491,28 +491,18 @@ def test_translation_prefilter_keeps_votes_on_the_kernel_boundary(seed, delta_t,
     trans = np.vstack([np.tile(center, (3, 1)), center + dirs * radii[:, None]])
     votes = vote_set([random_rotation(rng)] * len(trans), trans[rng.permutation(len(trans))])
     dr = np.radians(12)
-    best, supporters = _peak_search(votes.translations, votes.quats, delta_t, dr, 1)
+    best, supporters = _peak_search(votes.translations, votes.quats, delta_t, dr)
     expected, mask = brute_force_peak(votes, delta_t, dr)
     assert best == expected
     np.testing.assert_array_equal(supporters, np.nonzero(mask)[0])
 
 
-@pytest.mark.parametrize("make_votes", [noise_like_set, oracle_like_set, support_tie_set])
-def test_density_peak_workers_do_not_change_result(make_votes):
-    _, votes = make_votes(np.random.default_rng(13))
-    a, sa = density_peak(votes, return_supporters=True, workers=1)
-    b, sb = density_peak(votes, return_supporters=True, workers=2)
-    assert a.vote_support == b.vote_support
-    np.testing.assert_array_equal(sa, sb)
-    np.testing.assert_array_equal(a.pose.rotation, b.pose.rotation)
-
-
 def test_density_peak_skde_monotone_in_kernel():
     rng = np.random.default_rng(7)
     _, votes = noisy_votes(rng, n_in=200, n_out=100)
-    wide = density_peak(votes, 20.0, np.radians(24)).s_kde
-    mid = density_peak(votes, 10.0, np.radians(12)).s_kde
-    tight = density_peak(votes, 5.0, np.radians(6)).s_kde
+    wide = density_peak(votes, 20.0, np.radians(24))[0].s_kde
+    mid = density_peak(votes, 10.0, np.radians(12))[0].s_kde
+    tight = density_peak(votes, 5.0, np.radians(6))[0].s_kde
     assert wide >= mid >= tight > 0
 
 
@@ -522,8 +512,8 @@ def test_density_peak_duplication_invariant():
     doubled = VoteSet(np.concatenate([votes.quats] * 2),
                       np.concatenate([votes.translations] * 2),
                       np.concatenate([votes.source, votes.source + len(votes)]))
-    a = density_peak(votes, 10.0, np.radians(12))
-    b = density_peak(doubled, 10.0, np.radians(12))
+    a, _ = density_peak(votes, 10.0, np.radians(12))
+    b, _ = density_peak(doubled, 10.0, np.radians(12))
     assert b.vote_support == 2 * a.vote_support
     assert b.s_kde == a.s_kde
     np.testing.assert_allclose(a.pose.rotation, b.pose.rotation, atol=1e-12)
@@ -534,6 +524,18 @@ def test_density_peak_empty_votes():
     with pytest.raises(NoHypothesisError):
         density_peak(VoteSet(np.zeros((0, 4)), np.zeros((0, 3)), np.zeros(0, np.int32)),
                      10.0, 0.2)
+
+
+@pytest.mark.parametrize("argument, value", [
+    ("delta_t_mm", 0.0), ("delta_t_mm", -10.0), ("delta_t_mm", np.nan),
+    ("delta_r_rad", 0.0), ("delta_r_rad", -0.2), ("delta_r_rad", np.nan),
+    ("delta_r_rad", np.pi),
+])
+def test_density_peak_rejects_a_kernel_outside_its_range(argument, value):
+    _, votes = clean_cluster_set(np.random.default_rng(6))
+    kernel = {"delta_t_mm": 10.0, "delta_r_rad": 0.2, argument: value}
+    with pytest.raises(ValueError, match=argument):
+        density_peak(votes, **kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -632,14 +634,13 @@ def oracle_like_votes_500(rng):
 
 
 @pytest.mark.perf
-@pytest.mark.parametrize("workers", [-1, 1])  # 1: each eval pool worker on 2 CPUs
 @pytest.mark.parametrize("make_votes", [clean_votes_500, noise_like_votes_500,
                                         oracle_like_votes_500])
-def test_density_peak_speed(benchmark, make_votes, workers):
+def test_density_peak_speed(benchmark, make_votes):
     """500 correspondences x 36 angles, as estimate_pose votes at most."""
     votes = make_votes(np.random.default_rng(21))
     assert len(votes) == 500 * 36
-    hyp = benchmark(density_peak, votes, workers=workers)
+    hyp, _ = benchmark(density_peak, votes)
     assert 1 <= hyp.vote_support <= len(votes)
 
 
