@@ -18,8 +18,8 @@ from .config import (RunConfig, apply_override, config_from_dict, config_to_dict
                      load_config, save_config)
 from .dataset import build_instance_training_set, read_dataset, write_dataset
 from .errors import (ConfigError, DatasetFormatError, MissingChannelError,
-                     NonFiniteSceneError, PlyFormatError, PointPoseError,
-                     SceneFormatError, WeightsFormatError)
+                     ModelFormatError, NonFiniteSceneError, PlyFormatError,
+                     PointPoseError, SceneFormatError, WeightsFormatError)
 from .modelprep import load_object_model, save_object_model
 from .network import assemble_features, load_weights, save_weights, train
 from .pipeline import detect, evaluate, oracle_detect
@@ -139,19 +139,19 @@ def cmd_train(args, config: RunConfig) -> int:
 
     log_rows = []
 
-    def log(epoch, loss):
-        log_rows.append((epoch, loss))
-        print(f"epoch {epoch + 1}/{config.training.epochs}: loss {loss:.6f}",
-              file=sys.stderr)
+    def log(epoch, loss, cls_loss, seg_loss):
+        log_rows.append((epoch, loss, cls_loss, seg_loss))
+        print(f"epoch {epoch + 1}/{config.training.epochs}: loss {loss:.6f} "
+              f"(cls {cls_loss:.6f}, seg {seg_loss:.6f})", file=sys.stderr)
 
     weights, losses = train(feats, cls, seg, net_config, config.train_config(),
                             input_scale_mm=input_scale, log_fn=log)
     save_weights(args.out, weights)
     log_path = Path(args.out).with_suffix(".loss.csv")
     with open(log_path, "w") as f:
-        f.write("epoch,loss\n")
-        for i, loss in enumerate(losses):
-            f.write(f"{i},{loss!r}\n")
+        f.write("epoch,loss,cls_loss,seg_loss\n")
+        for row in log_rows:
+            f.write(",".join(map(repr, row)) + "\n")
     print(json.dumps({"weights": str(args.out), "loss_log": str(log_path),
                       "final_loss": losses[-1], "examples": len(examples)}))
     return 0
@@ -278,7 +278,7 @@ def main(argv=None) -> int:
         config = _build_config(args)
         return args.fn(args, config)
     except (ConfigError, DatasetFormatError, FileNotFoundError, MissingChannelError,
-            NonFiniteSceneError, PlyFormatError, SceneFormatError,
+            ModelFormatError, NonFiniteSceneError, PlyFormatError, SceneFormatError,
             WeightsFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

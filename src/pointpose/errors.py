@@ -58,6 +58,11 @@ class SceneFormatError(PointPoseError, ValueError):
     intrinsics or view origin of the wrong type or shape."""
 
 
+class ModelFormatError(PointPoseError, ValueError):
+    """Malformed object model sidecar (`<model>.json`): invalid JSON, or
+    keypoints, a diameter or a symmetry of the wrong type, shape or value."""
+
+
 class WeightsFormatError(PointPoseError):
     """Malformed or mismatched network weights file."""
 

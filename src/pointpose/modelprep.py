@@ -14,6 +14,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from .errors import ModelFormatError
 from .geometry import NNIndex, voxel_downsample
 from .ply import read_ply, write_ply
 from .pointcloud import PointCloud
@@ -60,13 +61,6 @@ class SymmetryDescriptor:
         if self.kind == "cyclic":
             d["fold"] = self.fold
         return d
-
-    @staticmethod
-    def from_dict(d: dict) -> "SymmetryDescriptor":
-        if d["kind"] == "none":
-            return SymmetryDescriptor()
-        return SymmetryDescriptor(kind=d["kind"], fold=d.get("fold"),
-                                  axis=np.array(d["axis"]), center=np.array(d["center_mm"]))
 
 
 @dataclass
@@ -241,14 +235,64 @@ def save_object_model(stem, model: ObjectModel) -> None:
         json.dump(sidecar, f, indent=2)
 
 
+def sidecar_array(value, shape, where: str, error) -> np.ndarray:
+    """A JSON sidecar field as a float array of `shape`, or `error`."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:   # ragged nesting
+        arr = None
+    if (arr is None or arr.dtype.kind not in "iuf" or arr.shape != shape
+            or not np.isfinite(arr).all()):
+        what = f"{'x'.join(map(str, shape))} finite numbers" if shape else "a finite number"
+        raise error(f"{where}: expected {what}")
+    return arr.astype(np.float64)
+
+
+def _read_symmetry(d, where: str) -> SymmetryDescriptor:
+    if not isinstance(d, dict) or d.get("kind") not in ("none", "cyclic", "revolution"):
+        raise ModelFormatError(f"{where}: expected an object of kind none, cyclic "
+                               f"or revolution")
+    if d["kind"] == "none":
+        return SymmetryDescriptor()
+    fold = d.get("fold")
+    if d["kind"] == "cyclic" and not (type(fold) is int and fold >= 2):
+        raise ModelFormatError(f"{where}.fold: expected an integer >= 2")
+    axis = sidecar_array(d.get("axis"), (3,), f"{where}.axis", ModelFormatError)
+    center = sidecar_array(d.get("center_mm"), (3,), f"{where}.center_mm", ModelFormatError)
+    try:
+        return SymmetryDescriptor(d["kind"], fold, axis, center)
+    except ValueError as exc:   # a zero axis
+        raise ModelFormatError(f"{where}: {exc}") from exc
+
+
 def load_object_model(stem) -> ObjectModel:
+    """Read `<stem>.ply` and its `<stem>.json` sidecar. Raises
+    ModelFormatError on invalid JSON, or on keypoints, a diameter or a
+    symmetry of the wrong type, shape or value."""
     stem = Path(stem)
     cloud = read_ply(stem.with_suffix(".ply"))
-    with open(stem.with_suffix(".json")) as f:
-        sidecar = json.load(f)
-    keypoints = [Keypoint(position=np.array(kp["position_mm"], dtype=np.float64),
-                          normal=np.array(kp["normal"], dtype=np.float64))
-                 for kp in sidecar["keypoints"]]
-    return ObjectModel(cloud=cloud, keypoints=keypoints,
-                       diameter=float(sidecar["diameter_mm"]),
-                       symmetry=SymmetryDescriptor.from_dict(sidecar["symmetry"]))
+    path = stem.with_suffix(".json")
+    try:
+        with open(path) as f:
+            sidecar = json.load(f)
+    except ValueError as exc:   # invalid JSON or not UTF-8
+        raise ModelFormatError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(sidecar, dict):
+        raise ModelFormatError(f"{path}: expected a JSON object")
+    entries = sidecar.get("keypoints")
+    if not (isinstance(entries, list) and entries
+            and all(isinstance(kp, dict) for kp in entries)):
+        raise ModelFormatError(f"{path}: keypoints: expected a non-empty list of objects")
+    keypoints = [Keypoint(position=sidecar_array(kp.get("position_mm"), (3,),
+                                                 f"{path}: keypoints[{i}].position_mm",
+                                                 ModelFormatError),
+                          normal=sidecar_array(kp.get("normal"), (3,),
+                                               f"{path}: keypoints[{i}].normal",
+                                               ModelFormatError))
+                 for i, kp in enumerate(entries)]
+    diameter = float(sidecar_array(sidecar.get("diameter_mm"), (), f"{path}: diameter_mm",
+                                   ModelFormatError))
+    if diameter <= 0:
+        raise ModelFormatError(f"{path}: diameter_mm: expected a positive number")
+    return ObjectModel(cloud=cloud, keypoints=keypoints, diameter=diameter,
+                       symmetry=_read_symmetry(sidecar.get("symmetry"), f"{path}: symmetry"))

@@ -18,7 +18,12 @@ forward max-pools it one example at a time, and backward sends each
 pooled feature's gradient to its single argmax point as a sparse product.
 Inference holds no (B*N, width) segmenter activation either: the
 segmenter runs one example at a time into reused (N, width) buffers.
-Training keeps those activations whole, because backward reads them.
+Training keeps those activations whole, because backward reads them, but
+its step holds no buffer past its last reader: backward builds the
+softmax over the seg logits, writes each layer's gradient over its
+activation, takes the ReLU masks one row block at a time, and puts the
+skip gradient and the pooled layer's winner rows into segmenter buffers
+that have been read for the last time (see backward).
 """
 
 from __future__ import annotations
@@ -191,16 +196,16 @@ def _linear_relu(h, w, bias, out=None):
 
 
 def _relu_mask(act, masks):
-    """act > 0, written into the front of the flat bool buffer `masks` when
-    one is given: each layer's mask is read only within its own step."""
-    if masks is None:
-        return act > 0
+    """act > 0, written into the front of the flat bool buffer `masks`:
+    each mask is read only within its own row block's step."""
     return np.greater(act, 0, out=masks[:act.size].reshape(act.shape))
 
 
-def _masked(delta, act, masks):
-    """delta *= (act > 0)."""
-    return np.multiply(delta, _relu_mask(act, masks), out=delta)
+def _masked(delta, act, blocks, masks):
+    """delta *= (act > 0), one row block at a time."""
+    for rows in blocks:
+        np.multiply(delta[rows], _relu_mask(act[rows], masks), out=delta[rows])
+    return delta
 
 
 # Inference streams the encoder over blocks of about this many points (8
@@ -486,34 +491,83 @@ def _mlp_backward(layers, acts, delta):
     return grads, delta
 
 
-def _relu_grad_over(delta, w, act, masks, extra=None):
+# Backward takes each layer's ReLU mask over row blocks of whole examples,
+# each at least this many rows, so that the mask buffer holds one block
+# instead of the batch. The product that overwrites the layer runs per block
+# too, and a block never gets smaller: OpenBLAS rounds a one-row (gemv) or a
+# small (below ~1e6 multiply-adds) product differently from the batch's.
+_MASK_BLOCK_POINTS = 2048
+
+
+def _row_blocks(b: int, n: int) -> List[slice]:
+    """Row slices of a (B*N, width) activation: whole examples, each block
+    at least _MASK_BLOCK_POINTS rows, or the whole batch when it is smaller."""
+    count = max(1, b // -(-_MASK_BLOCK_POINTS // n))
+    edges = [i * b // count * n for i in range(count + 1)]
+    return [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+
+
+def _free_view(free, shape):
+    """A view of `shape` over the front of the smallest buffer in `free`
+    that holds it, which then leaves `free`; None when none does."""
+    size = int(np.prod(shape))
+    fits = [i for i, a in enumerate(free) if a.size >= size]
+    if not fits:
+        return None
+    smallest = free.pop(min(fits, key=lambda i: free[i].size))
+    return smallest.reshape(-1)[:size].reshape(shape)
+
+
+def _relu_grad_over(delta, w, act, blocks, masks, extra=None):
     """dL/d(pre-activation of `act`) = (delta @ w.T [+ extra]) * (act > 0),
-    written over `act` once its ReLU mask has been taken."""
-    mask = _relu_mask(act, masks)
-    np.matmul(delta, w.T, out=act)
-    if extra is not None:
-        act += extra
-    np.multiply(act, mask, out=act)
+    written over `act` one row block at a time, once the block's ReLU mask
+    has been taken."""
+    for rows in blocks:
+        a = act[rows]
+        mask = _relu_mask(a, masks)
+        np.matmul(delta[rows], w.T, out=a)
+        if extra is not None:
+            a += extra[rows]
+        np.multiply(a, mask, out=a)
     return act
 
 
 def backward(weights: Weights, points: np.ndarray, class_labels: np.ndarray,
              seg_labels: np.ndarray, w_cls: float = 0.15, w_seg: float = 0.85,
              want_input_grad: bool = False,
-             pool: Optional[BufferPool] = None):
+             pool: Optional[BufferPool] = None,
+             head_losses_out: Optional[list] = None):
     """Loss and gradients for a batch; max-pool routes to the argmax point.
 
     Returns (loss, Gradients) or (loss, Gradients, input_grad). The loss is
     evaluated from this pass's own softmax/probabilities (same formulas as
-    joint_loss, in the weights' dtype).
+    joint_loss, in the weights' dtype). head_losses_out, when given,
+    receives the pair (BCE, CE) of unweighted head losses; the loss is
+    w_cls * BCE + w_seg * CE.
 
-    Runs its own forward(keep_cache=True) and overwrites that cache: once a
-    layer's ReLU mask is taken, the gradient at its pre-activation is
-    written over its activation. The pooled layer's gradient is never
-    materialised. Each feature's pooled gradient reaches one point, its
-    argmax, so the weight gradient gathers those rows of the layer input
-    and the input gradient is a sparse (B*N, wide) matrix, B*wide non-zeros,
-    times the weight's transpose.
+    Runs its own forward(keep_cache=True) and overwrites that cache, so the
+    step holds no buffer past its last reader. The softmax, then the
+    gradient at the seg logits, is built over the logits. Once a layer's
+    ReLU mask is taken, the gradient at its pre-activation is written over
+    its activation; the masks are taken one row block at a time
+    (_row_blocks) into one bool buffer. The skip features' gradient and the
+    pooled layer's winner rows go into segmenter buffers that have been read
+    for the last time, or the skip gradient into a pooled buffer when none
+    is wide enough.
+
+    So a pooled step holds the forward's buffers (the encoder's narrow
+    (B*N, width) layer inputs, the (N, wide) product and its bool scratch,
+    the segmenter's (B*N, width) layer inputs and its logits) and one row
+    block's mask: 161.4 MiB for the paper network at 16 x 2048 points, where
+    a softmax buffer, a whole-batch mask and a skip-gradient buffer of their
+    own made 190.8 MiB. Its largest temporary is the sparse product's
+    (B*N, w_in) result.
+
+    The pooled layer's gradient is never materialised. Each feature's
+    pooled gradient reaches one point, its argmax, so the weight gradient
+    gathers those rows of the layer input and the input gradient is a
+    sparse (B*N, wide) matrix, B*wide non-zeros, times the weight's
+    transpose.
     """
     fwd = forward(weights, points, want_seg=True, keep_cache=True, pool=pool)
     cache = fwd.cache
@@ -521,27 +575,30 @@ def backward(weights: Weights, points: np.ndarray, class_labels: np.ndarray,
     bn = b * n
     dtype = weights.dtype
 
-    def buf(key, shape):
-        return pool.get(key, shape, dtype) if pool is not None else None
+    def buf(key, shape, dt=dtype):
+        return pool.get(key, shape, dt) if pool is not None else np.empty(shape, dt)
 
     y = np.asarray(class_labels, dtype=dtype).reshape(b)
     labels = np.asarray(seg_labels, dtype=np.int64).reshape(bn)
 
-    # softmax once (global-max shift: cheaper than row maxes, same result);
-    # the loss is read off before the buffer turns into the gradient
+    # softmax once, over the logits (global-max shift: cheaper than row
+    # maxes, same result); the loss is read off before it turns into the
+    # gradient
     rows = np.arange(bn)
     z = cache["seg_logits"].reshape(bn, -1)
+    picked_z = z[rows, labels].astype(np.float64)
     gmax = z.max()
-    e = np.subtract(z, gmax, out=buf(("bw_sm",), z.shape))
+    e = np.subtract(z, gmax, out=z)
     np.exp(e, out=e)
     e_sum = e @ np.ones(z.shape[1], dtype=e.dtype)
-    picked_z = z[rows, labels].astype(np.float64)
     ce = -np.mean(picked_z - gmax - np.log(e_sum.astype(np.float64)))
     p64 = fwd.class_prob.astype(np.float64)
     y64 = y.astype(np.float64)
     bce = -np.mean(y64 * np.log(np.maximum(p64, _EPS))
                    + (1.0 - y64) * np.log(np.maximum(1.0 - p64, _EPS)))
     loss = float(w_cls * bce + w_seg * ce)
+    if head_losses_out is not None:
+        head_losses_out.append((float(bce), float(ce)))
 
     # classifier head: d(BCE)/d(logit) = p - y
     d_logit = ((w_cls / b) * (fwd.class_prob - y)).astype(dtype)
@@ -558,14 +615,18 @@ def backward(weights: Weights, points: np.ndarray, class_labels: np.ndarray,
     seg_layers = weights.segmenter
     seg_acts = cache["seg_acts"]
     enc_acts = cache["enc_acts"]
-    # one ReLU mask buffer, sized for the widest layer, serves every layer
-    masks = None if pool is None else pool.get(
-        ("bw_mask",), (max(a.size for a in seg_acts + enc_acts),), np.bool_)
+    blocks = _row_blocks(b, n)
+    # one ReLU mask buffer, one row block of the widest layer, serves every layer
+    masks = buf(("bw_mask",), (max(r.stop - r.start for r in blocks)
+                               * max(a.shape[1] for a in seg_acts + enc_acts),), np.bool_)
     seg_grads = [None] * len(seg_layers)
     for li in range(len(seg_layers) - 1, 0, -1):
         w, _ = seg_layers[li]
         seg_grads[li] = (seg_acts[li].T @ delta, delta.sum(axis=0))
-        delta = _relu_grad_over(delta, w, seg_acts[li], masks)
+        delta = _relu_grad_over(delta, w, seg_acts[li], blocks, masks)
+    # the logits and the segmenter's layer inputs above its first have been
+    # read for the last time
+    free = [z] + seg_acts[2:] if len(seg_layers) > 1 else []
     # layer 0 splits into the per-point skip half and per-example pooled half
     skip_w = weights.config.encoder[1]
     w0, _ = seg_layers[0]
@@ -574,7 +635,11 @@ def backward(weights: Weights, points: np.ndarray, class_labels: np.ndarray,
     delta_ex = delta.reshape(b, n, -1).sum(axis=1)
     seg_grads[0] = (np.concatenate([skip.T @ delta, g.T @ delta_ex], axis=0),
                     delta.sum(axis=0))
-    d_skip = np.matmul(delta, w0[:skip_w].T, out=buf(("bw_skip",), (bn, skip_w)))
+    d_skip = _free_view(free, (bn, skip_w))
+    if d_skip is None:
+        d_skip = buf(("bw_skip",), (bn, skip_w))
+    np.matmul(delta, w0[:skip_w].T, out=d_skip)
+    free.append(delta)
     d_g = d_g_cls + delta_ex @ w0[skip_w:].T
 
     # each feature's pooled gradient reaches its argmax point alone
@@ -587,26 +652,30 @@ def backward(weights: Weights, points: np.ndarray, class_labels: np.ndarray,
     if n_enc == 2:
         # the pooled layer is also the skip layer, whose gradient is dense
         d_skip[winners, np.arange(wide_w)] += d_g
-        delta = _masked(d_skip, skip, masks)
+        delta = _masked(d_skip, skip, blocks, masks)
         below = top
     else:
         d_pool = d_g * (g > 0)
-        enc_grads[top] = (np.einsum("bjk,bj->kj", enc_acts[top][winners], d_pool),
-                          d_pool.sum(axis=0))
+        # the winner rows (B, wide, w_in) go into a freed buffer when one
+        # holds them; mode="clip" writes them there directly, where "raise"
+        # would gather into a temporary first
+        won = np.take(enc_acts[top], winners, axis=0, mode="clip",
+                      out=_free_view(free, winners.shape + enc_acts[top].shape[1:]))
+        enc_grads[top] = (np.einsum("bjk,bj->kj", won, d_pool), d_pool.sum(axis=0))
         scatter = sparse.csr_array(
             (d_pool.ravel(), (winners.ravel(), np.tile(np.arange(wide_w), b))),
             shape=(bn, wide_w))
         delta = scatter @ w_top.T
         if top == 2:
             delta += d_skip
-        delta = _masked(delta, enc_acts[top], masks)
+        delta = _masked(delta, enc_acts[top], blocks, masks)
         below = top - 1
 
     for li in range(below, -1, -1):
         w, _ = weights.encoder[li]
         enc_grads[li] = (enc_acts[li].T @ delta, delta.sum(axis=0))
         if li > 0:
-            delta = _relu_grad_over(delta, w, enc_acts[li], masks,
+            delta = _relu_grad_over(delta, w, enc_acts[li], blocks, masks,
                                     extra=d_skip if li == 2 else None)
 
     grads = Gradients(encoder=enc_grads, classifier=cls_grads, segmenter=seg_grads)
@@ -627,7 +696,9 @@ def train(features: np.ndarray, class_labels: np.ndarray, seg_labels: np.ndarray
 
     features: (M, N, C) float32, already centered/normalized;
     class_labels: (M,), seg_labels: (M, N). Returns final weights and the
-    per-epoch mean loss log.
+    per-epoch mean loss log. log_fn, when given, is called after each epoch
+    as log_fn(epoch, loss, cls_loss, seg_loss): the mean joint loss and the
+    mean unweighted BCE and CE of the two heads over the epoch's examples.
     """
     m = len(features)
     if m == 0:
@@ -646,14 +717,20 @@ def train(features: np.ndarray, class_labels: np.ndarray, seg_labels: np.ndarray
     epoch_losses: List[float] = []
     for epoch in range(train_cfg.epochs):
         order = rng.permutation(m)
-        total = 0.0
+        total = cls_total = seg_total = 0.0
         for start in range(0, m, train_cfg.batch_size):
             batch = order[start:start + train_cfg.batch_size]
             x = pool.get(("batch",), (len(batch),) + features.shape[1:], features.dtype)
-            np.take(features, batch, axis=0, out=x)
+            # mode="clip" gathers straight into x; "raise" buffers a copy first
+            np.take(features, batch, axis=0, out=x, mode="clip")
+            heads = []
             loss, grads = backward(weights, x, class_labels[batch], seg_labels[batch],
-                                   train_cfg.w_cls, train_cfg.w_seg, pool=pool)
+                                   train_cfg.w_cls, train_cfg.w_seg, pool=pool,
+                                   head_losses_out=heads)
+            (bce, ce), = heads
             total += loss * len(batch)
+            cls_total += bce * len(batch)
+            seg_total += ce * len(batch)
             t += 1
             correction = np.sqrt(1.0 - b2 ** t) / (1.0 - b1 ** t)
             for p, g, mm, vv in zip(params, grads.params(), adam_m, adam_v):
@@ -664,7 +741,7 @@ def train(features: np.ndarray, class_labels: np.ndarray, seg_labels: np.ndarray
                 p -= (lr * correction) * mm / (np.sqrt(vv) + eps)
         epoch_losses.append(total / m)
         if log_fn is not None:
-            log_fn(epoch, epoch_losses[-1])
+            log_fn(epoch, epoch_losses[-1], cls_total / m, seg_total / m)
     return weights, epoch_losses
 
 

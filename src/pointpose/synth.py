@@ -17,7 +17,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .errors import SceneFormatError
-from .modelprep import ObjectModel, build_object_model
+from .modelprep import ObjectModel, build_object_model, sidecar_array
 from .ply import read_ply, write_ply
 from .pointcloud import Intrinsics, PointCloud, concatenate_clouds
 from .pose import RigidPose, pose_to_dict, random_rotation
@@ -254,19 +254,6 @@ def _is_number(value, types=(int, float)) -> bool:
     return isinstance(value, types) and not isinstance(value, bool)
 
 
-def _sidecar_array(value, shape, where: str) -> np.ndarray:
-    """A sidecar field as a float array of `shape`, or SceneFormatError."""
-    try:
-        arr = np.asarray(value)
-    except ValueError:   # ragged nesting
-        arr = None
-    if (arr is None or arr.dtype.kind not in "iuf" or arr.shape != shape
-            or not np.isfinite(arr).all()):
-        raise SceneFormatError(f"{where}: expected {'x'.join(map(str, shape))} "
-                               f"finite numbers")
-    return arr.astype(np.float64)
-
-
 def read_scene_sidecar(path):
     """A scene sidecar's (ground-truth pose, intrinsics, view origin), each
     None when absent. Raises SceneFormatError on invalid JSON, or on a
@@ -284,9 +271,10 @@ def read_scene_sidecar(path):
         d = sidecar["pose"]
         if not isinstance(d, dict):
             raise SceneFormatError(f"{path}: pose: expected an object")
-        rotation = _sidecar_array(d.get("rotation"), (3, 3), f"{path}: pose.rotation")
-        translation = _sidecar_array(d.get("translation_mm"), (3,),
-                                     f"{path}: pose.translation_mm")
+        rotation = sidecar_array(d.get("rotation"), (3, 3), f"{path}: pose.rotation",
+                                 SceneFormatError)
+        translation = sidecar_array(d.get("translation_mm"), (3,),
+                                    f"{path}: pose.translation_mm", SceneFormatError)
         try:
             gt = RigidPose(rotation, translation)
         except ValueError as exc:   # not a proper rotation
@@ -301,8 +289,8 @@ def read_scene_sidecar(path):
         intrinsics = Intrinsics(fx=d["fx"], fy=d["fy"], cx=d["cx"], cy=d["cy"],
                                 width=d["width"], height=d["height"])
     if "view_origin_mm" in sidecar:
-        view_origin = _sidecar_array(sidecar["view_origin_mm"], (3,),
-                                     f"{path}: view_origin_mm")
+        view_origin = sidecar_array(sidecar["view_origin_mm"], (3,),
+                                    f"{path}: view_origin_mm", SceneFormatError)
     return gt, intrinsics, view_origin
 
 

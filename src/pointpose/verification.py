@@ -44,15 +44,19 @@ class OcclusionResult:
 
 
 def _project(points: np.ndarray, intr: Intrinsics):
-    """Pixel indices and validity for camera-frame points (z > 0)."""
+    """Pixel indices and validity for camera-frame points (z > 0); u and v
+    are -1 outside the image."""
     z = points[:, 2]
     valid = z > 0
-    u = np.full(len(points), -1, dtype=np.int64)
-    v = np.full(len(points), -1, dtype=np.int64)
+    fu = np.full(len(points), -1.0)
+    fv = np.full(len(points), -1.0)
     zz = np.where(valid, z, 1.0)
-    u[valid] = np.floor(intr.fx * points[valid, 0] / zz[valid] + intr.cx + 0.5).astype(np.int64)
-    v[valid] = np.floor(intr.fy * points[valid, 1] / zz[valid] + intr.cy + 0.5).astype(np.int64)
-    inside = valid & (u >= 0) & (u < intr.width) & (v >= 0) & (v < intr.height)
+    fu[valid] = np.floor(intr.fx * points[valid, 0] / zz[valid] + intr.cx + 0.5)
+    fv[valid] = np.floor(intr.fy * points[valid, 1] / zz[valid] + intr.cy + 0.5)
+    # bounds in float first: a huge coordinate has no int64 value
+    inside = valid & (fu >= 0) & (fu < intr.width) & (fv >= 0) & (fv < intr.height)
+    u = np.where(inside, fu, -1.0).astype(np.int64)
+    v = np.where(inside, fv, -1.0).astype(np.int64)
     return u, v, inside
 
 

@@ -222,14 +222,16 @@ def test_object_model_roundtrip(tmp_path):
 
 
 def test_object_model_symmetric_roundtrip(tmp_path):
-    sym = SymmetryDescriptor(kind="cyclic", fold=4, axis=np.array([0, 0, 2.0]),
-                             center=np.array([1.0, 2, 3]))
-    model = build_object_model(sphere_cloud(n=6000, seed=2), spacing=25.0, symmetry=sym)
-    save_object_model(tmp_path / "sym", model)
-    back = load_object_model(tmp_path / "sym")
-    assert back.symmetry.kind == "cyclic"
-    assert back.symmetry.fold == 4
-    np.testing.assert_allclose(back.symmetry.axis, [0, 0, 1.0])
+    for kind, fold in (("cyclic", 4), ("revolution", None)):
+        sym = SymmetryDescriptor(kind=kind, fold=fold, axis=np.array([0, 0, 2.0]),
+                                 center=np.array([1.0, 2, 3]))
+        model = build_object_model(sphere_cloud(n=6000, seed=2), spacing=25.0, symmetry=sym)
+        save_object_model(tmp_path / "sym", model)
+        back = load_object_model(tmp_path / "sym")
+        assert back.symmetry.kind == kind
+        assert back.symmetry.fold == fold
+        np.testing.assert_allclose(back.symmetry.axis, [0, 0, 1.0])
+        np.testing.assert_allclose(back.symmetry.center, [1.0, 2, 3])
 
 
 def test_object_model_validation():

@@ -460,9 +460,10 @@ def test_backward_memory_stays_below_wide_layer():
 
 def test_backward_relu_masks_share_one_buffer():
     """Every backward ReLU mask is a view of one pooled bool buffer sized for
-    the widest masked layer (512 features per point); the forward's argmax
-    scratch, (N, 1024), is the only other bool buffer. A pool of one mask
-    per layer held 1152 bytes per point instead of 512. Gradients over two
+    one row block (one 2048-point example) of the widest masked layer (512
+    features per point); the forward's argmax scratch, (N, 1024), is the
+    only other bool buffer. A pool of one mask per layer held 1152 bytes per
+    point of the batch, and one whole-batch mask 512. Gradients over two
     steps on one pool equal those computed without a pool, bit for bit."""
     w = init_weights(NetworkConfig(k=50), seed=0)
     rng = np.random.default_rng(4)
@@ -473,14 +474,53 @@ def test_backward_relu_masks_share_one_buffer():
         y, seg = rng.integers(0, 2, b), rng.integers(0, 51, (b, n))
         got = backward(w, x, y, seg, want_input_grad=True, pool=pool)
         want = backward(w, x, y, seg, want_input_grad=True)
-        assert got[0] == want[0]
-        for layers in ("encoder", "classifier", "segmenter"):
-            for g_got, g_want in zip(getattr(got[1], layers), getattr(want[1], layers)):
-                np.testing.assert_array_equal(g_got[0], g_want[0])
-                np.testing.assert_array_equal(g_got[1], g_want[1])
+        _assert_same_step(got, want)
         np.testing.assert_array_equal(got[2], want[2])
     bool_bytes = sum(buf.nbytes for buf in pool._bufs.values() if buf.dtype == np.bool_)
-    assert bool_bytes == b * n * 512 + n * 1024
+    assert bool_bytes == n * 512 + n * 1024
+
+
+def _assert_same_step(got, want):
+    assert got[0] == want[0]
+    for layers in ("encoder", "classifier", "segmenter"):
+        for g_got, g_want in zip(getattr(got[1], layers), getattr(want[1], layers)):
+            np.testing.assert_array_equal(g_got[0], g_want[0])
+            np.testing.assert_array_equal(g_got[1], g_want[1])
+
+
+def test_backward_paper_network_pool_holds_no_dead_buffer():
+    """A training epoch's full 16 x 2048 step, then its partial last batch,
+    on one pool. The pool holds the forward's buffers and one row block's
+    ReLU mask: the softmax, the skip gradient and the pooled layer's winner
+    rows reuse segmenter buffers read for the last time. It held 190.8 MiB
+    after a full step when each had its own buffer, ~161.4 MiB without.
+    Loss and gradients equal a pool-less step, bit for bit."""
+    w = init_weights(NetworkConfig(k=50), seed=0)
+    rng = np.random.default_rng(8)
+    pool = network.BufferPool()
+    for b in (16, 14):
+        x = rng.standard_normal((b, 2048, 7)).astype(np.float32)
+        y, seg = rng.integers(0, 2, b), rng.integers(0, 51, (b, 2048))
+        got = backward(w, x, y, seg, pool=pool)
+        assert sum(buf.nbytes for buf in pool._bufs.values()) <= 165 * 2 ** 20
+        _assert_same_step(got, backward(w, x, y, seg))
+
+
+def test_backward_hands_out_head_losses():
+    """The joint loss is w_cls * BCE + w_seg * CE of the heads it hands out."""
+    w = tiny_weights(seed=2, random_bias=True)
+    rng = np.random.default_rng(9)
+    x = random_batch(rng, b=3, n=16)
+    y, seg = np.array([1, 0, 1]), rng.integers(0, 3, (3, 16))
+    heads = []
+    loss, _ = backward(w, x, y, seg, w_cls=0.3, w_seg=0.7, head_losses_out=heads)
+    (bce, ce), = heads
+    assert loss == float(0.3 * bce + 0.7 * ce)
+    fwd = forward(w, x)
+    assert bce == pytest.approx(joint_loss(fwd.class_prob, fwd.seg_logits, y, seg, 1.0, 0.0),
+                                rel=1e-12)
+    assert ce == pytest.approx(joint_loss(fwd.class_prob, fwd.seg_logits, y, seg, 0.0, 1.0),
+                               rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -511,6 +551,22 @@ def test_train_overfits_toy_dataset():
     weights, losses = train(feats, cls, seg, cfg, tc)
     assert len(losses) == 50
     assert losses[-1] < 0.1 * losses[0]
+
+
+def test_train_logs_each_head_loss():
+    """log_fn gets each epoch's joint loss, which train also returns, and the
+    heads' mean unweighted losses, whose weighted sum it is."""
+    rng = np.random.default_rng(3)
+    feats, cls, seg = toy_dataset(rng, m=5)
+    cfg = NetworkConfig(k=2, encoder=(8, 8, 16), classifier=(8, 1), segmenter=(8, 0))
+    tc = TrainConfig(epochs=3, seed=1, batch_size=2)
+    rows = []
+    _, losses = train(feats, cls, seg, cfg, tc, log_fn=lambda *row: rows.append(row))
+    assert [r[0] for r in rows] == [0, 1, 2]
+    assert [r[1] for r in rows] == losses
+    for _, loss, cls_loss, seg_loss in rows:
+        assert cls_loss > 0 and seg_loss > 0
+        assert loss == pytest.approx(tc.w_cls * cls_loss + tc.w_seg * seg_loss, rel=1e-12)
 
 
 def test_train_deterministic():

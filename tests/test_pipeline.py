@@ -22,6 +22,7 @@ import pytest
 
 from pointpose import cli, network, pipeline
 from pointpose.config import RunConfig, apply_override, config_from_dict
+from pointpose.dataset import LabeledExample, write_dataset
 from pointpose.errors import (ConfigError, MissingChannelError, NonFiniteSceneError,
                               WeightsFormatError)
 from pointpose.geometry import NNIndex
@@ -170,6 +171,44 @@ def test_cli_detect_malformed_sidecar_exits_2(model, tmp_path, capsys, sidecar, 
     assert not (tmp_path / "pose.json").exists()
 
 
+def _drop_symmetry(sidecar):
+    del sidecar["symmetry"]
+
+
+def _string_diameter(sidecar):
+    sidecar["diameter_mm"] = "161"
+
+
+def _nan_keypoint(sidecar):
+    sidecar["keypoints"][3]["position_mm"][1] = float("nan")
+
+
+def _zero_symmetry_axis(sidecar):
+    sidecar["symmetry"] = {"kind": "revolution", "axis": [0, 0, 0], "center_mm": [0, 0, 0]}
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (_drop_symmetry, "symmetry: expected an object of kind"),
+    (_string_diameter, "diameter_mm: expected a finite number"),
+    (_nan_keypoint, "keypoints[3].position_mm: expected 3 finite numbers"),
+    (_zero_symmetry_axis, "symmetry: symmetry axis must be nonzero"),
+])
+def test_cli_detect_malformed_model_sidecar_exits_2(model, tmp_path, capsys, mutate,
+                                                    message):
+    annotated_scene(tmp_path, model, IDENTITY_SIDECAR)
+    path = tmp_path / "model.json"
+    sidecar = json.loads(path.read_text())
+    mutate(sidecar)
+    path.write_text(json.dumps(sidecar))
+    code = cli.main(["detect", "--scene", str(tmp_path / "scene.ply"),
+                     "--model", str(tmp_path / "model"), "--oracle",
+                     "--out", str(tmp_path / "pose.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "pose.json").exists()
+
+
 def test_cli_eval_malformed_sidecar_exits_2(model, tmp_path, capsys):
     annotated_scene(tmp_path, model, "{not json")
     code = cli.main(["eval", "--scenes", str(tmp_path), "--model", str(tmp_path / "model"),
@@ -224,6 +263,28 @@ def test_cli_train_garbage_dataset_exits_2(tmp_path, capsys):
     assert code == 2
     assert "error: file too short for header" in capsys.readouterr().err
     assert not (tmp_path / "w.bin").exists()
+
+
+def test_cli_train_logs_each_head_loss(tmp_path, capsys):
+    """`.loss.csv` holds each epoch's joint loss and both heads' losses; the
+    joint loss is their 0.15 / 0.85 weighted sum."""
+    rng = np.random.default_rng(4)
+    examples = [LabeledExample(positions=rng.standard_normal((64, 3)),
+                               normals=np.tile([0, 0, 1.0], (64, 1)),
+                               curvatures=np.full(64, 0.1), seg_labels=rng.integers(0, 3, 64),
+                               class_label=i % 2) for i in range(4)]
+    write_dataset(tmp_path / "data.bin", examples, k=2)
+    code = cli.main(["train", "--dataset", str(tmp_path / "data.bin"),
+                     "--out", str(tmp_path / "w.bin"), "--set", "training.epochs=2",
+                     "--set", "network.normalize=false"])
+    assert code == 0
+    final_loss = json.loads(capsys.readouterr().out)["final_loss"]
+    rows = list(csv.DictReader(io.StringIO((tmp_path / "w.loss.csv").read_text())))
+    assert [r["epoch"] for r in rows] == ["0", "1"]
+    assert float(rows[-1]["loss"]) == final_loss
+    for r in rows:
+        loss, cls_loss, seg_loss = (float(r[k]) for k in ("loss", "cls_loss", "seg_loss"))
+        assert loss == pytest.approx(0.15 * cls_loss + 0.85 * seg_loss, rel=1e-12)
 
 
 @pytest.mark.parametrize("assignment", [

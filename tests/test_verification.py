@@ -52,6 +52,20 @@ def test_occlusion_outside_image_and_behind_camera_kept():
     assert res.visible_mask.all()
 
 
+def test_occlusion_huge_finite_coordinate_projects_outside():
+    """A finite point far beyond the image has no int64 pixel index: it is
+    outside, with no "invalid value encountered in cast" warning (an error
+    under this suite's warning filter), in the depth buffer and in the
+    occlusion test."""
+    scene = camera_plane(z=800.0)
+    scene.positions = np.vstack([scene.positions, [[1e300, -1e300, 900.0]]])
+    buf = build_depth_buffer(scene)
+    assert np.array_equal(buf, build_depth_buffer(camera_plane(z=800.0)))
+    res = remove_occluded(np.array([[1e300, 0, 900.0], [0.0, 1e300, 900.0],
+                                    [0.0, 0, 900.0]]), scene, depth_buffer=buf)
+    assert res.visible_mask.tolist() == [True, True, False]
+
+
 def test_occlusion_missing_intrinsics_falls_back():
     scene = PointCloud(positions=np.random.default_rng(0).uniform(0, 100, (50, 3)))
     res = remove_occluded(np.zeros((5, 3)), scene)
