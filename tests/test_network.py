@@ -553,22 +553,6 @@ def test_train_overfits_toy_dataset():
     assert losses[-1] < 0.1 * losses[0]
 
 
-def test_train_logs_each_head_loss():
-    """log_fn gets each epoch's joint loss, which train also returns, and the
-    heads' mean unweighted losses, whose weighted sum it is."""
-    rng = np.random.default_rng(3)
-    feats, cls, seg = toy_dataset(rng, m=5)
-    cfg = NetworkConfig(k=2, encoder=(8, 8, 16), classifier=(8, 1), segmenter=(8, 0))
-    tc = TrainConfig(epochs=3, seed=1, batch_size=2)
-    rows = []
-    _, losses = train(feats, cls, seg, cfg, tc, log_fn=lambda *row: rows.append(row))
-    assert [r[0] for r in rows] == [0, 1, 2]
-    assert [r[1] for r in rows] == losses
-    for _, loss, cls_loss, seg_loss in rows:
-        assert cls_loss > 0 and seg_loss > 0
-        assert loss == pytest.approx(tc.w_cls * cls_loss + tc.w_seg * seg_loss, rel=1e-12)
-
-
 def test_train_deterministic():
     rng = np.random.default_rng(1)
     feats, cls, seg = toy_dataset(rng)
