@@ -208,6 +208,10 @@ def cmd_eval(args, config: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
+ORACLE_HELP = ("bypass the network with gt labels (needs sidecar); they use fixed "
+               "10/20 mm foreground/discard bands, not the labeling section")
+
+
 def make_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON run configuration")
@@ -253,8 +257,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--scene", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--weights")
-    p.add_argument("--oracle", action="store_true",
-                   help="bypass the network with gt labels (needs sidecar)")
+    p.add_argument("--oracle", action="store_true", help=ORACLE_HELP)
     p.add_argument("--dump-debug", metavar="DIR",
                    help="write per-stage debug artifacts A-F")
     p.add_argument("--out", required=True, help="output pose JSON")
@@ -264,7 +267,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenes", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--weights")
-    p.add_argument("--oracle", action="store_true")
+    p.add_argument("--oracle", action="store_true", help=ORACLE_HELP)
     p.add_argument("--out-csv", required=True)
     p.add_argument("--out-json", required=True)
     p.set_defaults(fn=cmd_eval)

@@ -9,10 +9,11 @@ A module dataclass is a section when its fields are that section's keys,
 apart from fields marked `metadata={"config": False}`, which the run fills
 in (a seed): `augmentation`, `training`, `voting`,
 `verification` and `synth`. The other sections span several module classes
-or feed derived values, so the builders below assemble those; `network`
-and `icp` run the checks of the module values they feed when they load. A
-section's own `__post_init__` check fails as a `ConfigError` naming the
-section.
+or feed derived values, so the builders below assemble those. Of these,
+`keypoints`, `examples`, `network`, `icp` and `detect` check their values
+when they load (`network` and `icp` by the checks of the module values
+they feed). A section's own `__post_init__` check fails as a `ConfigError`
+naming the section.
 """
 
 from __future__ import annotations
@@ -33,9 +34,20 @@ from .verification import VerificationParams
 from .voting import VotingParams
 
 
+def _check_positive(section, *names) -> None:
+    """ValueError naming the first of the section's fields `names` that is
+    not above 0 (NaN included)."""
+    for name in names:
+        if not getattr(section, name) > 0:
+            raise ValueError(f"{name} must be positive")
+
+
 @dataclass
 class KeypointSection:
     spacing_mm: float = 25.0
+
+    def __post_init__(self):
+        _check_positive(self, "spacing_mm")
 
 
 @dataclass
@@ -48,6 +60,11 @@ class LabelingSection:
 class ExampleSection:
     n_points: int = 2048
     radius_factor: float = 0.6
+
+    def __post_init__(self):
+        if self.n_points < 2:
+            raise ValueError("n_points must be at least 2 (the network's point sets)")
+        _check_positive(self, "radius_factor")
 
 
 @dataclass
@@ -89,6 +106,7 @@ class IcpSection:
 
     def __post_init__(self):
         check_icp_schedule(self.schedule)
+        _check_positive(self, "model_leaf_mm")
 
 
 @dataclass
@@ -98,6 +116,10 @@ class DetectSection:
     min_sphere_points: int = 64
     normal_radius_mm: float = 10.0
     oracle_anchors: int = 1
+
+    def __post_init__(self):
+        _check_positive(self, "anchor_leaf_mm", "top_anchors", "min_sphere_points",
+                        "normal_radius_mm", "oracle_anchors")
 
 
 @dataclass

@@ -103,6 +103,17 @@ def model_diameter(cloud: PointCloud) -> float:
     return float(np.linalg.norm(extent))
 
 
+def snapped_voxel_ids(cloud: PointCloud, leaf: float) -> np.ndarray:
+    """Sorted unique ids of the cloud points nearest to its voxel centroids.
+
+    A uniform subset of real surface points: snapping puts each centroid
+    back on the surface, with the point's own normal.
+    """
+    centroids = voxel_downsample(cloud, leaf).positions
+    ids, _ = NNIndex(cloud.positions).nearest_batch(centroids)
+    return np.unique(ids)
+
+
 def sample_keypoints(model_cloud: PointCloud,
                      spacing: float = DEFAULT_KEYPOINT_SPACING_MM) -> List[Keypoint]:
     """Uniform surface keypoints: voxel centroids snapped to real surface points.
@@ -118,14 +129,9 @@ def sample_keypoints(model_cloud: PointCloud,
     if spacing <= 0:
         raise ValueError("spacing must be positive")
 
-    centroids = voxel_downsample(model_cloud, spacing).positions
-    index = NNIndex(model_cloud.positions)
-    snapped, _ = index.nearest_batch(centroids)
-    snapped = np.unique(snapped)  # sorted; dedupe shared snap targets
-
     kept: List[int] = []
     min_dist = MIN_SEPARATION_FACTOR * spacing
-    for i in snapped:
+    for i in snapped_voxel_ids(model_cloud, spacing):
         p = model_cloud.positions[i]
         if all(np.linalg.norm(p - model_cloud.positions[j]) >= min_dist for j in kept):
             kept.append(int(i))

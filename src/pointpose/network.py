@@ -8,6 +8,9 @@ concatenated with the global feature. Backprop, Adam, and weight files
 are implemented here as well; all computation follows the weights' dtype
 (float32 for training speed, float64 for gradient checks).
 
+Point sets hold N >= 2 points. Training (`assemble_features`) and
+detection (`pipeline`) both lay out a set's channels by `write_features`.
+
 `forward` is `encode` (encoder and max-pool), then `classify` (the
 classifier head on the pooled features), then the segmenter. The first
 two are public so that a caller can encode a large set of examples in
@@ -234,8 +237,8 @@ def _fused_encoder(weights: Weights, x: np.ndarray, want_seg: bool,
     """Pooled global feature (B, wide) without the (B*N, wide) activation.
 
     Returns (g, skip, enc_acts, argmax); skip is the second layer's
-    (B*N, w1) output when want_seg, else None. Needs N > 1, and at least
-    three encoder layers when want_seg.
+    (B*N, w1) output when want_seg, else None. Needs at least three
+    encoder layers when want_seg.
 
     Inference streams the narrow layers over blocks of about
     _FUSED_BLOCK_POINTS points into buffers reused across blocks; enc_acts
@@ -300,6 +303,8 @@ def _network_input(weights: Weights, points) -> np.ndarray:
     if x.ndim != 3 or x.shape[2] != weights.config.input_channels:
         raise ValueError(f"expected (B, N, {weights.config.input_channels}) input, "
                          f"got {x.shape}")
+    if x.shape[1] < 2:
+        raise ValueError(f"point sets need at least 2 points, got {x.shape[1]}")
     return x
 
 
@@ -315,17 +320,14 @@ def encode(weights: Weights, points: np.ndarray, want_seg: bool = False,
     Returns (g, skip, enc_acts, argmax): the pooled (B, wide) global
     feature; the second layer's (B*N, w1) output when want_seg, else None;
     with keep_cache each encoder layer's input and each pooled feature's
-    winning point, else None. The fused form (see forward) runs for N > 1;
-    one-point sets and 2-layer encoders under want_seg, whose wide layer is
-    the skip layer, take the materialised form.
+    winning point, else None. The fused form (see forward) runs but for
+    2-layer encoders under want_seg, whose wide layer is the skip layer:
+    they take the materialised form.
     """
     x = _network_input(weights, points)
-    b, n, _ = x.shape
-    # with one point per set the wide activation is the pooled matrix itself,
-    # and a one-row product would take BLAS's gemv path, whose sums are
-    # ordered differently from the batch GEMM's
-    if n > 1 and not (want_seg and len(weights.encoder) == 2):
+    if not (want_seg and len(weights.encoder) == 2):
         return _fused_encoder(weights, x, want_seg, keep_cache, pool)
+    b, n, _ = x.shape
     bn = b * n
     h = x.reshape(bn, -1)
     enc_acts = [h]
@@ -360,8 +362,7 @@ def _segment(weights: Weights, skip: np.ndarray, g: np.ndarray, n: int,
 
     Runs one example at a time. Inference writes each layer into one
     (N, width) buffer reused by every example; training writes into the
-    example's rows of the whole cached activations. One-point sets run as
-    one block, since a one-row product would take BLAS's gemv path.
+    example's rows of the whole cached activations.
     """
     b = len(g)
     dtype = weights.dtype
@@ -370,25 +371,23 @@ def _segment(weights: Weights, skip: np.ndarray, g: np.ndarray, n: int,
     w0, b0 = layers[0]
     g_part = g @ w0[skip_w:]
     g_part += b0
-    per = b if n == 1 else 1
 
     def buf(key, shape):
         return pool.get(key, shape, dtype) if pool is not None else np.empty(shape, dtype)
 
-    height = b * n if keep_cache else per * n
+    height = b * n if keep_cache else n
     hidden = [buf(("seg", li), (height, w.shape[1])) for li, (w, _) in enumerate(layers[:-1])]
     logits = buf(("seg_out",), (b * n, layers[-1][0].shape[1]))
     last = len(layers) - 1
-    for start in range(0, b, per):
-        ex = slice(start * n, (start + per) * n)
-        rows = ex if keep_cache else slice(0, per * n)
+    for i in range(b):
+        ex = slice(i * n, (i + 1) * n)
+        rows = ex if keep_cache else slice(0, n)
         h = skip[ex]
         for li, (w, bias) in enumerate(layers):
             out = logits[ex] if li == last else hidden[li][rows]
             if li == 0:
                 z = np.matmul(h, w[:skip_w], out=out)
-                z3 = z.reshape(per, n, -1)
-                z3 += g_part[start:start + per, None, :]
+                z += g_part[i]
             else:
                 z = np.matmul(h, w, out=out)
                 z += bias
@@ -400,8 +399,8 @@ def _segment(weights: Weights, skip: np.ndarray, g: np.ndarray, n: int,
 
 def forward(weights: Weights, points: np.ndarray, want_seg: bool = True,
             keep_cache: bool = False, pool: Optional[BufferPool] = None) -> ForwardResult:
-    """Run the network on a batch of point sets (B, N, C): encode, then
-    classify, then (want_seg) segment.
+    """Run the network on a batch of point sets (B, N, C), N >= 2: encode,
+    then classify, then (want_seg) segment.
 
     Permutation-covariant: permuting a batch element's points permutes its
     seg logits identically and leaves the class output bit-unchanged.
@@ -415,15 +414,13 @@ def forward(weights: Weights, points: np.ndarray, want_seg: bool = True,
     the materialised form. Training (keep_cache=True) keeps every narrow
     activation for backward, applies the bias before the max, and caches
     only the pooled g and each feature's argmax point (lowest index on
-    ties). One-point sets and 2-layer encoders under want_seg, whose wide
-    layer is the skip layer, keep the materialised form. A segment call
-    keeps only the second layer's skip features.
+    ties). A segment call keeps only the second layer's skip features;
+    encode says when the materialised form runs instead.
 
     The segmenter runs one example at a time, so inference holds one
     example's (N, width) activations, never the batch's; training writes
     each example's rows of the cached (B*N, width) activations that
-    backward reads. One-point sets run the whole batch as one block, like
-    the encoder. Its first layer is a per-point product on the skip
+    backward reads. Its first layer is a per-point product on the skip
     features plus a per-example product on the global feature (broadcast
     over points); this equals the concatenated form.
     """
@@ -745,24 +742,31 @@ def train(features: np.ndarray, class_labels: np.ndarray, seg_labels: np.ndarray
     return weights, epoch_losses
 
 
+def write_features(out: np.ndarray, positions, normals, curvatures, colors=None,
+                   input_scale_mm: float = 0.0) -> np.ndarray:
+    """Write one centered point set's network input into float32 `out` (N, C):
+    xyz (rounded to float32, then times float32 1 / input_scale_mm when that
+    is > 0), normal, curvature, then rgb when C is 10."""
+    out[:, 0:3] = positions
+    if input_scale_mm > 0:
+        out[:, 0:3] *= np.float32(1.0 / input_scale_mm)
+    out[:, 3:6] = normals
+    out[:, 6] = curvatures
+    if out.shape[1] == 10:
+        if colors is None:
+            raise ValueError("RGB input but the point set has no colors")
+        out[:, 7:10] = colors
+    return out
+
+
 def assemble_features(examples, input_scale_mm: float = 0.0,
                       with_color: bool = False) -> np.ndarray:
-    """Stack LabeledExamples into the network input tensor (M, N, C).
-
-    Channel order: xyz (divided by input_scale_mm when > 0), normal,
-    curvature, then rgb when with_color.
-    """
-    channels = 10 if with_color else 7
-    out = np.empty((len(examples), len(examples[0]), channels), dtype=np.float32)
-    scale = np.float32(1.0 / input_scale_mm) if input_scale_mm > 0 else np.float32(1.0)
+    """Stack LabeledExamples into the network input tensor (M, N, C) by
+    `write_features`, with rgb when with_color."""
+    out = np.empty((len(examples), len(examples[0]), 10 if with_color else 7),
+                   dtype=np.float32)
     for row, e in zip(out, examples):
-        row[:, 0:3] = e.positions * scale
-        row[:, 3:6] = e.normals
-        row[:, 6] = e.curvatures
-        if with_color:
-            if e.colors is None:
-                raise ValueError("with_color=True but example has no colors")
-            row[:, 7:10] = e.colors
+        write_features(row, e.positions, e.normals, e.curvatures, e.colors, input_scale_mm)
     return out
 
 

@@ -39,9 +39,9 @@ from .dataset import _sample_fill, label_scene
 from .errors import (EmptySceneError, MissingChannelError, NoHypothesisError,
                      NonFiniteSceneError, NoOverlapError, WeightsFormatError)
 from .geometry import NNIndex, estimate_normals, icp_refine, voxel_downsample
-from .modelprep import ObjectModel
+from .modelprep import ObjectModel, snapped_voxel_ids
 from .network import (BufferPool, Weights, _softmax, classify, encode, encoder_block,
-                      forward)
+                      forward, write_features)
 from .pointcloud import PointCloud
 from .pose import RigidPose
 from .verification import (VerificationParams, build_depth_buffer,
@@ -101,17 +101,6 @@ class _StageClock:
         self._t = now
 
 
-def _icp_model_points(model: ObjectModel, leaf: float) -> np.ndarray:
-    """Uniform subset of real model surface points for ICP pairing.
-
-    Voxel centroids are snapped back onto the cloud so that a correct pose
-    pairs at (near-)zero distance instead of a centroid-offset floor.
-    """
-    centroids = voxel_downsample(model.cloud, leaf).positions
-    ids, _ = NNIndex(model.cloud.positions).nearest_batch(centroids)
-    return model.cloud.positions[np.unique(ids)]
-
-
 def _ensure_channels(scene: PointCloud, params: DetectParams) -> PointCloud:
     if scene.normals is None:
         scene = estimate_normals(scene, params.normal_radius_mm, scene.view_origin)
@@ -122,21 +111,15 @@ def _ensure_channels(scene: PointCloud, params: DetectParams) -> PointCloud:
     return scene
 
 
-def _sphere_features(scene: PointCloud, ids: np.ndarray, weights: Weights) -> np.ndarray:
-    """Centered, scaled network inputs for one anchor sphere."""
-    with_color = weights.config.input_channels == 10
-    n = len(ids)
-    feats = np.empty((n, weights.config.input_channels), dtype=np.float32)
-    pos = scene.positions[ids]
-    centered = pos - pos.mean(axis=0)
-    if weights.input_scale_mm > 0:
-        centered = centered / weights.input_scale_mm
-    feats[:, 0:3] = centered
-    feats[:, 3:6] = scene.normals[ids]
-    feats[:, 6] = scene.curvatures[ids]
-    if with_color:
-        feats[:, 7:10] = scene.colors[ids]
-    return feats
+def _sphere_features(scene: PointCloud, spheres: Sequence[np.ndarray], weights: Weights,
+                     out: np.ndarray) -> np.ndarray:
+    """Anchor spheres' network inputs into `out` (B, n, C), centered as in training."""
+    for row, ids in zip(out, spheres):
+        pos = scene.positions[ids]
+        write_features(row, pos - pos.mean(axis=0), scene.normals[ids], scene.curvatures[ids],
+                       scene.colors[ids] if out.shape[2] == 10 else None,
+                       weights.input_scale_mm)
+    return out
 
 
 def _finish_anchor(scene: PointCloud, scene_index: NNIndex, model: ObjectModel,
@@ -231,6 +214,9 @@ def _finish_anchors(scene: PointCloud, scene_index: NNIndex, model: ObjectModel,
                     pending.clear()  # the other participants stop after their anchor
                 raise
 
+    # the calling thread takes anchors too, instead of waiting on a pool of
+    # n: that keeps detect's peak RSS down (one submit per anchor to n
+    # workers read 181 MB against 161-164 MB on 2 CPUs)
     if n == 1:
         laps = [drain()]
     else:
@@ -360,8 +346,7 @@ def _network_segmentation(weights: Weights, scene: PointCloud, scene_index: NNIn
     pool = BufferPool()
     for start in range(0, len(spheres), per_block):
         block = spheres[start:start + per_block]
-        for row, ids in zip(feats, block):
-            row[:] = _sphere_features(scene, ids, weights)
+        _sphere_features(scene, block, weights, feats)
         clock.lap("anchors")
         pooled[start:start + len(block)] = encode(weights, feats[:len(block)], pool=pool)[0]
         clock.lap("classify")
@@ -370,7 +355,8 @@ def _network_segmentation(weights: Weights, scene: PointCloud, scene_index: NNIn
 
     # 16 highest scores; ties resolve to the lowest anchor index
     top_rows = np.lexsort((usable, -probs))[:params.top_anchors]
-    top_feats = np.stack([_sphere_features(scene, spheres[r], weights) for r in top_rows])
+    top_feats = _sphere_features(scene, [spheres[r] for r in top_rows], weights,
+                                 np.empty((len(top_rows),) + feats.shape[1:], np.float32))
     seg = forward(weights, top_feats, want_seg=True)
     seg_probs = [_softmax(logits.astype(np.float64)) for logits in seg.seg_logits]
     clock.lap("segment")
@@ -429,7 +415,9 @@ def _stage_chain(scene: PointCloud, model: ObjectModel, params: DetectParams,
 
     seg = segment(scene, scene_index, model, params, clock)
 
-    icp_model = _icp_model_points(model, params.icp_model_leaf_mm)
+    # real surface points, so that a correct pose pairs at (near-)zero
+    # distance instead of a centroid-offset floor
+    icp_model = model.cloud.positions[snapped_voxel_ids(model.cloud, params.icp_model_leaf_mm)]
     clock.lap("icp")
     depth_buffer = build_depth_buffer(scene, params.verification.splat_px) \
         if scene.intrinsics is not None else None
@@ -477,7 +465,9 @@ def oracle_detect(scene: PointCloud, model: ObjectModel, gt_pose: RigidPose,
     """The detect chain with ground-truth segmentation at random foreground anchors.
 
     Bypasses the network entirely: anchor spheres get one-hot probabilities
-    from the scene labeling, isolating voting + ICP + verification.
+    from the scene labeling, isolating voting + ICP + verification. The
+    labeling uses `label_scene`'s fixed bands (foreground within 10 mm of
+    the posed model, discard to 20 mm), not a run's `labeling` section.
     """
     return _stage_chain(scene, model, params, partial(_oracle_segmentation, gt_pose),
                         debug_dir)

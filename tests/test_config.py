@@ -125,6 +125,21 @@ def test_section_check_fails_as_config_error(assignment, message, tmp_path, caps
     ("detect", "icp.schedule=[[25, 30], [50, 30]]",
      "icp: correspondence gates must be positive and strictly decreasing"),
     ("detect", "icp.schedule=[[50, 0.5]]", "icp: iterations must be whole numbers of at least 1"),
+    ("detect", "icp.model_leaf_mm=0", "icp: model_leaf_mm must be positive"),
+    ("detect --weights", "detect.top_anchors=0", "detect: top_anchors must be positive"),
+    ("detect --weights", "detect.anchor_leaf_mm=0", "detect: anchor_leaf_mm must be positive"),
+    ("detect --weights", "detect.anchor_leaf_mm=-3", "detect: anchor_leaf_mm must be positive"),
+    ("detect --weights", "detect.min_sphere_points=0",
+     "detect: min_sphere_points must be positive"),
+    ("detect --weights", "detect.normal_radius_mm=0",
+     "detect: normal_radius_mm must be positive"),
+    ("detect", "detect.oracle_anchors=0", "detect: oracle_anchors must be positive"),
+    ("detect --weights", "examples.n_points=0", "examples: n_points must be at least 2"),
+    ("detect --weights", "examples.n_points=1", "examples: n_points must be at least 2"),
+    ("prepare", "examples.n_points=1", "examples: n_points must be at least 2"),
+    ("detect --weights", "examples.radius_factor=-1",
+     "examples: radius_factor must be positive"),
+    ("synth", "keypoints.spacing_mm=0", "keypoints: spacing_mm must be positive"),
 ])
 def test_mirror_section_check_fails_at_load(command, assignment, message, tmp_path, capsys):
     config = RunConfig()
@@ -132,12 +147,19 @@ def test_mirror_section_check_fails_at_load(command, assignment, message, tmp_pa
     with pytest.raises(ConfigError, match=re.escape(message)):
         config_from_dict(config_to_dict(config))
 
-    # none of these input files exists: the config must fail before any is read
+    # none of these input files or output directories exists: the config
+    # must fail before any is read or made
     files = {"train": ["--dataset", "d.bin", "--model", "model", "--out", "w.bin"],
-             "detect": ["--oracle", "--scene", "scene", "--model", "model", "--out", "pose.json"]}
-    argv = [command] + [a if a.startswith("--") else str(tmp_path / a) for a in files[command]]
+             "detect": ["--oracle", "--scene", "scene", "--model", "model", "--out", "pose.json"],
+             "detect --weights": ["--weights", "w.bin", "--scene", "scene", "--model", "model",
+                                  "--out", "pose.json"],
+             "prepare": ["--scenes", "scenes", "--model", "model", "--out", "d.bin"],
+             "synth": ["--out", "scenes"]}
+    argv = [command.split()[0]] + [a if a.startswith("--") else str(tmp_path / a)
+                                   for a in files[command]]
     assert cli.main(argv + ["--set", assignment]) == 2
     assert f"error: {message}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("order", [1, -1])

@@ -62,7 +62,7 @@ def test_forward_permutation_covariance_bit_exact():
 FUSED_SHAPES = [
     (7, 16, False, 3),        # B not a multiple of the block
     (1, 16, False, 3),
-    (5, 1, False, 3),         # one point per set
+    (5, 2, False, 3),         # two points per set, the fewest allowed
     (6, 16, True, 4),         # duplicated points tie in the max-pool
     (9, 2048, False, None),
 ]
@@ -143,6 +143,17 @@ def test_forward_shape_mismatch():
     w = tiny_weights()
     with pytest.raises(ValueError):
         forward(w, np.zeros((2, 8, 10)))
+
+
+@pytest.mark.parametrize("run", [
+    lambda w, x: forward(w, x),
+    lambda w, x: network.encode(w, x),
+    lambda w, x: backward(w, x, np.ones(3), np.zeros((3, 1), int)),
+], ids=["forward", "encode", "backward"])
+def test_one_point_sets_are_rejected(run):
+    """Point sets hold at least two points."""
+    with pytest.raises(ValueError, match="at least 2 points"):
+        run(tiny_weights(), np.zeros((3, 1, 7)))
 
 
 # ---------------------------------------------------------------------------
@@ -282,16 +293,12 @@ def dense_reference(w: Weights, x, y, seg, w_cls=0.15, w_seg=0.85):
     w0, b0 = w.segmenter[0]
     g_part = g @ w0[skip_w:]
     g_part += b0
-    # the segmenter runs one example at a time, as in forward (one-point
-    # sets as one block): OpenBLAS picks its sgemm kernel by problem size,
-    # and its small-matrix kernel (below ~1e6 multiply-adds) rounds
-    # differently from the batched product
-    per = b if n == 1 else 1
+    # the segmenter runs one example at a time, as in forward: OpenBLAS
+    # picks its sgemm kernel by problem size, and its small-matrix kernel
+    # (below ~1e6 multiply-adds) rounds differently from the batched product
     blocks = []
-    for i in range(0, b, per):
-        s = ((skip[i * n:(i + per) * n] @ w0[:skip_w]).reshape(per, n, -1)
-             + g_part[i:i + per, None]).reshape(per * n, -1)
-        acts = [s]
+    for i in range(b):
+        acts = [skip[i * n:(i + 1) * n] @ w0[:skip_w] + g_part[i]]
         for wm, bias in w.segmenter[1:]:
             acts[-1] = np.maximum(acts[-1], 0.0)
             acts.append(acts[-1] @ wm + bias)
@@ -352,7 +359,7 @@ def _close(a, ref, rtol):
 @pytest.mark.parametrize("dtype, rtol", [(np.float32, 1e-6), (np.float64, 1e-12)])
 @pytest.mark.parametrize("encoder", [(16, 64), (16, 16, 64), (16, 16, 24, 64)])
 @pytest.mark.parametrize("b", [1, 7])
-@pytest.mark.parametrize("n", [1, 2048])
+@pytest.mark.parametrize("n", [2, 2048])
 def test_backward_matches_dense_reference(dtype, rtol, encoder, b, n):
     """The sparse pooled gradient equals the dense scatter route: forward
     outputs, argmax, loss and head gradients bit for bit, encoder gradients
@@ -363,7 +370,7 @@ def test_backward_matches_dense_reference(dtype, rtol, encoder, b, n):
 @pytest.mark.parametrize("dtype, rtol", [(np.float32, 1e-6), (np.float64, 1e-12)])
 @pytest.mark.parametrize("encoder", [(16, 64), (16, 16, 64), (16, 16, 24, 64)])
 @pytest.mark.parametrize("b", [1, 7])
-@pytest.mark.parametrize("n", [1, 2048])
+@pytest.mark.parametrize("n", [2, 2048])
 @pytest.mark.parametrize("segmenter", [(0,), (32, 0)], ids=["seg1", "seg2"])
 def test_backward_matches_dense_reference_segmenter_depth(segmenter, dtype, rtol,
                                                           encoder, b, n):

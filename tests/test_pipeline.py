@@ -466,6 +466,39 @@ def test_network_segmentation_holds_no_feature_array_of_every_sphere(baseline_mo
     assert peak < len(seg.scored[1]) * 4096 * 10 * 4, peak / 2 ** 20
 
 
+@pytest.mark.parametrize("channels", [7, 10], ids=["geometry", "rgb"])
+def test_detect_features_equal_training_features(baseline_model, small_scene, monkeypatch,
+                                                 channels):
+    """With normalized weights, the spheres that detection segments get the
+    features `assemble_features` gives the same centered points, bit for bit.
+    Dividing the centered xyz in float64 instead changed the last float32
+    bit of 44% of them."""
+    scale = 0.6 * baseline_model.diameter
+    cfg = NetworkConfig(k=baseline_model.k, input_channels=channels, encoder=(8, 8, 16),
+                        classifier=(8, 1), segmenter=(8, 0))
+    weights = init_weights(cfg, seed=0, input_scale_mm=scale)
+    segmented = []
+    forward = pipeline.forward
+
+    def recording_forward(w, x, **kwargs):
+        segmented.append(x)
+        return forward(w, x, **kwargs)
+
+    monkeypatch.setattr(pipeline, "forward", recording_forward)
+    cloud = small_scene.cloud
+    seg = segment_scene(weights, cloud, baseline_model, n_points=512, top_anchors=4)
+    examples = []
+    for ids in seg.sphere_ids:
+        pos = cloud.positions[ids]
+        examples.append(LabeledExample(
+            positions=pos - pos.mean(axis=0), normals=cloud.normals[ids],
+            curvatures=cloud.curvatures[ids], seg_labels=np.zeros(len(ids)), class_label=0,
+            colors=cloud.colors[ids]))
+    expected = network.assemble_features(examples, input_scale_mm=scale,
+                                         with_color=channels == 10)
+    assert len(segmented) == 1 and np.array_equal(segmented[0], expected)
+
+
 def sleeping(fn, seconds):
     def slow(*args, **kwargs):
         time.sleep(seconds)
@@ -622,6 +655,23 @@ def test_cli_threads_reach_the_anchor_pool(baseline_model, small_scene, tmp_path
                      "--model", str(tmp_path / "model"),
                      "--out", str(tmp_path / "pose.json")]) == 0
     assert started == pools
+
+
+def test_oracle_labels_ignore_the_labeling_section(baseline_model, small_scene, tmp_path):
+    """`detect --oracle` labels with `label_scene`'s fixed 10/20 mm bands, so
+    a `labeling` override, which `prepare` reads, leaves its pose unchanged.
+    Labeling this scene with a 5 mm band instead moved the pose by 0.044 mm."""
+    save_object_model(tmp_path / "model", baseline_model)
+    save_scene(tmp_path / "scene", small_scene)
+    poses = []
+    for override in ([], ["--set", "labeling.foreground_mm=5"]):
+        out = tmp_path / f"pose{len(poses)}.json"
+        assert cli.main(["detect", "--oracle", "--threads", "1",
+                         "--scene", str(tmp_path / "scene.ply"),
+                         "--model", str(tmp_path / "model"), "--out", str(out)]
+                        + override) == 0
+        poses.append(out.read_bytes())
+    assert poses[0] == poses[1]
 
 
 def test_wrapped_stage_runs_anchors_on_the_calling_thread(baseline_model, small_scene,
