@@ -1,7 +1,19 @@
 """Command-line interface: synth, prepare, train, detect, eval.
 
 Every command is deterministic under a fixed config+seed. Exit codes:
-0 success, 2 usage/input errors, 1 runtime failure.
+0 success, 2 usage/input errors, 1 runtime failure; a failure prints an
+`error: ...` line (or, for a detection that finds no pose and for a
+`prepare` whose every scene failed, a JSON object with an "error" key),
+never a traceback.
+
+- 2: a bad config, or an input file that is missing or malformed: a PLY
+  of no points among them (`SceneFormatError` for a scene,
+  `ModelFormatError` for a model), and a model PLY of non-finite
+  coordinates.
+- 1: a run that cannot finish on valid input, such as a scene whose
+  anchor spheres all hold fewer than `detect.min_sphere_points` points
+  (`EmptySceneError`), in `detect` and in `eval` alike; and a detection
+  that finds no pose.
 """
 
 from __future__ import annotations
@@ -126,7 +138,7 @@ def cmd_train(args, config: RunConfig) -> int:
     input_scale = 0.0
     if config.network.normalize:
         if not args.model:
-            print("network.normalize=true needs --model for the object diameter",
+            print("error: network.normalize=true needs --model for the object diameter",
                   file=sys.stderr)
             return 2
         model = load_object_model(Path(args.model))
@@ -165,13 +177,13 @@ def cmd_detect(args, config: RunConfig) -> int:
 
     if args.oracle:
         if gt is None:
-            print("--oracle needs a gt pose sidecar next to the scene", file=sys.stderr)
+            print("error: --oracle needs a gt pose sidecar next to the scene", file=sys.stderr)
             return 2
         result = oracle_detect(cloud, model, gt, params, debug_dir=debug_dir)
     else:
         weights = load_weights(args.weights) if args.weights else None
         if weights is None:
-            print("detect needs --weights (or --oracle with a gt sidecar)",
+            print("error: detect needs --weights (or --oracle with a gt sidecar)",
                   file=sys.stderr)
             return 2
         result = detect(cloud, model, weights, params, debug_dir=debug_dir)
@@ -193,7 +205,7 @@ def cmd_eval(args, config: RunConfig) -> int:
     scenes = _SceneFiles(args.scenes)
     weights = load_weights(args.weights) if args.weights else None
     if weights is None and not args.oracle:
-        print("eval needs --weights or --oracle", file=sys.stderr)
+        print("error: eval needs --weights or --oracle", file=sys.stderr)
         return 2
     params = config.detect_params()
     report = evaluate(scenes, model, weights, params, config.evaluation.threshold_factor,

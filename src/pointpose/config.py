@@ -10,10 +10,10 @@ apart from fields marked `metadata={"config": False}`, which the run fills
 in (a seed): `augmentation`, `training`, `voting`,
 `verification` and `synth`. The other sections span several module classes
 or feed derived values, so the builders below assemble those. Of these,
-`keypoints`, `examples`, `network`, `icp` and `detect` check their values
-when they load (`network` and `icp` by the checks of the module values
-they feed). A section's own `__post_init__` check fails as a `ConfigError`
-naming the section.
+`keypoints`, `labeling`, `examples`, `sampling`, `network`, `icp` and
+`detect` check their values when they load (`network` and `icp` by the
+checks of the module values they feed). A section's own `__post_init__`
+check fails as a `ConfigError` naming the section.
 """
 
 from __future__ import annotations
@@ -55,6 +55,10 @@ class LabelingSection:
     foreground_mm: float = 10.0
     background_mm: float = 20.0
 
+    def __post_init__(self):
+        if not 0 < self.foreground_mm < self.background_mm:
+            raise ValueError("need 0 < foreground_mm < background_mm")
+
 
 @dataclass
 class ExampleSection:
@@ -73,6 +77,13 @@ class SamplingSection:
     easy_negatives: int = 20
     hard_negatives: int = 10
     hard_band: List[float] = field(default_factory=lambda: [0.6, 1.2])
+
+    def __post_init__(self):
+        for name in ("positives", "easy_negatives", "hard_negatives"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be at least 0")
+        if not (len(self.hard_band) == 2 and 0 < self.hard_band[0] < self.hard_band[1]):
+            raise ValueError("hard_band must be [lo, hi] with 0 < lo < hi")
 
 
 @dataclass

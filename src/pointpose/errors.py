@@ -54,13 +54,15 @@ class PlyFormatError(PointPoseError, ValueError):
 
 
 class SceneFormatError(PointPoseError, ValueError):
-    """Malformed scene sidecar (`<scene>.json`): invalid JSON, or a pose,
-    intrinsics or view origin of the wrong type or shape."""
+    """A scene PLY of no points, or a malformed scene sidecar
+    (`<scene>.json`): invalid JSON, or a pose, intrinsics or view origin of
+    the wrong type or shape."""
 
 
 class ModelFormatError(PointPoseError, ValueError):
-    """Malformed object model sidecar (`<model>.json`): invalid JSON, or
-    keypoints, a diameter or a symmetry of the wrong type, shape or value."""
+    """An object model PLY of no points or of a non-finite coordinate, or a
+    malformed model sidecar (`<model>.json`): invalid JSON, or keypoints, a
+    diameter or a symmetry of the wrong type, shape or value."""
 
 
 class WeightsFormatError(PointPoseError):

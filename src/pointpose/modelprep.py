@@ -273,10 +273,14 @@ def _read_symmetry(d, where: str) -> SymmetryDescriptor:
 
 def load_object_model(stem) -> ObjectModel:
     """Read `<stem>.ply` and its `<stem>.json` sidecar. Raises
-    ModelFormatError on invalid JSON, or on keypoints, a diameter or a
-    symmetry of the wrong type, shape or value."""
+    ModelFormatError on a PLY of no points or of a non-finite coordinate,
+    on invalid JSON, or on keypoints, a diameter or a symmetry of the
+    wrong type, shape or value."""
     stem = Path(stem)
     cloud = read_ply(stem.with_suffix(".ply"))
+    if len(cloud) == 0 or not np.isfinite(cloud.positions).all():
+        raise ModelFormatError(f"{stem.with_suffix('.ply')}: expected one or more points "
+                               "with finite coordinates")
     path = stem.with_suffix(".json")
     try:
         with open(path) as f:

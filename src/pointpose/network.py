@@ -15,6 +15,12 @@ detection (`pipeline`) both lay out a set's channels by `write_features`.
 classifier head on the pooled features), then the segmenter. The first
 two are public so that a caller can encode a large set of examples in
 blocks and classify the pooled rows at once, as `pipeline.detect` does.
+Its spheres repeat their points only after every distinct one, so
+`encode` takes each example's count of leading distinct rows and runs its
+layers over those rows alone; max-pool ignores repeats, so the pooled
+features are bit-identical. Every product stays above the size at which
+OpenBLAS changes kernels and rounding (_MIN_GEMM_MACS), so each row comes
+out as it would in any larger batch.
 
 Neither pass holds the widest encoder layer's (B*N, wide) activation:
 forward max-pools it one example at a time, and backward sends each
@@ -211,10 +217,17 @@ def _masked(delta, act, blocks, masks):
     return delta
 
 
-# Inference streams the encoder over blocks of about this many points (8
+# Inference streams the encoder over blocks of about this many points (4
 # spheres of 2048), so the widest layer's (points, width) activation never
 # exists whole: each block's narrow layers stay in cache for its wide GEMMs.
-_FUSED_BLOCK_POINTS = 8 * 2048
+# Blocks of 8 spheres took as long, and held twice the narrow buffers.
+_FUSED_BLOCK_POINTS = 4 * 2048
+
+# OpenBLAS takes a small-matrix sgemm kernel below about 1e6 multiply-adds,
+# and it rounds differently from the kernel of a larger product; each row of
+# a product above this size is the same whatever the other rows are. So
+# encode's distinct-row products and the segment stage's groups stay above it.
+_MIN_GEMM_MACS = 1 << 20
 
 
 def _pool_first_max(z, g_row, arg_row, eq):
@@ -232,8 +245,21 @@ def _pool_first_max(z, g_row, arg_row, eq):
     arg_row[:] = rows[eq[rows].argmax(axis=0)] if rows.size else 0
 
 
+def _kept_rows(weights: Weights, counts: np.ndarray, n: int) -> np.ndarray:
+    """Rows that the inference encoder runs for each N-point example of a
+    block: its count of leading distinct rows, or all N where a product
+    over the counted rows would fall below _MIN_GEMM_MACS (an example's wide
+    product, or the block's narrow ones)."""
+    *narrow, (w_wide, _) = weights.encoder
+    rows = np.where(counts * w_wide.size >= _MIN_GEMM_MACS, counts, n)
+    if rows.sum() * min(w.size for w, _ in narrow) < _MIN_GEMM_MACS:
+        rows[:] = n
+    return rows
+
+
 def _fused_encoder(weights: Weights, x: np.ndarray, want_seg: bool,
-                   keep_cache: bool = False, pool: Optional[BufferPool] = None):
+                   keep_cache: bool = False, pool: Optional[BufferPool] = None,
+                   counts: Optional[np.ndarray] = None):
     """Pooled global feature (B, wide) without the (B*N, wide) activation.
 
     Returns (g, skip, enc_acts, argmax); skip is the second layer's
@@ -242,7 +268,9 @@ def _fused_encoder(weights: Weights, x: np.ndarray, want_seg: bool,
 
     Inference streams the narrow layers over blocks of about
     _FUSED_BLOCK_POINTS points into buffers reused across blocks; enc_acts
-    and argmax are None. With keep_cache the narrow layers run over the
+    and argmax are None. With `counts` each block gathers the rows that
+    _kept_rows keeps, and every layer runs over those rows only. With
+    keep_cache the narrow layers run over the
     whole batch, enc_acts holds every encoder layer's (B*N, width) input,
     and argmax (B, wide) is each feature's winning point: the bias goes on
     before the max, so ties resolve to the lowest index after bias and
@@ -276,17 +304,24 @@ def _fused_encoder(weights: Weights, x: np.ndarray, want_seg: bool,
     for start in range(0, b, per_block):
         stop = min(b, start + per_block)
         h = x[start:stop].reshape(-1, c)
+        rows = np.full(stop - start, n)
+        if counts is not None:
+            rows = _kept_rows(weights, counts[start:stop], n)
+            if rows.sum() < len(h):
+                h = x[start:stop][np.arange(n) < rows[:, None]]
         for li, (w, bias) in enumerate(narrow):
             out = skip[start * n:stop * n] if li == 1 and skip is not None \
                 else acts[li][:len(h)]
             h = _linear_relu(h, w, bias, out=out)
+        ends = np.cumsum(rows)
         for i in range(stop - start):
-            np.matmul(h[i * n:(i + 1) * n], w_wide, out=z)
+            zi = z[:rows[i]]
+            np.matmul(h[ends[i] - rows[i]:ends[i]], w_wide, out=zi)
             if keep_cache:
                 z += b_wide
                 _pool_first_max(z, g[start + i], arg[start + i], eq)
             else:
-                np.max(z, axis=0, out=g[start + i])
+                np.max(zi, axis=0, out=g[start + i])
     if not keep_cache:
         # bias and ReLU are monotone, so applying them after the max is exact
         g += b_wide
@@ -313,8 +348,20 @@ def encoder_block(n: int) -> int:
     return max(1, _FUSED_BLOCK_POINTS // n)
 
 
+def min_segment_block(weights: Weights, n: int) -> int:
+    """Fewest N-point examples whose want_seg forward keeps above
+    _MIN_GEMM_MACS both the narrow encoder products over all their points
+    and the segmenter's product on their pooled (B, wide) features. A
+    forward over that many examples gives each one the results of a
+    forward over a larger batch."""
+    narrow = min(w.size for w, _ in weights.encoder[:-1])
+    pooled = weights.config.encoder[-1] * weights.config.segmenter[0]
+    return max(-(-_MIN_GEMM_MACS // (n * narrow)), -(-_MIN_GEMM_MACS // pooled))
+
+
 def encode(weights: Weights, points: np.ndarray, want_seg: bool = False,
-           keep_cache: bool = False, pool: Optional[BufferPool] = None):
+           keep_cache: bool = False, pool: Optional[BufferPool] = None,
+           counts: Optional[np.ndarray] = None):
     """Shared encoder and max-pool of a batch (B, N, C).
 
     Returns (g, skip, enc_acts, argmax): the pooled (B, wide) global
@@ -323,10 +370,23 @@ def encode(weights: Weights, points: np.ndarray, want_seg: bool = False,
     winning point, else None. The fused form (see forward) runs but for
     2-layer encoders under want_seg, whose wide layer is the skip layer:
     they take the materialised form.
+
+    `counts` (B,), for inference without want_seg, is each example's count
+    of leading distinct rows, 1 to N: the rows after them repeat earlier
+    ones, as `dataset._sample_fill` draws them. Max-pool ignores repeats,
+    so the layers run over the counted rows only, and g is bit-identical
+    to the one of all N rows. A product that would fall below
+    _MIN_GEMM_MACS runs over all N rows instead (_kept_rows).
     """
     x = _network_input(weights, points)
+    if counts is not None:
+        counts = np.asarray(counts, dtype=np.int64)
+        if want_seg or keep_cache:
+            raise ValueError("distinct-row counts are for inference without want_seg")
+        if counts.shape != x.shape[:1] or not ((counts >= 1) & (counts <= x.shape[1])).all():
+            raise ValueError(f"counts must hold one count in 1..{x.shape[1]} per point set")
     if not (want_seg and len(weights.encoder) == 2):
-        return _fused_encoder(weights, x, want_seg, keep_cache, pool)
+        return _fused_encoder(weights, x, want_seg, keep_cache, pool, counts)
     b, n, _ = x.shape
     bn = b * n
     h = x.reshape(bn, -1)

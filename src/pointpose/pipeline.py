@@ -9,6 +9,13 @@ their 2048-point spheres for object presence and segments the 16 best with
 the network. oracle_detect() labels spheres around random foreground points
 from the ground-truth pose, to exercise the later stages in isolation.
 
+detect() streams its spheres through the network: each is drawn inside
+the encoder block loop from its own RNG stream, its block's features are
+gathered at once, and the encoder runs over each sphere's distinct points
+only (see _network_segmentation). Either source hands the later stages
+each segmented anchor's scene ids and its points' labels and confidences,
+not (n, K+1) probability arrays.
+
 The segmented anchors are independent, so their vote, ICP and verify
 stages run concurrently on the thread budget `DetectParams.threads` (0:
 every CPU this process may use): the calling thread plus a thread pool,
@@ -23,6 +30,7 @@ worker reads its own scenes.
 from __future__ import annotations
 
 import csv
+import ctypes
 import io
 import multiprocessing
 import os
@@ -31,6 +39,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
+from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -41,13 +50,13 @@ from .errors import (EmptySceneError, MissingChannelError, NoHypothesisError,
 from .geometry import NNIndex, estimate_normals, icp_refine, voxel_downsample
 from .modelprep import ObjectModel, snapped_voxel_ids
 from .network import (BufferPool, Weights, _softmax, classify, encode, encoder_block,
-                      forward, write_features)
+                      forward, min_segment_block, write_features)
 from .pointcloud import PointCloud
 from .pose import RigidPose
 from .verification import (VerificationParams, build_depth_buffer,
                            remove_occluded, verify)
 from .voting import (PoseHypothesis, VotingParams, correspondences_from_segmentation,
-                     estimate_pose, pose_votes, subsample_correspondences)
+                     estimate_pose, pose_votes, segment_labels, subsample_correspondences)
 
 STAGES = ("normals", "anchors", "classify", "segment", "vote", "icp", "verify")
 
@@ -111,24 +120,28 @@ def _ensure_channels(scene: PointCloud, params: DetectParams) -> PointCloud:
     return scene
 
 
-def _sphere_features(scene: PointCloud, spheres: Sequence[np.ndarray], weights: Weights,
+def _sphere_features(scene: PointCloud, ids: np.ndarray, weights: Weights,
                      out: np.ndarray) -> np.ndarray:
-    """Anchor spheres' network inputs into `out` (B, n, C), centered as in training."""
-    for row, ids in zip(out, spheres):
-        pos = scene.positions[ids]
-        write_features(row, pos - pos.mean(axis=0), scene.normals[ids], scene.curvatures[ids],
-                       scene.colors[ids] if out.shape[2] == 10 else None,
-                       weights.input_scale_mm)
+    """The network inputs of the spheres of scene ids (B, n) into `out`
+    (B, n, C), centered as in training. One gather per channel serves the
+    block; the batched mean adds in the order of each sphere's own
+    `pos.mean(axis=0)`."""
+    pos = scene.positions[ids]
+    pos -= pos.mean(axis=1, keepdims=True)
+    write_features(out.reshape(-1, out.shape[2]), pos.reshape(-1, 3),
+                   scene.normals[ids].reshape(-1, 3), scene.curvatures[ids].reshape(-1),
+                   scene.colors[ids].reshape(-1, 3) if out.shape[2] == 10 else None,
+                   weights.input_scale_mm)
     return out
 
 
 def _finish_anchor(scene: PointCloud, scene_index: NNIndex, model: ObjectModel,
-                   ids: np.ndarray, seg_probs: np.ndarray, icp_model: np.ndarray,
-                   params: DetectParams, depth_buffer, clock: _StageClock
-                   ) -> Optional[PoseHypothesis]:
+                   ids: np.ndarray, labels: np.ndarray, confidences: np.ndarray,
+                   icp_model: np.ndarray, params: DetectParams, depth_buffer,
+                   clock: _StageClock) -> Optional[PoseHypothesis]:
     """Stages E-F for one anchor: vote, refine, verify."""
     corr = correspondences_from_segmentation(
-        scene.positions[ids], scene.normals[ids], seg_probs, model,
+        scene.positions[ids], scene.normals[ids], labels, confidences, model,
         params.voting.min_confidence)
     try:
         hyp = estimate_pose(corr, params.voting)
@@ -207,8 +220,8 @@ def _finish_anchors(scene: PointCloud, scene_index: NNIndex, model: ObjectModel,
                 k = pending.pop()
             try:
                 results[k] = _finish_anchor(scene, scene_index, model, seg.sphere_ids[k],
-                                            seg.seg_probs[k], icp_model, params,
-                                            depth_buffer, own)
+                                            seg.labels[k], seg.confidences[k], icp_model,
+                                            params, depth_buffer, own)
             except BaseException:
                 with lock:
                     pending.clear()  # the other participants stop after their anchor
@@ -246,8 +259,6 @@ def _label_palette(k: int) -> np.ndarray:
 
 def _write_debug_stages(debug_dir, dbg: dict, result: "DetectionResult") -> None:
     """Per-stage artifacts A-F mirroring the inference chain."""
-    from pathlib import Path
-
     from .ply import write_ply
     from .pose import pose_to_dict
     import json as _json
@@ -286,11 +297,12 @@ def _write_debug_stages(debug_dir, dbg: dict, result: "DetectionResult") -> None
         _json.dump(payload, f, indent=2)
 
 
-def _best_anchor_votes(scene: PointCloud, ids: np.ndarray, seg_probs: np.ndarray,
-                       model: ObjectModel, params: DetectParams) -> np.ndarray:
+def _best_anchor_votes(scene: PointCloud, ids: np.ndarray, labels: np.ndarray,
+                       confidences: np.ndarray, model: ObjectModel,
+                       params: DetectParams) -> np.ndarray:
     """Vote translations for one anchor (debug dump only)."""
     corr = correspondences_from_segmentation(
-        scene.positions[ids], scene.normals[ids], seg_probs, model,
+        scene.positions[ids], scene.normals[ids], labels, confidences, model,
         params.voting.min_confidence)
     corr = subsample_correspondences(corr, params.voting)
     return pose_votes(corr, params.voting.n_theta).translations
@@ -298,13 +310,16 @@ def _best_anchor_votes(scene: PointCloud, ids: np.ndarray, seg_probs: np.ndarray
 
 @dataclass
 class _Segmentation:
-    """What a segmentation source hands the rest of the chain."""
+    """What a segmentation source hands the rest of the chain: per segmented
+    anchor, its scene ids and each point's label and confidence, which is
+    what correspondences_from_segmentation reads."""
 
     anchors: np.ndarray                  # (anchors_total, 3)
     skipped: int                         # anchors_skipped
     scored: Tuple[np.ndarray, np.ndarray]  # anchors with a sphere, class scores
     sphere_ids: List[np.ndarray]         # scene indices per segmented anchor
-    seg_probs: Sequence[np.ndarray]      # (n, K+1) per segmented anchor
+    labels: List[np.ndarray]             # (n,) 0 = background, 1..K keypoint
+    confidences: List[np.ndarray]        # (n,) the label's probability
 
 
 def _network_segmentation(weights: Weights, scene: PointCloud, scene_index: NNIndex,
@@ -312,57 +327,94 @@ def _network_segmentation(weights: Weights, scene: PointCloud, scene_index: NNIn
                           clock: _StageClock) -> _Segmentation:
     """Voxel-grid anchors, classified spheres, the best ones segmented.
 
-    No (spheres, points, channels) array is held. The spheres are encoded
-    in blocks of `network.encoder_block(n_points)`: each block's features
-    are built into one reused buffer, and one `BufferPool` serves every
-    block's encoder buffers. The pooled features of all spheres then go
-    through the classifier head at once, as in one `forward` call over all
-    of them, so the scores are bit-identical to it. The top spheres'
-    features are rebuilt from their ids for the segment call, and their
-    softmax is taken one sphere at a time. Ball queries, sampling and
-    feature building count as "anchors"; encoder blocks and the head as
-    "classify".
+    No (spheres, points, channels) array is held, nor any list of the
+    spheres' ids. Each anchor's sphere is drawn inside the encoder block
+    loop from its own `[seed, ai]` stream, into a block of
+    `network.encoder_block(n_points)` spheres: one gather builds the
+    block's features into a reused buffer, and one `BufferPool` serves
+    every block's encoder buffers. `_sample_fill` draws a sphere's
+    min(ball, n_points) distinct points first and only then repeats them,
+    so `encode` runs each sphere's distinct rows alone. The pooled features
+    of all spheres then go through the classifier head at once, so the
+    scores are bit-identical to one `forward` over every full sphere.
+
+    The classify buffers are freed before the segment stage. The top
+    spheres are drawn again from their streams and segmented in groups of
+    at least `network.min_segment_block` spheres; each one's softmax is
+    reduced at once to its points' labels and confidences. Ball queries,
+    sampling and feature building count as "anchors"; encoder blocks and
+    the head as "classify".
     """
     anchors = voxel_downsample(scene, params.anchor_leaf_mm).positions
     radius = params.radius_factor * model.diameter
+    n = params.n_points
+    channels = weights.config.input_channels
 
-    usable: List[int] = []
-    spheres: List[np.ndarray] = []
-    for ai, anchor in enumerate(anchors):
-        ids = scene_index.ball(anchor, radius)
+    def sphere(ai: int):
+        """Anchor ai's sampled ids and their count of distinct leading ids,
+        or None when its ball holds too few points."""
+        ids = scene_index.ball(anchors[ai], radius)
         if len(ids) < params.min_sphere_points:
-            continue
-        rng = np.random.default_rng([params.seed, ai])
-        usable.append(ai)
-        spheres.append(_sample_fill(ids, params.n_points, rng))
-    clock.lap("anchors")
-    if not spheres:
-        raise EmptySceneError(f"no anchor sphere held {params.min_sphere_points} points")
+            return None
+        return _sample_fill(ids, n, np.random.default_rng([params.seed, ai])), min(len(ids), n)
 
-    per_block = min(len(spheres), encoder_block(params.n_points))
-    feats = np.empty((per_block, params.n_points, weights.config.input_channels),
-                     dtype=np.float32)
-    pooled = np.empty((len(spheres), weights.config.encoder[-1]), dtype=weights.dtype)
+    per_block = min(len(anchors), encoder_block(n))
+    block_ids = np.empty((per_block, n), dtype=np.intp)
+    counts = np.empty(per_block, dtype=np.intp)
+    feats = np.empty((per_block, n, channels), dtype=np.float32)
+    pooled = np.empty((len(anchors), weights.config.encoder[-1]), dtype=weights.dtype)
     pool = BufferPool()
-    for start in range(0, len(spheres), per_block):
-        block = spheres[start:start + per_block]
-        _sphere_features(scene, block, weights, feats)
+    usable: List[int] = []
+
+    def encode_block(m: int) -> None:
+        _sphere_features(scene, block_ids[:m], weights, feats[:m])
         clock.lap("anchors")
-        pooled[start:start + len(block)] = encode(weights, feats[:len(block)], pool=pool)[0]
+        pooled[len(usable) - m:len(usable)] = encode(weights, feats[:m], pool=pool,
+                                                     counts=counts[:m])[0]
         clock.lap("classify")
-    probs = classify(weights, pooled)[1].astype(np.float64)
+
+    m = 0  # spheres in the current block
+    for ai in range(len(anchors)):
+        drawn = sphere(ai)
+        if drawn is None:
+            continue
+        block_ids[m], counts[m] = drawn
+        usable.append(ai)
+        m += 1
+        if m == per_block:
+            encode_block(m)
+            m = 0
+    if m:
+        encode_block(m)
+    clock.lap("anchors")
+    if not usable:
+        raise EmptySceneError(f"no anchor sphere held {params.min_sphere_points} points")
+    del block_ids, feats, pool
+    probs = classify(weights, pooled[:len(usable)])[1].astype(np.float64)
+    del pooled
     clock.lap("classify")
 
     # 16 highest scores; ties resolve to the lowest anchor index
-    top_rows = np.lexsort((usable, -probs))[:params.top_anchors]
-    top_feats = _sphere_features(scene, [spheres[r] for r in top_rows], weights,
-                                 np.empty((len(top_rows),) + feats.shape[1:], np.float32))
-    seg = forward(weights, top_feats, want_seg=True)
-    seg_probs = [_softmax(logits.astype(np.float64)) for logits in seg.seg_logits]
+    top = [usable[r] for r in np.lexsort((usable, -probs))[:params.top_anchors]]
+    sphere_ids = [sphere(ai)[0] for ai in top]
+    labels, confidences = [], []
+    # groups of at least min_segment_block spheres, the last one too, or
+    # one group of every top sphere
+    groups = max(1, len(top) // min_segment_block(weights, n))
+    edges = [i * len(top) // groups for i in range(groups + 1)]
+    pool = BufferPool()
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        ids = np.stack(sphere_ids[lo:hi])
+        feats = _sphere_features(scene, ids, weights,
+                                 np.empty((len(ids), n, channels), np.float32))
+        for logits in forward(weights, feats, want_seg=True, pool=pool).seg_logits:
+            point_labels, conf = segment_labels(_softmax(logits.astype(np.float64)))
+            labels.append(point_labels)
+            confidences.append(conf)
     clock.lap("segment")
-    return _Segmentation(anchors=anchors, skipped=len(anchors) - len(spheres),
-                         scored=(anchors[usable], probs),
-                         sphere_ids=[spheres[r] for r in top_rows], seg_probs=seg_probs)
+    return _Segmentation(anchors=anchors, skipped=len(anchors) - len(usable),
+                         scored=(anchors[usable], probs), sphere_ids=sphere_ids,
+                         labels=labels, confidences=confidences)
 
 
 def _oracle_segmentation(gt_pose: RigidPose, scene: PointCloud, scene_index: NNIndex,
@@ -374,11 +426,9 @@ def _oracle_segmentation(gt_pose: RigidPose, scene: PointCloud, scene_index: NNI
     draws = params.oracle_anchors if len(fg) else 0
     rng = np.random.default_rng([params.seed, 0xFACE])
     radius = params.radius_factor * model.diameter
-    # a bool one-hot gives correspondences the same labels and unit
-    # confidences as float probabilities, at an eighth of the memory
-    one_hot = np.eye(model.k + 1, dtype=bool)
+    certain = np.ones(params.n_points)
 
-    anchors, sphere_ids, seg_probs = [], [], []
+    anchors, sphere_ids, point_labels = [], [], []
     for _ in range(draws):
         anchor = scene.positions[fg[rng.integers(len(fg))]]
         ids = scene_index.ball(anchor, radius)
@@ -388,12 +438,12 @@ def _oracle_segmentation(gt_pose: RigidPose, scene: PointCloud, scene_index: NNI
         chosen = _sample_fill(ids, params.n_points, rng)
         anchors.append(anchor)
         sphere_ids.append(chosen)
-        seg_probs.append(one_hot[np.maximum(labels.labels[chosen], 0)])
+        point_labels.append(np.maximum(labels.labels[chosen], 0))
     clock.lap("segment")
     anchors = np.reshape(anchors, (-1, 3))
     return _Segmentation(anchors=anchors, skipped=draws - len(anchors),
-                         scored=(anchors, np.ones(len(anchors))),
-                         sphere_ids=sphere_ids, seg_probs=seg_probs)
+                         scored=(anchors, np.ones(len(anchors))), sphere_ids=sphere_ids,
+                         labels=point_labels, confidences=[certain] * len(point_labels))
 
 
 def _stage_chain(scene: PointCloud, model: ObjectModel, params: DetectParams,
@@ -437,14 +487,14 @@ def _stage_chain(scene: PointCloud, model: ObjectModel, params: DetectParams,
     if debug_dir is not None and seg.sphere_ids:
         best_k = hyp_anchor[int(np.argmin([h.l_loc for h in hypotheses]))] \
             if hypotheses else 0
-        best_ids, best_probs = seg.sphere_ids[best_k], seg.seg_probs[best_k]
+        best_ids, best_labels = seg.sphere_ids[best_k], seg.labels[best_k]
         dbg = {
             "anchors": seg.anchors,
             "scored": seg.scored,
             "spheres": scene.positions[np.concatenate(seg.sphere_ids)],
-            "segmentation": (scene.positions[best_ids], np.argmax(best_probs, axis=1),
-                             model.k),
-            "votes": _best_anchor_votes(scene, best_ids, best_probs, model, params),
+            "segmentation": (scene.positions[best_ids], best_labels, model.k),
+            "votes": _best_anchor_votes(scene, best_ids, best_labels,
+                                        seg.confidences[best_k], model, params),
         }
         _write_debug_stages(debug_dir, dbg, result)
     return result
@@ -576,9 +626,31 @@ def evaluate_scene(scene: PointCloud, gt: RigidPose, model: ObjectModel,
 _worker_run: tuple = ()   # a pool worker's evaluate() arguments, set when it starts
 
 
+def _numpy_openblas():
+    """numpy's bundled OpenBLAS (a wheel's `numpy.libs`) when it exports
+    its thread-count setter, else None."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*.so*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        if hasattr(lib, "scipy_openblas_set_num_threads64_"):
+            lib.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
+            lib.scipy_openblas_set_num_threads64_.restype = None
+            return lib
+    return None
+
+
 def _init_worker(run: tuple) -> None:
+    """Keep a forked worker's arguments, and run its BLAS on the worker's
+    share of the thread budget: otherwise each worker's BLAS would use
+    every CPU, and the workers would oversubscribe them."""
     global _worker_run
     _worker_run = run
+    blas = _numpy_openblas()
+    if blas is not None:
+        blas.scipy_openblas_set_num_threads64_(run[3].threads)
 
 
 def _evaluate_one(i: int, run: tuple = ()) -> SceneRecord:

@@ -7,6 +7,8 @@ are skipped; non-vertex elements after the vertex data are ignored.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from .errors import PlyFormatError
@@ -40,6 +42,8 @@ def _parse_header(f):
             if parts[0] == "format":
                 fmt = parts[1]
             elif parts[0] == "element":
+                if int(parts[2]) < 0:
+                    raise PlyFormatError(f"negative PLY element count {parts[2]}")
                 elements.append((parts[1], int(parts[2]), []))
             elif parts[0] == "property":
                 if not elements:
@@ -77,10 +81,10 @@ def read_ply(path) -> PointCloud:
             raise PlyFormatError(f"bad PLY vertex properties: {exc}") from exc
 
         if fmt == "binary_little_endian":
-            raw = f.read(count * dtype.itemsize)
-            if len(raw) != count * dtype.itemsize:
+            # checked against the file first: a corrupt count would size the read
+            if count * dtype.itemsize > os.fstat(f.fileno()).st_size - f.tell():
                 raise PlyFormatError("truncated PLY vertex data")
-            data = np.frombuffer(raw, dtype=dtype)
+            data = np.frombuffer(f.read(count * dtype.itemsize), dtype=dtype)
         else:
             rows = []
             for k in range(count):
@@ -94,7 +98,10 @@ def read_ply(path) -> PointCloud:
                 raise PlyFormatError(f"bad ASCII PLY vertex data: {exc}") from exc
 
     def col(name):
-        return data[name].astype(np.float64)
+        # arbitrary bytes may hold a signalling NaN; detection and model
+        # loading reject non-finite coordinates themselves
+        with np.errstate(invalid="ignore"):
+            return data[name].astype(np.float64)
 
     for axis in ("x", "y", "z"):
         if axis not in names:

@@ -295,9 +295,13 @@ def read_scene_sidecar(path):
 
 
 def load_scene(stem) -> Tuple[PointCloud, Optional[RigidPose]]:
-    """Read `<stem>.ply` (+ `<stem>.json` sidecar when present)."""
+    """Read `<stem>.ply` (+ `<stem>.json` sidecar when present). A PLY of
+    no points raises SceneFormatError: it is bad input, not a scene in which
+    detection fails."""
     stem = Path(stem)
     cloud = read_ply(stem.with_suffix(".ply"))
+    if len(cloud) == 0:
+        raise SceneFormatError(f"{stem.with_suffix('.ply')}: the scene holds no points")
     gt = None
     sidecar_path = stem.with_suffix(".json")
     if sidecar_path.exists():

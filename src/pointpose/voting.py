@@ -99,22 +99,32 @@ class VoteSet:
         return len(self.source)
 
 
+def segment_labels(seg_probs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Each point's argmax label and its probability, from (n, K+1) rows of
+    probabilities with column 0 = background: what
+    correspondences_from_segmentation reads of a segmentation."""
+    seg_probs = np.asarray(seg_probs)
+    labels = np.argmax(seg_probs, axis=1)
+    return labels, seg_probs[np.arange(len(labels)), labels].astype(np.float64)
+
+
 def correspondences_from_segmentation(scene_positions: np.ndarray,
                                       scene_normals: np.ndarray,
-                                      seg_probs: np.ndarray,
+                                      labels: np.ndarray,
+                                      confidences: np.ndarray,
                                       model: ObjectModel,
                                       min_confidence: float = 0.0) -> Correspondences:
-    """Emit one correspondence per point whose argmax label is a keypoint.
+    """Emit one correspondence per point labelled with a keypoint.
 
-    seg_probs rows are (K+1) probabilities with column 0 = background.
-    Points keep their scene-frame (un-centered) positions.
+    labels are per point, 0 = background and 1..K a keypoint, with their
+    confidences (see segment_labels). Points keep their scene-frame
+    (un-centered) positions.
     """
-    seg_probs = np.asarray(seg_probs)
-    if seg_probs.shape[1] != model.k + 1:
-        raise ValueError(f"seg_probs has {seg_probs.shape[1]} columns, expected {model.k + 1}")
-    labels = np.argmax(seg_probs, axis=1)
-    conf = seg_probs[np.arange(len(labels)), labels]
-    keep = (labels > 0) & (conf >= min_confidence)
+    labels = np.asarray(labels)
+    if labels.size and not 0 <= labels.min() <= labels.max() <= model.k:
+        raise ValueError(f"labels must lie in 0..{model.k}")
+    confidences = np.asarray(confidences, dtype=np.float64)
+    keep = (labels > 0) & (confidences >= min_confidence)
 
     ids = labels[keep]
     kp_pos = model.keypoint_positions()
@@ -125,7 +135,7 @@ def correspondences_from_segmentation(scene_positions: np.ndarray,
         keypoint_ids=ids.astype(np.int32),
         keypoint_positions=kp_pos[ids - 1],
         keypoint_normals=kp_nrm[ids - 1],
-        confidences=conf[keep].astype(np.float64),
+        confidences=confidences[keep],
     )
 
 

@@ -140,6 +140,19 @@ def test_section_check_fails_as_config_error(assignment, message, tmp_path, caps
     ("detect --weights", "examples.radius_factor=-1",
      "examples: radius_factor must be positive"),
     ("synth", "keypoints.spacing_mm=0", "keypoints: spacing_mm must be positive"),
+    ("prepare", "sampling.positives=-1", "sampling: positives must be at least 0"),
+    ("prepare", "sampling.easy_negatives=-2", "sampling: easy_negatives must be at least 0"),
+    ("prepare", "sampling.hard_negatives=-1", "sampling: hard_negatives must be at least 0"),
+    ("prepare", "sampling.hard_band=[1.2, 0.6]",
+     "sampling: hard_band must be [lo, hi] with 0 < lo < hi"),
+    ("prepare", "sampling.hard_band=[0, 1.2]",
+     "sampling: hard_band must be [lo, hi] with 0 < lo < hi"),
+    ("prepare", "sampling.hard_band=[0.6]",
+     "sampling: hard_band must be [lo, hi] with 0 < lo < hi"),
+    ("prepare", "labeling.background_mm=5",
+     "labeling: need 0 < foreground_mm < background_mm"),
+    ("prepare", "labeling.foreground_mm=0",
+     "labeling: need 0 < foreground_mm < background_mm"),
 ])
 def test_mirror_section_check_fails_at_load(command, assignment, message, tmp_path, capsys):
     config = RunConfig()

@@ -111,6 +111,57 @@ def test_forward_fused_matches_cached_segmenter_depth(monkeypatch, segmenter, dt
                                 b, n, dup, block)
 
 
+def repeated_rows(rng, counts, n, c=7):
+    """Point sets whose rows after each count repeat earlier rows, as
+    `dataset._sample_fill` draws them."""
+    x = rng.standard_normal((len(counts), n, c)).astype(np.float32)
+    for row, count in zip(x, counts):
+        row[count:] = row[rng.integers(0, count, n - count)]
+    return x
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_encode_distinct_rows_equals_every_row(dtype):
+    """encode over each set's distinct rows gives the pooled features of all
+    its rows bit for bit. In blocks of 4: the first runs 2048, 700, all 2048
+    (count 5: a wide product below the size floor) and 1500 rows; the
+    second's 2048 + 9 rows would make narrow products below the floor, so
+    it runs every row."""
+    w = init_weights(NetworkConfig(k=3), seed=0, dtype=dtype)
+    counts = np.array([2048, 700, 5, 1500, 2048, 9])
+    x = repeated_rows(np.random.default_rng(3), counts, 2048)
+    assert network.encoder_block(2048) == 4
+    assert network._kept_rows(w, counts[:4], 2048).tolist() == [2048, 700, 2048, 1500]
+    assert network._kept_rows(w, counts[4:], 2048).tolist() == [2048, 2048]
+    g = network.encode(w, x, counts=counts)[0]
+    assert np.array_equal(g, network.encode(w, x)[0])
+    assert np.array_equal(network.classify(w, g)[1], forward(w, x, want_seg=False).class_prob)
+
+
+@pytest.mark.parametrize("counts, kwargs, message", [
+    ([4, 4], {"want_seg": True}, "inference without want_seg"),
+    ([4, 4], {"keep_cache": True}, "inference without want_seg"),
+    ([4], {}, "one count in 1..8 per point set"),
+    ([0, 4], {}, "one count in 1..8 per point set"),
+    ([4, 9], {}, "one count in 1..8 per point set"),
+])
+def test_encode_rejects_bad_counts(counts, kwargs, message):
+    x = np.zeros((2, 8, 7))
+    with pytest.raises(ValueError, match=message):
+        network.encode(tiny_weights(), x, counts=np.array(counts), **kwargs)
+
+
+def test_min_segment_block_keeps_products_above_the_floor():
+    w = init_weights(NetworkConfig(k=3), seed=0)
+    # 2 x 2048 rows x 7 x 64 is 1.8e6 multiply-adds, one set's 0.92e6 is
+    # below; 2 pooled rows x 1024 x 512 are 2 ** 20
+    assert network.min_segment_block(w, 2048) == 2
+    assert network.min_segment_block(w, 256) == 10
+    small = init_weights(NetworkConfig(k=3, encoder=(64, 64, 128, 256),
+                                       segmenter=(128, 0)), seed=0)
+    assert network.min_segment_block(small, 2048) == 32   # 256 x 128 per pooled row
+
+
 def test_forward_segment_memory_stays_below_one_hidden_layer():
     """A segment call on 16 spheres of 2048 points never holds a
     (B*N, width) segmenter activation. tracemalloc peak of this forward:

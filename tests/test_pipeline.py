@@ -22,10 +22,10 @@ import pytest
 
 from pointpose import cli, network, pipeline
 from pointpose.config import RunConfig, apply_override, config_from_dict
-from pointpose.dataset import LabeledExample, write_dataset
+from pointpose.dataset import LabeledExample, _sample_fill, write_dataset
 from pointpose.errors import (ConfigError, MissingChannelError, NonFiniteSceneError,
                               WeightsFormatError)
-from pointpose.geometry import NNIndex
+from pointpose.geometry import NNIndex, voxel_downsample
 from pointpose.modelprep import load_object_model, save_object_model
 from pointpose.network import NetworkConfig, init_weights, save_weights
 from pointpose.ply import read_ply, write_ply
@@ -33,6 +33,7 @@ from pointpose.pointcloud import PointCloud
 from pointpose.pose import RigidPose
 from pointpose.synth import (SynthParams, load_scene, make_test_object, save_scene,
                              synth_scene)
+from pointpose.voting import segment_labels
 
 
 @pytest.fixture(scope="module")
@@ -417,34 +418,71 @@ def segment_scene(weights, cloud, model, **changes):
                                           params, pipeline._StageClock())
 
 
-def test_streamed_classify_equals_one_forward(baseline_model, small_scene, monkeypatch):
-    """Classify encodes the spheres one block at a time, yet its scores equal
-    one forward over every sphere bit for bit, and the same top spheres are
-    segmented. 205 spheres are 6 full blocks of 32 and one of 13."""
+def full_spheres(cloud, model, params):
+    """Every usable anchor's sampled sphere ids and its ball size, drawn
+    from the anchor's own stream as detect draws them."""
+    index = NNIndex(cloud.positions)
+    anchors = voxel_downsample(cloud, params.anchor_leaf_mm).positions
+    spheres, balls = [], []
+    for ai, anchor in enumerate(anchors):
+        ids = index.ball(anchor, params.radius_factor * model.diameter)
+        if len(ids) >= params.min_sphere_points:
+            rng = np.random.default_rng([params.seed, ai])
+            spheres.append(_sample_fill(ids, params.n_points, rng))
+            balls.append(len(ids))
+    return spheres, np.array(balls)
+
+
+def sphere_examples(cloud, spheres):
+    """Full spheres as centered training examples."""
+    examples = []
+    for ids in spheres:
+        pos = cloud.positions[ids]
+        examples.append(LabeledExample(
+            positions=pos - pos.mean(axis=0), normals=cloud.normals[ids],
+            curvatures=cloud.curvatures[ids], seg_labels=np.zeros(len(ids)), class_label=0,
+            colors=cloud.colors[ids]))
+    return examples
+
+
+def test_classify_scores_equal_one_forward_over_full_spheres(baseline_model, small_scene,
+                                                             monkeypatch):
+    """Classify encodes each sphere's distinct points only, one block at a
+    time, yet its scores equal one forward over every full sphere bit for
+    bit. 205 spheres are 25 full blocks of 8 and one of 5, and 28 balls
+    hold fewer than 1024 points. The segmented anchors get the labels and
+    confidences of one forward over their full spheres."""
     weights = init_weights(NetworkConfig(k=baseline_model.k), seed=0)
-    blocks, segmented = [], []
-    encode, forward = pipeline.encode, pipeline.forward
+    blocks = []
+    encode = pipeline.encode
 
     def recording_encode(w, x, **kwargs):
-        blocks.append(x.copy())          # the block buffer is reused
+        blocks.append(kwargs["counts"].copy())   # the count buffer is reused
         return encode(w, x, **kwargs)
 
-    def recording_forward(w, x, **kwargs):
-        segmented.append(x)
-        return forward(w, x, **kwargs)
-
     monkeypatch.setattr(pipeline, "encode", recording_encode)
-    monkeypatch.setattr(pipeline, "forward", recording_forward)
-    seg = segment_scene(weights, small_scene.cloud, baseline_model, n_points=512)
+    params = replace(pipeline.DetectParams(), n_points=1024)
+    cloud = pipeline._ensure_channels(small_scene.cloud, params)
+    seg = pipeline._network_segmentation(weights, cloud, NNIndex(cloud.positions),
+                                         baseline_model, params, pipeline._StageClock())
 
-    features = np.concatenate(blocks)
-    spheres, per_block = len(features), network.encoder_block(512)
-    assert spheres == len(seg.anchors)   # every sphere usable: rows in anchor order
-    assert spheres % per_block and all(len(b) == per_block for b in blocks[:-1])
+    spheres, balls = full_spheres(cloud, baseline_model, params)
+    per_block = network.encoder_block(1024)
+    assert len(spheres) == len(seg.anchors) == 205   # rows in anchor order
+    assert [len(b) for b in blocks] == [per_block] * 25 + [5]
+    assert np.array_equal(np.concatenate(blocks), np.minimum(balls, 1024))
+    assert (balls < 1024).sum() == 28
+    features = network.assemble_features(sphere_examples(cloud, spheres))
     scores = network.forward(weights, features, want_seg=False).class_prob
     assert np.array_equal(seg.scored[1], scores.astype(np.float64))
-    top = np.lexsort((np.arange(spheres), -scores))[:16]
-    assert len(segmented) == 1 and np.array_equal(segmented[0], features[top])
+
+    top = np.lexsort((np.arange(len(spheres)), -scores))[:16]
+    assert all(np.array_equal(seg.sphere_ids[i], spheres[r]) for i, r in enumerate(top))
+    logits = network.forward(weights, features[top], want_seg=True).seg_logits
+    for i, lg in enumerate(logits):
+        labels, conf = segment_labels(network._softmax(lg.astype(np.float64)))
+        assert np.array_equal(seg.labels[i], labels)
+        assert np.array_equal(seg.confidences[i], conf)
 
 
 def test_network_segmentation_holds_no_feature_array_of_every_sphere(baseline_model,
@@ -487,16 +525,9 @@ def test_detect_features_equal_training_features(baseline_model, small_scene, mo
     monkeypatch.setattr(pipeline, "forward", recording_forward)
     cloud = small_scene.cloud
     seg = segment_scene(weights, cloud, baseline_model, n_points=512, top_anchors=4)
-    examples = []
-    for ids in seg.sphere_ids:
-        pos = cloud.positions[ids]
-        examples.append(LabeledExample(
-            positions=pos - pos.mean(axis=0), normals=cloud.normals[ids],
-            curvatures=cloud.curvatures[ids], seg_labels=np.zeros(len(ids)), class_label=0,
-            colors=cloud.colors[ids]))
-    expected = network.assemble_features(examples, input_scale_mm=scale,
-                                         with_color=channels == 10)
-    assert len(segmented) == 1 and np.array_equal(segmented[0], expected)
+    expected = network.assemble_features(sphere_examples(cloud, seg.sphere_ids),
+                                         input_scale_mm=scale, with_color=channels == 10)
+    assert np.array_equal(np.concatenate(segmented), expected)
 
 
 def sleeping(fn, seconds):
@@ -601,8 +632,8 @@ def test_detection_is_the_same_at_every_thread_budget(baseline_model, noisy_scen
 def test_every_anchor_runs_once_under_fast_thread_switching(monkeypatch):
     calls = []
 
-    def record(scene, scene_index, model, ids, probs, icp_model, params, depth_buffer,
-               clock):
+    def record(scene, scene_index, model, ids, labels, confidences, icp_model, params,
+               depth_buffer, clock):
         calls.append(int(ids[0]))
         return int(ids[0])
 
@@ -610,7 +641,7 @@ def test_every_anchor_runs_once_under_fast_thread_switching(monkeypatch):
     n = 16
     seg = pipeline._Segmentation(anchors=np.zeros((n, 3)), skipped=0, scored=None,
                                  sphere_ids=[np.array([k]) for k in range(n)],
-                                 seg_probs=[None] * n)
+                                 labels=[None] * n, confidences=[None] * n)
     params = with_budget(pipeline.DetectParams(), 4)  # more threads than CPUs
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -814,6 +845,29 @@ def test_pool_workers_look_up_evaluate_scene_when_they_run(model, tmp_path, monk
     assert str(os.getpid()) not in pids
 
 
+@pytest.mark.parametrize("budget, share", [(2, 1), (6, 3)])
+def test_pool_workers_run_blas_on_their_thread_share(model, monkeypatch, budget, share):
+    """Each forked worker of a 2-scene run sets numpy's OpenBLAS to its
+    share of the thread budget; the calling process keeps its own."""
+    blas = pipeline._numpy_openblas()
+    if blas is None:
+        pytest.skip("numpy has no bundled OpenBLAS thread setter")
+    before = blas.scipy_openblas_get_num_threads64_()
+
+    def report_blas(cloud, gt, model, weights, params, threshold_factor, scene_id,
+                    use_oracle):
+        threads = pipeline._numpy_openblas().scipy_openblas_get_num_threads64_()
+        return pipeline.SceneRecord(scene_id=scene_id, add=1.0, adds=1.0, l_loc=1.0,
+                                    s_kde=1.0, success=True, timings_ms={"blas": threads})
+
+    monkeypatch.setattr(pipeline, "evaluate_scene", report_blas)
+    scenes = [(f"scene_{i}", None, None) for i in range(2)]
+    report = pipeline.evaluate(scenes, model, None,
+                               with_budget(pipeline.DetectParams(), budget), use_oracle=True)
+    assert [r.timings_ms["blas"] for r in report.records] == [share, share]
+    assert blas.scipy_openblas_get_num_threads64_() == before
+
+
 @pytest.mark.parametrize("adds, mean", [([2.0, float("inf"), 4.0], 3.0),
                                         ([float("inf")], None)])
 def test_eval_summary_is_strict_json(adds, mean):
@@ -838,3 +892,31 @@ def test_oracle_detect_anchor_threads_speed(benchmark, baseline_model, noisy_sce
                                 (scene.cloud, baseline_model, scene.gt_pose, params),
                                 rounds=3, iterations=1)
     assert result.anchors_segmented == 16
+
+
+@pytest.fixture(scope="module")
+def baseline_spheres(baseline_model):
+    """8 full spheres of the detect benchmark's input (scene [0, 0] without
+    normals, default DetectParams), evenly spaced over its 682 anchors, and
+    their counts of distinct points."""
+    scene = synth_scene(baseline_model, np.random.default_rng([0, 0]), NOISY)
+    params = pipeline.DetectParams()
+    cloud = pipeline._ensure_channels(raw(scene.cloud), params)
+    spheres, balls = full_spheres(cloud, baseline_model, params)
+    picks = np.linspace(0, len(spheres) - 1, 8).astype(int)
+    weights = init_weights(NetworkConfig(k=baseline_model.k), seed=0)
+    feats = pipeline._sphere_features(cloud, np.stack([spheres[i] for i in picks]), weights,
+                                      np.empty((8, params.n_points, 7), np.float32))
+    return weights, feats, np.minimum(balls[picks], params.n_points)
+
+
+@pytest.mark.perf
+@pytest.mark.parametrize("distinct", [False, True], ids=["every_row", "distinct_rows"])
+def test_classify_encode_speed(benchmark, baseline_spheres, distinct):
+    """`encode` of 8 detect-input spheres (two classify blocks), over every
+    row or over each sphere's distinct rows."""
+    weights, feats, counts = baseline_spheres
+    pool = network.BufferPool()
+    g = benchmark(network.encode, weights, feats, pool=pool,
+                  counts=counts if distinct else None)[0]
+    assert g.shape == (8, 1024)

@@ -18,7 +18,7 @@ from pointpose.voting import (_BOX_CELLS, _LEAFSIZE, _SLACK, Correspondences, Vo
                               VotingParams, _box_bound, _hemisphere_rows, _peak_search,
                               _rotation_bound,
                               correspondences_from_segmentation, density_peak,
-                              estimate_pose, pose_votes, quat_to_matrix)
+                              estimate_pose, pose_votes, quat_to_matrix, segment_labels)
 
 
 def make_model(n_kp=50, seed=0):
@@ -59,7 +59,7 @@ def test_correspondences_all_background_empty():
     probs = np.zeros((64, 11))
     probs[:, 0] = 1.0
     corr = correspondences_from_segmentation(np.zeros((64, 3)), np.tile([0, 0, 1.0], (64, 1)),
-                                             probs, model)
+                                             *segment_labels(probs), model)
     assert len(corr) == 0
 
 
@@ -72,7 +72,7 @@ def test_correspondences_match_oracle_labels():
     pts = rng.uniform(-50, 50, (256, 3))
     nrm = rng.standard_normal((256, 3))
     nrm /= np.linalg.norm(nrm, axis=1, keepdims=True)
-    corr = correspondences_from_segmentation(pts, nrm, probs, model)
+    corr = correspondences_from_segmentation(pts, nrm, *segment_labels(probs), model)
     assert len(corr) == (labels > 0).sum()
     np.testing.assert_array_equal(corr.keypoint_ids, labels[labels > 0])
     np.testing.assert_allclose(corr.keypoint_positions,
@@ -83,8 +83,25 @@ def test_correspondences_min_confidence_extreme():
     model = make_model(n_kp=5)
     probs = np.full((32, 6), 1.0 / 6)  # soft: max prob < 1
     corr = correspondences_from_segmentation(np.zeros((32, 3)), np.tile([0, 0, 1.0], (32, 1)),
-                                             probs, model, min_confidence=1.0)
+                                             *segment_labels(probs), model, min_confidence=1.0)
     assert len(corr) == 0
+
+
+def test_segment_labels_are_the_argmax_and_its_probability():
+    probs = np.array([[0.2, 0.5, 0.3], [0.4, 0.4, 0.2], [0.1, 0.1, 0.8]])
+    labels, conf = segment_labels(probs)
+    np.testing.assert_array_equal(labels, [1, 0, 2])   # a tie takes the lower label
+    np.testing.assert_array_equal(conf, [0.5, 0.4, 0.8])
+
+
+@pytest.mark.parametrize("label", [-1, 6])
+def test_correspondences_reject_labels_out_of_range(label):
+    model = make_model(n_kp=5)
+    labels = np.zeros(8, dtype=int)
+    labels[3] = label
+    with pytest.raises(ValueError, match="labels must lie in 0..5"):
+        correspondences_from_segmentation(np.zeros((8, 3)), np.tile([0, 0, 1.0], (8, 1)),
+                                          labels, np.ones(8), model)
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +383,7 @@ def oracle_like_set(rng, m=150):
     ids = np.sort(rng.choice(fg[near], size=m, replace=False))
     corr = correspondences_from_segmentation(
         scene.cloud.positions[ids], scene.cloud.normals[ids],
-        np.eye(model.k + 1)[labels[ids]], model)
+        labels[ids], np.ones(m), model)
     return None, pose_votes(corr, 36)
 
 
