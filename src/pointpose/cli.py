@@ -1,19 +1,18 @@
 """Command-line interface: synth, prepare, train, detect, eval.
 
-Every command is deterministic under a fixed config+seed. Exit codes:
-0 success, 2 usage/input errors, 1 runtime failure; a failure prints an
-`error: ...` line (or, for a detection that finds no pose and for a
-`prepare` whose every scene failed, a JSON object with an "error" key),
-never a traceback.
+Every command is deterministic under a fixed config+seed. Commands raise
+their failures; `main` alone turns one into an exit code and one
+`error: ...` line on stderr, never a traceback. The exception's type
+alone picks the code:
 
-- 2: a bad config, or an input file that is missing or malformed: a PLY
-  of no points among them (`SceneFormatError` for a scene,
-  `ModelFormatError` for a model), and a model PLY of non-finite
-  coordinates.
-- 1: a run that cannot finish on valid input, such as a scene whose
-  anchor spheres all hold fewer than `detect.min_sphere_points` points
-  (`EmptySceneError`), in `detect` and in `eval` alike; and a detection
-  that finds no pose.
+- 0: success.
+- 2: an `InputError` or a missing file: a bad config value or option
+  combination, or an input file that is malformed or does not fit the
+  run (a PLY of no points, weights for another keypoint count), and a
+  `prepare` in which every scene failed.
+- 1: any other `PointPoseError`, a run that cannot finish on valid
+  input, such as a `detect` that finds no pose (`NoHypothesisError`).
+  `eval` records such a scene as a failed row and goes on.
 """
 
 from __future__ import annotations
@@ -29,9 +28,7 @@ import numpy as np
 from .config import (RunConfig, apply_override, config_from_dict, config_to_dict,
                      load_config, save_config)
 from .dataset import build_instance_training_set, read_dataset, write_dataset
-from .errors import (ConfigError, DatasetFormatError, MissingChannelError,
-                     ModelFormatError, NonFiniteSceneError, PlyFormatError,
-                     PointPoseError, SceneFormatError, WeightsFormatError)
+from .errors import DatasetFormatError, InputError, NoHypothesisError, PointPoseError
 from .modelprep import load_object_model, save_object_model
 from .network import assemble_features, load_weights, save_weights, train
 from .pipeline import detect, evaluate, oracle_detect
@@ -44,12 +41,12 @@ def _build_config(args) -> RunConfig:
     config = load_config(args.config) if args.config else RunConfig()
     for assignment in args.set or []:
         apply_override(config, assignment)
-    # one validation of the finished config: a section's checks see every override
-    config = config_from_dict(config_to_dict(config))
     if args.seed is not None:
         config.seed = args.seed
     if args.threads is not None:
         config.threads = args.threads
+    # one validation of the finished config: a section's checks see every override
+    config = config_from_dict(config_to_dict(config))
     if args.dump_config:
         save_config(args.dump_config, config)
     return config
@@ -79,7 +76,7 @@ class _SceneFiles(Sequence):
 # commands
 
 
-def cmd_synth(args, config: RunConfig) -> int:
+def cmd_synth(args, config: RunConfig) -> None:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.model:
@@ -93,10 +90,9 @@ def cmd_synth(args, config: RunConfig) -> int:
         save_scene(out / f"scene_{i:04d}", scene)
     print(json.dumps({"scenes": args.count, "model_keypoints": model.k,
                       "model_diameter_mm": model.diameter, "out": str(out)}))
-    return 0
 
 
-def cmd_prepare(args, config: RunConfig) -> int:
+def cmd_prepare(args, config: RunConfig) -> None:
     model = load_object_model(Path(args.model))
     sampling = config.sampling_params()
 
@@ -120,27 +116,25 @@ def cmd_prepare(args, config: RunConfig) -> int:
         stats["hard_shortfall"] += inst.hard_shortfall
 
     if not examples:
-        print(json.dumps({"error": "all scenes failed", "failures": failures}),
-              file=sys.stderr)
-        return 2
+        raise InputError(f"every scene failed ({len(failures)}); "
+                         f"{failures[0]['scene']}: {failures[0]['error']}")
     write_dataset(args.out, examples, k=model.k,
                   balanced=config.augmentation.balanced, seed=config.seed)
     stats["examples"] = len(examples)
     stats["failures"] = failures
     stats["out"] = str(args.out)
     print(json.dumps(stats))
-    return 0
 
 
-def cmd_train(args, config: RunConfig) -> int:
+def cmd_train(args, config: RunConfig) -> None:
     header, examples = read_dataset(args.dataset)
+    if not examples:
+        raise DatasetFormatError(f"{args.dataset}: the dataset holds no examples")
     with_color = header.has_rgb and config.network.use_color
     input_scale = 0.0
     if config.network.normalize:
         if not args.model:
-            print("error: network.normalize=true needs --model for the object diameter",
-                  file=sys.stderr)
-            return 2
+            raise InputError("network.normalize=true needs --model for the object diameter")
         model = load_object_model(Path(args.model))
         input_scale = config.examples.radius_factor * model.diameter
 
@@ -166,10 +160,9 @@ def cmd_train(args, config: RunConfig) -> int:
             f.write(",".join(map(repr, row)) + "\n")
     print(json.dumps({"weights": str(args.out), "loss_log": str(log_path),
                       "final_loss": losses[-1], "examples": len(examples)}))
-    return 0
 
 
-def cmd_detect(args, config: RunConfig) -> int:
+def cmd_detect(args, config: RunConfig) -> None:
     model = load_object_model(Path(args.model))
     cloud, gt = load_scene(Path(args.scene).with_suffix(""))
     params = config.detect_params()
@@ -177,36 +170,32 @@ def cmd_detect(args, config: RunConfig) -> int:
 
     if args.oracle:
         if gt is None:
-            print("error: --oracle needs a gt pose sidecar next to the scene", file=sys.stderr)
-            return 2
+            raise InputError("--oracle needs a gt pose sidecar next to the scene")
         result = oracle_detect(cloud, model, gt, params, debug_dir=debug_dir)
     else:
-        weights = load_weights(args.weights) if args.weights else None
-        if weights is None:
-            print("error: detect needs --weights (or --oracle with a gt sidecar)",
-                  file=sys.stderr)
-            return 2
-        result = detect(cloud, model, weights, params, debug_dir=debug_dir)
+        if not args.weights:
+            raise InputError("detect needs --weights (or --oracle with a gt sidecar)")
+        result = detect(cloud, model, load_weights(args.weights), params,
+                        debug_dir=debug_dir)
 
     if result.failed:
-        print(json.dumps({"error": "detection failed", "timings_ms": result.timings_ms}),
-              file=sys.stderr)
-        return 1
+        raise NoHypothesisError(
+            f"no pose: {result.anchors_segmented} of {result.anchors_total} anchors "
+            f"segmented ({result.anchors_skipped} held fewer than "
+            f"{params.min_sphere_points} points), and none gave a hypothesis")
     save_pose_json(args.out, result.best.pose)
     info = {"pose": str(args.out), "l_loc": result.best.l_loc,
             "s_kde": result.best.s_kde, "hypotheses": len(result.ranked),
             "timings_ms": result.timings_ms}
     print(json.dumps(info))
-    return 0
 
 
-def cmd_eval(args, config: RunConfig) -> int:
+def cmd_eval(args, config: RunConfig) -> None:
     model = load_object_model(Path(args.model))
     scenes = _SceneFiles(args.scenes)
     weights = load_weights(args.weights) if args.weights else None
     if weights is None and not args.oracle:
-        print("error: eval needs --weights or --oracle", file=sys.stderr)
-        return 2
+        raise InputError("eval needs --weights or --oracle")
     params = config.detect_params()
     report = evaluate(scenes, model, weights, params, config.evaluation.threshold_factor,
                       use_oracle=args.oracle)
@@ -214,7 +203,6 @@ def cmd_eval(args, config: RunConfig) -> int:
     summary = report.summary()
     Path(args.out_json).write_text(json.dumps(summary, indent=2) + "\n")
     print(json.dumps(summary))
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -290,16 +278,14 @@ def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
-        config = _build_config(args)
-        return args.fn(args, config)
-    except (ConfigError, DatasetFormatError, FileNotFoundError, MissingChannelError,
-            ModelFormatError, NonFiniteSceneError, PlyFormatError, SceneFormatError,
-            WeightsFormatError) as exc:
+        args.fn(args, _build_config(args))
+    except (InputError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PointPoseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -9,11 +9,11 @@ A module dataclass is a section when its fields are that section's keys,
 apart from fields marked `metadata={"config": False}`, which the run fills
 in (a seed): `augmentation`, `training`, `voting`,
 `verification` and `synth`. The other sections span several module classes
-or feed derived values, so the builders below assemble those. Of these,
-`keypoints`, `labeling`, `examples`, `sampling`, `network`, `icp` and
-`detect` check their values when they load (`network` and `icp` by the
-checks of the module values they feed). A section's own `__post_init__`
-check fails as a `ConfigError` naming the section.
+or feed derived values, so the builders below assemble those. Every
+section checks its values when it loads (`network` and `icp` by the
+checks of the module values they feed), and so does the top level (the
+seed). A section's own `__post_init__` check fails as a `ConfigError`
+naming the section.
 """
 
 from __future__ import annotations
@@ -79,7 +79,9 @@ class SamplingSection:
     hard_band: List[float] = field(default_factory=lambda: [0.6, 1.2])
 
     def __post_init__(self):
-        for name in ("positives", "easy_negatives", "hard_negatives"):
+        if self.positives < 1:  # augmentation swaps the backgrounds of positives
+            raise ValueError("positives must be at least 1")
+        for name in ("easy_negatives", "hard_negatives"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be at least 0")
         if not (len(self.hard_band) == 2 and 0 < self.hard_band[0] < self.hard_band[1]):
@@ -137,6 +139,9 @@ class DetectSection:
 class EvaluationSection:
     threshold_factor: float = 0.1
 
+    def __post_init__(self):
+        _check_positive(self, "threshold_factor")
+
 
 @dataclass
 class RunConfig:
@@ -155,6 +160,11 @@ class RunConfig:
     detect: DetectSection = field(default_factory=DetectSection)
     evaluation: EvaluationSection = field(default_factory=EvaluationSection)
     synth: SynthParams = field(default_factory=SynthParams)
+
+    def __post_init__(self):
+        # numpy seeds and the dataset header's u64 take no negative seed
+        if not 0 <= self.seed < 2 ** 64:
+            raise ValueError("seed must be at least 0 and below 2**64")
 
     # -- builders for the module-level parameter objects ---------------------
 

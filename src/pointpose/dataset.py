@@ -29,6 +29,7 @@ SPHERE_RADIUS_FACTOR = 0.6
 
 DISCARD = -1
 BACKGROUND = 0
+JITTER_CHANNELS = ("xyz", "normal", "curvature", "rgb")
 
 
 @dataclass
@@ -48,11 +49,25 @@ class AugmentParams:
     balanced: bool = True  # 15/15/30 split instead of the literal 20/20/20
     background_swap_multiplier: int = 1
     jitter_sigma: float = 0.01
-    jitter_channels: Tuple[str, ...] = ("xyz", "normal", "curvature", "rgb")
+    jitter_channels: Tuple[str, ...] = JITTER_CHANNELS
     segment_drop_prob: float = 0.2
     max_segment_drop_fraction: float = 0.5
     object_shift_factor: float = 0.05    # x diameter, per axis
     background_shift_factor: float = 0.5  # x diameter, per axis
+
+    def __post_init__(self):
+        # written so that NaN fails too
+        for name in ("jitter_sigma", "object_shift_factor", "background_shift_factor",
+                     "background_swap_multiplier"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be at least 0")
+        for name in ("segment_drop_prob", "max_segment_drop_fraction"):
+            if not 0 <= getattr(self, name) <= 1:
+                raise ValueError(f"{name} must be between 0 and 1")
+        unknown = sorted(set(self.jitter_channels) - set(JITTER_CHANNELS))
+        if unknown:
+            raise ValueError(f"unknown jitter_channels {unknown}; known: "
+                             + ", ".join(JITTER_CHANNELS))
 
 
 @dataclass
@@ -494,6 +509,8 @@ def read_dataset_header(f: IO[bytes]) -> DatasetHeader:
     magic, k, flags, balanced, seed, count = _HEADER.unpack(raw)
     if magic != _MAGIC:
         raise DatasetFormatError(f"bad magic {magic!r}")
+    if k < 1:
+        raise DatasetFormatError("header: keypoint count k must be at least 1")
     return DatasetHeader(k=k, has_rgb=bool(flags & _FLAG_RGB),
                          balanced=bool(balanced), seed=seed, count=count)
 
@@ -501,7 +518,9 @@ def read_dataset_header(f: IO[bytes]) -> DatasetHeader:
 def iter_dataset(path) -> Iterator:
     """Yield DatasetHeader first, then one LabeledExample per record.
 
-    Streaming: one record is materialized at a time.
+    Streaming: one record is materialized at a time. Each record is checked
+    as it is read: a class byte of 0 or 1, at least 2 points and as many as
+    record 0, finite values, and seg labels of at most the header's k.
     """
     with open(path, "rb") as f:
         header = read_dataset_header(f)
@@ -518,14 +537,26 @@ def iter_dataset(path) -> Iterator:
             if len(payload) % dtype.itemsize:
                 raise DatasetFormatError(f"record {i}: payload not a whole number of points")
             rec = np.frombuffer(payload, dtype=dtype)
-            yield LabeledExample(
-                positions=rec["pos"].astype(np.float32),
-                normals=rec["nrm"].astype(np.float32),
-                curvatures=rec["curv"].astype(np.float32),
-                seg_labels=rec["seg"].astype(np.uint16),
-                class_label=int(cls),
-                colors=rec["rgb"].astype(np.float32) if header.has_rgb else None,
-            )
+            if i == 0:
+                n_points = len(rec)
+            if cls > 1:
+                raise DatasetFormatError(f"record {i}: class byte {cls}, expected 0 or 1")
+            if len(rec) < 2 or len(rec) != n_points:
+                raise DatasetFormatError(f"record {i}: {len(rec)} points, expected "
+                                         + (f"{n_points}" if i else "at least 2"))
+            example = LabeledExample(
+                positions=rec["pos"], normals=rec["nrm"], curvatures=rec["curv"],
+                seg_labels=rec["seg"], class_label=int(cls),
+                colors=rec["rgb"] if header.has_rgb else None)
+            channels = [example.positions, example.normals, example.curvatures]
+            if header.has_rgb:
+                channels.append(example.colors)
+            if not all(np.isfinite(c).all() for c in channels):
+                raise DatasetFormatError(f"record {i}: a NaN or infinite value")
+            top = int(example.seg_labels.max())
+            if top > header.k:
+                raise DatasetFormatError(f"record {i}: seg label {top} above k = {header.k}")
+            yield example
         if f.read(1):
             raise DatasetFormatError(f"trailing bytes after {header.count} records")
 

@@ -1,8 +1,20 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+The type alone says whose fault a failure is. An `InputError` is bad
+input: a config value, or an input file that is malformed or does not
+fit the run. Any other `PointPoseError` is a run that cannot finish on
+valid input, such as a detection that finds no pose. The CLI exits 2 on
+the first and 1 on the second.
+"""
 
 
 class PointPoseError(Exception):
     """Base class for all package-specific errors."""
+
+
+class InputError(PointPoseError):
+    """Bad input: an invalid config value or option, or an input file that
+    is malformed or does not fit the run."""
 
 
 class EmptyIndexError(PointPoseError):
@@ -33,41 +45,37 @@ class InvalidHypothesisError(PointPoseError):
     """Hypothesis violates its invariants (e.g. non-positive density score)."""
 
 
-class EmptySceneError(PointPoseError):
-    """Detection was asked to run on an empty scene cloud."""
-
-
-class NonFiniteSceneError(PointPoseError, ValueError):
+class NonFiniteSceneError(InputError, ValueError):
     """A scene point position is NaN or infinite."""
 
 
-class MissingChannelError(PointPoseError):
+class MissingChannelError(InputError):
     """The scene lacks an input channel the network weights expect (RGB)."""
 
 
-class DatasetFormatError(PointPoseError):
+class DatasetFormatError(InputError):
     """Malformed training-example file."""
 
 
-class PlyFormatError(PointPoseError, ValueError):
+class PlyFormatError(InputError, ValueError):
     """Not a PLY file, or a PLY file this reader cannot parse."""
 
 
-class SceneFormatError(PointPoseError, ValueError):
+class SceneFormatError(InputError, ValueError):
     """A scene PLY of no points, or a malformed scene sidecar
     (`<scene>.json`): invalid JSON, or a pose, intrinsics or view origin of
     the wrong type or shape."""
 
 
-class ModelFormatError(PointPoseError, ValueError):
+class ModelFormatError(InputError, ValueError):
     """An object model PLY of no points or of a non-finite coordinate, or a
     malformed model sidecar (`<model>.json`): invalid JSON, or keypoints, a
     diameter or a symmetry of the wrong type, shape or value."""
 
 
-class WeightsFormatError(PointPoseError):
+class WeightsFormatError(InputError):
     """Malformed or mismatched network weights file."""
 
 
-class ConfigError(PointPoseError):
+class ConfigError(InputError):
     """Unknown or invalid configuration key/value."""

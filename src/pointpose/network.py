@@ -38,6 +38,7 @@ that have been read for the last time (see backward).
 from __future__ import annotations
 
 import json
+import numbers
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -62,6 +63,10 @@ class NetworkConfig:
     segmenter: Tuple[int, ...] = (512, 256, 128, 0)  # 0 placeholder -> k+1
 
     def __post_init__(self):
+        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool)
+                   for v in (self.k, self.input_channels, *self.encoder, *self.classifier,
+                             *self.segmenter)):
+            raise ValueError("k, input_channels and layer widths must be integers")
         if self.k < 1:
             raise ValueError("k must be >= 1")
         if self.input_channels not in (7, 10):
@@ -108,9 +113,10 @@ class TrainConfig:
     seed: int = field(default=0, metadata={"config": False})
 
     def __post_init__(self):
-        if abs(self.w_cls + self.w_seg - 1.0) > 1e-9:
+        # written so that NaN fails too
+        if not abs(self.w_cls + self.w_seg - 1.0) <= 1e-9:
             raise ValueError("loss weights must sum to 1")
-        if min(self.batch_size, self.epochs) < 1 or self.learning_rate < 0:
+        if min(self.batch_size, self.epochs) < 1 or not self.learning_rate >= 0:
             raise ValueError("batch_size/epochs must be positive, learning_rate >= 0")
 
 
@@ -868,6 +874,8 @@ def load_weights(path) -> Weights:
             header = json.loads(_read_exact(f, hlen, "header").decode("utf-8"))
             config = NetworkConfig.from_dict(header["config"])
             input_scale_mm = float(header["input_scale_mm"])
+            if not 0 <= input_scale_mm < np.inf:
+                raise ValueError(f"input_scale_mm {input_scale_mm} is not finite and >= 0")
             header["normalize"]  # required; it equals input_scale_mm > 0
         except (ValueError, KeyError, TypeError) as exc:
             raise WeightsFormatError(f"bad weights header: {exc!r}") from exc

@@ -8,6 +8,10 @@ the two entry points. detect() takes anchors from a voxel grid, classifies
 their 2048-point spheres for object presence and segments the 16 best with
 the network. oracle_detect() labels spheres around random foreground points
 from the ground-truth pose, to exercise the later stages in isolation.
+Both fail the same way: a scene where no anchor sphere holds
+`min_sphere_points` points, a scene of no points among them, segments no
+anchor, and its DetectionResult is `failed` like one whose anchors all
+vote in vain; neither raises.
 
 detect() streams its spheres through the network: each is drawn inside
 the encoder block loop from its own RNG stream, its block's features are
@@ -45,8 +49,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .dataset import _sample_fill, label_scene
-from .errors import (EmptySceneError, MissingChannelError, NoHypothesisError,
-                     NonFiniteSceneError, NoOverlapError, WeightsFormatError)
+from .errors import (MissingChannelError, NoHypothesisError, NonFiniteSceneError,
+                     NoOverlapError, WeightsFormatError)
 from .geometry import NNIndex, estimate_normals, icp_refine, voxel_downsample
 from .modelprep import ObjectModel, snapped_voxel_ids
 from .network import (BufferPool, Weights, _softmax, classify, encode, encoder_block,
@@ -388,7 +392,9 @@ def _network_segmentation(weights: Weights, scene: PointCloud, scene_index: NNIn
         encode_block(m)
     clock.lap("anchors")
     if not usable:
-        raise EmptySceneError(f"no anchor sphere held {params.min_sphere_points} points")
+        return _Segmentation(anchors=anchors, skipped=len(anchors),
+                             scored=(anchors[:0], np.empty(0)), sphere_ids=[], labels=[],
+                             confidences=[])
     del block_ids, feats, pool
     probs = classify(weights, pooled[:len(usable)])[1].astype(np.float64)
     del pooled
@@ -428,29 +434,27 @@ def _oracle_segmentation(gt_pose: RigidPose, scene: PointCloud, scene_index: NNI
     radius = params.radius_factor * model.diameter
     certain = np.ones(params.n_points)
 
-    anchors, sphere_ids, point_labels = [], [], []
+    anchors, kept, sphere_ids, point_labels = [], [], [], []
     for _ in range(draws):
-        anchor = scene.positions[fg[rng.integers(len(fg))]]
-        ids = scene_index.ball(anchor, radius)
+        anchors.append(scene.positions[fg[rng.integers(len(fg))]])
+        ids = scene_index.ball(anchors[-1], radius)
         ids = ids[labels.labels[ids] >= 0]  # exclude the discard band
         if len(ids) < params.min_sphere_points:
             continue
         chosen = _sample_fill(ids, params.n_points, rng)
-        anchors.append(anchor)
+        kept.append(anchors[-1])
         sphere_ids.append(chosen)
         point_labels.append(np.maximum(labels.labels[chosen], 0))
     clock.lap("segment")
-    anchors = np.reshape(anchors, (-1, 3))
-    return _Segmentation(anchors=anchors, skipped=draws - len(anchors),
-                         scored=(anchors, np.ones(len(anchors))), sphere_ids=sphere_ids,
+    kept = np.reshape(kept, (-1, 3))
+    return _Segmentation(anchors=np.reshape(anchors, (-1, 3)), skipped=draws - len(kept),
+                         scored=(kept, np.ones(len(kept))), sphere_ids=sphere_ids,
                          labels=point_labels, confidences=[certain] * len(point_labels))
 
 
 def _stage_chain(scene: PointCloud, model: ObjectModel, params: DetectParams,
                  segment, debug_dir, rgb_input: bool = False) -> DetectionResult:
     """Every stage but segmentation, which `segment` supplies."""
-    if len(scene) == 0:
-        raise EmptySceneError("detection on an empty scene")
     finite = np.isfinite(scene.positions).all(axis=1)
     if not finite.all():
         raise NonFiniteSceneError(f"{int((~finite).sum())} of {len(scene)} scene points "

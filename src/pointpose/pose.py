@@ -20,6 +20,9 @@ class RigidPose:
     def __post_init__(self):
         object.__setattr__(self, "rotation", np.asarray(self.rotation, dtype=np.float64).reshape(3, 3))
         object.__setattr__(self, "translation", np.asarray(self.translation, dtype=np.float64).reshape(3))
+        # a rotation's entries lie in [-1, 1]; larger ones would overflow below
+        if not np.abs(self.rotation).max() <= 1.0 + _ORTHO_TOL:
+            raise ValueError("rotation is not orthonormal (an entry outside [-1, 1])")
         err = np.abs(self.rotation.T @ self.rotation - np.eye(3)).max()
         if err > _ORTHO_TOL:
             raise ValueError(f"rotation is not orthonormal (max deviation {err:.3e})")

@@ -38,6 +38,16 @@ class SynthParams:
     table_distance_mm: float = 900.0
     table_step_mm: float = 3.5
 
+    def __post_init__(self):
+        # written so that NaN fails too
+        for name in ("table_size_mm", "table_step_mm", "table_distance_mm"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
+        if not self.noise_sigma_mm >= 0 or self.clutter_count < 0:
+            raise ValueError("noise_sigma_mm and clutter_count must be at least 0")
+        if not 0 <= self.occluder_probability <= 1:
+            raise ValueError("occluder_probability must be between 0 and 1")
+
 
 @dataclass
 class SyntheticScene:

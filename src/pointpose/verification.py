@@ -33,7 +33,7 @@ class VerificationParams:
     color: bool = True
 
     def __post_init__(self):
-        if self.occlusion_margin_mm < 0 or self.splat_px < 0:
+        if not self.occlusion_margin_mm >= 0 or self.splat_px < 0:  # NaN fails too
             raise ValueError("margin and splat radius must be non-negative")
 
 

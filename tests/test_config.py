@@ -103,6 +103,11 @@ def test_builder_fills_in_the_thread_budget():
     ("voting.min_confidence=2", "voting: min_confidence must be between 0 and 1"),
     ("voting.min_confidence=-0.5", "voting: min_confidence must be between 0 and 1"),
     ("training.w_cls=0.5", "training: loss weights must sum to 1"),
+    ("training.w_cls=NaN", "training: loss weights must sum to 1"),
+    ("training.learning_rate=NaN",
+     "training: batch_size/epochs must be positive, learning_rate >= 0"),
+    ("verification.occlusion_margin_mm=NaN",
+     "verification: margin and splat radius must be non-negative"),
 ])
 def test_section_check_fails_as_config_error(assignment, message, tmp_path, capsys):
     key, raw = assignment.split("=")
@@ -140,7 +145,8 @@ def test_section_check_fails_as_config_error(assignment, message, tmp_path, caps
     ("detect --weights", "examples.radius_factor=-1",
      "examples: radius_factor must be positive"),
     ("synth", "keypoints.spacing_mm=0", "keypoints: spacing_mm must be positive"),
-    ("prepare", "sampling.positives=-1", "sampling: positives must be at least 0"),
+    ("prepare", "sampling.positives=0", "sampling: positives must be at least 1"),
+    ("prepare", "sampling.positives=-1", "sampling: positives must be at least 1"),
     ("prepare", "sampling.easy_negatives=-2", "sampling: easy_negatives must be at least 0"),
     ("prepare", "sampling.hard_negatives=-1", "sampling: hard_negatives must be at least 0"),
     ("prepare", "sampling.hard_band=[1.2, 0.6]",
@@ -153,6 +159,33 @@ def test_section_check_fails_as_config_error(assignment, message, tmp_path, caps
      "labeling: need 0 < foreground_mm < background_mm"),
     ("prepare", "labeling.foreground_mm=0",
      "labeling: need 0 < foreground_mm < background_mm"),
+    ("synth", "synth.table_step_mm=0", "synth: table_step_mm must be positive"),
+    ("synth", "synth.table_size_mm=-1", "synth: table_size_mm must be positive"),
+    ("synth", "synth.table_distance_mm=NaN", "synth: table_distance_mm must be positive"),
+    ("synth", "synth.noise_sigma_mm=-0.5",
+     "synth: noise_sigma_mm and clutter_count must be at least 0"),
+    ("synth", "synth.clutter_count=-1",
+     "synth: noise_sigma_mm and clutter_count must be at least 0"),
+    ("synth", "synth.occluder_probability=1.5",
+     "synth: occluder_probability must be between 0 and 1"),
+    ("synth", "synth.occluder_probability=NaN",
+     "synth: occluder_probability must be between 0 and 1"),
+    ("prepare", "augmentation.jitter_sigma=-0.01",
+     "augmentation: jitter_sigma must be at least 0"),
+    ("prepare", "augmentation.object_shift_factor=-1",
+     "augmentation: object_shift_factor must be at least 0"),
+    ("prepare", "augmentation.background_shift_factor=NaN",
+     "augmentation: background_shift_factor must be at least 0"),
+    ("prepare", "augmentation.background_swap_multiplier=-1",
+     "augmentation: background_swap_multiplier must be at least 0"),
+    ("prepare", "augmentation.segment_drop_prob=2",
+     "augmentation: segment_drop_prob must be between 0 and 1"),
+    ("prepare", "augmentation.max_segment_drop_fraction=-0.5",
+     "augmentation: max_segment_drop_fraction must be between 0 and 1"),
+    ("prepare", 'augmentation.jitter_channels=["xyz", "color"]',
+     "augmentation: unknown jitter_channels ['color']; known: xyz, normal, curvature, rgb"),
+    ("eval", "evaluation.threshold_factor=0", "evaluation: threshold_factor must be positive"),
+    ("synth", "seed=-1", "config: seed must be at least 0 and below 2**64"),
 ])
 def test_mirror_section_check_fails_at_load(command, assignment, message, tmp_path, capsys):
     config = RunConfig()
@@ -167,6 +200,8 @@ def test_mirror_section_check_fails_at_load(command, assignment, message, tmp_pa
              "detect --weights": ["--weights", "w.bin", "--scene", "scene", "--model", "model",
                                   "--out", "pose.json"],
              "prepare": ["--scenes", "scenes", "--model", "model", "--out", "d.bin"],
+             "eval": ["--oracle", "--scenes", "scenes", "--model", "model",
+                      "--out-csv", "eval.csv", "--out-json", "eval.json"],
              "synth": ["--out", "scenes"]}
     argv = [command.split()[0]] + [a if a.startswith("--") else str(tmp_path / a)
                                    for a in files[command]]

@@ -19,6 +19,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pointpose import cli, network, pipeline
 from pointpose.config import RunConfig, apply_override, config_from_dict
@@ -30,7 +32,7 @@ from pointpose.modelprep import load_object_model, save_object_model
 from pointpose.network import NetworkConfig, init_weights, save_weights
 from pointpose.ply import read_ply, write_ply
 from pointpose.pointcloud import PointCloud
-from pointpose.pose import RigidPose
+from pointpose.pose import RigidPose, random_rotation
 from pointpose.synth import (SynthParams, load_scene, make_test_object, save_scene,
                              synth_scene)
 from pointpose.voting import segment_labels
@@ -94,6 +96,23 @@ def test_detect_non_finite_scene_is_rejected(model, monkeypatch, entry):
             pipeline.detect(nan_scene(), model, init_weights(NetworkConfig(k=model.k), 0))
         else:
             pipeline.oracle_detect(nan_scene(), model, RigidPose.identity())
+
+
+@pytest.mark.parametrize("n", [0, 30])
+@pytest.mark.parametrize("entry", ["oracle_detect", "detect"])
+def test_scene_without_a_usable_sphere_is_a_failed_detection(model, entry, n):
+    """No points, or too few for a 64-point sphere: both sources segment no
+    anchor and return a failed result, as when every anchor votes in vain."""
+    scene = colourless_scene(n)
+    if entry == "detect":
+        weights = init_weights(NetworkConfig(k=model.k, encoder=(8, 8, 16), classifier=(8, 1),
+                                             segmenter=(8, 0)), seed=0)
+        result = pipeline.detect(scene, model, weights)
+    else:
+        result = pipeline.oracle_detect(scene, model, RigidPose(np.eye(3), [0.0, 0.0, 900.0]))
+    assert result.failed and result.ranked == [] and result.anchors_segmented == 0
+    assert result.anchors_skipped == result.anchors_total
+    assert set(result.timings_ms) == set(pipeline.STAGES)
 
 
 def test_cli_detect_non_finite_scene_exits_2(model, tmp_path, capsys):
@@ -390,6 +409,55 @@ def test_oracle_detect_recovers_the_pose(baseline_model, noisy_scenes, i):
     add = pipeline.add_metric(result.best.pose, scene.gt_pose, baseline_model)
     assert add < 0.1 * baseline_model.diameter
     assert proper(result.best.pose)
+
+
+# `oracle_detect` under rigid motions of the scene: 4 anchors, one thread,
+# and no intrinsics (the depth buffer assumes a camera at the origin, so a
+# moved scene with intrinsics would be another view)
+MOVED_PARAMS = pipeline.DetectParams(oracle_anchors=4, threads=1)
+# The 36 spins about each normal start at a phase that depends on the world
+# frame (`voting._base_quats`), so the voted start moves a little with the
+# scene and ICP may stop at a neighbouring minimum: these scenes and motions
+# moved ADD by at most 0.19 mm, against the 16 mm success threshold.
+MOVED_ADD_TOL_MM = 0.5
+
+
+def without_intrinsics(cloud, motion=RigidPose.identity()):
+    """The cloud moved rigidly, normals and view origin with it, and no camera."""
+    return PointCloud(positions=motion.apply(cloud.positions),
+                      normals=cloud.normals @ motion.rotation.T, curvatures=cloud.curvatures,
+                      colors=cloud.colors, view_origin=motion.apply(cloud.view_origin))
+
+
+@pytest.fixture(scope="module")
+def unmoved_adds(baseline_model, noisy_scenes):
+    """ADD of `oracle_detect` on scenes 0 and 1 where they are."""
+    adds = []
+    for scene in noisy_scenes[:2]:
+        result = pipeline.oracle_detect(without_intrinsics(scene.cloud), baseline_model,
+                                        scene.gt_pose, MOVED_PARAMS)
+        adds.append(pipeline.add_metric(result.best.pose, scene.gt_pose, baseline_model))
+    return adds
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(i=st.sampled_from([0, 1]), rotation_seed=st.integers(0, 2 ** 32 - 1),
+       translation=st.lists(st.floats(-1000, 1000), min_size=3, max_size=3))
+def test_oracle_pose_moves_with_the_scene(baseline_model, noisy_scenes, unmoved_adds, i,
+                                          rotation_seed, translation):
+    """Positions, normals, view origin and gt pose moved by one rigid motion:
+    success stays, and ADD moves by less than MOVED_ADD_TOL_MM."""
+    scene = noisy_scenes[i]
+    motion = RigidPose(random_rotation(np.random.default_rng(rotation_seed)),
+                       np.array(translation))
+    gt = RigidPose(motion.rotation @ scene.gt_pose.rotation,
+                   motion.apply(scene.gt_pose.translation))
+    result = pipeline.oracle_detect(without_intrinsics(scene.cloud, motion), baseline_model, gt,
+                                    MOVED_PARAMS)
+    add = pipeline.add_metric(result.best.pose, gt, baseline_model)
+    threshold = 0.1 * baseline_model.diameter
+    assert (add < threshold) == (unmoved_adds[i] < threshold)
+    assert abs(add - unmoved_adds[i]) < MOVED_ADD_TOL_MM
 
 
 def test_detect_with_untrained_weights_runs_every_stage(baseline_model, noisy_scenes):
