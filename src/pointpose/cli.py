@@ -131,12 +131,18 @@ def cmd_train(args, config: RunConfig) -> None:
     if not examples:
         raise DatasetFormatError(f"{args.dataset}: the dataset holds no examples")
     with_color = header.has_rgb and config.network.use_color
+    if config.network.normalize and not args.model:
+        raise InputError("network.normalize=true needs --model for the object diameter")
     input_scale = 0.0
-    if config.network.normalize:
-        if not args.model:
-            raise InputError("network.normalize=true needs --model for the object diameter")
+    if args.model:
+        # weights of another keypoint count would train, and then fail
+        # every detect with this model
         model = load_object_model(Path(args.model))
-        input_scale = config.examples.radius_factor * model.diameter
+        if model.k != header.k:
+            raise InputError(f"{args.dataset}: the dataset labels {header.k} keypoints, "
+                             f"the model {args.model} has {model.k}")
+        if config.network.normalize:
+            input_scale = config.examples.radius_factor * model.diameter
 
     net_config = config.network.network_config(header.k, with_color)
     feats = assemble_features(examples, input_scale_mm=input_scale, with_color=with_color)
@@ -250,7 +256,8 @@ def make_parser() -> argparse.ArgumentParser:
     p = add_command("train", "train the network on a dataset file")
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--model", help="model stem (for input normalization scale)")
+    p.add_argument("--model", help="model stem: its keypoint count must be the "
+                   "dataset's; its diameter scales the inputs under network.normalize")
     p.set_defaults(fn=cmd_train)
 
     p = add_command("detect", "estimate the object pose in one scene")

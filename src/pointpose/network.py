@@ -14,17 +14,23 @@ detection (`pipeline`) both lay out a set's channels by `write_features`.
 `forward` is `encode` (encoder and max-pool), then `classify` (the
 classifier head on the pooled features), then the segmenter. The first
 two are public so that a caller can encode a large set of examples in
-blocks and classify the pooled rows at once, as `pipeline.detect` does.
+blocks, on several threads, and classify the pooled rows at once, as
+`pipeline.detect` does.
 Its spheres repeat their points only after every distinct one, so
 `encode` takes each example's count of leading distinct rows and runs its
 layers over those rows alone; max-pool ignores repeats, so the pooled
 features are bit-identical. Every product stays above the size at which
-OpenBLAS changes kernels and rounding (_MIN_GEMM_MACS), so each row comes
-out as it would in any larger batch.
+OpenBLAS changes kernels and rounding (_MIN_GEMM_MACS), the row tiles of
+the wide product too, so each row comes out as it would in any larger
+batch.
 
 Neither pass holds the widest encoder layer's (B*N, wide) activation:
-forward max-pools it one example at a time, and backward sends each
-pooled feature's gradient to its single argmax point as a sparse product.
+forward max-pools it one example at a time, inference in row tiles of at
+most 512 rows (_WIDE_TILE_ROWS), and backward sends each pooled
+feature's gradient to its single argmax point as a sparse product. So an
+inference encode of 2048-point sets holds one block's narrow buffers (2
+sets) and one (512, wide) tile, ~6 MiB for the paper network, whatever B
+is: `pipeline.detect` runs one such encode on each of its threads.
 Inference holds no (B*N, width) segmenter activation either: the
 segmenter runs one example at a time into reused (N, width) buffers.
 Training keeps those activations whole, because backward reads them, but
@@ -223,11 +229,17 @@ def _masked(delta, act, blocks, masks):
     return delta
 
 
-# Inference streams the encoder over blocks of about this many points (4
+# Inference streams the encoder over blocks of about this many points (2
 # spheres of 2048), so the widest layer's (points, width) activation never
 # exists whole: each block's narrow layers stay in cache for its wide GEMMs.
-# Blocks of 8 spheres took as long, and held twice the narrow buffers.
-_FUSED_BLOCK_POINTS = 4 * 2048
+# Blocks of 4 spheres held twice the narrow buffers (8 MiB), and were no
+# faster with one BLAS thread per classify thread, as detect runs them.
+_FUSED_BLOCK_POINTS = 2 * 2048
+
+# Inference runs each example's wide product in near-equal row tiles of at
+# most this many rows into one (rows, wide) buffer, 2 MiB for the paper
+# network, and max-pools them as they come (see _wide_tile_rows).
+_WIDE_TILE_ROWS = 512
 
 # OpenBLAS takes a small-matrix sgemm kernel below about 1e6 multiply-adds,
 # and it rounds differently from the kernel of a larger product; each row of
@@ -249,6 +261,28 @@ def _pool_first_max(z, g_row, arg_row, eq):
     rows = np.flatnonzero(eq.any(axis=1))
     # a NaN max matches no row; ReLU's tie rule then sends it to point 0
     arg_row[:] = rows[eq[rows].argmax(axis=0)] if rows.size else 0
+
+
+def _wide_tile_rows(w_wide: np.ndarray) -> int:
+    """The most rows of a tile of the inference encoder's wide product:
+    _WIDE_TILE_ROWS, or twice the rows that keep a product with `w_wide`
+    at _MIN_GEMM_MACS when that is more. Tiles split near-equal from more
+    rows than this hold over half of it, so a product above the floor
+    splits into tiles above it, and each row comes out as untiled."""
+    return max(_WIDE_TILE_ROWS, 2 * -(-_MIN_GEMM_MACS // w_wide.size))
+
+
+def _tiled_column_max(h: np.ndarray, w: np.ndarray, z: np.ndarray, out: np.ndarray) -> None:
+    """The column max of h @ w into `out` (wide,), over near-equal row
+    tiles of at most len(z) rows written into z. A running max is exact."""
+    tiles = -(-len(h) // len(z))
+    edges = [j * len(h) // tiles for j in range(tiles + 1)]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        zt = np.matmul(h[lo:hi], w, out=z[:hi - lo])
+        if lo == 0:
+            np.max(zt, axis=0, out=out)
+        else:
+            np.maximum(out, zt.max(axis=0), out=out)
 
 
 def _kept_rows(weights: Weights, counts: np.ndarray, n: int) -> np.ndarray:
@@ -273,7 +307,8 @@ def _fused_encoder(weights: Weights, x: np.ndarray, want_seg: bool,
     encoder layers when want_seg.
 
     Inference streams the narrow layers over blocks of about
-    _FUSED_BLOCK_POINTS points into buffers reused across blocks; enc_acts
+    _FUSED_BLOCK_POINTS points into buffers reused across blocks, and each
+    example's wide product over row tiles (_tiled_column_max); enc_acts
     and argmax are None. With `counts` each block gathers the rows that
     _kept_rows keeps, and every layer runs over those rows only. With
     keep_cache the narrow layers run over the
@@ -302,11 +337,13 @@ def _fused_encoder(weights: Weights, x: np.ndarray, want_seg: bool,
             for li, (w, _) in enumerate(narrow)]
     if want_seg and keep_cache:
         skip = acts[1]
-    z = buf(("wide_z",), (n, wide_w))
     arg = None
     if keep_cache:
+        z = buf(("wide_z",), (n, wide_w))
         arg = np.empty((b, wide_w), dtype=np.intp)
         eq = buf(("wide_eq",), (n, wide_w), np.bool_)
+    else:
+        z = buf(("wide_z",), (min(n, _wide_tile_rows(w_wide)), wide_w))
     for start in range(0, b, per_block):
         stop = min(b, start + per_block)
         h = x[start:stop].reshape(-1, c)
@@ -321,13 +358,13 @@ def _fused_encoder(weights: Weights, x: np.ndarray, want_seg: bool,
             h = _linear_relu(h, w, bias, out=out)
         ends = np.cumsum(rows)
         for i in range(stop - start):
-            zi = z[:rows[i]]
-            np.matmul(h[ends[i] - rows[i]:ends[i]], w_wide, out=zi)
+            h_i = h[ends[i] - rows[i]:ends[i]]
             if keep_cache:
+                np.matmul(h_i, w_wide, out=z)
                 z += b_wide
                 _pool_first_max(z, g[start + i], arg[start + i], eq)
             else:
-                np.max(zi, axis=0, out=g[start + i])
+                _tiled_column_max(h_i, w_wide, z, g[start + i])
     if not keep_cache:
         # bias and ReLU are monotone, so applying them after the max is exact
         g += b_wide
@@ -472,8 +509,10 @@ def forward(weights: Weights, points: np.ndarray, want_seg: bool = True,
     seg logits identically and leaves the class output bit-unchanged.
 
     The widest encoder layer is never materialised. Its product runs one
-    example at a time into a reused (N, wide) buffer and is max-pooled at
-    once. Inference streams the narrow layers over blocks of
+    example at a time, and is max-pooled at once: in training from a
+    reused (N, wide) buffer, in inference from near-equal row tiles of at
+    most _wide_tile_rows rows, which a running max pools exactly.
+    Inference streams the narrow layers over blocks of
     encoder_block(N) examples and applies the wide layer's bias and ReLU
     once to the pooled (B, wide) matrix: float addition and ReLU are
     monotone, so they commute with max and the result is bit-identical to

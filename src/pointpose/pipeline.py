@@ -14,17 +14,21 @@ anchor, and its DetectionResult is `failed` like one whose anchors all
 vote in vain; neither raises.
 
 detect() streams its spheres through the network: each is drawn inside
-the encoder block loop from its own RNG stream, its block's features are
+an encoder block loop from its own RNG stream, its block's features are
 gathered at once, and the encoder runs over each sphere's distinct points
 only (see _network_segmentation). Either source hands the later stages
 each segmented anchor's scene ids and its points' labels and confidences,
 not (n, K+1) probability arrays.
 
-The segmented anchors are independent, so their vote, ICP and verify
-stages run concurrently on the thread budget `DetectParams.threads` (0:
-every CPU this process may use): the calling thread plus a thread pool,
-with the same results at every budget. While a stage function is wrapped,
-as by a span tracer, they run on the calling thread alone.
+Two stages run on the thread budget `DetectParams.threads` (0: every CPU
+this process may use): detect's anchor classification, whose spheres are
+independent, and every segmented anchor's vote, ICP and verify stages.
+Each is the calling thread plus a thread pool draining one work list
+(_drain), with the same results at every budget, and each participant
+holds a small, fixed working set: one encoder block and its buffers, or
+one anchor's votes. Classification runs OpenBLAS on one thread per
+participant. While a stage function is wrapped, as by a span tracer,
+both run on the calling thread alone.
 
 evaluate(), the one evaluation loop and the one behind `cli eval`, splits
 the budget over a pool of forked processes, one scene at a time; each
@@ -86,9 +90,10 @@ class DetectParams:
 class DetectionResult:
     """Hypotheses ranked by localization loss, and where the time went.
 
-    `timings_ms` holds milliseconds per name in STAGES. The vote, icp and
-    verify entries are sums of per-anchor times; when anchors run on more
-    than one thread these sums overlap, and can exceed the wall time.
+    `timings_ms` holds milliseconds per name in STAGES. The anchors,
+    classify, vote, icp and verify entries sum over the participants of
+    their stage; when a stage runs on more than one thread these sums
+    overlap, and can exceed the wall time.
     """
 
     best: Optional[PoseHypothesis]
@@ -112,6 +117,14 @@ class _StageClock:
         now = time.perf_counter()
         self.timings[stage] += (now - self._t) * 1000.0
         self._t = now
+
+    def merge(self, laps: List[dict], stages: Tuple[str, ...]):
+        """Add the `stages` of every participant's timings in `laps`, and
+        start the next lap now: the participants' sums hold the time since."""
+        for timings in laps:
+            for stage in stages:
+                self.timings[stage] += timings[stage]
+        self._t = time.perf_counter()
 
 
 def _ensure_channels(scene: PointCloud, params: DetectParams) -> PointCloud:
@@ -187,11 +200,68 @@ def thread_budget(threads: int) -> int:
 
 
 def _stages_wrapped() -> bool:
-    """Whether a per-anchor stage function is a wrapper, marked by the
-    `__wrapped__` that `functools.wraps` sets. Instrumenting wrappers, such
-    as span tracers, may keep one call stack for every thread."""
+    """Whether a function that a stage runs on the thread budget is a
+    wrapper, marked by the `__wrapped__` that `functools.wraps` sets.
+    Instrumenting wrappers, such as span tracers, may keep one call stack
+    for every thread."""
     return any(hasattr(fn, "__wrapped__")
-               for fn in (estimate_pose, remove_occluded, icp_refine, verify))
+               for fn in (encode, estimate_pose, remove_occluded, icp_refine, verify))
+
+
+def _drain(n_items: int, threads: int, participant) -> List[dict]:
+    """The calling thread plus a pool of `threads` - 1 drain one work list.
+
+    Each participant runs `participant(items, clock)`: `items` yields
+    indices from the shared list 0..n_items-1, each to one participant, in
+    ascending order of taking, and `clock` is the participant's own
+    _StageClock. Returns every participant's timings. An exception in a
+    participant empties the list, so that the others stop after the item
+    they hold, and reaches the caller.
+    """
+    lock = threading.Lock()
+    taken = 0
+
+    def items():
+        nonlocal taken
+        while True:
+            with lock:
+                if taken >= n_items:
+                    return
+                k = taken
+                taken += 1
+            yield k
+
+    def run() -> dict:
+        nonlocal taken
+        clock = _StageClock()
+        try:
+            participant(items(), clock)
+        except BaseException:
+            with lock:
+                taken = n_items  # the other participants stop after their item
+            raise
+        return clock.timings
+
+    # the calling thread takes items too, instead of waiting on a pool of
+    # n, so each of the n threads holds one participant's working set: one
+    # submit per anchor to n workers raised detect's bench peak RSS from
+    # 161-164 to 181 MB on 2 CPUs. With classify here too and the joint
+    # votes in chunks, the anchor stages add ~5 MB to the RSS that
+    # segmentation leaves, where they added ~40 MB.
+    if threads == 1:
+        return [run()]
+    with ThreadPoolExecutor(max_workers=threads - 1) as pool:
+        futures = [pool.submit(run) for _ in range(threads - 1)]
+        return [run()] + [f.result() for f in futures]
+
+
+def _stage_threads(params: DetectParams, n_items: int) -> int:
+    """Participants of a stage over n_items: min(budget, n_items), or the
+    calling thread alone while a stage function is wrapped, since a
+    wrapper need not be thread-safe."""
+    if _stages_wrapped():
+        return 1
+    return max(1, min(thread_budget(params.threads), n_items))
 
 
 def _finish_anchors(scene: PointCloud, scene_index: NNIndex, model: ObjectModel,
@@ -199,50 +269,25 @@ def _finish_anchors(scene: PointCloud, scene_index: NNIndex, model: ObjectModel,
                     depth_buffer, clock: _StageClock) -> List[Optional[PoseHypothesis]]:
     """`_finish_anchor` for every segmented anchor, on the thread budget.
 
-    The budget is `params.threads` (0: every CPU this process may use).
-    min(budget, anchors) participants, the calling thread and a pool of the
-    rest, pull anchor indices from one shared list. Anchors are independent
-    (each vote subsample draws from its own RNG; the index, depth buffer and
-    model are only read), and each result is stored at its anchor's index,
-    so the results are the same at every budget. The vote, icp and verify
-    laps of every participant are summed into `clock`.
-    When a stage function is wrapped, the calling thread drains every anchor
-    alone, since a wrapper need not be thread-safe.
+    The budget is `params.threads` (0: every CPU this process may use);
+    `_drain` hands the anchors to its participants (_stage_threads).
+    Anchors are independent (each vote subsample draws from its own RNG;
+    the index, depth buffer and model are only read), and each result is
+    stored at its anchor's index, so the results are the same at every
+    budget. The vote, icp and verify laps of every participant are summed
+    into `clock`.
     """
     n_anchors = len(seg.sphere_ids)
-    n = 1 if _stages_wrapped() else max(1, min(thread_budget(params.threads), n_anchors))
     results: List[Optional[PoseHypothesis]] = [None] * n_anchors
-    pending = list(range(n_anchors - 1, -1, -1))  # popped from the end: anchor order
-    lock = threading.Lock()
 
-    def drain() -> dict:
-        own = _StageClock()
-        while True:
-            with lock:
-                if not pending:
-                    return own.timings
-                k = pending.pop()
-            try:
-                results[k] = _finish_anchor(scene, scene_index, model, seg.sphere_ids[k],
-                                            seg.labels[k], seg.confidences[k], icp_model,
-                                            params, depth_buffer, own)
-            except BaseException:
-                with lock:
-                    pending.clear()  # the other participants stop after their anchor
-                raise
+    def finish(items, own: _StageClock) -> None:
+        for k in items:
+            results[k] = _finish_anchor(scene, scene_index, model, seg.sphere_ids[k],
+                                        seg.labels[k], seg.confidences[k], icp_model,
+                                        params, depth_buffer, own)
 
-    # the calling thread takes anchors too, instead of waiting on a pool of
-    # n: that keeps detect's peak RSS down (one submit per anchor to n
-    # workers read 181 MB against 161-164 MB on 2 CPUs)
-    if n == 1:
-        laps = [drain()]
-    else:
-        with ThreadPoolExecutor(max_workers=n - 1) as pool:
-            futures = [pool.submit(drain) for _ in range(n - 1)]
-            laps = [drain()] + [f.result() for f in futures]
-    for timings in laps:
-        for stage in ("vote", "icp", "verify"):
-            clock.timings[stage] += timings[stage]
+    clock.merge(_drain(n_anchors, _stage_threads(params, n_anchors), finish),
+                ("vote", "icp", "verify"))
     return results
 
 
@@ -332,15 +377,19 @@ def _network_segmentation(weights: Weights, scene: PointCloud, scene_index: NNIn
     """Voxel-grid anchors, classified spheres, the best ones segmented.
 
     No (spheres, points, channels) array is held, nor any list of the
-    spheres' ids. Each anchor's sphere is drawn inside the encoder block
-    loop from its own `[seed, ai]` stream, into a block of
-    `network.encoder_block(n_points)` spheres: one gather builds the
-    block's features into a reused buffer, and one `BufferPool` serves
-    every block's encoder buffers. `_sample_fill` draws a sphere's
-    min(ball, n_points) distinct points first and only then repeats them,
-    so `encode` runs each sphere's distinct rows alone. The pooled features
-    of all spheres then go through the classifier head at once, so the
-    scores are bit-identical to one `forward` over every full sphere.
+    spheres' ids. The anchors are classified on the thread budget: each
+    participant of `_drain` (_stage_threads) takes anchor indices from one
+    shared list, draws each anchor's sphere from its own `[seed, ai]`
+    stream into a block of `network.encoder_block(n_points)` spheres of
+    its own, builds the block's features with one gather into a reused
+    buffer, and encodes it with its own `BufferPool`. `_sample_fill` draws
+    a sphere's min(ball, n_points) distinct points first and only then
+    repeats them, so `encode` runs each sphere's distinct rows alone. Each
+    pooled row goes in at its anchor's index, and the pooled features of
+    all spheres then go through the classifier head at once, so the scores
+    are bit-identical to one `forward` over every full sphere at every
+    budget. OpenBLAS runs one thread per participant for the stage; where
+    its thread count cannot be set, the stage runs on the calling thread.
 
     The classify buffers are freed before the segment stage. The top
     spheres are drawn again from their streams and segmented in groups of
@@ -362,46 +411,66 @@ def _network_segmentation(weights: Weights, scene: PointCloud, scene_index: NNIn
             return None
         return _sample_fill(ids, n, np.random.default_rng([params.seed, ai])), min(len(ids), n)
 
-    per_block = min(len(anchors), encoder_block(n))
-    block_ids = np.empty((per_block, n), dtype=np.intp)
-    counts = np.empty(per_block, dtype=np.intp)
-    feats = np.empty((per_block, n, channels), dtype=np.float32)
+    per_block = encoder_block(n)
     pooled = np.empty((len(anchors), weights.config.encoder[-1]), dtype=weights.dtype)
-    pool = BufferPool()
-    usable: List[int] = []
+    has_sphere = np.zeros(len(anchors), dtype=bool)
 
-    def encode_block(m: int) -> None:
-        _sphere_features(scene, block_ids[:m], weights, feats[:m])
-        clock.lap("anchors")
-        pooled[len(usable) - m:len(usable)] = encode(weights, feats[:m], pool=pool,
-                                                     counts=counts[:m])[0]
-        clock.lap("classify")
+    def classify_spheres(items, own: _StageClock) -> None:
+        block_anchors = np.empty(per_block, dtype=np.intp)
+        block_ids = np.empty((per_block, n), dtype=np.intp)
+        counts = np.empty(per_block, dtype=np.intp)
+        feats = np.empty((per_block, n, channels), dtype=np.float32)
+        pool = BufferPool()
 
-    m = 0  # spheres in the current block
-    for ai in range(len(anchors)):
-        drawn = sphere(ai)
-        if drawn is None:
-            continue
-        block_ids[m], counts[m] = drawn
-        usable.append(ai)
-        m += 1
-        if m == per_block:
+        def encode_block(m: int) -> None:
+            _sphere_features(scene, block_ids[:m], weights, feats[:m])
+            own.lap("anchors")
+            pooled[block_anchors[:m]] = encode(weights, feats[:m], pool=pool,
+                                               counts=counts[:m])[0]
+            own.lap("classify")
+
+        m = 0  # spheres in the current block
+        for ai in items:
+            drawn = sphere(ai)
+            if drawn is None:
+                continue
+            block_ids[m], counts[m] = drawn
+            block_anchors[m] = ai
+            has_sphere[ai] = True
+            m += 1
+            if m == per_block:
+                encode_block(m)
+                m = 0
+        if m:
             encode_block(m)
-            m = 0
-    if m:
-        encode_block(m)
+        own.lap("anchors")
+
     clock.lap("anchors")
-    if not usable:
+    threads = _stage_threads(params, len(anchors))
+    # one BLAS thread per participant: BLAS threads of their own on these
+    # small products would oversubscribe the CPUs
+    blas = _numpy_openblas() if threads > 1 else None
+    if blas is None:
+        laps = _drain(len(anchors), 1, classify_spheres)
+    else:
+        blas_threads = blas.scipy_openblas_get_num_threads64_()
+        blas.scipy_openblas_set_num_threads64_(1)
+        try:
+            laps = _drain(len(anchors), threads, classify_spheres)
+        finally:
+            blas.scipy_openblas_set_num_threads64_(blas_threads)
+    clock.merge(laps, ("anchors", "classify"))
+    usable = np.flatnonzero(has_sphere)
+    if not len(usable):
         return _Segmentation(anchors=anchors, skipped=len(anchors),
                              scored=(anchors[:0], np.empty(0)), sphere_ids=[], labels=[],
                              confidences=[])
-    del block_ids, feats, pool
-    probs = classify(weights, pooled[:len(usable)])[1].astype(np.float64)
+    probs = classify(weights, pooled[usable])[1].astype(np.float64)
     del pooled
     clock.lap("classify")
 
     # 16 highest scores; ties resolve to the lowest anchor index
-    top = [usable[r] for r in np.lexsort((usable, -probs))[:params.top_anchors]]
+    top = usable[np.lexsort((usable, -probs))[:params.top_anchors]].tolist()
     sphere_ids = [sphere(ai)[0] for ai in top]
     labels, confidences = [], []
     # groups of at least min_segment_block spheres, the last one too, or
@@ -632,16 +701,19 @@ _worker_run: tuple = ()   # a pool worker's evaluate() arguments, set when it st
 
 def _numpy_openblas():
     """numpy's bundled OpenBLAS (a wheel's `numpy.libs`) when it exports
-    its thread-count setter, else None."""
+    its thread-count setter and getter, else None."""
     libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
     for path in sorted(libs.glob("libscipy_openblas64_*.so*")):
         try:
             lib = ctypes.CDLL(str(path))
         except OSError:
             continue
-        if hasattr(lib, "scipy_openblas_set_num_threads64_"):
+        if hasattr(lib, "scipy_openblas_set_num_threads64_") \
+                and hasattr(lib, "scipy_openblas_get_num_threads64_"):
             lib.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
             lib.scipy_openblas_set_num_threads64_.restype = None
+            lib.scipy_openblas_get_num_threads64_.argtypes = []
+            lib.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
             return lib
     return None
 

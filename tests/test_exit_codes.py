@@ -196,6 +196,20 @@ def test_invalid_dataset_values_exit_2(model, tmp_path, k, records, edit, messag
     assert not (tmp_path / "trained.bin").exists()
 
 
+@pytest.mark.parametrize("normalize", ["true", "false"])
+def test_train_with_a_model_of_another_keypoint_count_exits_2(model, tmp_path, normalize):
+    """A 2-keypoint dataset with a model of more keypoints would train
+    weights that every detect with that model rejects."""
+    write_files(tmp_path, model, scene_cloud(100))
+    write_dataset(tmp_path / "d.bin", examples(), k=2)
+    assert model.k != 2
+    code, err = run(tmp_path, "train", "", "--set", f"network.normalize={normalize}")
+    assert code == 2
+    assert err.startswith("error: ") and \
+        f"the dataset labels 2 keypoints, the model {tmp_path / 'model'} has {model.k}" in err
+    assert not (tmp_path / "trained.bin").exists()
+
+
 def with_header(blob: bytes, edit) -> bytes:
     """A weights file whose header JSON `edit` has changed."""
     (hlen,) = struct.unpack_from("<I", blob, 4)

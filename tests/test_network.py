@@ -123,19 +123,68 @@ def repeated_rows(rng, counts, n, c=7):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_encode_distinct_rows_equals_every_row(dtype):
     """encode over each set's distinct rows gives the pooled features of all
-    its rows bit for bit. In blocks of 4: the first runs 2048, 700, all 2048
-    (count 5: a wide product below the size floor) and 1500 rows; the
-    second's 2048 + 9 rows would make narrow products below the floor, so
-    it runs every row."""
+    its rows bit for bit. In blocks of 2: the first runs 2048 and 700 rows,
+    the second all 2048 (count 5: a wide product below the size floor) and
+    1500; the third's 2048 + 9 rows would make narrow products below the
+    floor, so it runs every row."""
     w = init_weights(NetworkConfig(k=3), seed=0, dtype=dtype)
     counts = np.array([2048, 700, 5, 1500, 2048, 9])
     x = repeated_rows(np.random.default_rng(3), counts, 2048)
-    assert network.encoder_block(2048) == 4
-    assert network._kept_rows(w, counts[:4], 2048).tolist() == [2048, 700, 2048, 1500]
+    assert network.encoder_block(2048) == 2
+    assert network._kept_rows(w, counts[:2], 2048).tolist() == [2048, 700]
+    assert network._kept_rows(w, counts[2:4], 2048).tolist() == [2048, 1500]
     assert network._kept_rows(w, counts[4:], 2048).tolist() == [2048, 2048]
     g = network.encode(w, x, counts=counts)[0]
     assert np.array_equal(g, network.encode(w, x)[0])
     assert np.array_equal(network.classify(w, g)[1], forward(w, x, want_seg=False).class_prob)
+
+
+@pytest.mark.parametrize("counts", [False, True], ids=["every_row", "distinct_rows"])
+@pytest.mark.parametrize("rows", [511, 512, 513, 1025, 2048])
+def test_tiled_wide_product_equals_the_materialised_forward(rows, counts):
+    """Inference runs the wide product in near-equal tiles of at most 512
+    rows, yet its pooled features and scores equal the materialised
+    training forward bit for bit: 513 rows make tiles of 256 and 257, 1025
+    three tiles, 2048 four. With counts, each set's first `rows` rows are
+    distinct, and the tiles split those."""
+    w = init_weights(NetworkConfig(k=3), seed=0)
+    assert network._wide_tile_rows(w.encoder[-1][0]) == 512
+    n = 2048
+    set_counts = np.array([rows, n, rows])
+    x = repeated_rows(np.random.default_rng(rows), set_counts, n)
+    if not counts:
+        x = x[:, :rows]
+    ref = forward(w, x, want_seg=False, keep_cache=True)
+    g = network.encode(w, x, counts=set_counts if counts else None)[0]
+    assert np.array_equal(g, ref.cache["g"])
+    assert np.array_equal(network.classify(w, g)[1], ref.class_prob)
+
+
+def test_tiled_column_max_splits_rows_near_equally():
+    w = np.eye(3, dtype=np.float32)
+    h = np.random.default_rng(0).standard_normal((1025, 3)).astype(np.float32)
+    z = np.full((512, 3), np.nan, dtype=np.float32)
+    out = np.empty(3, dtype=np.float32)
+    network._tiled_column_max(h, w, z, out)
+    assert np.array_equal(out, h.max(axis=0))
+    assert np.isnan(z[342:]).all() and not np.isnan(z[:342]).any()   # 341, 342, 342
+
+
+def test_inference_encode_holds_no_whole_wide_product():
+    """An inference encode of 4 sets of 2048 points holds one (512, 1024)
+    tile, not an (N, wide) product, and 2-set narrow blocks. tracemalloc
+    peak of this encode: 16.0 MiB with 4-set blocks and a (2048, 1024)
+    product buffer, 6.1 MiB now. The bound is one (N, wide) float32
+    product."""
+    w = init_weights(NetworkConfig(k=50), seed=0)
+    x = np.random.default_rng(7).standard_normal((4, 2048, 7)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        network.encode(w, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2048 * 1024 * 4, peak / 2 ** 20
 
 
 @pytest.mark.parametrize("counts, kwargs, message", [

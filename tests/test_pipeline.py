@@ -517,9 +517,10 @@ def test_classify_scores_equal_one_forward_over_full_spheres(baseline_model, sma
                                                              monkeypatch):
     """Classify encodes each sphere's distinct points only, one block at a
     time, yet its scores equal one forward over every full sphere bit for
-    bit. 205 spheres are 25 full blocks of 8 and one of 5, and 28 balls
-    hold fewer than 1024 points. The segmented anchors get the labels and
-    confidences of one forward over their full spheres."""
+    bit. On the calling thread alone, 205 spheres are 51 full blocks of 4
+    and one of 1, and 28 balls hold fewer than 1024 points. The segmented
+    anchors get the labels and confidences of one forward over their full
+    spheres."""
     weights = init_weights(NetworkConfig(k=baseline_model.k), seed=0)
     blocks = []
     encode = pipeline.encode
@@ -529,7 +530,7 @@ def test_classify_scores_equal_one_forward_over_full_spheres(baseline_model, sma
         return encode(w, x, **kwargs)
 
     monkeypatch.setattr(pipeline, "encode", recording_encode)
-    params = replace(pipeline.DetectParams(), n_points=1024)
+    params = replace(pipeline.DetectParams(), n_points=1024, threads=1)
     cloud = pipeline._ensure_channels(small_scene.cloud, params)
     seg = pipeline._network_segmentation(weights, cloud, NNIndex(cloud.positions),
                                          baseline_model, params, pipeline._StageClock())
@@ -537,7 +538,7 @@ def test_classify_scores_equal_one_forward_over_full_spheres(baseline_model, sma
     spheres, balls = full_spheres(cloud, baseline_model, params)
     per_block = network.encoder_block(1024)
     assert len(spheres) == len(seg.anchors) == 205   # rows in anchor order
-    assert [len(b) for b in blocks] == [per_block] * 25 + [5]
+    assert [len(b) for b in blocks] == [per_block] * 51 + [1]
     assert np.array_equal(np.concatenate(blocks), np.minimum(balls, 1024))
     assert (balls < 1024).sum() == 28
     features = network.assemble_features(sphere_examples(cloud, spheres))
@@ -736,9 +737,8 @@ def test_budget_1_starts_no_thread(baseline_model, small_scene, monkeypatch):
     assert len(result.ranked) == 3
 
 
-@pytest.mark.parametrize("threads, pools", [(1, []), (3, [2])])
-def test_cli_threads_reach_the_anchor_pool(baseline_model, small_scene, tmp_path,
-                                           monkeypatch, threads, pools):
+def counting_pools(monkeypatch):
+    """The max_workers of every thread pool pipeline starts from now on."""
     started = []
 
     def counted_pool(max_workers):
@@ -746,6 +746,13 @@ def test_cli_threads_reach_the_anchor_pool(baseline_model, small_scene, tmp_path
         return ThreadPoolExecutor(max_workers)
 
     monkeypatch.setattr(pipeline, "ThreadPoolExecutor", counted_pool)
+    return started
+
+
+@pytest.mark.parametrize("threads, pools", [(1, []), (3, [2])])
+def test_cli_threads_reach_the_anchor_pool(baseline_model, small_scene, tmp_path,
+                                           monkeypatch, threads, pools):
+    started = counting_pools(monkeypatch)
     save_object_model(tmp_path / "model", baseline_model)
     save_scene(tmp_path / "scene", small_scene)
     assert cli.main(["detect", "--oracle", "--threads", str(threads),
@@ -754,6 +761,98 @@ def test_cli_threads_reach_the_anchor_pool(baseline_model, small_scene, tmp_path
                      "--model", str(tmp_path / "model"),
                      "--out", str(tmp_path / "pose.json")]) == 0
     assert started == pools
+
+
+def test_classification_is_the_same_at_every_thread_budget(baseline_model, small_scene,
+                                                          monkeypatch):
+    """Classify's participants draw, encode and pool their own blocks, yet
+    every budget scores and segments the same spheres bit for bit. At 1024
+    points, a sphere of more than 512 distinct ones splits its wide product
+    into two tiles."""
+    weights = init_weights(NetworkConfig(k=baseline_model.k), seed=0)
+    started = counting_pools(monkeypatch)
+    segs = [segment_scene(weights, small_scene.cloud, baseline_model, n_points=1024,
+                          threads=budget) for budget in (1, 2, 3)]
+    assert started == [1, 2]   # the classify stage's pools at budgets 2 and 3
+    want = segs[0]
+    assert len(want.scored[1]) == 205 and len(want.sphere_ids) == 16
+    for seg in segs[1:]:
+        assert np.array_equal(seg.anchors, want.anchors) and seg.skipped == want.skipped
+        assert all(np.array_equal(a, b) for a, b in zip(seg.scored, want.scored))
+        for got, expected in ((seg.sphere_ids, want.sphere_ids), (seg.labels, want.labels),
+                              (seg.confidences, want.confidences)):
+            assert len(got) == len(expected)
+            assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+
+
+def test_detect_at_budget_1_starts_no_thread(baseline_model, noisy_scenes, monkeypatch):
+    started = counting_pools(monkeypatch)
+    weights = init_weights(NetworkConfig(k=baseline_model.k), seed=0)
+    result = pipeline.detect(raw(noisy_scenes[0].cloud), baseline_model, weights,
+                             with_budget(small_detect_params(), 1))
+    assert started == []
+    assert result.anchors_segmented == 2
+
+
+def test_wrapped_encode_classifies_on_the_calling_thread(baseline_model, small_scene,
+                                                        monkeypatch):
+    threads = []
+    encode = pipeline.encode
+
+    @wraps(encode)
+    def traced(*args, **kwargs):
+        threads.append(threading.get_ident())
+        return encode(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "encode", traced)
+    started = counting_pools(monkeypatch)
+    cfg = NetworkConfig(k=baseline_model.k, encoder=(8, 8, 16), classifier=(8, 1),
+                        segmenter=(8, 0))
+    seg = segment_scene(init_weights(cfg, seed=0), small_scene.cloud, baseline_model,
+                        n_points=256, threads=2)
+    assert started == []
+    assert len(threads) == -(-len(seg.scored[1]) // network.encoder_block(256)) > 1
+    assert set(threads) == {threading.get_ident()}
+
+
+@pytest.fixture
+def blas():
+    """numpy's OpenBLAS, set to 3 threads for the test, then reset."""
+    lib = pipeline._numpy_openblas()
+    if lib is None:
+        pytest.skip("numpy has no bundled OpenBLAS thread setter")
+    before = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(3)
+    yield lib
+    lib.scipy_openblas_set_num_threads64_(before)
+
+
+@pytest.mark.parametrize("fail", [False, True], ids=["returns", "raises"])
+def test_classify_runs_one_blas_thread_and_restores_the_count(baseline_model, noisy_scenes,
+                                                              monkeypatch, blas, fail):
+    """OpenBLAS runs one thread while the budget classifies, and gets its
+    count back after detect returns or raises."""
+    counts = []
+    encode = pipeline.encode
+
+    def counting_encode(*args, **kwargs):
+        counts.append(blas.scipy_openblas_get_num_threads64_())
+        if fail and len(counts) == 3:
+            raise RuntimeError("third block failed")
+        return encode(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "encode", counting_encode)
+    weights = init_weights(NetworkConfig(k=baseline_model.k), seed=0)
+    run = partial(pipeline.detect, raw(noisy_scenes[0].cloud), baseline_model, weights,
+                  with_budget(small_detect_params(), 2))
+    if fail:
+        with pytest.raises(RuntimeError, match="third block failed"):
+            run()
+        assert len(counts) >= 3
+    else:
+        assert run().anchors_segmented == 2
+    assert set(counts) == {1}
+    assert blas.scipy_openblas_get_num_threads64_() == 3
 
 
 def test_oracle_labels_ignore_the_labeling_section(baseline_model, small_scene, tmp_path):
@@ -963,13 +1062,20 @@ def test_oracle_detect_anchor_threads_speed(benchmark, baseline_model, noisy_sce
 
 
 @pytest.fixture(scope="module")
-def baseline_spheres(baseline_model):
-    """8 full spheres of the detect benchmark's input (scene [0, 0] without
-    normals, default DetectParams), evenly spaced over its 682 anchors, and
-    their counts of distinct points."""
+def baseline_cloud(baseline_model):
+    """The detect benchmark's input, scene [0, 0] without normals, with the
+    normals and curvatures that detect estimates for it."""
     scene = synth_scene(baseline_model, np.random.default_rng([0, 0]), NOISY)
+    return pipeline._ensure_channels(raw(scene.cloud), pipeline.DetectParams())
+
+
+@pytest.fixture(scope="module")
+def baseline_spheres(baseline_model, baseline_cloud):
+    """8 full spheres of the detect benchmark's input (default
+    DetectParams), evenly spaced over its 682 anchors, and their counts of
+    distinct points."""
     params = pipeline.DetectParams()
-    cloud = pipeline._ensure_channels(raw(scene.cloud), params)
+    cloud = baseline_cloud
     spheres, balls = full_spheres(cloud, baseline_model, params)
     picks = np.linspace(0, len(spheres) - 1, 8).astype(int)
     weights = init_weights(NetworkConfig(k=baseline_model.k), seed=0)
@@ -981,10 +1087,24 @@ def baseline_spheres(baseline_model):
 @pytest.mark.perf
 @pytest.mark.parametrize("distinct", [False, True], ids=["every_row", "distinct_rows"])
 def test_classify_encode_speed(benchmark, baseline_spheres, distinct):
-    """`encode` of 8 detect-input spheres (two classify blocks), over every
+    """`encode` of 8 detect-input spheres (four classify blocks), over every
     row or over each sphere's distinct rows."""
     weights, feats, counts = baseline_spheres
     pool = network.BufferPool()
     g = benchmark(network.encode, weights, feats, pool=pool,
                   counts=counts if distinct else None)[0]
     assert g.shape == (8, 1024)
+
+
+@pytest.mark.perf
+@pytest.mark.parametrize("budget", [1, 2])
+def test_network_segmentation_speed(benchmark, baseline_model, baseline_cloud, budget):
+    """Anchors, classify and segment of the detect benchmark's input: 682
+    spheres classified on one thread and on two."""
+    weights = init_weights(NetworkConfig(k=baseline_model.k), seed=0)
+    params = with_budget(pipeline.DetectParams(), budget)
+    index = NNIndex(baseline_cloud.positions)
+    seg = benchmark.pedantic(pipeline._network_segmentation,
+                             (weights, baseline_cloud, index, baseline_model, params,
+                              pipeline._StageClock()), rounds=2, iterations=1)
+    assert len(seg.anchors) == 682 and len(seg.sphere_ids) == 16

@@ -1,5 +1,7 @@
 """Correspondence extraction, pose voting, density peak, pose estimation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 from scipy.spatial.transform import Rotation
 
+from pointpose import voting
 from pointpose.dataset import label_scene
 from pointpose.errors import NoHypothesisError
 from pointpose.modelprep import Keypoint, ObjectModel
@@ -393,6 +396,17 @@ PEAK_SETS = [outlier_mix_set, clean_cluster_set, noise_like_set, half_turn_set,
 
 @pytest.mark.parametrize("make_votes", PEAK_SETS)
 def test_density_peak_matches_bruteforce(make_votes):
+    check_peak_matches_bruteforce(make_votes)
+
+
+@pytest.mark.parametrize("make_votes", PEAK_SETS)
+def test_density_peak_matches_bruteforce_in_joint_chunks_of_3(monkeypatch, make_votes):
+    """Every joint batch spans several chunks, and the peak does not move."""
+    monkeypatch.setattr(voting, "_JOINT_CHUNK", 3)
+    check_peak_matches_bruteforce(make_votes)
+
+
+def check_peak_matches_bruteforce(make_votes):
     gt, votes = make_votes(np.random.default_rng(6))
     dr = np.radians(12)
     hyp, supporters = density_peak(votes, 10.0, dr)
@@ -512,6 +526,49 @@ def test_translation_prefilter_keeps_votes_on_the_kernel_boundary(seed, delta_t,
     expected, mask = brute_force_peak(votes, delta_t, dr)
     assert best == expected
     np.testing.assert_array_equal(supporters, np.nonzero(mask)[0])
+
+
+def surface_votes(rng, m=500):
+    """Votes of m points of one flat 120 mm patch, normals within a few
+    degrees of its own, all labelled with one keypoint: noise-like, but
+    each vote has ~45 joint neighbours, as on the detect benchmark's
+    noise-like anchors."""
+    pos = np.zeros((m, 3))
+    pos[:, :2] = rng.uniform(-60, 60, (m, 2))
+    normals = np.array([0.0, 0.0, 1.0]) + rng.normal(0, 0.05, (m, 3))
+    return pose_votes(Correspondences(
+        scene_positions=pos, scene_normals=normals / np.linalg.norm(normals, axis=1)[:, None],
+        keypoint_ids=np.ones(m, np.int32),
+        keypoint_positions=np.tile(rng.uniform(-45, 45, 3), (m, 1)),
+        keypoint_normals=np.tile(unit_rows(rng, 1), (m, 1)),
+        confidences=np.ones(m)), 36)
+
+
+def peak_memory(votes):
+    """density_peak's result and its tracemalloc peak in bytes."""
+    tracemalloc.start()
+    try:
+        result = density_peak(votes)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_joint_pass_memory_is_bounded_by_its_chunk(monkeypatch):
+    """The joint pass holds one chunk's neighbour lists, not a batch's.
+    tracemalloc peak on this set: 13.5 MiB when one query served a whole
+    batch, the largest of 2,412 candidates (110,316 neighbours as Python
+    ints), 4.8 MiB in chunks of 256."""
+    votes = surface_votes(np.random.default_rng(1))
+    (hyp, supporters), peak = peak_memory(votes)
+    assert peak < 8 * 2 ** 20, peak / 2 ** 20
+    monkeypatch.setattr(voting, "_JOINT_CHUNK", len(votes))   # one query per batch
+    (whole, whole_supporters), whole_peak = peak_memory(votes)
+    assert whole_peak >= 8 * 2 ** 20, whole_peak / 2 ** 20
+    assert (hyp.vote_support, hyp.s_kde) == (whole.vote_support, whole.s_kde)
+    assert np.array_equal(supporters, whole_supporters)
+    assert np.array_equal(hyp.pose.translation, whole.pose.translation)
 
 
 def test_density_peak_skde_monotone_in_kernel():
