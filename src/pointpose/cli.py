@@ -13,6 +13,10 @@ alone picks the code:
 - 1: any other `PointPoseError`, a run that cannot finish on valid
   input, such as a `detect` that finds no pose (`NoHypothesisError`).
   `eval` records such a scene as a failed row and goes on.
+
+Arguments that do not parse, such as `detect` or `eval` with both or
+neither of `--weights` and `--oracle`, exit 2 through argparse, with its
+usage line and `error: ...` on stderr.
 """
 
 from __future__ import annotations
@@ -179,8 +183,6 @@ def cmd_detect(args, config: RunConfig) -> None:
             raise InputError("--oracle needs a gt pose sidecar next to the scene")
         result = oracle_detect(cloud, model, gt, params, debug_dir=debug_dir)
     else:
-        if not args.weights:
-            raise InputError("detect needs --weights (or --oracle with a gt sidecar)")
         result = detect(cloud, model, load_weights(args.weights), params,
                         debug_dir=debug_dir)
 
@@ -200,8 +202,6 @@ def cmd_eval(args, config: RunConfig) -> None:
     model = load_object_model(Path(args.model))
     scenes = _SceneFiles(args.scenes)
     weights = load_weights(args.weights) if args.weights else None
-    if weights is None and not args.oracle:
-        raise InputError("eval needs --weights or --oracle")
     params = config.detect_params()
     report = evaluate(scenes, model, weights, params, config.evaluation.threshold_factor,
                       use_oracle=args.oracle)
@@ -240,6 +240,12 @@ def make_parser() -> argparse.ArgumentParser:
     def add_command(name, help_text):
         return sub.add_parser(name, help=help_text, parents=[common])
 
+    def add_source(p):
+        """Exactly one segmentation source: the network's weights or the oracle."""
+        source = p.add_mutually_exclusive_group(required=True)
+        source.add_argument("--weights")
+        source.add_argument("--oracle", action="store_true", help=ORACLE_HELP)
+
     p = add_command("synth", "generate synthetic scenes + gt poses")
     p.add_argument("--out", required=True)
     p.add_argument("--count", type=int, default=10)
@@ -263,8 +269,7 @@ def make_parser() -> argparse.ArgumentParser:
     p = add_command("detect", "estimate the object pose in one scene")
     p.add_argument("--scene", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--weights")
-    p.add_argument("--oracle", action="store_true", help=ORACLE_HELP)
+    add_source(p)
     p.add_argument("--dump-debug", metavar="DIR",
                    help="write per-stage debug artifacts A-F")
     p.add_argument("--out", required=True, help="output pose JSON")
@@ -273,8 +278,7 @@ def make_parser() -> argparse.ArgumentParser:
     p = add_command("eval", "evaluate detection over a scene set")
     p.add_argument("--scenes", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--weights")
-    p.add_argument("--oracle", action="store_true", help=ORACLE_HELP)
+    add_source(p)
     p.add_argument("--out-csv", required=True)
     p.add_argument("--out-json", required=True)
     p.set_defaults(fn=cmd_eval)

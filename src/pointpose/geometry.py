@@ -17,53 +17,25 @@ from .pointcloud import PointCloud
 from .pose import RigidPose
 
 
-def voxel_downsample(cloud: PointCloud, leaf: float) -> PointCloud:
-    """Collapse the cloud to one centroid per occupied voxel of side `leaf`.
+def voxel_downsample(cloud: PointCloud, leaf: float) -> np.ndarray:
+    """The centroids (V, 3) of the cloud's points in each occupied voxel of
+    side `leaf`, in ascending order of voxel index.
 
-    Positions and all present channels are averaged; normals are
-    re-normalized afterwards. Voxel assignment is floor(position/leaf), so
-    points exactly on a boundary belong to the higher-index voxel.
+    Only positions are averaged: no caller reads a voxel's normal, curvature
+    or colour. Voxel assignment is floor(position/leaf), so points exactly
+    on a boundary belong to the higher-index voxel.
     """
     if leaf <= 0:
         raise ValueError(f"leaf must be positive, got {leaf}")
-    n = len(cloud)
-    if n == 0:
-        return cloud.select(np.zeros(0, dtype=int))
+    if len(cloud) == 0:
+        return np.zeros((0, 3))
 
     keys = np.floor(cloud.positions / leaf).astype(np.int64)
-    _, first, inverse, counts = np.unique(keys, axis=0, return_index=True,
-                                          return_inverse=True, return_counts=True)
-    nvox = len(counts)
-
-    def mean_per_voxel(values: np.ndarray) -> np.ndarray:
-        if values.ndim == 1:
-            return np.bincount(inverse, weights=values, minlength=nvox) / counts
-        out = np.empty((nvox, values.shape[1]))
-        for c in range(values.shape[1]):
-            out[:, c] = np.bincount(inverse, weights=values[:, c], minlength=nvox)
-        return out / counts[:, None]
-
-    positions = mean_per_voxel(cloud.positions)
-
-    normals = None
-    if cloud.normals is not None:
-        normals = mean_per_voxel(cloud.normals)
-        norms = np.linalg.norm(normals, axis=1)
-        bad = norms < 1e-12
-        if bad.any():
-            # Cancelled-out means: fall back to the first member's normal.
-            normals[bad] = cloud.normals[first[bad]]
-            norms = np.linalg.norm(normals, axis=1)
-        normals /= norms[:, None]
-
-    return PointCloud(
-        positions=positions,
-        normals=normals,
-        curvatures=None if cloud.curvatures is None else mean_per_voxel(cloud.curvatures),
-        colors=None if cloud.colors is None else mean_per_voxel(cloud.colors),
-        view_origin=cloud.view_origin,
-        intrinsics=cloud.intrinsics,
-    )
+    _, inverse, counts = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
+    sums = np.empty((len(counts), 3))
+    for c in range(3):
+        sums[:, c] = np.bincount(inverse, weights=cloud.positions[:, c], minlength=len(counts))
+    return sums / counts[:, None]
 
 
 def estimate_normals(cloud: PointCloud, radius: float,

@@ -109,7 +109,7 @@ def snapped_voxel_ids(cloud: PointCloud, leaf: float) -> np.ndarray:
     A uniform subset of real surface points: snapping puts each centroid
     back on the surface, with the point's own normal.
     """
-    centroids = voxel_downsample(cloud, leaf).positions
+    centroids = voxel_downsample(cloud, leaf)
     ids, _ = NNIndex(cloud.positions).nearest_batch(centroids)
     return np.unique(ids)
 

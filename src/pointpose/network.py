@@ -244,7 +244,8 @@ _WIDE_TILE_ROWS = 512
 # OpenBLAS takes a small-matrix sgemm kernel below about 1e6 multiply-adds,
 # and it rounds differently from the kernel of a larger product; each row of
 # a product above this size is the same whatever the other rows are. So
-# encode's distinct-row products and the segment stage's groups stay above it.
+# encode's distinct-row products, a lone set's included, and the segment
+# stage's groups stay above it.
 _MIN_GEMM_MACS = 1 << 20
 
 
@@ -285,18 +286,6 @@ def _tiled_column_max(h: np.ndarray, w: np.ndarray, z: np.ndarray, out: np.ndarr
             np.maximum(out, zt.max(axis=0), out=out)
 
 
-def _kept_rows(weights: Weights, counts: np.ndarray, n: int) -> np.ndarray:
-    """Rows that the inference encoder runs for each N-point example of a
-    block: its count of leading distinct rows, or all N where a product
-    over the counted rows would fall below _MIN_GEMM_MACS (an example's wide
-    product, or the block's narrow ones)."""
-    *narrow, (w_wide, _) = weights.encoder
-    rows = np.where(counts * w_wide.size >= _MIN_GEMM_MACS, counts, n)
-    if rows.sum() * min(w.size for w, _ in narrow) < _MIN_GEMM_MACS:
-        rows[:] = n
-    return rows
-
-
 def _fused_encoder(weights: Weights, x: np.ndarray, want_seg: bool,
                    keep_cache: bool = False, pool: Optional[BufferPool] = None,
                    counts: Optional[np.ndarray] = None):
@@ -309,13 +298,14 @@ def _fused_encoder(weights: Weights, x: np.ndarray, want_seg: bool,
     Inference streams the narrow layers over blocks of about
     _FUSED_BLOCK_POINTS points into buffers reused across blocks, and each
     example's wide product over row tiles (_tiled_column_max); enc_acts
-    and argmax are None. With `counts` each block gathers the rows that
-    _kept_rows keeps, and every layer runs over those rows only. With
-    keep_cache the narrow layers run over the
-    whole batch, enc_acts holds every encoder layer's (B*N, width) input,
-    and argmax (B, wide) is each feature's winning point: the bias goes on
-    before the max, so ties resolve to the lowest index after bias and
-    ReLU, as in the materialised form.
+    and argmax are None. With `counts` each block gathers each example's
+    counted rows, or all N where its wide product over them would fall
+    below _MIN_GEMM_MACS, and repeats the gathered rows until the narrow
+    products reach it; the repeats are never pooled. With keep_cache the
+    narrow layers run over the whole batch, enc_acts holds every encoder
+    layer's (B*N, width) input, and argmax (B, wide) is each feature's
+    winning point: the bias goes on before the max, so ties resolve to the
+    lowest index after bias and ReLU, as in the materialised form.
     """
     b, n, c = x.shape
     dtype = weights.dtype
@@ -332,8 +322,13 @@ def _fused_encoder(weights: Weights, x: np.ndarray, want_seg: bool,
         # allocated before the block buffers: the other order leaves the
         # heap 16 MB larger at detect's peak
         skip = np.empty((b * n, narrow[1][0].shape[1]), dtype=dtype)
+    block_rows = per_block * n
+    if counts is not None:
+        # the fewest rows whose narrow products all reach _MIN_GEMM_MACS
+        floor_rows = -(-_MIN_GEMM_MACS // min(w.size for w, _ in narrow))
+        block_rows = max(block_rows, floor_rows)
     # reused across blocks: fresh large arrays would page-fault on every block
-    acts = [buf(("enc", li + 1), (per_block * n, w.shape[1]))
+    acts = [buf(("enc", li + 1), (block_rows, w.shape[1]))
             for li, (w, _) in enumerate(narrow)]
     if want_seg and keep_cache:
         skip = acts[1]
@@ -349,9 +344,12 @@ def _fused_encoder(weights: Weights, x: np.ndarray, want_seg: bool,
         h = x[start:stop].reshape(-1, c)
         rows = np.full(stop - start, n)
         if counts is not None:
-            rows = _kept_rows(weights, counts[start:stop], n)
+            counted = counts[start:stop]
+            rows = np.where(counted * w_wide.size >= _MIN_GEMM_MACS, counted, n)
             if rows.sum() < len(h):
                 h = x[start:stop][np.arange(n) < rows[:, None]]
+            if len(h) < floor_rows:
+                h = h[np.arange(floor_rows) % len(h)]
         for li, (w, bias) in enumerate(narrow):
             out = skip[start * n:stop * n] if li == 1 and skip is not None \
                 else acts[li][:len(h)]
@@ -418,8 +416,10 @@ def encode(weights: Weights, points: np.ndarray, want_seg: bool = False,
     of leading distinct rows, 1 to N: the rows after them repeat earlier
     ones, as `dataset._sample_fill` draws them. Max-pool ignores repeats,
     so the layers run over the counted rows only, and g is bit-identical
-    to the one of all N rows. A product that would fall below
-    _MIN_GEMM_MACS runs over all N rows instead (_kept_rows).
+    to the one of all N rows. No product falls below _MIN_GEMM_MACS: an
+    example whose wide product over its counted rows would runs all N
+    rows, and a block whose narrow products would, down to a lone set,
+    repeats its rows up to the floor and pools only the first copy.
     """
     x = _network_input(weights, points)
     if counts is not None:

@@ -96,7 +96,6 @@ class DetectionResult:
     overlap, and can exceed the wall time.
     """
 
-    best: Optional[PoseHypothesis]
     ranked: List[PoseHypothesis]
     timings_ms: dict
     anchors_total: int = 0
@@ -104,8 +103,12 @@ class DetectionResult:
     anchors_segmented: int = 0
 
     @property
+    def best(self) -> Optional[PoseHypothesis]:
+        return self.ranked[0] if self.ranked else None
+
+    @property
     def failed(self) -> bool:
-        return self.best is None
+        return not self.ranked
 
 
 class _StageClock:
@@ -291,46 +294,46 @@ def _finish_anchors(scene: PointCloud, scene_index: NNIndex, model: ObjectModel,
     return results
 
 
-def _rank(hypotheses: List[PoseHypothesis]) -> List[PoseHypothesis]:
-    order = sorted(range(len(hypotheses)), key=lambda i: (hypotheses[i].l_loc, i))
-    return [hypotheses[i] for i in order]
-
-
-def _label_palette(k: int) -> np.ndarray:
-    """Deterministic distinct-ish colors for labels 0..k (0 = black)."""
-    palette = np.zeros((k + 1, 3))
-    idx = np.arange(1, k + 1)
-    palette[1:, 0] = (idx * 37 % 97) / 96.0
-    palette[1:, 1] = (idx * 59 % 83) / 82.0
-    palette[1:, 2] = (idx * 17 % 71) / 70.0
-    return palette
-
-
-def _write_debug_stages(debug_dir, dbg: dict, result: "DetectionResult") -> None:
-    """Per-stage artifacts A-F mirroring the inference chain."""
+def _write_debug_stages(debug_dir, scene: PointCloud, model: ObjectModel,
+                        seg: _Segmentation, k: int, params: DetectParams,
+                        result: DetectionResult) -> None:
+    """Per-stage artifacts A-F mirroring the inference chain: every anchor
+    (A), the anchors with a sphere coloured by class score (B), every
+    segmented sphere (C), then segmented anchor k's points coloured by
+    label (D) and its vote translations (E), and the ranked hypotheses
+    with the timings (F). k is the anchor of the first ranked hypothesis,
+    or the first segmented anchor when none gave one."""
     from .ply import write_ply
     from .pose import pose_to_dict
     import json as _json
 
     debug_dir = Path(debug_dir)
     debug_dir.mkdir(parents=True, exist_ok=True)
-    write_ply(debug_dir / "A_anchors.ply", PointCloud(positions=dbg["anchors"]))
+    write_ply(debug_dir / "A_anchors.ply", PointCloud(positions=seg.anchors))
 
-    scored_pos, scored_probs = dbg["scored"]
+    scored_pos, scored_probs = seg.scored
     heat = np.zeros((len(scored_pos), 3))
     heat[:, 0] = scored_probs
     heat[:, 2] = 1.0 - scored_probs
     write_ply(debug_dir / "B_scores.ply",
               PointCloud(positions=scored_pos, colors=heat))
 
-    write_ply(debug_dir / "C_top_spheres.ply", PointCloud(positions=dbg["spheres"]))
+    write_ply(debug_dir / "C_top_spheres.ply",
+              PointCloud(positions=scene.positions[np.concatenate(seg.sphere_ids)]))
 
-    seg_pos, seg_labels, k = dbg["segmentation"]
-    palette = _label_palette(k)
+    # deterministic distinct-ish colours for labels 0..K, 0 = black
+    label = np.arange(model.k + 1)
+    palette = np.stack([label * 37 % 97 / 96.0, label * 59 % 83 / 82.0,
+                        label * 17 % 71 / 70.0], axis=1)
+    ids = seg.sphere_ids[k]
     write_ply(debug_dir / "D_segmentation.ply",
-              PointCloud(positions=seg_pos, colors=palette[seg_labels]))
+              PointCloud(positions=scene.positions[ids], colors=palette[seg.labels[k]]))
 
-    write_ply(debug_dir / "E_votes.ply", PointCloud(positions=dbg["votes"]))
+    corr = correspondences_from_segmentation(
+        scene.positions[ids], scene.normals[ids], seg.labels[k], seg.confidences[k], model,
+        params.voting.min_confidence)
+    votes = pose_votes(subsample_correspondences(corr, params.voting), params.voting.n_theta)
+    write_ply(debug_dir / "E_votes.ply", PointCloud(positions=votes.translations))
 
     payload = {"timings_ms": result.timings_ms,
                "anchors_total": result.anchors_total,
@@ -344,17 +347,6 @@ def _write_debug_stages(debug_dir, dbg: dict, result: "DetectionResult") -> None
         })
     with open(debug_dir / "F_pose.json", "w") as f:
         _json.dump(payload, f, indent=2)
-
-
-def _best_anchor_votes(scene: PointCloud, ids: np.ndarray, labels: np.ndarray,
-                       confidences: np.ndarray, model: ObjectModel,
-                       params: DetectParams) -> np.ndarray:
-    """Vote translations for one anchor (debug dump only)."""
-    corr = correspondences_from_segmentation(
-        scene.positions[ids], scene.normals[ids], labels, confidences, model,
-        params.voting.min_confidence)
-    corr = subsample_correspondences(corr, params.voting)
-    return pose_votes(corr, params.voting.n_theta).translations
 
 
 @dataclass
@@ -398,7 +390,7 @@ def _network_segmentation(weights: Weights, scene: PointCloud, scene_index: NNIn
     sampling and feature building count as "anchors"; encoder blocks and
     the head as "classify".
     """
-    anchors = voxel_downsample(scene, params.anchor_leaf_mm).positions
+    anchors = voxel_downsample(scene, params.anchor_leaf_mm)
     radius = params.radius_factor * model.diameter
     n = params.n_points
     channels = weights.config.input_channels
@@ -548,28 +540,17 @@ def _stage_chain(scene: PointCloud, model: ObjectModel, params: DetectParams,
 
     per_anchor = _finish_anchors(scene, scene_index, model, seg, icp_model, params,
                                  depth_buffer, clock)
-    hyp_anchor = [k for k, hyp in enumerate(per_anchor) if hyp is not None]
-    hypotheses = [per_anchor[k] for k in hyp_anchor]
-
-    ranked = _rank(hypotheses)
-    result = DetectionResult(best=ranked[0] if ranked else None, ranked=ranked,
+    # the anchors with a hypothesis by localization loss, ties to the lower index
+    order = sorted((k for k, hyp in enumerate(per_anchor) if hyp is not None),
+                   key=lambda k: (per_anchor[k].l_loc, k))
+    result = DetectionResult(ranked=[per_anchor[k] for k in order],
                              timings_ms=clock.timings, anchors_total=len(seg.anchors),
                              anchors_skipped=seg.skipped,
                              anchors_segmented=len(seg.sphere_ids))
 
     if debug_dir is not None and seg.sphere_ids:
-        best_k = hyp_anchor[int(np.argmin([h.l_loc for h in hypotheses]))] \
-            if hypotheses else 0
-        best_ids, best_labels = seg.sphere_ids[best_k], seg.labels[best_k]
-        dbg = {
-            "anchors": seg.anchors,
-            "scored": seg.scored,
-            "spheres": scene.positions[np.concatenate(seg.sphere_ids)],
-            "segmentation": (scene.positions[best_ids], best_labels, model.k),
-            "votes": _best_anchor_votes(scene, best_ids, best_labels,
-                                        seg.confidences[best_k], model, params),
-        }
-        _write_debug_stages(debug_dir, dbg, result)
+        _write_debug_stages(debug_dir, scene, model, seg, order[0] if order else 0, params,
+                            result)
     return result
 
 
@@ -587,10 +568,11 @@ def oracle_detect(scene: PointCloud, model: ObjectModel, gt_pose: RigidPose,
                   params: DetectParams = DetectParams(), debug_dir=None) -> DetectionResult:
     """The detect chain with ground-truth segmentation at random foreground anchors.
 
-    Bypasses the network entirely: anchor spheres get one-hot probabilities
-    from the scene labeling, isolating voting + ICP + verification. The
-    labeling uses `label_scene`'s fixed bands (foreground within 10 mm of
-    the posed model, discard to 20 mm), not a run's `labeling` section.
+    Bypasses the network entirely: anchor spheres get their labels from
+    the scene labeling at confidence 1, isolating voting + ICP +
+    verification. The labeling uses `label_scene`'s fixed bands
+    (foreground within 10 mm of the posed model, discard to 20 mm), not a
+    run's `labeling` section.
     """
     return _stage_chain(scene, model, params, partial(_oracle_segmentation, gt_pose),
                         debug_dir)

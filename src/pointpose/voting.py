@@ -58,18 +58,15 @@ class Correspondences:
 
     scene_positions: np.ndarray    # (M, 3) mm, scene frame
     scene_normals: np.ndarray      # (M, 3) unit
-    keypoint_ids: np.ndarray       # (M,) in 1..K
     keypoint_positions: np.ndarray  # (M, 3) mm, model frame
     keypoint_normals: np.ndarray   # (M, 3) unit
-    confidences: np.ndarray        # (M,) in (0, 1]
 
     def __len__(self) -> int:
         return len(self.scene_positions)
 
     def subset(self, idx) -> "Correspondences":
         return Correspondences(self.scene_positions[idx], self.scene_normals[idx],
-                               self.keypoint_ids[idx], self.keypoint_positions[idx],
-                               self.keypoint_normals[idx], self.confidences[idx])
+                               self.keypoint_positions[idx], self.keypoint_normals[idx])
 
 
 @dataclass
@@ -114,7 +111,8 @@ def correspondences_from_segmentation(scene_positions: np.ndarray,
                                       confidences: np.ndarray,
                                       model: ObjectModel,
                                       min_confidence: float = 0.0) -> Correspondences:
-    """Emit one correspondence per point labelled with a keypoint.
+    """Emit one correspondence per point labelled with a keypoint at a
+    confidence of at least min_confidence.
 
     labels are per point, 0 = background and 1..K a keypoint, with their
     confidences (see segment_labels). Points keep their scene-frame
@@ -123,19 +121,14 @@ def correspondences_from_segmentation(scene_positions: np.ndarray,
     labels = np.asarray(labels)
     if labels.size and not 0 <= labels.min() <= labels.max() <= model.k:
         raise ValueError(f"labels must lie in 0..{model.k}")
-    confidences = np.asarray(confidences, dtype=np.float64)
-    keep = (labels > 0) & (confidences >= min_confidence)
+    keep = (labels > 0) & (np.asarray(confidences, dtype=np.float64) >= min_confidence)
 
     ids = labels[keep]
-    kp_pos = model.keypoint_positions()
-    kp_nrm = model.keypoint_normals()
     return Correspondences(
         scene_positions=np.asarray(scene_positions, dtype=np.float64)[keep],
         scene_normals=np.asarray(scene_normals, dtype=np.float64)[keep],
-        keypoint_ids=ids.astype(np.int32),
-        keypoint_positions=kp_pos[ids - 1],
-        keypoint_normals=kp_nrm[ids - 1],
-        confidences=confidences[keep],
+        keypoint_positions=model.keypoint_positions()[ids - 1],
+        keypoint_normals=model.keypoint_normals()[ids - 1],
     )
 
 

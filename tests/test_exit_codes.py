@@ -64,7 +64,8 @@ def write_files(root: Path, model, scene: PointCloud) -> None:
 
 
 def run(root: Path, command: str, source: str = "", *extra: str):
-    """cli.main on the files under root: (exit code, stderr)."""
+    """cli.main on the files under root: (exit code, stderr), argparse's
+    usage errors included."""
     files = {"detect": ["--scene", str(root / "scene.ply"), "--out", str(root / "pose.json")],
              "eval": ["--scenes", str(root), "--out-csv", str(root / "eval.csv"),
                       "--out-json", str(root / "eval.json")],
@@ -74,9 +75,35 @@ def run(root: Path, command: str, source: str = "", *extra: str):
               "": []}[source]
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-        code = cli.main([command, "--model", str(root / "model"), "--threads", "1"]
-                        + files + source + list(extra))
+        try:
+            code = cli.main([command, "--model", str(root / "model"), "--threads", "1"]
+                            + files + source + list(extra))
+        except SystemExit as exc:
+            code = exc.code
     return code, err.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# options
+
+
+@pytest.mark.parametrize("command", ["detect", "eval"])
+@pytest.mark.parametrize("source, extra, message", [
+    ("", (), "error: one of the arguments --weights --oracle is required"),
+    ("oracle", ("--weights", "w.bin"), "error: argument --weights: not allowed with "
+                                       "argument --oracle"),
+], ids=["neither", "both"])
+def test_detect_and_eval_take_exactly_one_source(model, tmp_path, command, source, extra,
+                                                 message):
+    """`detect` and `eval` segment with the weights or the oracle: both
+    options, or neither, exit 2 with argparse's error and run nothing."""
+    write_files(tmp_path, model, scene_cloud(200))
+    save_weights(tmp_path / "w.bin", init_weights(tiny_config(model.k), seed=0))
+    extra = [str(tmp_path / arg) if arg == "w.bin" else arg for arg in extra]
+    code, err = run(tmp_path, command, source, *extra)
+    assert code == 2
+    assert message in err
+    assert not any((tmp_path / name).exists() for name in ("pose.json", "eval.csv"))
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +339,7 @@ def loaded(scene, model, source, params, debug_dir=None):
     """Stands in for detection: the files have loaded."""
     hyp = PoseHypothesis(pose=RigidPose(np.eye(3), np.zeros(3)), s_kde=1.0, vote_support=1,
                          l_loc=0.0)
-    return pipeline.DetectionResult(best=hyp, ranked=[hyp], timings_ms={})
+    return pipeline.DetectionResult(ranked=[hyp], timings_ms={})
 
 
 def trained(*args, **kwargs):

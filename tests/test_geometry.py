@@ -38,7 +38,7 @@ def test_voxel_single_cell_centroid():
     corners = np.array([[x, y, z] for x in (1, 11) for y in (1, 11) for z in (1, 11)], float)
     out = voxel_downsample(make_cloud(corners), 25.0)
     assert len(out) == 1
-    np.testing.assert_allclose(out.positions[0], [6, 6, 6])
+    np.testing.assert_allclose(out[0], [6, 6, 6])
 
 
 def test_voxel_matches_bruteforce_hash():
@@ -55,9 +55,9 @@ def test_voxel_matches_bruteforce_hash():
     expected = {k: np.mean(v, axis=0) for k, v in groups.items()}
 
     assert len(out) == len(expected)
-    out_keys = [tuple(np.floor(p / leaf).astype(int)) for p in out.positions]
+    out_keys = [tuple(np.floor(p / leaf).astype(int)) for p in out]
     assert len(set(out_keys)) == len(out_keys)  # one point per voxel
-    for key, pos in zip(out_keys, out.positions):
+    for key, pos in zip(out_keys, out):
         np.testing.assert_allclose(pos, expected[key], atol=1e-9)
 
 
@@ -67,9 +67,9 @@ def test_voxel_output_inside_voxel_aabb():
     leaf = 17.0
     out = voxel_downsample(make_cloud(pts), leaf)
     assert len(out) <= len(pts)
-    lo = np.floor(out.positions / leaf) * leaf
-    assert np.all(out.positions >= lo - 1e-9)
-    assert np.all(out.positions < lo + leaf + 1e-9)
+    lo = np.floor(out / leaf) * leaf
+    assert np.all(out >= lo - 1e-9)
+    assert np.all(out < lo + leaf + 1e-9)
 
 
 def test_voxel_boundary_goes_to_higher_voxel():
@@ -77,28 +77,12 @@ def test_voxel_boundary_goes_to_higher_voxel():
     assert len(out) == 1  # both in voxel index 1 along x
 
 
-def test_voxel_averages_channels_and_renormalizes():
-    cloud = make_cloud([[1, 1, 1], [2, 2, 2]],
-                       normals=[[1, 0, 0], [0, 1, 0]],
-                       curvatures=[0.2, 0.4],
-                       colors=[[1, 0, 0], [0, 0, 1]])
-    out = voxel_downsample(cloud, 25.0)
-    assert len(out) == 1
-    np.testing.assert_allclose(np.linalg.norm(out.normals[0]), 1.0)
-    np.testing.assert_allclose(out.normals[0], [np.sqrt(0.5), np.sqrt(0.5), 0])
-    np.testing.assert_allclose(out.curvatures[0], 0.3)
-    np.testing.assert_allclose(out.colors[0], [0.5, 0, 0.5])
-
-
-def test_voxel_cancelled_normals_take_the_first_member():
+def test_voxel_centroids_come_in_ascending_voxel_order():
     # point 0 opens the highest-keyed voxel; points 1 and 2 the lowest
     cloud = make_cloud([[130, 130, 130], [1, 1, 1], [2, 2, 2], [131, 131, 131],
-                        [60, 60, 60]],
-                       normals=[[0, 0, 1], [1, 0, 0], [-1, 0, 0], [0, 0, -1], [0, 1, 0]])
-    out = voxel_downsample(cloud, 25.0)
-    np.testing.assert_allclose(out.positions, [[1.5, 1.5, 1.5], [60, 60, 60],
-                                               [130.5, 130.5, 130.5]])
-    np.testing.assert_array_equal(out.normals, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+                        [60, 60, 60]])
+    np.testing.assert_allclose(voxel_downsample(cloud, 25.0),
+                               [[1.5, 1.5, 1.5], [60, 60, 60], [130.5, 130.5, 130.5]])
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +448,7 @@ def scene_anchor():
     scene = synth_scene(model, np.random.default_rng(5),
                         SynthParams(noise_sigma_mm=0.5, occluder_probability=0.3))
     cloud, gt = model.cloud, scene.gt_pose
-    ids, _ = NNIndex(cloud.positions).nearest_batch(voxel_downsample(cloud, 5.0).positions)
+    ids, _ = NNIndex(cloud.positions).nearest_batch(voxel_downsample(cloud, 5.0))
     ids = np.unique(ids)
     to_camera = scene.cloud.view_origin - gt.apply(cloud.positions[ids])
     facing = np.einsum("ij,ij->i", cloud.normals[ids] @ gt.rotation.T, to_camera) > 0

@@ -120,23 +120,53 @@ def repeated_rows(rng, counts, n, c=7):
     return x
 
 
+def recorded_narrow_products(monkeypatch):
+    """(weight, rows) of each narrow encoder product, appended to the
+    returned list as encode runs them."""
+    products = []
+
+    def recording(h, weight, bias, out=None):
+        products.append((weight, len(h)))
+        return linear_relu(h, weight, bias, out=out)
+
+    linear_relu = network._linear_relu
+    monkeypatch.setattr(network, "_linear_relu", recording)
+    return products
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_encode_distinct_rows_equals_every_row(dtype):
+def test_encode_distinct_rows_equals_every_row(monkeypatch, dtype):
     """encode over each set's distinct rows gives the pooled features of all
     its rows bit for bit. In blocks of 2: the first runs 2048 and 700 rows,
     the second all 2048 (count 5: a wide product below the size floor) and
     1500; the third's 2048 + 9 rows would make narrow products below the
-    floor, so it runs every row."""
+    floor, so they are repeated up to 2341 rows, 2341 x 7 x 64 >= 2^20."""
     w = init_weights(NetworkConfig(k=3), seed=0, dtype=dtype)
     counts = np.array([2048, 700, 5, 1500, 2048, 9])
     x = repeated_rows(np.random.default_rng(3), counts, 2048)
     assert network.encoder_block(2048) == 2
-    assert network._kept_rows(w, counts[:2], 2048).tolist() == [2048, 700]
-    assert network._kept_rows(w, counts[2:4], 2048).tolist() == [2048, 1500]
-    assert network._kept_rows(w, counts[4:], 2048).tolist() == [2048, 2048]
+    products = recorded_narrow_products(monkeypatch)
     g = network.encode(w, x, counts=counts)[0]
+    first = w.encoder[0][0]
+    assert [rows for weight, rows in products if weight is first] == [2748, 3548, 2341]
     assert np.array_equal(g, network.encode(w, x)[0])
     assert np.array_equal(network.classify(w, g)[1], forward(w, x, want_seg=False).class_prob)
+
+
+@pytest.mark.parametrize("count", [2048, 300])
+def test_lone_set_narrow_products_reach_the_size_floor(monkeypatch, count):
+    """A block of one 2048-point set, as a classify participant's last block
+    can be, repeats its rows until every narrow product is at least
+    _MIN_GEMM_MACS multiply-adds (2048 x 7 x 64 alone is 917,504), and its
+    pooled row equals the same set's row in a block of 2."""
+    w = init_weights(NetworkConfig(k=3), seed=0)
+    x = repeated_rows(np.random.default_rng(count), [count, 2048], 2048)
+    products = recorded_narrow_products(monkeypatch)
+    lone = network.encode(w, x[:1], counts=[count])[0]
+    assert len(products) == len(w.encoder) - 1
+    assert min(rows * weight.size for weight, rows in products) >= network._MIN_GEMM_MACS
+    pair = network.encode(w, x, counts=[count, 2048])[0]
+    assert np.array_equal(lone[0], pair[0])
 
 
 @pytest.mark.parametrize("counts", [False, True], ids=["every_row", "distinct_rows"])

@@ -35,7 +35,8 @@ from pointpose.pointcloud import PointCloud
 from pointpose.pose import RigidPose, random_rotation
 from pointpose.synth import (SynthParams, load_scene, make_test_object, save_scene,
                              synth_scene)
-from pointpose.voting import segment_labels
+from pointpose.voting import (correspondences_from_segmentation, pose_votes, segment_labels,
+                              subsample_correspondences)
 
 
 @pytest.fixture(scope="module")
@@ -490,7 +491,7 @@ def full_spheres(cloud, model, params):
     """Every usable anchor's sampled sphere ids and its ball size, drawn
     from the anchor's own stream as detect draws them."""
     index = NNIndex(cloud.positions)
-    anchors = voxel_downsample(cloud, params.anchor_leaf_mm).positions
+    anchors = voxel_downsample(cloud, params.anchor_leaf_mm)
     spheres, balls = [], []
     for ai, anchor in enumerate(anchors):
         ids = index.ball(anchor, params.radius_factor * model.diameter)
@@ -657,6 +658,38 @@ def test_cli_detect_dump_debug_writes_every_stage(baseline_model, small_scene, t
     assert len(read_ply(debug / "D_segmentation.ply")) == n_points
     if source == "oracle":
         assert payload["anchors_segmented"] == 3
+
+
+def test_dump_shows_the_first_ranked_anchor(baseline_model, noisy_scenes, tmp_path,
+                                            monkeypatch):
+    """D_segmentation.ply holds the sphere of the anchor whose hypothesis
+    ranks first, and E_votes.ply that anchor's vote translations. Here
+    that anchor is not the first one segmented."""
+    finished = []   # (ids, labels, confidences, hypothesis) per anchor, in order
+    finish = pipeline._finish_anchor
+
+    def recording(scene, scene_index, model, ids, labels, confidences, *args):
+        hyp = finish(scene, scene_index, model, ids, labels, confidences, *args)
+        finished.append((ids, labels, confidences, hyp))
+        return hyp
+
+    monkeypatch.setattr(pipeline, "_finish_anchor", recording)
+    scene = noisy_scenes[0]
+    params = pipeline.DetectParams(oracle_anchors=3, threads=1)
+    result = pipeline.oracle_detect(scene.cloud, baseline_model, scene.gt_pose, params,
+                                    debug_dir=tmp_path)
+    first = [hyp is result.ranked[0] for *_, hyp in finished].index(True)
+    assert len(finished) == 3 and first > 0
+    ids, labels, confidences, _ = finished[first]
+
+    positions = scene.cloud.positions[ids]
+    assert np.array_equal(read_ply(tmp_path / "D_segmentation.ply").positions,
+                          positions.astype(np.float32).astype(np.float64))
+    corr = correspondences_from_segmentation(positions, scene.cloud.normals[ids], labels,
+                                             confidences, baseline_model)
+    votes = pose_votes(subsample_correspondences(corr, params.voting), params.voting.n_theta)
+    assert np.array_equal(read_ply(tmp_path / "E_votes.ply").positions,
+                          votes.translations.astype(np.float32).astype(np.float64))
 
 
 # ---------------------------------------------------------------------------

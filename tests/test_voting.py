@@ -38,14 +38,11 @@ def make_model(n_kp=50, seed=0):
 def exact_correspondences(model, pose, repeat=1):
     kp = np.tile(model.keypoint_positions(), (repeat, 1))
     kn = np.tile(model.keypoint_normals(), (repeat, 1))
-    ids = np.tile(np.arange(1, model.k + 1, dtype=np.int32), repeat)
     return Correspondences(
         scene_positions=pose.apply(kp),
         scene_normals=kn @ pose.rotation.T,
-        keypoint_ids=ids,
         keypoint_positions=kp,
         keypoint_normals=kn,
-        confidences=np.ones(len(ids)),
     )
 
 
@@ -77,9 +74,13 @@ def test_correspondences_match_oracle_labels():
     nrm /= np.linalg.norm(nrm, axis=1, keepdims=True)
     corr = correspondences_from_segmentation(pts, nrm, *segment_labels(probs), model)
     assert len(corr) == (labels > 0).sum()
-    np.testing.assert_array_equal(corr.keypoint_ids, labels[labels > 0])
-    np.testing.assert_allclose(corr.keypoint_positions,
-                               model.keypoint_positions()[labels[labels > 0] - 1])
+    # each labelled point in order, paired with its label's keypoint
+    kept = labels > 0
+    np.testing.assert_array_equal(corr.scene_positions, pts[kept])
+    np.testing.assert_array_equal(corr.keypoint_positions,
+                                  model.keypoint_positions()[labels[kept] - 1])
+    np.testing.assert_array_equal(corr.keypoint_normals,
+                                  model.keypoint_normals()[labels[kept] - 1])
 
 
 def test_correspondences_min_confidence_extreme():
@@ -158,8 +159,7 @@ def test_votes_antiparallel_normals_are_exact():
     kn = np.array([[0.0, 0, 1.0]])
     for sn in ([0.0, 0, -1.0], [1.0, 0, 0], [-1.0, 0, 0]):
         scene_n = np.array([sn])
-        corr = Correspondences(np.array([[50.0, 20, 5]]), scene_n,
-                               np.array([1], np.int32), kp, kn, np.ones(1))
+        corr = Correspondences(np.array([[50.0, 20, 5]]), scene_n, kp, kn)
         votes = pose_votes(corr, n_theta=8)
         for r, t in zip(quat_to_matrix(votes.quats), votes.translations):
             assert np.abs(r.T @ r - np.eye(3)).max() < 1e-12
@@ -198,8 +198,8 @@ def test_vote_quaternions_match_matrix_construction():
     sn[:4] = -kn[:4]                        # anti-parallel
     sn[4:6] = kn[4:6]                       # parallel
     kn[6], sn[6] = [1.0, 0, 0], [-1.0, 0, 0]  # anti-parallel along x: y fallback
-    corr = Correspondences(rng.uniform(-60, 60, (m, 3)), sn, np.ones(m, np.int32),
-                           rng.uniform(-45, 45, (m, 3)), kn, np.ones(m))
+    corr = Correspondences(rng.uniform(-60, 60, (m, 3)), sn,
+                           rng.uniform(-45, 45, (m, 3)), kn)
     votes = pose_votes(corr, n_theta=36)
     rots = matrix_votes(corr, 36)
     want = Rotation.from_matrix(rots).as_quat()
@@ -326,10 +326,8 @@ def noise_like_correspondences(rng, m):
     return Correspondences(
         scene_positions=rng.uniform(-60, 60, (m, 3)),
         scene_normals=planes[rng.integers(0, 3, m)],
-        keypoint_ids=np.ones(m, np.int32),
         keypoint_positions=rng.uniform(-45, 45, (m, 3)),
-        keypoint_normals=unit_rows(rng, m),
-        confidences=np.ones(m))
+        keypoint_normals=unit_rows(rng, m))
 
 
 def noise_like_set(rng, m=80):
@@ -538,10 +536,8 @@ def surface_votes(rng, m=500):
     normals = np.array([0.0, 0.0, 1.0]) + rng.normal(0, 0.05, (m, 3))
     return pose_votes(Correspondences(
         scene_positions=pos, scene_normals=normals / np.linalg.norm(normals, axis=1)[:, None],
-        keypoint_ids=np.ones(m, np.int32),
         keypoint_positions=np.tile(rng.uniform(-45, 45, 3), (m, 1)),
-        keypoint_normals=np.tile(unit_rows(rng, 1), (m, 1)),
-        confidences=np.ones(m)), 36)
+        keypoint_normals=np.tile(unit_rows(rng, 1), (m, 1))), 36)
 
 
 def peak_memory(votes):
@@ -657,10 +653,8 @@ def test_estimate_pose_equivariant():
         moved = Correspondences(
             scene_positions=g.apply(corr.scene_positions),
             scene_normals=corr.scene_normals @ g.rotation.T,
-            keypoint_ids=corr.keypoint_ids,
             keypoint_positions=corr.keypoint_positions,
             keypoint_normals=corr.keypoint_normals,
-            confidences=corr.confidences,
         )
         hyp_g = estimate_pose(moved)
         # expected pose: g after the unmoved estimate
@@ -684,8 +678,7 @@ def test_estimate_pose_robust_to_outliers():
     sp[out_ids] = rng.uniform(-200, 200, (n_out, 3))      # mismatched points
     dirs = rng.standard_normal((n_out, 3))
     sn[out_ids] = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
-    noisy = Correspondences(sp, sn, corr.keypoint_ids, corr.keypoint_positions,
-                            corr.keypoint_normals, corr.confidences)
+    noisy = Correspondences(sp, sn, corr.keypoint_positions, corr.keypoint_normals)
     hyp = estimate_pose(noisy)
     assert np.linalg.norm(hyp.pose.translation - gt.translation) < 5.0
     assert rotation_geodesic(hyp.pose.rotation, gt.rotation) < np.radians(5)
