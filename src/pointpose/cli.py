@@ -15,8 +15,8 @@ alone picks the code:
   `eval` records such a scene as a failed row and goes on.
 
 Arguments that do not parse, such as `detect` or `eval` with both or
-neither of `--weights` and `--oracle`, exit 2 through argparse, with its
-usage line and `error: ...` on stderr.
+neither of `--weights` and `--oracle`, return 2 after argparse's usage
+line and `error: ...` on stderr; `--help` returns 0.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .dataset import build_instance_training_set, read_dataset, write_dataset
 from .errors import DatasetFormatError, InputError, NoHypothesisError, PointPoseError
 from .modelprep import load_object_model, save_object_model
 from .network import assemble_features, load_weights, save_weights, train
-from .pipeline import detect, evaluate, oracle_detect
+from .pipeline import detect, ensure_channels, evaluate, oracle_detect
 from .pose import save_pose_json
 from .synth import (load_scene, make_test_object, read_scene_sidecar, save_scene,
                     synth_scene)
@@ -99,6 +99,7 @@ def cmd_synth(args, config: RunConfig) -> None:
 def cmd_prepare(args, config: RunConfig) -> None:
     model = load_object_model(Path(args.model))
     sampling = config.sampling_params()
+    normal_radius_mm = config.detect_params().normal_radius_mm
 
     examples = []
     failures = []
@@ -107,7 +108,8 @@ def cmd_prepare(args, config: RunConfig) -> None:
     for i, (scene_id, cloud, gt) in enumerate(_SceneFiles(args.scenes)):
         try:
             inst = build_instance_training_set(
-                cloud, model, gt, np.random.default_rng([config.seed, i]),
+                ensure_channels(cloud, normal_radius_mm), model, gt,
+                np.random.default_rng([config.seed, i]),
                 sampling, config.augmentation)
         except PointPoseError as exc:
             failures.append({"scene": scene_id, "error": str(exc)})
@@ -287,7 +289,11 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = make_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed its usage error or the help
+        return exc.code
     try:
         args.fn(args, _build_config(args))
     except (InputError, FileNotFoundError) as exc:

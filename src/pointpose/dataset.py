@@ -16,7 +16,7 @@ from typing import IO, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import (DatasetFormatError, EmptyNeighborhoodError,
-                     InsufficientForegroundError)
+                     InsufficientForegroundError, MissingChannelError)
 from .geometry import NNIndex
 from .modelprep import Keypoint, ObjectModel, nearest_keypoint_labels
 from .pointcloud import PointCloud
@@ -158,8 +158,11 @@ def extract_example(scene: PointCloud, labels: SceneLabels, center: np.ndarray,
     """Uniformly sample a centered n-point sphere around `center`.
 
     Discard-band points are excluded. Fewer than n available points are
-    topped up by sampling with replacement.
+    topped up by sampling with replacement. The scene needs normals and
+    curvatures (see `pipeline.ensure_channels`).
     """
+    if scene.normals is None or scene.curvatures is None:
+        raise MissingChannelError("a training example needs scene normals and curvatures")
     center = np.asarray(center, dtype=np.float64).reshape(3)
     index = scene_index if scene_index is not None else NNIndex(scene.positions)
     radius = radius_factor * model.diameter
@@ -175,8 +178,8 @@ def extract_example(scene: PointCloud, labels: SceneLabels, center: np.ndarray,
 
     return LabeledExample(
         positions=positions - centroid,
-        normals=scene.normals[chosen] if scene.normals is not None else np.zeros((n_points, 3)),
-        curvatures=scene.curvatures[chosen] if scene.curvatures is not None else np.zeros(n_points),
+        normals=scene.normals[chosen],
+        curvatures=scene.curvatures[chosen],
         seg_labels=seg,
         class_label=class_label,
         colors=scene.colors[chosen] if scene.colors is not None else None,

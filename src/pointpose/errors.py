@@ -50,7 +50,8 @@ class NonFiniteSceneError(InputError, ValueError):
 
 
 class MissingChannelError(InputError):
-    """The scene lacks an input channel the network weights expect (RGB)."""
+    """The scene lacks an input channel: RGB that the network weights
+    expect, or the normals and curvatures of a training example."""
 
 
 class DatasetFormatError(InputError):

@@ -25,9 +25,10 @@ the wide product too, so each row comes out as it would in any larger
 batch.
 
 Neither pass holds the widest encoder layer's (B*N, wide) activation:
-forward max-pools it one example at a time, inference in row tiles of at
-most 512 rows (_WIDE_TILE_ROWS), and backward sends each pooled
-feature's gradient to its single argmax point as a sparse product. So an
+training and inference run one encoder pass, which max-pools each
+example's wide product in row tiles of at most 512 rows (_WIDE_TILE_ROWS)
+and, in training, keeps each feature's argmax point; backward sends each
+pooled feature's gradient to that point as a sparse product. So an
 inference encode of 2048-point sets holds one block's narrow buffers (2
 sets) and one (512, wide) tile, ~6 MiB for the paper network, whatever B
 is: `pipeline.detect` runs one such encode on each of its threads.
@@ -209,6 +210,11 @@ class BufferPool:
         return buf
 
 
+def _scratch(pool: Optional[BufferPool], key, shape, dtype) -> np.ndarray:
+    """The pool's buffer for `key`, or a fresh one without a pool."""
+    return pool.get(key, shape, dtype) if pool is not None else np.empty(shape, dtype)
+
+
 def _linear_relu(h, w, bias, out=None):
     z = np.matmul(h, w, out=out)
     z += bias
@@ -229,15 +235,15 @@ def _masked(delta, act, blocks, masks):
     return delta
 
 
-# Inference streams the encoder over blocks of about this many points (2
-# spheres of 2048), so the widest layer's (points, width) activation never
-# exists whole: each block's narrow layers stay in cache for its wide GEMMs.
+# The encoder streams over blocks of about this many points (2 sets of
+# 2048), so the widest layer's (points, width) activation never exists
+# whole: each block's narrow layers stay in cache for its wide GEMMs.
 # Blocks of 4 spheres held twice the narrow buffers (8 MiB), and were no
 # faster with one BLAS thread per classify thread, as detect runs them.
 _FUSED_BLOCK_POINTS = 2 * 2048
 
-# Inference runs each example's wide product in near-equal row tiles of at
-# most this many rows into one (rows, wide) buffer, 2 MiB for the paper
+# The encoder runs each example's wide product in near-equal row tiles of
+# at most this many rows into one (rows, wide) buffer, 2 MiB for the paper
 # network, and max-pools them as they come (see _wide_tile_rows).
 _WIDE_TILE_ROWS = 512
 
@@ -249,23 +255,8 @@ _WIDE_TILE_ROWS = 512
 _MIN_GEMM_MACS = 1 << 20
 
 
-def _pool_first_max(z, g_row, arg_row, eq):
-    """Column max of z into g_row and its lowest row index into arg_row.
-
-    eq is a (rows, cols) boolean scratch. numpy's argmax down the columns
-    copies z transposed first; here the max is a row-wise reduction, and
-    only the few rows that hold some column's max are searched for the
-    first one.
-    """
-    np.max(z, axis=0, out=g_row)
-    np.equal(z, g_row, out=eq)
-    rows = np.flatnonzero(eq.any(axis=1))
-    # a NaN max matches no row; ReLU's tie rule then sends it to point 0
-    arg_row[:] = rows[eq[rows].argmax(axis=0)] if rows.size else 0
-
-
 def _wide_tile_rows(w_wide: np.ndarray) -> int:
-    """The most rows of a tile of the inference encoder's wide product:
+    """The most rows of a tile of the encoder's wide product:
     _WIDE_TILE_ROWS, or twice the rows that keep a product with `w_wide`
     at _MIN_GEMM_MACS when that is more. Tiles split near-equal from more
     rows than this hold over half of it, so a product above the floor
@@ -273,17 +264,41 @@ def _wide_tile_rows(w_wide: np.ndarray) -> int:
     return max(_WIDE_TILE_ROWS, 2 * -(-_MIN_GEMM_MACS // w_wide.size))
 
 
-def _tiled_column_max(h: np.ndarray, w: np.ndarray, z: np.ndarray, out: np.ndarray) -> None:
-    """The column max of h @ w into `out` (wide,), over near-equal row
-    tiles of at most len(z) rows written into z. A running max is exact."""
+def _tiled_column_max(h: np.ndarray, w: np.ndarray, bias: np.ndarray, z: np.ndarray,
+                      out: np.ndarray, arg: Optional[np.ndarray] = None) -> None:
+    """The column max of h @ w + bias into `out` (wide,), over near-equal
+    row tiles of at most len(z) rows written into z. A running max is exact.
+
+    Without `arg` the bias goes on the max once: float addition is
+    monotone, so this is exact. With `arg` it goes on each tile before the
+    max, and `arg` receives each column's lowest winning row after bias: a
+    tile's first row at its max, replaced only where a later tile's max is
+    strictly greater.
+    """
     tiles = -(-len(h) // len(z))
     edges = [j * len(h) // tiles for j in range(tiles + 1)]
     for lo, hi in zip(edges[:-1], edges[1:]):
         zt = np.matmul(h[lo:hi], w, out=z[:hi - lo])
+        if arg is not None:
+            zt += bias
+        top = zt.max(axis=0)
+        if arg is not None:
+            # numpy's argmax down the columns copies the tile transposed
+            # first; the flat indices of the maxima come in row order, so
+            # each column's first one is its lowest row. A NaN column
+            # matches no row and keeps len(zt); its feature is NaN, which
+            # the caller's ReLU tie rule sends to point 0.
+            hits = np.flatnonzero(zt == top)
+            rows = np.full(len(top), len(zt))
+            np.minimum.at(rows, hits % len(top), hits // len(top))
+            later = slice(None) if lo == 0 else top > out
+            arg[later] = rows[later] + lo
         if lo == 0:
-            np.max(zt, axis=0, out=out)
+            out[:] = top
         else:
-            np.maximum(out, zt.max(axis=0), out=out)
+            np.maximum(out, top, out=out)
+    if arg is None:
+        out += bias
 
 
 def _fused_encoder(weights: Weights, x: np.ndarray, want_seg: bool,
@@ -295,50 +310,41 @@ def _fused_encoder(weights: Weights, x: np.ndarray, want_seg: bool,
     (B*N, w1) output when want_seg, else None. Needs at least three
     encoder layers when want_seg.
 
-    Inference streams the narrow layers over blocks of about
-    _FUSED_BLOCK_POINTS points into buffers reused across blocks, and each
-    example's wide product over row tiles (_tiled_column_max); enc_acts
-    and argmax are None. With `counts` each block gathers each example's
-    counted rows, or all N where its wide product over them would fall
-    below _MIN_GEMM_MACS, and repeats the gathered rows until the narrow
-    products reach it; the repeats are never pooled. With keep_cache the
-    narrow layers run over the whole batch, enc_acts holds every encoder
-    layer's (B*N, width) input, and argmax (B, wide) is each feature's
-    winning point: the bias goes on before the max, so ties resolve to the
-    lowest index after bias and ReLU, as in the materialised form.
+    Both modes stream the narrow layers over blocks of encoder_block(N)
+    examples and each example's wide product over row tiles
+    (_tiled_column_max). A layer the caller keeps, every one with
+    keep_cache and the skip layer under want_seg, is written into a
+    whole-batch buffer; every other layer into one block buffer reused
+    across blocks. With `counts` each block gathers each example's counted
+    rows, or all N where its wide product over them would fall below
+    _MIN_GEMM_MACS, and repeats the gathered rows until the narrow
+    products reach it; the repeats are never pooled.
+
+    Without keep_cache, enc_acts and argmax are None, and the wide layer's
+    bias goes on each pooled row. With keep_cache, enc_acts holds every
+    encoder layer's (B*N, width) input, and argmax (B, wide) is each
+    feature's winning point: the bias goes on each tile before the max, so
+    ties resolve to the lowest index after bias and ReLU, as in the
+    materialised form.
     """
     b, n, c = x.shape
     dtype = weights.dtype
-
-    def buf(key, shape, dt=dtype):
-        return pool.get(key, shape, dt) if pool is not None else np.empty(shape, dtype=dt)
-
     *narrow, (w_wide, b_wide) = weights.encoder
     wide_w = w_wide.shape[1]
-    g = np.empty((b, wide_w), dtype=dtype)
-    per_block = b if keep_cache else min(b, encoder_block(n))
-    skip = None
-    if want_seg and not keep_cache:
-        # allocated before the block buffers: the other order leaves the
-        # heap 16 MB larger at detect's peak
-        skip = np.empty((b * n, narrow[1][0].shape[1]), dtype=dtype)
+    per_block = min(b, encoder_block(n))
     block_rows = per_block * n
     if counts is not None:
         # the fewest rows whose narrow products all reach _MIN_GEMM_MACS
         floor_rows = -(-_MIN_GEMM_MACS // min(w.size for w, _ in narrow))
         block_rows = max(block_rows, floor_rows)
-    # reused across blocks: fresh large arrays would page-fault on every block
-    acts = [buf(("enc", li + 1), (block_rows, w.shape[1]))
-            for li, (w, _) in enumerate(narrow)]
-    if want_seg and keep_cache:
-        skip = acts[1]
-    arg = None
-    if keep_cache:
-        z = buf(("wide_z",), (n, wide_w))
-        arg = np.empty((b, wide_w), dtype=np.intp)
-        eq = buf(("wide_eq",), (n, wide_w), np.bool_)
-    else:
-        z = buf(("wide_z",), (min(n, _wide_tile_rows(w_wide)), wide_w))
+    kept = [keep_cache or (want_seg and li == 1) for li in range(len(narrow))]
+    # block buffers are reused across blocks: fresh large arrays would
+    # page-fault on every block
+    acts = [_scratch(pool, ("enc", li + 1), (b * n if keep else block_rows, w.shape[1]), dtype)
+            for li, ((w, _), keep) in enumerate(zip(narrow, kept))]
+    z = _scratch(pool, ("wide_z",), (min(n, _wide_tile_rows(w_wide)), wide_w), dtype)
+    g = np.empty((b, wide_w), dtype=dtype)
+    arg = np.empty((b, wide_w), dtype=np.intp) if keep_cache else None
     for start in range(0, b, per_block):
         stop = min(b, start + per_block)
         h = x[start:stop].reshape(-1, c)
@@ -351,24 +357,17 @@ def _fused_encoder(weights: Weights, x: np.ndarray, want_seg: bool,
             if len(h) < floor_rows:
                 h = h[np.arange(floor_rows) % len(h)]
         for li, (w, bias) in enumerate(narrow):
-            out = skip[start * n:stop * n] if li == 1 and skip is not None \
-                else acts[li][:len(h)]
+            out = acts[li][start * n:stop * n] if kept[li] else acts[li][:len(h)]
             h = _linear_relu(h, w, bias, out=out)
         ends = np.cumsum(rows)
         for i in range(stop - start):
-            h_i = h[ends[i] - rows[i]:ends[i]]
-            if keep_cache:
-                np.matmul(h_i, w_wide, out=z)
-                z += b_wide
-                _pool_first_max(z, g[start + i], arg[start + i], eq)
-            else:
-                _tiled_column_max(h_i, w_wide, z, g[start + i])
-    if not keep_cache:
-        # bias and ReLU are monotone, so applying them after the max is exact
-        g += b_wide
-        np.maximum(g, 0.0, out=g)
-        return g, skip, None, None
+            _tiled_column_max(h[ends[i] - rows[i]:ends[i]], w_wide, b_wide, z, g[start + i],
+                              arg[start + i] if keep_cache else None)
+    # ReLU is monotone, so applying it after the max is exact
     np.maximum(g, 0.0, out=g)
+    skip = acts[1] if want_seg else None
+    if not keep_cache:
+        return g, skip, None, None
     # a feature that ReLU zeroes everywhere ties at 0: its argmax is point 0
     arg[~(g > 0)] = 0
     return g, skip, [x.reshape(-1, c)] + acts, arg
@@ -435,9 +434,8 @@ def encode(weights: Weights, points: np.ndarray, want_seg: bool = False,
     h = x.reshape(bn, -1)
     enc_acts = [h]
     for li, (w, bias) in enumerate(weights.encoder):
-        out = pool.get(("enc", li + 1), (bn, w.shape[1]), weights.dtype) \
-            if pool is not None else None
-        h = _linear_relu(h, w, bias, out=out)
+        h = _linear_relu(h, w, bias, out=_scratch(pool, ("enc", li + 1), (bn, w.shape[1]),
+                                                  weights.dtype))
         enc_acts.append(h)
     skip = enc_acts[2]                             # second encoder layer, (B*N, w1)
     wide = enc_acts.pop().reshape(b, n, -1)        # the cache keeps layer inputs
@@ -474,13 +472,10 @@ def _segment(weights: Weights, skip: np.ndarray, g: np.ndarray, n: int,
     w0, b0 = layers[0]
     g_part = g @ w0[skip_w:]
     g_part += b0
-
-    def buf(key, shape):
-        return pool.get(key, shape, dtype) if pool is not None else np.empty(shape, dtype)
-
     height = b * n if keep_cache else n
-    hidden = [buf(("seg", li), (height, w.shape[1])) for li, (w, _) in enumerate(layers[:-1])]
-    logits = buf(("seg_out",), (b * n, layers[-1][0].shape[1]))
+    hidden = [_scratch(pool, ("seg", li), (height, w.shape[1]), dtype)
+              for li, (w, _) in enumerate(layers[:-1])]
+    logits = _scratch(pool, ("seg_out",), (b * n, layers[-1][0].shape[1]), dtype)
     last = len(layers) - 1
     for i in range(b):
         ex = slice(i * n, (i + 1) * n)
@@ -508,19 +503,18 @@ def forward(weights: Weights, points: np.ndarray, want_seg: bool = True,
     Permutation-covariant: permuting a batch element's points permutes its
     seg logits identically and leaves the class output bit-unchanged.
 
-    The widest encoder layer is never materialised. Its product runs one
-    example at a time, and is max-pooled at once: in training from a
-    reused (N, wide) buffer, in inference from near-equal row tiles of at
-    most _wide_tile_rows rows, which a running max pools exactly.
-    Inference streams the narrow layers over blocks of
-    encoder_block(N) examples and applies the wide layer's bias and ReLU
-    once to the pooled (B, wide) matrix: float addition and ReLU are
-    monotone, so they commute with max and the result is bit-identical to
-    the materialised form. Training (keep_cache=True) keeps every narrow
-    activation for backward, applies the bias before the max, and caches
-    only the pooled g and each feature's argmax point (lowest index on
-    ties). A segment call keeps only the second layer's skip features;
-    encode says when the materialised form runs instead.
+    The widest encoder layer is never materialised. Both modes stream the
+    narrow layers over blocks of encoder_block(N) examples, and run each
+    example's wide product in near-equal row tiles of at most
+    _wide_tile_rows rows, which a running max pools exactly. Inference
+    applies the wide layer's bias and ReLU once to the pooled (B, wide)
+    matrix: float addition and ReLU are monotone, so they commute with max
+    and the result is bit-identical to the materialised form. Training
+    (keep_cache=True) keeps every narrow activation for backward, adds the
+    bias to each tile before its max, and caches only the pooled g and
+    each feature's argmax point (lowest index on ties). A segment call
+    keeps only the second layer's skip features; encode says when the
+    materialised form runs instead.
 
     The segmenter runs one example at a time, so inference holds one
     example's (N, width) activations, never the batch's; training writes
@@ -532,7 +526,7 @@ def forward(weights: Weights, points: np.ndarray, want_seg: bool = True,
     x = _network_input(weights, points)
     b, n, _ = x.shape
     g, skip, enc_acts, arg = encode(weights, x, want_seg, keep_cache, pool)
-    logit, prob, cls_acts = classify(weights, g)
+    _, prob, cls_acts = classify(weights, g)
     seg_logits = seg_acts = None
     if want_seg:
         seg_logits, seg_acts = _segment(weights, skip, g, n, keep_cache, pool)
@@ -540,8 +534,7 @@ def forward(weights: Weights, points: np.ndarray, want_seg: bool = True,
     cache = None
     if keep_cache:
         cache = {"x_shape": (b, n), "enc_acts": enc_acts, "argmax": arg, "g": g,
-                 "cls_acts": cls_acts, "seg_acts": seg_acts,
-                 "logit": logit, "prob": prob, "seg_logits": seg_logits}
+                 "cls_acts": cls_acts, "seg_acts": seg_acts, "seg_logits": seg_logits}
     return ForwardResult(class_prob=prob, seg_logits=seg_logits, cache=cache)
 
 
@@ -658,11 +651,12 @@ def backward(weights: Weights, points: np.ndarray, class_labels: np.ndarray,
     is wide enough.
 
     So a pooled step holds the forward's buffers (the encoder's narrow
-    (B*N, width) layer inputs, the (N, wide) product and its bool scratch,
-    the segmenter's (B*N, width) layer inputs and its logits) and one row
-    block's mask: 161.4 MiB for the paper network at 16 x 2048 points, where
-    a softmax buffer, a whole-batch mask and a skip-gradient buffer of their
-    own made 190.8 MiB. Its largest temporary is the sparse product's
+    (B*N, width) layer inputs, one (512, wide) product tile, the
+    segmenter's (B*N, width) layer inputs and its logits) and one row
+    block's mask: 153.4 MiB for the paper network at 16 x 2048 points. A
+    softmax buffer, a whole-batch mask and a skip-gradient buffer of their
+    own made 190.8 MiB, and an (N, wide) product with its (N, wide) bool
+    scratch 161.4 MiB. Its largest temporary is the sparse product's
     (B*N, w_in) result.
 
     The pooled layer's gradient is never materialised. Each feature's
@@ -676,10 +670,6 @@ def backward(weights: Weights, points: np.ndarray, class_labels: np.ndarray,
     b, n = cache["x_shape"]
     bn = b * n
     dtype = weights.dtype
-
-    def buf(key, shape, dt=dtype):
-        return pool.get(key, shape, dt) if pool is not None else np.empty(shape, dt)
-
     y = np.asarray(class_labels, dtype=dtype).reshape(b)
     labels = np.asarray(seg_labels, dtype=np.int64).reshape(bn)
 
@@ -719,8 +709,9 @@ def backward(weights: Weights, points: np.ndarray, class_labels: np.ndarray,
     enc_acts = cache["enc_acts"]
     blocks = _row_blocks(b, n)
     # one ReLU mask buffer, one row block of the widest layer, serves every layer
-    masks = buf(("bw_mask",), (max(r.stop - r.start for r in blocks)
-                               * max(a.shape[1] for a in seg_acts + enc_acts),), np.bool_)
+    masks = _scratch(pool, ("bw_mask",), (max(r.stop - r.start for r in blocks)
+                                          * max(a.shape[1] for a in seg_acts + enc_acts),),
+                     np.bool_)
     seg_grads = [None] * len(seg_layers)
     for li in range(len(seg_layers) - 1, 0, -1):
         w, _ = seg_layers[li]
@@ -739,7 +730,7 @@ def backward(weights: Weights, points: np.ndarray, class_labels: np.ndarray,
                     delta.sum(axis=0))
     d_skip = _free_view(free, (bn, skip_w))
     if d_skip is None:
-        d_skip = buf(("bw_skip",), (bn, skip_w))
+        d_skip = _scratch(pool, ("bw_skip",), (bn, skip_w), dtype)
     np.matmul(delta, w0[:skip_w].T, out=d_skip)
     free.append(delta)
     d_g = d_g_cls + delta_ex @ w0[skip_w:].T

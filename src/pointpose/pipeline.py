@@ -130,9 +130,13 @@ class _StageClock:
         self._t = time.perf_counter()
 
 
-def _ensure_channels(scene: PointCloud, params: DetectParams) -> PointCloud:
+def ensure_channels(scene: PointCloud, normal_radius_mm: float) -> PointCloud:
+    """The scene with the normal and curvature channels the network reads:
+    PCA normals and curvatures from `normal_radius_mm` neighbourhoods when
+    it has no normals, zero curvatures when it has normals alone. `detect`
+    and `prepare` both complete a scene by this rule."""
     if scene.normals is None:
-        scene = estimate_normals(scene, params.normal_radius_mm, scene.view_origin)
+        scene = estimate_normals(scene, normal_radius_mm, scene.view_origin)
     if scene.curvatures is None:
         scene = PointCloud(positions=scene.positions, normals=scene.normals,
                            curvatures=np.zeros(len(scene)), colors=scene.colors,
@@ -523,7 +527,7 @@ def _stage_chain(scene: PointCloud, model: ObjectModel, params: DetectParams,
     if rgb_input and scene.colors is None:
         raise MissingChannelError("weights expect RGB input but the scene has no colors")
     clock = _StageClock()
-    scene = _ensure_channels(scene, params)
+    scene = ensure_channels(scene, params.normal_radius_mm)
     clock.lap("normals")
     scene_index = NNIndex(scene.positions)
     clock.lap("anchors")

@@ -9,7 +9,7 @@ from pointpose.dataset import (DISCARD, AugmentParams, SamplingParams, augment,
                                jitter_example, label_scene, read_dataset,
                                write_dataset)
 from pointpose.errors import (DatasetFormatError, EmptyNeighborhoodError,
-                              InsufficientForegroundError)
+                              InsufficientForegroundError, MissingChannelError)
 from pointpose.geometry import NNIndex
 from pointpose.modelprep import build_object_model
 from pointpose.pointcloud import PointCloud, concatenate_clouds
@@ -159,6 +159,18 @@ def test_extract_empty_sphere_raises():
     with pytest.raises(EmptyNeighborhoodError):
         extract_example(scene, labels, np.array([5000.0, 0, 0]), model, 0,
                         np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("channel", ["normals", "curvatures"])
+def test_extract_without_normals_or_curvatures_raises(setup, channel):
+    """A training example takes the scene's normals and curvatures; a scene
+    without them is completed first (`pipeline.ensure_channels`), not
+    filled with zeros."""
+    model, scene, gt, labels = setup
+    bare = PointCloud(positions=scene.positions,
+                      **{c: getattr(scene, c) for c in ("normals", "curvatures") if c != channel})
+    with pytest.raises(MissingChannelError, match="normals and curvatures"):
+        extract_example(bare, labels, gt.translation, model, 1, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------

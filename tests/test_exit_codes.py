@@ -64,8 +64,7 @@ def write_files(root: Path, model, scene: PointCloud) -> None:
 
 
 def run(root: Path, command: str, source: str = "", *extra: str):
-    """cli.main on the files under root: (exit code, stderr), argparse's
-    usage errors included."""
+    """cli.main on the files under root: (exit code, stderr)."""
     files = {"detect": ["--scene", str(root / "scene.ply"), "--out", str(root / "pose.json")],
              "eval": ["--scenes", str(root), "--out-csv", str(root / "eval.csv"),
                       "--out-json", str(root / "eval.json")],
@@ -75,11 +74,8 @@ def run(root: Path, command: str, source: str = "", *extra: str):
               "": []}[source]
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-        try:
-            code = cli.main([command, "--model", str(root / "model"), "--threads", "1"]
-                            + files + source + list(extra))
-        except SystemExit as exc:
-            code = exc.code
+        code = cli.main([command, "--model", str(root / "model"), "--threads", "1"]
+                        + files + source + list(extra))
     return code, err.getvalue()
 
 
@@ -104,6 +100,18 @@ def test_detect_and_eval_take_exactly_one_source(model, tmp_path, command, sourc
     assert code == 2
     assert message in err
     assert not any((tmp_path / name).exists() for name in ("pose.json", "eval.csv"))
+
+
+def test_main_returns_argparse_codes():
+    """`main` returns argparse's exit code instead of raising SystemExit:
+    0 after --help, 2 after a usage error."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert cli.main(["--help"]) == 0
+        assert cli.main(["detect", "--help"]) == 0
+        assert cli.main(["detect"]) == 2
+    assert out.getvalue().startswith("usage: pointpose")
+    assert "error: the following arguments are required" in err.getvalue()
 
 
 # ---------------------------------------------------------------------------

@@ -190,14 +190,25 @@ def test_tiled_wide_product_equals_the_materialised_forward(rows, counts):
     assert np.array_equal(network.classify(w, g)[1], ref.class_prob)
 
 
-def test_tiled_column_max_splits_rows_near_equally():
-    w = np.eye(3, dtype=np.float32)
-    h = np.random.default_rng(0).standard_normal((1025, 3)).astype(np.float32)
-    z = np.full((512, 3), np.nan, dtype=np.float32)
-    out = np.empty(3, dtype=np.float32)
-    network._tiled_column_max(h, w, z, out)
-    assert np.array_equal(out, h.max(axis=0))
-    assert np.isnan(z[342:]).all() and not np.isnan(z[:342]).any()   # 341, 342, 342
+@pytest.mark.parametrize("with_arg", [False, True], ids=["inference", "training"])
+def test_tiled_column_max_splits_rows_near_equally(with_arg):
+    """1025 rows make tiles of 341, 342 and 342. With `arg`, as training
+    runs it, each column's winner is its lowest row at the max after bias:
+    rows 512 on repeat rows 0-512, so a later tile ties an earlier one and
+    must not take its column."""
+    w = np.eye(8, dtype=np.float32)
+    h = np.random.default_rng(0).standard_normal((1025, 8)).astype(np.float32)
+    h[512:] = h[:513]
+    z = np.full((512, 8), np.nan, dtype=np.float32)
+    out = np.empty(8, dtype=np.float32)
+    bias = np.linspace(-1, 1, 8, dtype=np.float32)
+    arg = np.empty(8, dtype=np.intp) if with_arg else None
+    network._tiled_column_max(h, w, bias, z, out, arg)
+    assert np.array_equal(out, (h + bias).max(axis=0))
+    if with_arg:
+        assert np.array_equal(arg, (h + bias).argmax(axis=0))
+        assert (arg >= 341).any() and (arg < 341).any()   # a later tile wins some columns
+    assert np.isnan(z[342:]).all() and not np.isnan(z[:342]).any()
 
 
 def test_inference_encode_holds_no_whole_wide_product():
@@ -482,6 +493,26 @@ def dense_reference(w: Weights, x, y, seg, w_cls=0.15, w_seg=0.85):
     return loss, prob, s.reshape(b, n, -1), g, arg, grads, delta.reshape(b, n, -1)
 
 
+@pytest.mark.parametrize("n", [513, 1025, 2048])
+def test_training_forward_pools_paper_tiles_as_dense_reference(n):
+    """The paper network's training forward pools its wide product over
+    row tiles of at most 512 rows (2, 3 and 4 tiles here), yet its g and
+    argmax equal the materialised route's bit for bit. Each set's last
+    n // 2 rows repeat its first n // 2, so later tiles tie earlier ones,
+    and every winner is in the first n - n // 2 rows."""
+    w = tiny_weights(seed=11, dtype=np.float32, random_bias=True, config=NetworkConfig(k=50))
+    assert network._wide_tile_rows(w.encoder[-1][0]) == 512
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((2, n, 7)).astype(np.float32)
+    x[:, n - n // 2:] = x[:, :n // 2]
+    y, seg = rng.integers(0, 2, 2), rng.integers(0, 51, (2, n))
+    _, _, _, g_r, arg_r, _, _ = dense_reference(w, x, y, seg)
+    fwd = forward(w, x, keep_cache=True)
+    assert np.array_equal(fwd.cache["g"], g_r)
+    assert np.array_equal(fwd.cache["argmax"], arg_r)
+    assert (arg_r < n - n // 2).all()
+
+
 def _close(a, ref, rtol):
     return np.abs(a - ref).max() <= rtol * np.abs(ref).max()
 
@@ -577,8 +608,9 @@ def test_backward_memory_stays_below_wide_layer():
     """One training step never holds a (B*N, wide) array. tracemalloc peak of
     this backward, with a fresh pool: 196.5 MiB with the dense scatter route
     (the wide activation, its transposed copy, the dense gradient and its
-    mask, 32 MiB each), 70.0 MiB with the sparse route. The bound is less
-    than one more such array above the latter."""
+    mask, 32 MiB each), 59.3 MiB with the sparse route and an (N, wide)
+    product per example, 51.3 MiB with (512, wide) product tiles. The bound
+    is less than one more such array above the latter."""
     w = init_weights(NetworkConfig(k=50), seed=0)
     rng = np.random.default_rng(3)
     b, n = 4, 2048
@@ -591,17 +623,18 @@ def test_backward_memory_stays_below_wide_layer():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 90 * 2 ** 20, peak / 2 ** 20
+    assert peak < 80 * 2 ** 20, peak / 2 ** 20
     assert all(buf.size < b * n * 1024 for buf in pool._bufs.values())
 
 
 def test_backward_relu_masks_share_one_buffer():
     """Every backward ReLU mask is a view of one pooled bool buffer sized for
     one row block (one 2048-point example) of the widest masked layer (512
-    features per point); the forward's argmax scratch, (N, 1024), is the
-    only other bool buffer. A pool of one mask per layer held 1152 bytes per
-    point of the batch, and one whole-batch mask 512. Gradients over two
-    steps on one pool equal those computed without a pool, bit for bit."""
+    features per point), and it is the pool's only bool buffer. A pool of
+    one mask per layer held 1152 bytes per point of the batch, one
+    whole-batch mask 512, and the forward's (N, 1024) argmax scratch 1024
+    more per point of a set. Gradients over two steps on one pool equal
+    those computed without a pool, bit for bit."""
     w = init_weights(NetworkConfig(k=50), seed=0)
     rng = np.random.default_rng(4)
     b, n = 4, 2048
@@ -614,7 +647,7 @@ def test_backward_relu_masks_share_one_buffer():
         _assert_same_step(got, want)
         np.testing.assert_array_equal(got[2], want[2])
     bool_bytes = sum(buf.nbytes for buf in pool._bufs.values() if buf.dtype == np.bool_)
-    assert bool_bytes == n * 512 + n * 1024
+    assert bool_bytes == n * 512
 
 
 def _assert_same_step(got, want):
@@ -630,8 +663,11 @@ def test_backward_paper_network_pool_holds_no_dead_buffer():
     on one pool. The pool holds the forward's buffers and one row block's
     ReLU mask: the softmax, the skip gradient and the pooled layer's winner
     rows reuse segmenter buffers read for the last time. It held 190.8 MiB
-    after a full step when each had its own buffer, ~161.4 MiB without.
-    Loss and gradients equal a pool-less step, bit for bit."""
+    after a full step when each had its own buffer, 161.4 MiB without, and
+    153.4 MiB since the forward pools (512, wide) product tiles instead of
+    an (N, wide) product and its (N, wide) bool scratch. The bound is below
+    one more (N, wide) float32 buffer. Loss and gradients equal a pool-less
+    step, bit for bit."""
     w = init_weights(NetworkConfig(k=50), seed=0)
     rng = np.random.default_rng(8)
     pool = network.BufferPool()
@@ -639,7 +675,7 @@ def test_backward_paper_network_pool_holds_no_dead_buffer():
         x = rng.standard_normal((b, 2048, 7)).astype(np.float32)
         y, seg = rng.integers(0, 2, b), rng.integers(0, 51, (b, 2048))
         got = backward(w, x, y, seg, pool=pool)
-        assert sum(buf.nbytes for buf in pool._bufs.values()) <= 165 * 2 ** 20
+        assert sum(buf.nbytes for buf in pool._bufs.values()) <= 155 * 2 ** 20
         _assert_same_step(got, backward(w, x, y, seg))
 
 

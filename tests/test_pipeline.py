@@ -27,7 +27,7 @@ from pointpose.config import RunConfig, apply_override, config_from_dict
 from pointpose.dataset import LabeledExample, _sample_fill, write_dataset
 from pointpose.errors import (ConfigError, MissingChannelError, NonFiniteSceneError,
                               WeightsFormatError)
-from pointpose.geometry import NNIndex, voxel_downsample
+from pointpose.geometry import NNIndex, estimate_normals, voxel_downsample
 from pointpose.modelprep import load_object_model, save_object_model
 from pointpose.network import NetworkConfig, init_weights, save_weights
 from pointpose.ply import read_ply, write_ply
@@ -482,7 +482,7 @@ def test_detect_with_untrained_weights_runs_every_stage(baseline_model, noisy_sc
 def segment_scene(weights, cloud, model, **changes):
     """`_network_segmentation` alone, with DetectParams fields changed."""
     params = replace(pipeline.DetectParams(), **changes)
-    cloud = pipeline._ensure_channels(cloud, params)
+    cloud = pipeline.ensure_channels(cloud, params.normal_radius_mm)
     return pipeline._network_segmentation(weights, cloud, NNIndex(cloud.positions), model,
                                           params, pipeline._StageClock())
 
@@ -532,7 +532,7 @@ def test_classify_scores_equal_one_forward_over_full_spheres(baseline_model, sma
 
     monkeypatch.setattr(pipeline, "encode", recording_encode)
     params = replace(pipeline.DetectParams(), n_points=1024, threads=1)
-    cloud = pipeline._ensure_channels(small_scene.cloud, params)
+    cloud = pipeline.ensure_channels(small_scene.cloud, params.normal_radius_mm)
     seg = pipeline._network_segmentation(weights, cloud, NNIndex(cloud.positions),
                                          baseline_model, params, pipeline._StageClock())
 
@@ -905,6 +905,30 @@ def test_oracle_labels_ignore_the_labeling_section(baseline_model, small_scene, 
     assert poses[0] == poses[1]
 
 
+def test_prepare_completes_a_scene_without_normals_as_detect_does(baseline_model, small_scene,
+                                                                 tmp_path, monkeypatch):
+    """`prepare` on a scene PLY without normals writes the dataset of the
+    same scene with the normals and curvatures that `detect` estimates for
+    it attached. It wrote zero normals and curvatures, which the jitter
+    turned into random unit normals."""
+    save_object_model(tmp_path / "model", baseline_model)
+    scenes = tmp_path / "scenes"
+    scenes.mkdir()
+    save_scene(scenes / "scene", small_scene)
+    write_ply(scenes / "scene.ply", PointCloud(positions=small_scene.cloud.positions,
+                                               colors=small_scene.cloud.colors))
+    argv = ["prepare", "--scenes", str(scenes), "--model", str(tmp_path / "model"),
+            "--set", "examples.n_points=256", "--out"]
+    assert cli.main(argv + [str(tmp_path / "raw.bin")]) == 0
+    cloud, gt = load_scene(scenes / "scene")
+    assert cloud.normals is None and cloud.curvatures is None
+    completed = estimate_normals(cloud, pipeline.DetectParams().normal_radius_mm,
+                                 cloud.view_origin)
+    monkeypatch.setattr(cli, "load_scene", lambda stem: (completed, gt))
+    assert cli.main(argv + [str(tmp_path / "completed.bin")]) == 0
+    assert (tmp_path / "raw.bin").read_bytes() == (tmp_path / "completed.bin").read_bytes()
+
+
 def test_wrapped_stage_runs_anchors_on_the_calling_thread(baseline_model, small_scene,
                                                          monkeypatch):
     # a tracer-style wrapper may keep one call stack for every thread
@@ -1099,7 +1123,7 @@ def baseline_cloud(baseline_model):
     """The detect benchmark's input, scene [0, 0] without normals, with the
     normals and curvatures that detect estimates for it."""
     scene = synth_scene(baseline_model, np.random.default_rng([0, 0]), NOISY)
-    return pipeline._ensure_channels(raw(scene.cloud), pipeline.DetectParams())
+    return pipeline.ensure_channels(raw(scene.cloud), pipeline.DetectParams().normal_radius_mm)
 
 
 @pytest.fixture(scope="module")
