@@ -8,11 +8,13 @@ alone picks the code:
 - 0: success.
 - 2: an `InputError` or a missing file: a bad config value or option
   combination, or an input file that is malformed or does not fit the
-  run (a PLY of no points, weights for another keypoint count), and a
-  `prepare` in which every scene failed.
+  run (a PLY of no points, weights for another keypoint count, scenes
+  with and without colours in one `prepare`), and a `prepare` in which
+  every scene failed.
 - 1: any other `PointPoseError`, a run that cannot finish on valid
-  input, such as a `detect` that finds no pose (`NoHypothesisError`).
-  `eval` records such a scene as a failed row and goes on.
+  input, such as a `detect` that finds no pose (`NoHypothesisError`) or
+  a `train` whose loss turns NaN (`TrainingDivergedError`). `eval`
+  records a scene without a pose as a failed row and goes on.
 
 Arguments that do not parse, such as `detect` or `eval` with both or
 neither of `--weights` and `--oracle`, return 2 after argparse's usage
@@ -106,6 +108,13 @@ def cmd_prepare(args, config: RunConfig) -> None:
     stats = {"scenes": 0, "positives": 0, "negatives": 0,
              "easy_shortfall": 0, "hard_shortfall": 0}
     for i, (scene_id, cloud, gt) in enumerate(_SceneFiles(args.scenes)):
+        # one dataset holds one record layout, with or without RGB
+        if i == 0:
+            first_id, has_rgb = scene_id, cloud.colors is not None
+        elif (cloud.colors is not None) != has_rgb:
+            raise InputError(f"{scene_id} {'has no' if has_rgb else 'has a'} colour channel "
+                             f"and {first_id} {'has one' if has_rgb else 'has none'}: the "
+                             "scenes of one dataset need the same channels")
         try:
             inst = build_instance_training_set(
                 ensure_channels(cloud, normal_radius_mm), model, gt,
@@ -136,7 +145,8 @@ def cmd_train(args, config: RunConfig) -> None:
     header, examples = read_dataset(args.dataset)
     if not examples:
         raise DatasetFormatError(f"{args.dataset}: the dataset holds no examples")
-    with_color = header.has_rgb and config.network.use_color
+    if config.network.use_color and not header.has_rgb:
+        raise InputError(f"network.use_color=true, but {args.dataset} holds no colours")
     if config.network.normalize and not args.model:
         raise InputError("network.normalize=true needs --model for the object diameter")
     input_scale = 0.0
@@ -150,8 +160,9 @@ def cmd_train(args, config: RunConfig) -> None:
         if config.network.normalize:
             input_scale = config.examples.radius_factor * model.diameter
 
-    net_config = config.network.network_config(header.k, with_color)
-    feats = assemble_features(examples, input_scale_mm=input_scale, with_color=with_color)
+    net_config = config.network.network_config(header.k, config.network.use_color)
+    feats = assemble_features(examples, input_scale_mm=input_scale,
+                              with_color=config.network.use_color)
     cls = np.array([e.class_label for e in examples], dtype=np.int64)
     seg = np.stack([e.seg_labels for e in examples]).astype(np.int64)
 

@@ -18,8 +18,8 @@ import numpy as np
 from .errors import (DatasetFormatError, EmptyNeighborhoodError,
                      InsufficientForegroundError, MissingChannelError)
 from .geometry import NNIndex
-from .modelprep import Keypoint, ObjectModel, nearest_keypoint_labels
-from .pointcloud import PointCloud
+from .modelprep import ObjectModel, nearest_keypoint_labels
+from .pointcloud import PointCloud, concatenate_clouds
 from .pose import RigidPose
 
 FOREGROUND_MM = 10.0
@@ -71,21 +71,6 @@ class AugmentParams:
 
 
 @dataclass
-class SceneLabels:
-    """Per-point label: -1 discard, 0 background, 1..K nearest keypoint."""
-
-    labels: np.ndarray
-
-    @property
-    def foreground_mask(self) -> np.ndarray:
-        return self.labels > 0
-
-    @property
-    def background_mask(self) -> np.ndarray:
-        return self.labels == BACKGROUND
-
-
-@dataclass
 class ExampleMeta:
     anchor_mm: Optional[np.ndarray] = None    # sphere center, scene/working frame
     centroid_mm: Optional[np.ndarray] = None  # subtracted centroid, same frame
@@ -119,27 +104,23 @@ class LabeledExample:
 
 def label_scene(scene: PointCloud, model: ObjectModel, gt: RigidPose,
                 foreground_mm: float = FOREGROUND_MM,
-                background_mm: float = BACKGROUND_MM) -> SceneLabels:
-    """Label scene points by distance to the posed dense model cloud."""
-    posed = model.cloud.transformed(gt)
+                background_mm: float = BACKGROUND_MM) -> np.ndarray:
+    """Per-point labels of the scene by distance to the posed dense model
+    cloud, as an (N,) int32 array: -1 (DISCARD) within the band
+    (foreground_mm, background_mm], 0 (BACKGROUND) beyond it, and 1..K, the
+    nearest posed keypoint, within foreground_mm. Reads positions only."""
+    posed = gt.apply(model.cloud.positions)
     # points beyond the background band are all background: a bounded
     # search leaves them early instead of finding their nearest model point
-    _, dist = NNIndex(posed.positions, max_dist=background_mm).nearest_batch(scene.positions)
+    _, dist = NNIndex(posed, max_dist=background_mm).nearest_batch(scene.positions)
 
     labels = np.zeros(len(scene), dtype=np.int32)
     labels[(dist > foreground_mm) & (dist <= background_mm)] = DISCARD
     fg = dist <= foreground_mm
     if fg.any():
-        posed_kps = [replace_position(kp, gt) for kp in model.keypoints]
-        fg_cloud = scene.select(np.nonzero(fg)[0])
-        labels[fg] = nearest_keypoint_labels(fg_cloud, posed_kps)
-    return SceneLabels(labels=labels)
-
-
-def replace_position(kp: Keypoint, pose: RigidPose) -> Keypoint:
-    """Keypoint moved by a rigid pose (normal rotated along)."""
-    return Keypoint(position=pose.apply(kp.position),
-                    normal=pose.rotation @ kp.normal)
+        posed_kps = np.array([gt.apply(kp.position) for kp in model.keypoints])
+        labels[fg] = nearest_keypoint_labels(scene.positions[fg], posed_kps)
+    return labels
 
 
 def _sample_fill(ids: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -150,16 +131,18 @@ def _sample_fill(ids: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarra
     return np.concatenate([ids, extra])
 
 
-def extract_example(scene: PointCloud, labels: SceneLabels, center: np.ndarray,
+def extract_example(scene: PointCloud, labels: np.ndarray, center: np.ndarray,
                     model: ObjectModel, class_label: int, rng: np.random.Generator,
                     scene_index: Optional[NNIndex] = None,
                     n_points: int = POINTS_PER_EXAMPLE,
                     radius_factor: float = SPHERE_RADIUS_FACTOR) -> LabeledExample:
     """Uniformly sample a centered n-point sphere around `center`.
 
-    Discard-band points are excluded. Fewer than n available points are
-    topped up by sampling with replacement. The scene needs normals and
-    curvatures (see `pipeline.ensure_channels`).
+    `labels` is `label_scene`'s array: discard-band points are excluded,
+    and each point's seg label is its keypoint label, 0 for background.
+    Fewer than n available points are topped up by sampling with
+    replacement. The scene needs normals and curvatures (see
+    `pipeline.ensure_channels`).
     """
     if scene.normals is None or scene.curvatures is None:
         raise MissingChannelError("a training example needs scene normals and curvatures")
@@ -167,14 +150,14 @@ def extract_example(scene: PointCloud, labels: SceneLabels, center: np.ndarray,
     index = scene_index if scene_index is not None else NNIndex(scene.positions)
     radius = radius_factor * model.diameter
     in_sphere = index.ball(center, radius)
-    in_sphere = in_sphere[labels.labels[in_sphere] != DISCARD]
+    in_sphere = in_sphere[labels[in_sphere] != DISCARD]
     if len(in_sphere) == 0:
         raise EmptyNeighborhoodError(f"no usable points within {radius:.1f} mm of {center}")
 
     chosen = _sample_fill(in_sphere, n_points, rng)
     positions = scene.positions[chosen]
     centroid = positions.mean(axis=0)
-    seg = np.maximum(labels.labels[chosen], 0).astype(np.uint16)
+    seg = np.maximum(labels[chosen], 0).astype(np.uint16)
 
     return LabeledExample(
         positions=positions - centroid,
@@ -197,7 +180,7 @@ class InstanceExamples:
 def generate_instance_examples(scene: PointCloud, model: ObjectModel, gt: RigidPose,
                                rng: np.random.Generator,
                                params: SamplingParams = SamplingParams(),
-                               labels: Optional[SceneLabels] = None) -> InstanceExamples:
+                               labels: Optional[np.ndarray] = None) -> InstanceExamples:
     """20 positives, 20 easy negatives, 10 hard negatives for one instance.
 
     Positives center on random foreground points. Easy negatives center on
@@ -210,8 +193,8 @@ def generate_instance_examples(scene: PointCloud, model: ObjectModel, gt: RigidP
     index = NNIndex(scene.positions)
     radius = params.radius_factor * model.diameter
 
-    fg_ids = np.nonzero(labels.foreground_mask)[0]
-    bg_ids = np.nonzero(labels.background_mask)[0]
+    fg_ids = np.nonzero(labels > 0)[0]
+    bg_ids = np.nonzero(labels == BACKGROUND)[0]
     if len(fg_ids) < params.positives:
         raise InsufficientForegroundError(
             f"{len(fg_ids)} foreground points < {params.positives} required")
@@ -281,48 +264,38 @@ def _drop_segments(seg: np.ndarray, keep_mask: np.ndarray, rng: np.random.Genera
 
 def _assemble(parts, n_points: int, rng: np.random.Generator, cls: int,
               meta: ExampleMeta) -> LabeledExample:
-    """Concatenate (positions, normals, curvatures, colors, seg) parts,
-    sample/fill to n_points, and re-center."""
-    positions = np.concatenate([p[0] for p in parts], axis=0)
-    normals = np.concatenate([p[1] for p in parts], axis=0)
-    curvatures = np.concatenate([p[2] for p in parts], axis=0)
-    colors = None
-    if all(p[3] is not None for p in parts):
-        colors = np.concatenate([p[3] for p in parts], axis=0)
-    seg = np.concatenate([p[4] for p in parts], axis=0)
-
-    ids = _sample_fill(np.arange(len(positions)), n_points, rng)
-    positions = positions[ids].astype(np.float64)
-    centroid = positions.mean(axis=0)
-    return LabeledExample(
-        positions=positions - centroid,
-        normals=normals[ids],
-        curvatures=curvatures[ids],
-        seg_labels=seg[ids],
-        class_label=cls,
-        colors=None if colors is None else colors[ids],
-        meta=replace(meta, centroid_mm=centroid),
-    )
+    """Join (PointCloud, seg labels) parts with `concatenate_clouds`, which
+    keeps colours only when every part has them, sample/fill to n_points,
+    and re-center."""
+    cloud = concatenate_clouds([c for c, _ in parts])
+    seg = np.concatenate([s for _, s in parts])
+    ids = _sample_fill(np.arange(len(cloud)), n_points, rng)
+    cloud, seg = cloud.select(ids), seg[ids]
+    centroid = cloud.positions.mean(axis=0)
+    return LabeledExample(positions=cloud.positions - centroid, normals=cloud.normals,
+                          curvatures=cloud.curvatures, seg_labels=seg, class_label=cls,
+                          colors=cloud.colors, meta=replace(meta, centroid_mm=centroid))
 
 
-def _parts_of(e: LabeledExample, mask: np.ndarray, offset: np.ndarray):
-    return (e.positions[mask].astype(np.float64) + offset,
-            e.normals[mask],
-            e.curvatures[mask],
-            None if e.colors is None else e.colors[mask],
-            e.seg_labels[mask])
+def _moved(e: LabeledExample, offset: np.ndarray) -> PointCloud:
+    """The example's points as a cloud, its float64 positions plus offset."""
+    return PointCloud(positions=e.positions.astype(np.float64) + offset, normals=e.normals,
+                      curvatures=e.curvatures, colors=e.colors)
 
 
-def _cut_sphere(part, center: np.ndarray, radius: float):
-    keep = np.linalg.norm(part[0] - center, axis=1) <= radius
-    return tuple(None if x is None else x[keep] for x in part)
+def _sphere_part(e: LabeledExample, offset: np.ndarray, center: np.ndarray, radius: float):
+    """(cloud, seg labels) of the example's points, moved by offset, that lie
+    within radius of center."""
+    cloud = _moved(e, offset)
+    keep = np.linalg.norm(cloud.positions - center, axis=1) <= radius
+    return cloud.select(keep), e.seg_labels[keep]
 
 
 def _swap_positive(pos: LabeledExample, easy: Optional[LabeledExample],
                    model: ObjectModel, rng: np.random.Generator,
-                   params: AugmentParams, with_background: bool,
-                   radius_factor: float) -> LabeledExample:
-    """Background-swap (or object-only) augmented positive."""
+                   params: AugmentParams, radius_factor: float) -> LabeledExample:
+    """Augmented positive: the shifted object over a shifted background cut
+    from `easy`, or over none when `easy` is None."""
     keep = pos.seg_labels > 0
     keep = _drop_segments(pos.seg_labels, keep, rng, params)
     if not keep.any():
@@ -330,23 +303,19 @@ def _swap_positive(pos: LabeledExample, easy: Optional[LabeledExample],
 
     obj_offset = rng.uniform(-params.object_shift_factor, params.object_shift_factor, 3) \
         * model.diameter
-    obj_part = _parts_of(pos, keep, obj_offset)
+    parts = [(_moved(pos, obj_offset).select(keep), pos.seg_labels[keep])]
 
     anchor = np.zeros(3)
     if pos.meta.anchor_mm is not None and pos.meta.centroid_mm is not None:
         anchor = pos.meta.anchor_mm - pos.meta.centroid_mm
     cut_center = anchor + obj_offset
-    radius = radius_factor * model.diameter
 
-    parts = [obj_part]
-    if with_background and easy is not None:
+    if easy is not None:
         bg_offset = rng.uniform(-params.background_shift_factor,
                                 params.background_shift_factor, 3) * model.diameter
-        bg_part = _parts_of(easy, np.ones(len(easy), bool), bg_offset)
-        parts.append(_cut_sphere(bg_part, cut_center, radius))
+        parts.append(_sphere_part(easy, bg_offset, cut_center, radius_factor * model.diameter))
 
-    meta = ExampleMeta(anchor_mm=cut_center)
-    return _assemble(parts, len(pos), rng, 1, meta)
+    return _assemble(parts, len(pos), rng, 1, ExampleMeta(anchor_mm=cut_center))
 
 
 def _mixed_negative(easies: Sequence[LabeledExample], model: ObjectModel,
@@ -357,23 +326,17 @@ def _mixed_negative(easies: Sequence[LabeledExample], model: ObjectModel,
     radius = radius_factor * model.diameter
     parts = []
     for idx in picks:
-        e = easies[idx]
         offset = rng.uniform(-params.background_shift_factor,
                              params.background_shift_factor, 3) * model.diameter
-        part = _parts_of(e, np.ones(len(e), bool), offset)
-        parts.append(_cut_sphere(part, np.zeros(3), radius))
-    if all(len(p[0]) == 0 for p in parts):
+        parts.append(_sphere_part(easies[idx], offset, np.zeros(3), radius))
+    parts = [p for p in parts if len(p[1])]
+    if not parts:
         # neither shifted background reaches the sphere: take the first one
         # unshifted, cut alike. If it was extracted at this radius the cut is
         # not empty: its points lie within the radius of its anchor, so some
         # lie within it of their centroid, the origin.
-        first = easies[picks[0]]
-        parts = [_cut_sphere(_parts_of(first, np.ones(len(first), bool), np.zeros(3)),
-                             np.zeros(3), radius)]
-    else:
-        parts = [p for p in parts if len(p[0])]
-    meta = ExampleMeta(anchor_mm=np.zeros(3))
-    return _assemble(parts, len(easies[picks[0]]), rng, 0, meta)
+        parts = [_sphere_part(easies[picks[0]], np.zeros(3), np.zeros(3), radius)]
+    return _assemble(parts, len(easies[picks[0]]), rng, 0, ExampleMeta(anchor_mm=np.zeros(3)))
 
 
 def jitter_example(e: LabeledExample, rng: np.random.Generator,
@@ -431,12 +394,10 @@ def augment(instance_examples: Sequence[LabeledExample], model: ObjectModel,
     for i in range(n_swap):
         pos = positives[i % len(positives)]
         easy = easies[rng.integers(len(easies))] if easies else None
-        out.append(_swap_positive(pos, easy, model, rng, params, with_background=True,
-                                  radius_factor=radius_factor))
+        out.append(_swap_positive(pos, easy, model, rng, params, radius_factor))
     for i in range(n_obj):
         pos = positives[i % len(positives)]
-        out.append(_swap_positive(pos, None, model, rng, params, with_background=False,
-                                  radius_factor=radius_factor))
+        out.append(_swap_positive(pos, None, model, rng, params, radius_factor))
     if easies:
         for _ in range(n_mix):
             out.append(_mixed_negative(easies, model, rng, params, radius_factor))
@@ -485,14 +446,17 @@ def _record_dtype(has_rgb: bool) -> np.dtype:
 
 def write_dataset(path, examples: Sequence[LabeledExample], k: int,
                   balanced: bool = True, seed: int = 0) -> None:
+    """Write the examples, which must all have colours or all have none;
+    a mixed list raises ValueError before the file is opened."""
     has_rgb = examples[0].colors is not None if examples else False
+    for i, e in enumerate(examples):
+        if (e.colors is not None) != has_rgb:
+            raise ValueError(f"example {i}: inconsistent color layout")
     dtype = _record_dtype(has_rgb)
     with open(path, "wb") as f:
         f.write(_HEADER.pack(_MAGIC, k, _FLAG_RGB if has_rgb else 0,
                              int(balanced), seed, len(examples)))
-        for i, e in enumerate(examples):
-            if (e.colors is not None) != has_rgb:
-                raise ValueError(f"example {i}: inconsistent color layout")
+        for e in examples:
             rec = np.empty(len(e), dtype=dtype)
             rec["pos"] = e.positions
             rec["nrm"] = e.normals

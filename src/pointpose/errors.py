@@ -41,6 +41,10 @@ class NoHypothesisError(PointPoseError):
     """Pose voting could not produce a hypothesis."""
 
 
+class TrainingDivergedError(PointPoseError):
+    """A training epoch's mean loss is NaN or infinite."""
+
+
 class InvalidHypothesisError(PointPoseError):
     """Hypothesis violates its invariants (e.g. non-positive density score)."""
 

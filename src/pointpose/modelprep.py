@@ -202,16 +202,17 @@ def _axis_point_normal(members: List[Keypoint], axis: np.ndarray) -> np.ndarray:
     return mean / norm
 
 
-def nearest_keypoint_labels(cloud: PointCloud, keypoints: List[Keypoint]) -> np.ndarray:
-    """Label each point 1..K by its nearest keypoint (ties: lowest index)."""
-    if not keypoints:
+def nearest_keypoint_labels(points: np.ndarray, keypoint_positions: np.ndarray) -> np.ndarray:
+    """Label each of the (N, 3) points 1..K by its nearest of the (K, 3)
+    keypoint positions (ties: lowest index)."""
+    if not len(keypoint_positions):
         raise ValueError("need at least one keypoint")
-    kp = np.array([k.position for k in keypoints])
-    n = len(cloud)
+    kp = np.asarray(keypoint_positions, dtype=np.float64)
+    n = len(points)
     labels = np.empty(n, dtype=np.int32)
     chunk = 65536
     for s in range(0, n, chunk):
-        block = cloud.positions[s:s + chunk]
+        block = points[s:s + chunk]
         d2 = np.sum((block[:, None, :] - kp[None, :, :]) ** 2, axis=2)
         labels[s:s + chunk] = np.argmin(d2, axis=1) + 1
     return labels

@@ -54,7 +54,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 from scipy import sparse
 
-from .errors import WeightsFormatError
+from .errors import TrainingDivergedError, WeightsFormatError
 
 _EPS = 1e-12  # clamp inside logs
 
@@ -125,6 +125,12 @@ class TrainConfig:
             raise ValueError("loss weights must sum to 1")
         if min(self.batch_size, self.epochs) < 1 or not self.learning_rate >= 0:
             raise ValueError("batch_size/epochs must be positive, learning_rate >= 0")
+        if not (self.w_cls >= 0 and self.w_seg >= 0):
+            raise ValueError("w_cls and w_seg must be at least 0")
+        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
+            raise ValueError("beta1 and beta2 must be at least 0 and below 1")
+        if not self.epsilon > 0:
+            raise ValueError("epsilon must be positive")
 
 
 @dataclass
@@ -789,9 +795,11 @@ def train(features: np.ndarray, class_labels: np.ndarray, seg_labels: np.ndarray
 
     features: (M, N, C) float32, already centered/normalized;
     class_labels: (M,), seg_labels: (M, N). Returns final weights and the
-    per-epoch mean loss log. log_fn, when given, is called after each epoch
-    as log_fn(epoch, loss, cls_loss, seg_loss): the mean joint loss and the
-    mean unweighted BCE and CE of the two heads over the epoch's examples.
+    per-epoch mean loss log; raises TrainingDivergedError at the first epoch
+    whose mean loss is NaN or infinite. log_fn, when given, is called after
+    each epoch as log_fn(epoch, loss, cls_loss, seg_loss): the mean joint
+    loss and the mean unweighted BCE and CE of the two heads over the
+    epoch's examples.
     """
     m = len(features)
     if m == 0:
@@ -832,6 +840,9 @@ def train(features: np.ndarray, class_labels: np.ndarray, seg_labels: np.ndarray
                 vv *= b2
                 vv += (1 - b2) * np.square(g)
                 p -= (lr * correction) * mm / (np.sqrt(vv) + eps)
+        if not np.isfinite(total):
+            raise TrainingDivergedError(f"training diverged: epoch {epoch + 1} has a mean "
+                                        f"loss of {total / m}")
         epoch_losses.append(total / m)
         if log_fn is not None:
             log_fn(epoch, epoch_losses[-1], cls_total / m, seg_total / m)

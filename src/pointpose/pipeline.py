@@ -493,7 +493,7 @@ def _oracle_segmentation(gt_pose: RigidPose, scene: PointCloud, scene_index: NNI
                          clock: _StageClock) -> _Segmentation:
     """Ground-truth labels of spheres around random foreground points."""
     labels = label_scene(scene, model, gt_pose)
-    fg = np.nonzero(labels.foreground_mask)[0]
+    fg = np.nonzero(labels > 0)[0]
     draws = params.oracle_anchors if len(fg) else 0
     rng = np.random.default_rng([params.seed, 0xFACE])
     radius = params.radius_factor * model.diameter
@@ -503,13 +503,13 @@ def _oracle_segmentation(gt_pose: RigidPose, scene: PointCloud, scene_index: NNI
     for _ in range(draws):
         anchors.append(scene.positions[fg[rng.integers(len(fg))]])
         ids = scene_index.ball(anchors[-1], radius)
-        ids = ids[labels.labels[ids] >= 0]  # exclude the discard band
+        ids = ids[labels[ids] >= 0]  # exclude the discard band
         if len(ids) < params.min_sphere_points:
             continue
         chosen = _sample_fill(ids, params.n_points, rng)
         kept.append(anchors[-1])
         sphere_ids.append(chosen)
-        point_labels.append(np.maximum(labels.labels[chosen], 0))
+        point_labels.append(np.maximum(labels[chosen], 0))
     clock.lap("segment")
     kept = np.reshape(kept, (-1, 3))
     return _Segmentation(anchors=np.reshape(anchors, (-1, 3)), skipped=draws - len(kept),

@@ -106,6 +106,12 @@ def test_builder_fills_in_the_thread_budget():
     ("training.w_cls=NaN", "training: loss weights must sum to 1"),
     ("training.learning_rate=NaN",
      "training: batch_size/epochs must be positive, learning_rate >= 0"),
+    ("training.beta1=1.0", "training: beta1 and beta2 must be at least 0 and below 1"),
+    ("training.beta2=1.5", "training: beta1 and beta2 must be at least 0 and below 1"),
+    ("training.beta1=-0.1", "training: beta1 and beta2 must be at least 0 and below 1"),
+    ("training.beta2=NaN", "training: beta1 and beta2 must be at least 0 and below 1"),
+    ("training.epsilon=0", "training: epsilon must be positive"),
+    ("training.epsilon=NaN", "training: epsilon must be positive"),
     ("verification.occlusion_margin_mm=NaN",
      "verification: margin and splat radius must be non-negative"),
 ])
@@ -116,6 +122,19 @@ def test_section_check_fails_as_config_error(assignment, message, tmp_path, caps
         config_from_dict({section: {name: json.loads(raw)}})
 
     code = cli.main(["synth", "--out", str(tmp_path / "scenes"), "--set", assignment])
+    assert code == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "scenes").exists()
+
+
+def test_negative_loss_weight_fails_as_config_error(tmp_path, capsys):
+    """Weights of -0.5 and 1.5 sum to 1, but a negative weight rewards the
+    loss of its head."""
+    message = "training: w_cls and w_seg must be at least 0"
+    with pytest.raises(ConfigError, match=message):
+        config_from_dict({"training": {"w_cls": -0.5, "w_seg": 1.5}})
+    code = cli.main(["synth", "--out", str(tmp_path / "scenes"),
+                     "--set", "training.w_cls=-0.5", "--set", "training.w_seg=1.5"])
     assert code == 2
     assert f"error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "scenes").exists()

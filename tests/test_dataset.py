@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from pointpose.dataset import (DISCARD, AugmentParams, SamplingParams, augment,
-                               build_instance_training_set, extract_example,
+from pointpose.dataset import (DISCARD, AugmentParams, LabeledExample, SamplingParams,
+                               augment, build_instance_training_set, extract_example,
                                generate_instance_examples, iter_dataset,
                                jitter_example, label_scene, read_dataset,
                                write_dataset)
@@ -64,14 +64,14 @@ def test_label_exact_overlay_all_foreground():
     model = sphere_model(n=400)
     gt = RigidPose.identity()
     labels = label_scene(model.cloud, model, gt)
-    assert np.all(labels.labels > 0)
+    assert np.all(labels > 0)
 
 
 def test_label_far_scene_all_background():
     model = sphere_model(n=400)
     far = RigidPose(np.eye(3), np.array([10 * model.diameter, 0, 0]))
     labels = label_scene(model.cloud.transformed(far), model, RigidPose.identity())
-    assert np.all(labels.labels == 0)
+    assert np.all(labels == 0)
 
 
 def test_label_counts_match_bruteforce(setup):
@@ -84,19 +84,19 @@ def test_label_counts_match_bruteforce(setup):
         d = np.sqrt(((block[:, None, :] - posed[None, :, :]) ** 2).sum(axis=2))
         dmin[s:s + 2000] = d.min(axis=1)
     fg, disc = dmin <= 10.0, (dmin > 10.0) & (dmin <= 20.0)
-    assert (labels.labels > 0).sum() == fg.sum()
-    assert (labels.labels == -1).sum() == disc.sum()
-    assert np.array_equal(labels.foreground_mask, fg)
+    assert (labels > 0).sum() == fg.sum()
+    assert (labels == -1).sum() == disc.sum()
+    assert np.array_equal(labels > 0, fg)
 
 
 def test_label_foreground_gets_nearest_keypoint(setup):
     model, scene, gt, labels = setup
     kp = gt.apply(model.keypoint_positions())
-    fg_ids = np.nonzero(labels.foreground_mask)[0]
+    fg_ids = np.nonzero(labels > 0)[0]
     sub = fg_ids[:: max(1, len(fg_ids) // 200)]
     for i in sub:
         d = np.linalg.norm(kp - scene.positions[i], axis=1)
-        assert labels.labels[i] == np.argmin(d) + 1
+        assert labels[i] == np.argmin(d) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +109,7 @@ def test_extract_exact_fit_uses_each_point_once(setup):
     index = NNIndex(scene.positions)
     center = gt.translation
     ids = index.ball(center, 0.6 * model.diameter)
-    ids = ids[labels.labels[ids] != -1]
+    ids = ids[labels[ids] != -1]
     ex = extract_example(scene, labels, center, model, 1, rng, scene_index=index,
                          n_points=len(ids))
     got = np.sort(ex.positions + ex.meta.centroid_mm, axis=0)
@@ -138,7 +138,7 @@ def test_extract_membership_subset(setup):
     ex = extract_example(scene, labels, gt.translation, model, 1, rng, scene_index=index)
     assert len(ex) == 2048
     in_sphere = index.ball(gt.translation, 0.6 * model.diameter)
-    allowed = scene.positions[in_sphere[labels.labels[in_sphere] != -1]]
+    allowed = scene.positions[in_sphere[labels[in_sphere] != -1]]
     originals = ex.positions.astype(np.float64) + ex.meta.centroid_mm
     for p in originals[::97]:
         assert np.linalg.norm(allowed - p, axis=1).min() < 1e-3
@@ -188,7 +188,7 @@ def test_generate_split_and_invariants(setup):
     assert classes[:20] == [1] * 20 and classes[20:] == [0] * 30
 
     radius = 0.6 * model.diameter
-    fg_pos = scene.positions[labels.foreground_mask]
+    fg_pos = scene.positions[labels > 0]
     for e in inst.examples[:20]:
         # positive centers are foreground scene points
         assert np.linalg.norm(fg_pos - e.meta.anchor_mm, axis=1).min() < 1e-9
@@ -202,7 +202,7 @@ def test_generate_split_and_invariants(setup):
         assert 0.6 * model.diameter < d <= 1.2 * model.diameter
 
     # no discard points in any example
-    discard_pos = scene.positions[labels.labels == DISCARD]
+    discard_pos = scene.positions[labels == DISCARD]
     assert len(discard_pos) > 0
     for e in inst.examples[::7]:
         originals = e.positions.astype(np.float64) + e.meta.centroid_mm
@@ -368,6 +368,21 @@ def test_dataset_bad_magic(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 30)
     with pytest.raises(DatasetFormatError, match="magic"):
         read_dataset(path)
+
+
+def test_dataset_of_mixed_colour_layouts_writes_no_file(tmp_path):
+    """Every record has the layout of the header: a list of examples with
+    and without colours raises before the file is opened."""
+    def example(colors):
+        n = 4
+        return LabeledExample(positions=np.zeros((n, 3)), normals=np.tile([0, 0, 1.0], (n, 1)),
+                              curvatures=np.zeros(n), seg_labels=np.zeros(n), class_label=0,
+                              colors=colors)
+
+    path = tmp_path / "mixed.bin"
+    with pytest.raises(ValueError, match="example 2: inconsistent color layout"):
+        write_dataset(path, [example(np.ones((4, 3)))] * 2 + [example(None)], k=1)
+    assert not path.exists()
 
 
 def test_augment_cuts_backgrounds_at_the_sampling_radius(setup):

@@ -22,7 +22,7 @@ from pointpose import cli, pipeline
 from pointpose.dataset import _HEADER, LabeledExample, write_dataset
 from pointpose.modelprep import save_object_model
 from pointpose.network import NetworkConfig, init_weights, save_weights
-from pointpose.ply import write_ply
+from pointpose.ply import read_ply, write_ply
 from pointpose.pointcloud import PointCloud
 from pointpose.pose import RigidPose
 from pointpose.synth import make_test_object
@@ -176,6 +176,23 @@ def test_prepare_whose_every_scene_fails_exits_2(model, tmp_path):
     assert not (tmp_path / "d.bin").exists()
 
 
+@pytest.mark.parametrize("colourless", ["scene_0000", "scene_0001"])
+def test_prepare_on_scenes_with_and_without_colours_exits_2(tmp_path, colourless):
+    """One dataset holds one record layout: a scene whose colour channel
+    differs from the first scene's stops prepare before a file is written."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["synth", "--out", str(tmp_path), "--count", "2"]) == 0
+    ply = (tmp_path / colourless).with_suffix(".ply")
+    write_ply(ply, PointCloud(positions=read_ply(ply).positions))
+    code, err = run(tmp_path, "prepare")
+    assert code == 2
+    has = {"scene_0000": "has none", "scene_0001": "has one"}[colourless]
+    lacks = {"scene_0000": "has a", "scene_0001": "has no"}[colourless]
+    assert err == (f"error: scene_0001 {lacks} colour channel and scene_0000 {has}: "
+                   "the scenes of one dataset need the same channels\n")
+    assert not (tmp_path / "d.bin").exists()
+
+
 @pytest.mark.parametrize("points", [0, 1])
 def test_model_file_of_no_or_non_finite_points_exits_2(model, tmp_path, points):
     write_files(tmp_path, model, scene_cloud(100))
@@ -243,6 +260,38 @@ def test_train_with_a_model_of_another_keypoint_count_exits_2(model, tmp_path, n
     assert err.startswith("error: ") and \
         f"the dataset labels 2 keypoints, the model {tmp_path / 'model'} has {model.k}" in err
     assert not (tmp_path / "trained.bin").exists()
+
+
+def test_train_with_colour_on_a_dataset_without_colours_exits_2(model, tmp_path):
+    """network.use_color=true asks for RGB inputs; a dataset without them
+    does not fit the run, rather than training a geometry-only network."""
+    write_files(tmp_path, model, scene_cloud(100))
+    write_dataset(tmp_path / "d.bin", examples(), k=model.k)
+    code, err = run(tmp_path, "train", "", "--set", "network.use_color=true",
+                    "--set", "network.normalize=false")
+    assert code == 2
+    assert err == (f"error: network.use_color=true, but {tmp_path / 'd.bin'} holds "
+                   "no colours\n")
+    assert not (tmp_path / "trained.bin").exists()
+
+
+# overflowing float32 products warn on the way to the NaN loss
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_whose_loss_diverges_exits_1(model, tmp_path):
+    """A learning rate of 1e6 turns the loss NaN in the second epoch: train
+    stops with an error instead of writing NaN weights and a NaN summary."""
+    write_files(tmp_path, model, scene_cloud(100))
+    write_dataset(tmp_path / "d.bin", examples(sizes=(64,) * 4, labels=(0, 1, 0, 1)),
+                  k=model.k)
+    code, err = run(tmp_path, "train", "", "--set", "training.learning_rate=1000000",
+                    "--set", "training.epochs=3", "--set", "network.normalize=false")
+    assert code == 1
+    lines = err.splitlines()
+    assert lines[0].startswith("epoch 1/3: loss ")
+    assert [line for line in lines if line.startswith("error: ")] == \
+        ["error: training diverged: epoch 2 has a mean loss of nan"]
+    assert not (tmp_path / "trained.bin").exists()
+    assert not (tmp_path / "trained.loss.csv").exists()
 
 
 def with_header(blob: bytes, edit) -> bytes:

@@ -182,25 +182,22 @@ def test_diameter_matches_linear_scan():
 
 def test_labels_self_assignment():
     kps = ring_keypoints(n=6)
-    cloud = PointCloud(positions=np.array([k.position for k in kps]))
-    labels = nearest_keypoint_labels(cloud, kps)
+    kp_pos = np.array([k.position for k in kps])
+    labels = nearest_keypoint_labels(kp_pos, kp_pos)
     assert labels.tolist() == [1, 2, 3, 4, 5, 6]
 
 
 def test_labels_tie_breaks_low():
-    kps = [Keypoint(np.array([0.0, 0, 0]), np.array([0, 0, 1.0])),
-           Keypoint(np.array([10.0, 0, 0]), np.array([0, 0, 1.0]))]
-    cloud = PointCloud(positions=np.array([[5.0, 0, 0]]))
-    assert nearest_keypoint_labels(cloud, kps)[0] == 1
+    kp_pos = np.array([[0.0, 0, 0], [10.0, 0, 0]])
+    assert nearest_keypoint_labels(np.array([[5.0, 0, 0]]), kp_pos)[0] == 1
 
 
 def test_labels_match_bruteforce():
     rng = np.random.default_rng(10)
-    kps = [Keypoint(rng.uniform(-50, 50, 3), np.array([0, 0, 1.0])) for _ in range(20)]
-    cloud = PointCloud(positions=rng.uniform(-60, 60, (500, 3)))
-    labels = nearest_keypoint_labels(cloud, kps)
-    kp_pos = np.array([k.position for k in kps])
-    for p, lab in zip(cloud.positions, labels):
+    kp_pos = np.array([rng.uniform(-50, 50, 3) for _ in range(20)])
+    points = rng.uniform(-60, 60, (500, 3))
+    labels = nearest_keypoint_labels(points, kp_pos)
+    for p, lab in zip(points, labels):
         d = np.linalg.norm(kp_pos - p, axis=1)
         assert lab == np.argmin(d) + 1
 

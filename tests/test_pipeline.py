@@ -28,15 +28,16 @@ from pointpose.dataset import LabeledExample, _sample_fill, write_dataset
 from pointpose.errors import (ConfigError, MissingChannelError, NonFiniteSceneError,
                               WeightsFormatError)
 from pointpose.geometry import NNIndex, estimate_normals, voxel_downsample
-from pointpose.modelprep import load_object_model, save_object_model
+from pointpose.modelprep import (Keypoint, ObjectModel, SymmetryDescriptor, load_object_model,
+                                 model_diameter, save_object_model)
 from pointpose.network import NetworkConfig, init_weights, save_weights
 from pointpose.ply import read_ply, write_ply
 from pointpose.pointcloud import PointCloud
-from pointpose.pose import RigidPose, random_rotation
+from pointpose.pose import RigidPose, random_rotation, rotation_about_axis
 from pointpose.synth import (SynthParams, load_scene, make_test_object, save_scene,
                              synth_scene)
-from pointpose.voting import (correspondences_from_segmentation, pose_votes, segment_labels,
-                              subsample_correspondences)
+from pointpose.voting import (PoseHypothesis, correspondences_from_segmentation, pose_votes,
+                              segment_labels, subsample_correspondences)
 
 
 @pytest.fixture(scope="module")
@@ -1165,3 +1166,32 @@ def test_network_segmentation_speed(benchmark, baseline_model, baseline_cloud, b
                              (weights, baseline_cloud, index, baseline_model, params,
                               pipeline._StageClock()), rounds=2, iterations=1)
     assert len(seg.anchors) == 682 and len(seg.sphere_ids) == 16
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_eval_scores_a_symmetric_model_by_adds(symmetric, monkeypatch):
+    """A 4-fold model detected one symmetry step away from its gt pose: ADD
+    is far above the threshold, ADD-S is about 0, and the scene succeeds
+    only when the model declares its symmetry."""
+    rng = np.random.default_rng(4)
+    quadrant = rng.uniform([5.0, 5.0, -40.0], [60.0, 60.0, 40.0], (200, 3))
+    turns = [rotation_about_axis(np.array([0, 0, 1.0]), k * np.pi / 2) for k in range(4)]
+    cloud = PointCloud(positions=np.concatenate([quadrant @ r.T for r in turns]))
+    symmetry = SymmetryDescriptor(kind="cyclic", fold=4, axis=[0, 0, 1], center=[0, 0, 0]) \
+        if symmetric else SymmetryDescriptor()
+    model = ObjectModel(cloud=cloud, keypoints=[Keypoint(np.zeros(3), np.array([0, 0, 1.0]))],
+                        diameter=model_diameter(cloud), symmetry=symmetry)
+    gt = RigidPose(random_rotation(rng), np.array([10.0, -20.0, 900.0]))
+    turned = RigidPose(gt.rotation @ turns[1], gt.translation)
+
+    def detected(scene, model, gt, params):
+        hyp = PoseHypothesis(pose=turned, s_kde=1.0, vote_support=1, l_loc=0.0)
+        return pipeline.DetectionResult(ranked=[hyp], timings_ms={})
+
+    monkeypatch.setattr(pipeline, "oracle_detect", detected)
+    record = pipeline.evaluate_scene(cloud, gt, model, None, pipeline.DetectParams(),
+                                     threshold_factor=0.1, use_oracle=True)
+    threshold = 0.1 * model.diameter
+    assert record.add > 3 * threshold
+    assert record.adds < 1e-9
+    assert record.success == symmetric

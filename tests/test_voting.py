@@ -377,7 +377,7 @@ def oracle_like_set(rng, m=150):
     model = make_test_object()
     scene = synth_scene(model, rng, SynthParams(noise_sigma_mm=0.5,
                                                 occluder_probability=0.3))
-    labels = label_scene(scene.cloud, model, scene.gt_pose).labels
+    labels = label_scene(scene.cloud, model, scene.gt_pose)
     fg = np.nonzero(labels > 0)[0]
     anchor = scene.cloud.positions[fg[rng.integers(len(fg))]]
     near = np.linalg.norm(scene.cloud.positions[fg] - anchor, axis=1) <= 0.6 * model.diameter
