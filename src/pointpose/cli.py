@@ -173,8 +173,11 @@ def cmd_train(args, config: RunConfig) -> None:
         print(f"epoch {epoch + 1}/{config.training.epochs}: loss {loss:.6f} "
               f"(cls {cls_loss:.6f}, seg {seg_loss:.6f})", file=sys.stderr)
 
-    weights, losses = train(feats, cls, seg, net_config, config.train_config(),
-                            input_scale_mm=input_scale, log_fn=log)
+    # a diverging loss overflows on its way to NaN; train's epoch check
+    # reports it as one error, so numpy's warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights, losses = train(feats, cls, seg, net_config, config.train_config(),
+                                input_scale_mm=input_scale, log_fn=log)
     save_weights(args.out, weights)
     log_path = Path(args.out).with_suffix(".loss.csv")
     with open(log_path, "w") as f:

@@ -18,11 +18,11 @@ blocks, on several threads, and classify the pooled rows at once, as
 `pipeline.detect` does.
 Its spheres repeat their points only after every distinct one, so
 `encode` takes each example's count of leading distinct rows and runs its
-layers over those rows alone; max-pool ignores repeats, so the pooled
-features are bit-identical. Every product stays above the size at which
-OpenBLAS changes kernels and rounding (_MIN_GEMM_MACS), the row tiles of
-the wide product too, so each row comes out as it would in any larger
-batch.
+layers over those rows alone; max-pool ignores repeats. A product's rows
+may round differently with other rows beside them (BLAS kernels vary with
+the matrix size), so such pooled features equal those of all N rows to
+float rounding, and a caller whose results must not depend on scheduling
+encodes the same sets together every time, as `pipeline.detect` does.
 
 Neither pass holds the widest encoder layer's (B*N, wide) activation:
 training and inference run one encoder pass, which max-pools each
@@ -203,17 +203,23 @@ class ForwardResult:
 
 class BufferPool:
     """Reusable scratch buffers keyed by call site; cuts allocation cost in
-    the training loop, where every step works on identically-shaped arrays."""
+    the training loop, where every step works on arrays of the same shapes
+    but for an epoch's short last batch.
+
+    A request is served from the front of the key's flat buffer when that
+    holds it and has its dtype; only a larger request, or another dtype,
+    allocates."""
 
     def __init__(self):
         self._bufs = {}
 
     def get(self, key, shape, dtype) -> np.ndarray:
+        size = int(np.prod(shape))
         buf = self._bufs.get(key)
-        if buf is None or buf.shape != shape or buf.dtype != dtype:
-            buf = np.empty(shape, dtype=dtype)
+        if buf is None or buf.size < size or buf.dtype != dtype:
+            buf = np.empty(size, dtype=dtype)
             self._bufs[key] = buf
-        return buf
+        return buf[:size].reshape(shape)
 
 
 def _scratch(pool: Optional[BufferPool], key, shape, dtype) -> np.ndarray:
@@ -250,24 +256,8 @@ _FUSED_BLOCK_POINTS = 2 * 2048
 
 # The encoder runs each example's wide product in near-equal row tiles of
 # at most this many rows into one (rows, wide) buffer, 2 MiB for the paper
-# network, and max-pools them as they come (see _wide_tile_rows).
+# network, and max-pools them as they come.
 _WIDE_TILE_ROWS = 512
-
-# OpenBLAS takes a small-matrix sgemm kernel below about 1e6 multiply-adds,
-# and it rounds differently from the kernel of a larger product; each row of
-# a product above this size is the same whatever the other rows are. So
-# encode's distinct-row products, a lone set's included, and the segment
-# stage's groups stay above it.
-_MIN_GEMM_MACS = 1 << 20
-
-
-def _wide_tile_rows(w_wide: np.ndarray) -> int:
-    """The most rows of a tile of the encoder's wide product:
-    _WIDE_TILE_ROWS, or twice the rows that keep a product with `w_wide`
-    at _MIN_GEMM_MACS when that is more. Tiles split near-equal from more
-    rows than this hold over half of it, so a product above the floor
-    splits into tiles above it, and each row comes out as untiled."""
-    return max(_WIDE_TILE_ROWS, 2 * -(-_MIN_GEMM_MACS // w_wide.size))
 
 
 def _tiled_column_max(h: np.ndarray, w: np.ndarray, bias: np.ndarray, z: np.ndarray,
@@ -322,9 +312,7 @@ def _fused_encoder(weights: Weights, x: np.ndarray, want_seg: bool,
     keep_cache and the skip layer under want_seg, is written into a
     whole-batch buffer; every other layer into one block buffer reused
     across blocks. With `counts` each block gathers each example's counted
-    rows, or all N where its wide product over them would fall below
-    _MIN_GEMM_MACS, and repeats the gathered rows until the narrow
-    products reach it; the repeats are never pooled.
+    rows alone.
 
     Without keep_cache, enc_acts and argmax are None, and the wide layer's
     bias goes on each pooled row. With keep_cache, enc_acts holds every
@@ -339,16 +327,12 @@ def _fused_encoder(weights: Weights, x: np.ndarray, want_seg: bool,
     wide_w = w_wide.shape[1]
     per_block = min(b, encoder_block(n))
     block_rows = per_block * n
-    if counts is not None:
-        # the fewest rows whose narrow products all reach _MIN_GEMM_MACS
-        floor_rows = -(-_MIN_GEMM_MACS // min(w.size for w, _ in narrow))
-        block_rows = max(block_rows, floor_rows)
     kept = [keep_cache or (want_seg and li == 1) for li in range(len(narrow))]
     # block buffers are reused across blocks: fresh large arrays would
     # page-fault on every block
     acts = [_scratch(pool, ("enc", li + 1), (b * n if keep else block_rows, w.shape[1]), dtype)
             for li, ((w, _), keep) in enumerate(zip(narrow, kept))]
-    z = _scratch(pool, ("wide_z",), (min(n, _wide_tile_rows(w_wide)), wide_w), dtype)
+    z = _scratch(pool, ("wide_z",), (min(n, _WIDE_TILE_ROWS), wide_w), dtype)
     g = np.empty((b, wide_w), dtype=dtype)
     arg = np.empty((b, wide_w), dtype=np.intp) if keep_cache else None
     for start in range(0, b, per_block):
@@ -356,12 +340,9 @@ def _fused_encoder(weights: Weights, x: np.ndarray, want_seg: bool,
         h = x[start:stop].reshape(-1, c)
         rows = np.full(stop - start, n)
         if counts is not None:
-            counted = counts[start:stop]
-            rows = np.where(counted * w_wide.size >= _MIN_GEMM_MACS, counted, n)
+            rows = counts[start:stop]
             if rows.sum() < len(h):
                 h = x[start:stop][np.arange(n) < rows[:, None]]
-            if len(h) < floor_rows:
-                h = h[np.arange(floor_rows) % len(h)]
         for li, (w, bias) in enumerate(narrow):
             out = acts[li][start * n:stop * n] if kept[li] else acts[li][:len(h)]
             h = _linear_relu(h, w, bias, out=out)
@@ -394,17 +375,6 @@ def encoder_block(n: int) -> int:
     return max(1, _FUSED_BLOCK_POINTS // n)
 
 
-def min_segment_block(weights: Weights, n: int) -> int:
-    """Fewest N-point examples whose want_seg forward keeps above
-    _MIN_GEMM_MACS both the narrow encoder products over all their points
-    and the segmenter's product on their pooled (B, wide) features. A
-    forward over that many examples gives each one the results of a
-    forward over a larger batch."""
-    narrow = min(w.size for w, _ in weights.encoder[:-1])
-    pooled = weights.config.encoder[-1] * weights.config.segmenter[0]
-    return max(-(-_MIN_GEMM_MACS // (n * narrow)), -(-_MIN_GEMM_MACS // pooled))
-
-
 def encode(weights: Weights, points: np.ndarray, want_seg: bool = False,
            keep_cache: bool = False, pool: Optional[BufferPool] = None,
            counts: Optional[np.ndarray] = None):
@@ -420,11 +390,10 @@ def encode(weights: Weights, points: np.ndarray, want_seg: bool = False,
     `counts` (B,), for inference without want_seg, is each example's count
     of leading distinct rows, 1 to N: the rows after them repeat earlier
     ones, as `dataset._sample_fill` draws them. Max-pool ignores repeats,
-    so the layers run over the counted rows only, and g is bit-identical
-    to the one of all N rows. No product falls below _MIN_GEMM_MACS: an
-    example whose wide product over its counted rows would runs all N
-    rows, and a block whose narrow products would, down to a lone set,
-    repeats its rows up to the floor and pools only the first copy.
+    so the layers run over the counted rows only, and g equals the one of
+    all N rows to float rounding: the products hold fewer rows, and a BLAS
+    may round a row differently in a product of another size. The same
+    batch and counts give the same g bit for bit.
     """
     x = _network_input(weights, points)
     if counts is not None:
@@ -512,7 +481,7 @@ def forward(weights: Weights, points: np.ndarray, want_seg: bool = True,
     The widest encoder layer is never materialised. Both modes stream the
     narrow layers over blocks of encoder_block(N) examples, and run each
     example's wide product in near-equal row tiles of at most
-    _wide_tile_rows rows, which a running max pools exactly. Inference
+    _WIDE_TILE_ROWS rows, which a running max pools exactly. Inference
     applies the wide layer's bias and ReLU once to the pooled (B, wide)
     matrix: float addition and ReLU are monotone, so they commute with max
     and the result is bit-identical to the materialised form. Training

@@ -58,7 +58,7 @@ from .errors import (MissingChannelError, NoHypothesisError, NonFiniteSceneError
 from .geometry import NNIndex, estimate_normals, icp_refine, voxel_downsample
 from .modelprep import ObjectModel, snapped_voxel_ids
 from .network import (BufferPool, Weights, _softmax, classify, encode, encoder_block,
-                      forward, min_segment_block, write_features)
+                      forward, write_features)
 from .pointcloud import PointCloud
 from .pose import RigidPose
 from .verification import (VerificationParams, build_depth_buffer,
@@ -373,26 +373,27 @@ def _network_segmentation(weights: Weights, scene: PointCloud, scene_index: NNIn
     """Voxel-grid anchors, classified spheres, the best ones segmented.
 
     No (spheres, points, channels) array is held, nor any list of the
-    spheres' ids. The anchors are classified on the thread budget: each
-    participant of `_drain` (_stage_threads) takes anchor indices from one
-    shared list, draws each anchor's sphere from its own `[seed, ai]`
-    stream into a block of `network.encoder_block(n_points)` spheres of
-    its own, builds the block's features with one gather into a reused
-    buffer, and encodes it with its own `BufferPool`. `_sample_fill` draws
-    a sphere's min(ball, n_points) distinct points first and only then
-    repeats them, so `encode` runs each sphere's distinct rows alone. Each
-    pooled row goes in at its anchor's index, and the pooled features of
-    all spheres then go through the classifier head at once, so the scores
-    are bit-identical to one `forward` over every full sphere at every
-    budget. OpenBLAS runs one thread per participant for the stage; where
-    its thread count cannot be set, the stage runs on the calling thread.
+    spheres' ids. The anchors are classified on the thread budget in fixed
+    blocks of `network.encoder_block(n_points)` consecutive anchor indices:
+    each participant of `_drain` (_stage_threads) takes block numbers from
+    one shared list, draws each usable anchor's sphere of the block from
+    its own `[seed, ai]` stream, builds their features with one gather
+    into a reused buffer, and encodes them in one `encode` call with its
+    own `BufferPool`. `_sample_fill` draws a sphere's min(ball, n_points)
+    distinct points first and only then repeats them, so `encode` runs
+    each sphere's distinct rows alone. Each pooled row goes in at its
+    anchor's index, and the pooled features of all spheres then go
+    through the classifier head at once. So every sphere meets the same
+    products at every budget, and the scores are the same bit for bit;
+    they equal one `forward` over every full sphere to float rounding.
+    OpenBLAS runs one thread per participant for the stage; where its
+    thread count cannot be set, the stage runs on the calling thread.
 
-    The classify buffers are freed before the segment stage. The top
-    spheres are drawn again from their streams and segmented in groups of
-    at least `network.min_segment_block` spheres; each one's softmax is
-    reduced at once to its points' labels and confidences. Ball queries,
-    sampling and feature building count as "anchors"; encoder blocks and
-    the head as "classify".
+    The classify buffers are freed before the segment stage. Each top
+    sphere is drawn again from its stream and segmented by its own
+    `forward`, and its softmax is reduced at once to its points' labels
+    and confidences. Ball queries, sampling and feature building count as
+    "anchors"; encoder blocks and the head as "classify".
     """
     anchors = voxel_downsample(scene, params.anchor_leaf_mm)
     radius = params.radius_factor * model.diameter
@@ -412,47 +413,40 @@ def _network_segmentation(weights: Weights, scene: PointCloud, scene_index: NNIn
     has_sphere = np.zeros(len(anchors), dtype=bool)
 
     def classify_spheres(items, own: _StageClock) -> None:
-        block_anchors = np.empty(per_block, dtype=np.intp)
         block_ids = np.empty((per_block, n), dtype=np.intp)
         counts = np.empty(per_block, dtype=np.intp)
         feats = np.empty((per_block, n, channels), dtype=np.float32)
         pool = BufferPool()
-
-        def encode_block(m: int) -> None:
+        for block in items:
+            block_anchors = []
+            for ai in range(block * per_block, min(len(anchors), (block + 1) * per_block)):
+                drawn = sphere(ai)
+                if drawn is not None:
+                    block_ids[len(block_anchors)], counts[len(block_anchors)] = drawn
+                    block_anchors.append(ai)
+            m = len(block_anchors)
+            if not m:
+                continue
+            has_sphere[block_anchors] = True
             _sphere_features(scene, block_ids[:m], weights, feats[:m])
             own.lap("anchors")
-            pooled[block_anchors[:m]] = encode(weights, feats[:m], pool=pool,
-                                               counts=counts[:m])[0]
+            pooled[block_anchors] = encode(weights, feats[:m], pool=pool, counts=counts[:m])[0]
             own.lap("classify")
-
-        m = 0  # spheres in the current block
-        for ai in items:
-            drawn = sphere(ai)
-            if drawn is None:
-                continue
-            block_ids[m], counts[m] = drawn
-            block_anchors[m] = ai
-            has_sphere[ai] = True
-            m += 1
-            if m == per_block:
-                encode_block(m)
-                m = 0
-        if m:
-            encode_block(m)
         own.lap("anchors")
 
     clock.lap("anchors")
-    threads = _stage_threads(params, len(anchors))
+    blocks = -(-len(anchors) // per_block)
+    threads = _stage_threads(params, blocks)
     # one BLAS thread per participant: BLAS threads of their own on these
     # small products would oversubscribe the CPUs
     blas = _numpy_openblas() if threads > 1 else None
     if blas is None:
-        laps = _drain(len(anchors), 1, classify_spheres)
+        laps = _drain(blocks, 1, classify_spheres)
     else:
         blas_threads = blas.scipy_openblas_get_num_threads64_()
         blas.scipy_openblas_set_num_threads64_(1)
         try:
-            laps = _drain(len(anchors), threads, classify_spheres)
+            laps = _drain(blocks, threads, classify_spheres)
         finally:
             blas.scipy_openblas_set_num_threads64_(blas_threads)
     clock.merge(laps, ("anchors", "classify"))
@@ -469,19 +463,14 @@ def _network_segmentation(weights: Weights, scene: PointCloud, scene_index: NNIn
     top = usable[np.lexsort((usable, -probs))[:params.top_anchors]].tolist()
     sphere_ids = [sphere(ai)[0] for ai in top]
     labels, confidences = [], []
-    # groups of at least min_segment_block spheres, the last one too, or
-    # one group of every top sphere
-    groups = max(1, len(top) // min_segment_block(weights, n))
-    edges = [i * len(top) // groups for i in range(groups + 1)]
+    feats = np.empty((1, n, channels), np.float32)
     pool = BufferPool()
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        ids = np.stack(sphere_ids[lo:hi])
-        feats = _sphere_features(scene, ids, weights,
-                                 np.empty((len(ids), n, channels), np.float32))
-        for logits in forward(weights, feats, want_seg=True, pool=pool).seg_logits:
-            point_labels, conf = segment_labels(_softmax(logits.astype(np.float64)))
-            labels.append(point_labels)
-            confidences.append(conf)
+    for ids in sphere_ids:
+        _sphere_features(scene, ids[None], weights, feats)
+        logits = forward(weights, feats, want_seg=True, pool=pool).seg_logits[0]
+        point_labels, conf = segment_labels(_softmax(logits.astype(np.float64)))
+        labels.append(point_labels)
+        confidences.append(conf)
     clock.lap("segment")
     return _Segmentation(anchors=anchors, skipped=len(anchors) - len(usable),
                          scored=(anchors[usable], probs), sphere_ids=sphere_ids,

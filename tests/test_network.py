@@ -134,13 +134,18 @@ def recorded_narrow_products(monkeypatch):
     return products
 
 
+# encode over distinct rows runs smaller products than over all N rows,
+# which a BLAS may round differently: its pooled features equal those of
+# every row to within this much of their largest magnitude (they were bit
+# for bit equal on the OpenBLAS these tests were written on)
+DISTINCT_ROWS_RTOL = {np.float32: 1e-5, np.float64: 1e-12}
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_encode_distinct_rows_equals_every_row(monkeypatch, dtype):
     """encode over each set's distinct rows gives the pooled features of all
-    its rows bit for bit. In blocks of 2: the first runs 2048 and 700 rows,
-    the second all 2048 (count 5: a wide product below the size floor) and
-    1500; the third's 2048 + 9 rows would make narrow products below the
-    floor, so they are repeated up to 2341 rows, 2341 x 7 x 64 >= 2^20."""
+    its rows, to float rounding. In blocks of 2 the narrow products run
+    2048 + 700, 5 + 1500 and 2048 + 9 rows."""
     w = init_weights(NetworkConfig(k=3), seed=0, dtype=dtype)
     counts = np.array([2048, 700, 5, 1500, 2048, 9])
     x = repeated_rows(np.random.default_rng(3), counts, 2048)
@@ -148,25 +153,10 @@ def test_encode_distinct_rows_equals_every_row(monkeypatch, dtype):
     products = recorded_narrow_products(monkeypatch)
     g = network.encode(w, x, counts=counts)[0]
     first = w.encoder[0][0]
-    assert [rows for weight, rows in products if weight is first] == [2748, 3548, 2341]
-    assert np.array_equal(g, network.encode(w, x)[0])
-    assert np.array_equal(network.classify(w, g)[1], forward(w, x, want_seg=False).class_prob)
-
-
-@pytest.mark.parametrize("count", [2048, 300])
-def test_lone_set_narrow_products_reach_the_size_floor(monkeypatch, count):
-    """A block of one 2048-point set, as a classify participant's last block
-    can be, repeats its rows until every narrow product is at least
-    _MIN_GEMM_MACS multiply-adds (2048 x 7 x 64 alone is 917,504), and its
-    pooled row equals the same set's row in a block of 2."""
-    w = init_weights(NetworkConfig(k=3), seed=0)
-    x = repeated_rows(np.random.default_rng(count), [count, 2048], 2048)
-    products = recorded_narrow_products(monkeypatch)
-    lone = network.encode(w, x[:1], counts=[count])[0]
-    assert len(products) == len(w.encoder) - 1
-    assert min(rows * weight.size for weight, rows in products) >= network._MIN_GEMM_MACS
-    pair = network.encode(w, x, counts=[count, 2048])[0]
-    assert np.array_equal(lone[0], pair[0])
+    assert [rows for weight, rows in products if weight is first] == [2748, 1505, 2057]
+    rtol = DISTINCT_ROWS_RTOL[dtype]
+    assert _close(g, network.encode(w, x)[0], rtol)
+    assert _close(network.classify(w, g)[1], forward(w, x, want_seg=False).class_prob, rtol)
 
 
 @pytest.mark.parametrize("counts", [False, True], ids=["every_row", "distinct_rows"])
@@ -178,7 +168,7 @@ def test_tiled_wide_product_equals_the_materialised_forward(rows, counts):
     three tiles, 2048 four. With counts, each set's first `rows` rows are
     distinct, and the tiles split those."""
     w = init_weights(NetworkConfig(k=3), seed=0)
-    assert network._wide_tile_rows(w.encoder[-1][0]) == 512
+    assert network._WIDE_TILE_ROWS == 512
     n = 2048
     set_counts = np.array([rows, n, rows])
     x = repeated_rows(np.random.default_rng(rows), set_counts, n)
@@ -239,17 +229,6 @@ def test_encode_rejects_bad_counts(counts, kwargs, message):
     x = np.zeros((2, 8, 7))
     with pytest.raises(ValueError, match=message):
         network.encode(tiny_weights(), x, counts=np.array(counts), **kwargs)
-
-
-def test_min_segment_block_keeps_products_above_the_floor():
-    w = init_weights(NetworkConfig(k=3), seed=0)
-    # 2 x 2048 rows x 7 x 64 is 1.8e6 multiply-adds, one set's 0.92e6 is
-    # below; 2 pooled rows x 1024 x 512 are 2 ** 20
-    assert network.min_segment_block(w, 2048) == 2
-    assert network.min_segment_block(w, 256) == 10
-    small = init_weights(NetworkConfig(k=3, encoder=(64, 64, 128, 256),
-                                       segmenter=(128, 0)), seed=0)
-    assert network.min_segment_block(small, 2048) == 32   # 256 x 128 per pooled row
 
 
 def test_forward_segment_memory_stays_below_one_hidden_layer():
@@ -501,7 +480,7 @@ def test_training_forward_pools_paper_tiles_as_dense_reference(n):
     n // 2 rows repeat its first n // 2, so later tiles tie earlier ones,
     and every winner is in the first n - n // 2 rows."""
     w = tiny_weights(seed=11, dtype=np.float32, random_bias=True, config=NetworkConfig(k=50))
-    assert network._wide_tile_rows(w.encoder[-1][0]) == 512
+    assert network._WIDE_TILE_ROWS == 512
     rng = np.random.default_rng(n)
     x = rng.standard_normal((2, n, 7)).astype(np.float32)
     x[:, n - n // 2:] = x[:, :n // 2]
@@ -679,6 +658,19 @@ def test_backward_paper_network_pool_holds_no_dead_buffer():
         _assert_same_step(got, backward(w, x, y, seg))
 
 
+def test_buffer_pool_serves_a_smaller_request_from_the_front():
+    """An epoch's short last batch takes the front of the full batches'
+    buffers: the pool allocates only to grow, or for another dtype."""
+    pool = network.BufferPool()
+    full = pool.get("x", (16, 4, 7), np.float32)
+    short = pool.get("x", (14, 4, 7), np.float32)
+    assert short.shape == (14, 4, 7) and short.flags.c_contiguous
+    assert np.shares_memory(short, full) and short.ctypes.data == full.ctypes.data
+    assert pool.get("x", (16, 4, 7), np.float32).ctypes.data == full.ctypes.data
+    assert not np.shares_memory(pool.get("x", (17, 4, 7), np.float32), full)
+    assert pool.get("x", (2, 4, 7), np.float64).dtype == np.float64
+
+
 def test_backward_hands_out_head_losses():
     """The joint loss is w_cls * BCE + w_seg * CE of the heads it hands out."""
     w = tiny_weights(seed=2, random_bias=True)
@@ -734,6 +726,36 @@ def test_train_deterministic():
     _, la = train(feats, cls, seg, cfg, tc)
     _, lb = train(feats, cls, seg, cfg, tc)
     assert la == lb
+
+
+class ReallocatingPool:
+    """The earlier BufferPool, which allocated anew whenever a key's shape
+    changed."""
+
+    def __init__(self):
+        self._bufs = {}
+
+    def get(self, key, shape, dtype):
+        buf = self._bufs.get(key)
+        if buf is None or buf.shape != shape or buf.dtype != dtype:
+            buf = np.empty(shape, dtype=dtype)
+            self._bufs[key] = buf
+        return buf
+
+
+def test_train_with_a_short_last_batch_equals_a_reallocating_pool(monkeypatch):
+    """10 examples in batches of 4 end every epoch with a batch of 2, whose
+    buffers are the fronts of the full batches' ones. The losses and the
+    weights equal those trained with the earlier, reallocating pool bit for
+    bit."""
+    feats, cls, seg = toy_dataset(np.random.default_rng(5))
+    cfg = NetworkConfig(k=2, encoder=(8, 8, 16), classifier=(8, 1), segmenter=(8, 0))
+    tc = TrainConfig(epochs=3, seed=3, batch_size=4)
+    weights, losses = train(feats, cls, seg, cfg, tc)
+    monkeypatch.setattr(network, "BufferPool", ReallocatingPool)
+    ref_weights, ref_losses = train(feats, cls, seg, cfg, tc)
+    assert losses == ref_losses
+    assert all(np.array_equal(a, b) for a, b in zip(weights.params(), ref_weights.params()))
 
 
 def test_train_zero_lr_freezes_weights():
