@@ -6,11 +6,11 @@ their failures; `main` alone turns one into an exit code and one
 alone picks the code:
 
 - 0: success.
-- 2: an `InputError` or a missing file: a bad config value or option
-  combination, or an input file that is malformed or does not fit the
-  run (a PLY of no points, weights for another keypoint count, scenes
-  with and without colours in one `prepare`), and a `prepare` in which
-  every scene failed.
+- 2: an `InputError` or a missing file: a bad config or option value
+  (such as `synth --count` below 0) or option combination, or an input
+  file that is malformed or does not fit the run (a PLY of no points,
+  weights for another keypoint count, scenes with and without colours in
+  one `prepare`), and a `prepare` in which every scene failed.
 - 1: any other `PointPoseError`, a run that cannot finish on valid
   input, such as a `detect` that finds no pose (`NoHypothesisError`) or
   a `train` whose loss turns NaN (`TrainingDivergedError`). `eval`
@@ -83,6 +83,8 @@ class _SceneFiles(Sequence):
 
 
 def cmd_synth(args, config: RunConfig) -> None:
+    if args.count < 0:
+        raise InputError(f"--count {args.count}: the scene count must be at least 0")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.model:

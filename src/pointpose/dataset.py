@@ -498,6 +498,9 @@ def iter_dataset(path) -> Iterator:
             if len(prefix) < 5:
                 raise DatasetFormatError(f"record {i}: truncated length prefix")
             length, cls = struct.unpack("<IB", prefix)
+            if length < 1:
+                raise DatasetFormatError(f"record {i}: length prefix 0 leaves no room "
+                                         "for the class byte")
             payload = f.read(length - 1)
             if len(payload) != length - 1:
                 raise DatasetFormatError(f"record {i}: truncated payload")

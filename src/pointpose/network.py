@@ -3,10 +3,12 @@
 PointNet semantics, implemented directly on numpy: a shared MLP encodes
 every point, a per-dimension max over the 2048 points forms the global
 feature, a binary classifier head consumes the global feature, and a
-(K+1)-way segmentation head consumes each point's second-layer feature
-concatenated with the global feature. Backprop, Adam, and weight files
-are implemented here as well; all computation follows the weights' dtype
-(float32 for training speed, float64 for gradient checks).
+(K+1)-way segmentation head consumes each point's skip feature (the
+encoder's second layer, or its first when the encoder has two layers;
+`NetworkConfig.skip_layer`) concatenated with the global feature.
+Backprop, Adam, and weight files are implemented here as well; all
+computation follows the weights' dtype (float32 for training speed,
+float64 for gradient checks).
 
 Point sets hold N >= 2 points. Training (`assemble_features`) and
 detection (`pipeline`) both lay out a set's channels by `write_features`.
@@ -61,7 +63,12 @@ _EPS = 1e-12  # clamp inside logs
 
 @dataclass(frozen=True)
 class NetworkConfig:
-    """Layer widths; segmenter's last width must equal k+1, classifier's 1."""
+    """Layer widths; segmenter's last width must equal k+1, classifier's 1.
+
+    The segmenter reads each point's skip_layer output beside the pooled
+    global feature: the encoder's second layer, or its first when it has
+    only two. The skip layer is always below the pooled wide layer.
+    """
 
     k: int
     input_channels: int = 7  # xyz + normal + curvature (10 with RGB)
@@ -79,7 +86,7 @@ class NetworkConfig:
         if self.input_channels not in (7, 10):
             raise ValueError("input_channels must be 7 (geometry) or 10 (with RGB)")
         if len(self.encoder) < 2:
-            raise ValueError("encoder needs at least two layers (segmenter skip)")
+            raise ValueError("encoder needs at least two layers (skip and pooled)")
         if not self.classifier or self.classifier[-1] != 1:
             raise ValueError("classifier must end in a single logistic unit")
         seg = tuple(self.segmenter)
@@ -92,8 +99,13 @@ class NetworkConfig:
             raise ValueError("layer widths must be positive")
 
     @property
+    def skip_layer(self) -> int:
+        """Index of the encoder layer whose output the segmenter reads."""
+        return min(1, len(self.encoder) - 2)
+
+    @property
     def seg_input_width(self) -> int:
-        return self.encoder[1] + self.encoder[-1]
+        return self.encoder[self.skip_layer] + self.encoder[-1]
 
     def to_dict(self) -> dict:
         return {"k": self.k, "input_channels": self.input_channels,
@@ -297,37 +309,65 @@ def _tiled_column_max(h: np.ndarray, w: np.ndarray, bias: np.ndarray, z: np.ndar
         out += bias
 
 
-def _fused_encoder(weights: Weights, x: np.ndarray, want_seg: bool,
-                   keep_cache: bool = False, pool: Optional[BufferPool] = None,
-                   counts: Optional[np.ndarray] = None):
-    """Pooled global feature (B, wide) without the (B*N, wide) activation.
+def _network_input(weights: Weights, points) -> np.ndarray:
+    x = np.asarray(points, dtype=weights.dtype)
+    if x.ndim != 3 or x.shape[2] != weights.config.input_channels:
+        raise ValueError(f"expected (B, N, {weights.config.input_channels}) input, "
+                         f"got {x.shape}")
+    if x.shape[1] < 2:
+        raise ValueError(f"point sets need at least 2 points, got {x.shape[1]}")
+    return x
 
-    Returns (g, skip, enc_acts, argmax); skip is the second layer's
-    (B*N, w1) output when want_seg, else None. Needs at least three
-    encoder layers when want_seg.
 
-    Both modes stream the narrow layers over blocks of encoder_block(N)
-    examples and each example's wide product over row tiles
-    (_tiled_column_max). A layer the caller keeps, every one with
-    keep_cache and the skip layer under want_seg, is written into a
-    whole-batch buffer; every other layer into one block buffer reused
-    across blocks. With `counts` each block gathers each example's counted
-    rows alone.
+def encoder_block(n: int) -> int:
+    """Examples per block of the inference encoder for N-point sets."""
+    return max(1, _FUSED_BLOCK_POINTS // n)
 
-    Without keep_cache, enc_acts and argmax are None, and the wide layer's
-    bias goes on each pooled row. With keep_cache, enc_acts holds every
-    encoder layer's (B*N, width) input, and argmax (B, wide) is each
-    feature's winning point: the bias goes on each tile before the max, so
-    ties resolve to the lowest index after bias and ReLU, as in the
-    materialised form.
+
+def encode(weights: Weights, points: np.ndarray, want_seg: bool = False,
+           keep_cache: bool = False, pool: Optional[BufferPool] = None,
+           counts: Optional[np.ndarray] = None):
+    """Shared encoder and max-pool of a batch (B, N, C), without the widest
+    layer's (B*N, wide) activation.
+
+    Returns (g, skip, enc_acts, argmax): the pooled (B, wide) global
+    feature; the skip layer's (B*N, width) output (NetworkConfig.skip_layer)
+    when want_seg, else None; with keep_cache each encoder layer's
+    (B*N, width) input and each pooled feature's winning point (B, wide),
+    else None.
+
+    Streams the narrow layers over blocks of encoder_block(N) examples and
+    each example's wide product over row tiles (_tiled_column_max). A layer
+    the caller keeps, every one with keep_cache and the skip layer under
+    want_seg, is written into a whole-batch buffer; every other layer into
+    one block buffer reused across blocks. Without keep_cache the wide
+    layer's bias goes on each pooled row. With keep_cache it goes on each
+    tile before the max, so each feature's winner is its lowest point
+    after bias and ReLU.
+
+    `counts` (B,), for inference without want_seg, is each example's count
+    of leading distinct rows, 1 to N: the rows after them repeat earlier
+    ones, as `dataset._sample_fill` draws them. Max-pool ignores repeats,
+    so each block gathers each example's counted rows alone, and g equals
+    the one of all N rows to float rounding: the products hold fewer rows,
+    and a BLAS may round a row differently in a product of another size.
+    The same batch and counts give the same g bit for bit.
     """
+    x = _network_input(weights, points)
     b, n, c = x.shape
+    if counts is not None:
+        counts = np.asarray(counts, dtype=np.int64)
+        if want_seg or keep_cache:
+            raise ValueError("distinct-row counts are for inference without want_seg")
+        if counts.shape != (b,) or not ((counts >= 1) & (counts <= n)).all():
+            raise ValueError(f"counts must hold one count in 1..{n} per point set")
     dtype = weights.dtype
     *narrow, (w_wide, b_wide) = weights.encoder
     wide_w = w_wide.shape[1]
     per_block = min(b, encoder_block(n))
     block_rows = per_block * n
-    kept = [keep_cache or (want_seg and li == 1) for li in range(len(narrow))]
+    skip_layer = weights.config.skip_layer
+    kept = [keep_cache or (want_seg and li == skip_layer) for li in range(len(narrow))]
     # block buffers are reused across blocks: fresh large arrays would
     # page-fault on every block
     acts = [_scratch(pool, ("enc", li + 1), (b * n if keep else block_rows, w.shape[1]), dtype)
@@ -352,70 +392,12 @@ def _fused_encoder(weights: Weights, x: np.ndarray, want_seg: bool,
                               arg[start + i] if keep_cache else None)
     # ReLU is monotone, so applying it after the max is exact
     np.maximum(g, 0.0, out=g)
-    skip = acts[1] if want_seg else None
+    skip = acts[skip_layer] if want_seg else None
     if not keep_cache:
         return g, skip, None, None
     # a feature that ReLU zeroes everywhere ties at 0: its argmax is point 0
     arg[~(g > 0)] = 0
     return g, skip, [x.reshape(-1, c)] + acts, arg
-
-
-def _network_input(weights: Weights, points) -> np.ndarray:
-    x = np.asarray(points, dtype=weights.dtype)
-    if x.ndim != 3 or x.shape[2] != weights.config.input_channels:
-        raise ValueError(f"expected (B, N, {weights.config.input_channels}) input, "
-                         f"got {x.shape}")
-    if x.shape[1] < 2:
-        raise ValueError(f"point sets need at least 2 points, got {x.shape[1]}")
-    return x
-
-
-def encoder_block(n: int) -> int:
-    """Examples per block of the inference encoder for N-point sets."""
-    return max(1, _FUSED_BLOCK_POINTS // n)
-
-
-def encode(weights: Weights, points: np.ndarray, want_seg: bool = False,
-           keep_cache: bool = False, pool: Optional[BufferPool] = None,
-           counts: Optional[np.ndarray] = None):
-    """Shared encoder and max-pool of a batch (B, N, C).
-
-    Returns (g, skip, enc_acts, argmax): the pooled (B, wide) global
-    feature; the second layer's (B*N, w1) output when want_seg, else None;
-    with keep_cache each encoder layer's input and each pooled feature's
-    winning point, else None. The fused form (see forward) runs but for
-    2-layer encoders under want_seg, whose wide layer is the skip layer:
-    they take the materialised form.
-
-    `counts` (B,), for inference without want_seg, is each example's count
-    of leading distinct rows, 1 to N: the rows after them repeat earlier
-    ones, as `dataset._sample_fill` draws them. Max-pool ignores repeats,
-    so the layers run over the counted rows only, and g equals the one of
-    all N rows to float rounding: the products hold fewer rows, and a BLAS
-    may round a row differently in a product of another size. The same
-    batch and counts give the same g bit for bit.
-    """
-    x = _network_input(weights, points)
-    if counts is not None:
-        counts = np.asarray(counts, dtype=np.int64)
-        if want_seg or keep_cache:
-            raise ValueError("distinct-row counts are for inference without want_seg")
-        if counts.shape != x.shape[:1] or not ((counts >= 1) & (counts <= x.shape[1])).all():
-            raise ValueError(f"counts must hold one count in 1..{x.shape[1]} per point set")
-    if not (want_seg and len(weights.encoder) == 2):
-        return _fused_encoder(weights, x, want_seg, keep_cache, pool, counts)
-    b, n, _ = x.shape
-    bn = b * n
-    h = x.reshape(bn, -1)
-    enc_acts = [h]
-    for li, (w, bias) in enumerate(weights.encoder):
-        h = _linear_relu(h, w, bias, out=_scratch(pool, ("enc", li + 1), (bn, w.shape[1]),
-                                                  weights.dtype))
-        enc_acts.append(h)
-    skip = enc_acts[2]                             # second encoder layer, (B*N, w1)
-    wide = enc_acts.pop().reshape(b, n, -1)        # the cache keeps layer inputs
-    arg = wide.argmax(axis=1) if keep_cache else None
-    return wide.max(axis=1), skip, enc_acts, arg
 
 
 def classify(weights: Weights, g: np.ndarray):
@@ -443,7 +425,7 @@ def _segment(weights: Weights, skip: np.ndarray, g: np.ndarray, n: int,
     b = len(g)
     dtype = weights.dtype
     layers = weights.segmenter
-    skip_w = weights.config.encoder[1]
+    skip_w = weights.config.encoder[weights.config.skip_layer]
     w0, b0 = layers[0]
     g_part = g @ w0[skip_w:]
     g_part += b0
@@ -478,18 +460,18 @@ def forward(weights: Weights, points: np.ndarray, want_seg: bool = True,
     Permutation-covariant: permuting a batch element's points permutes its
     seg logits identically and leaves the class output bit-unchanged.
 
-    The widest encoder layer is never materialised. Both modes stream the
-    narrow layers over blocks of encoder_block(N) examples, and run each
-    example's wide product in near-equal row tiles of at most
-    _WIDE_TILE_ROWS rows, which a running max pools exactly. Inference
-    applies the wide layer's bias and ReLU once to the pooled (B, wide)
-    matrix: float addition and ReLU are monotone, so they commute with max
-    and the result is bit-identical to the materialised form. Training
-    (keep_cache=True) keeps every narrow activation for backward, adds the
-    bias to each tile before its max, and caches only the pooled g and
-    each feature's argmax point (lowest index on ties). A segment call
-    keeps only the second layer's skip features; encode says when the
-    materialised form runs instead.
+    The widest encoder layer's (B*N, wide) activation never exists whole,
+    at any encoder depth. Both modes stream the narrow layers over blocks
+    of encoder_block(N) examples, and run each example's wide product in
+    near-equal row tiles of at most _WIDE_TILE_ROWS rows, which a running
+    max pools exactly. Inference applies the wide layer's bias and ReLU
+    once to the pooled (B, wide) matrix: float addition and ReLU are
+    monotone, so they commute with max, and g is bit-identical to pooling
+    the whole rectified activation. Training (keep_cache=True) keeps every
+    narrow activation for backward, adds the bias to each tile before its
+    max, and caches only the pooled g and each feature's argmax point
+    (lowest index on ties). A segment call keeps only the skip layer's
+    features, a narrow layer's.
 
     The segmenter runs one example at a time, so inference holds one
     example's (N, width) activations, never the batch's; training writes
@@ -634,11 +616,12 @@ def backward(weights: Weights, points: np.ndarray, class_labels: np.ndarray,
     scratch 161.4 MiB. Its largest temporary is the sparse product's
     (B*N, w_in) result.
 
-    The pooled layer's gradient is never materialised. Each feature's
+    The pooled layer's (B*N, wide) gradient never exists. Each feature's
     pooled gradient reaches one point, its argmax, so the weight gradient
     gathers those rows of the layer input and the input gradient is a
     sparse (B*N, wide) matrix, B*wide non-zeros, times the weight's
-    transpose.
+    transpose. The skip features' gradient joins the encoder's at the skip
+    layer's output, which is always below the pooled layer.
     """
     fwd = forward(weights, points, want_seg=True, keep_cache=True, pool=pool)
     cache = fwd.cache
@@ -696,7 +679,8 @@ def backward(weights: Weights, points: np.ndarray, class_labels: np.ndarray,
     # read for the last time
     free = [z] + seg_acts[2:] if len(seg_layers) > 1 else []
     # layer 0 splits into the per-point skip half and per-example pooled half
-    skip_w = weights.config.encoder[1]
+    skip_layer = weights.config.skip_layer
+    skip_w = weights.config.encoder[skip_layer]
     w0, _ = seg_layers[0]
     skip = seg_acts[0]
     g = cache["g"]
@@ -717,34 +701,28 @@ def backward(weights: Weights, points: np.ndarray, class_labels: np.ndarray,
     w_top, _ = weights.encoder[top]
     wide_w = w_top.shape[1]
     winners = cache["argmax"] + (np.arange(b) * n)[:, None]
-    if n_enc == 2:
-        # the pooled layer is also the skip layer, whose gradient is dense
-        d_skip[winners, np.arange(wide_w)] += d_g
-        delta = _masked(d_skip, skip, blocks, masks)
-        below = top
-    else:
-        d_pool = d_g * (g > 0)
-        # the winner rows (B, wide, w_in) go into a freed buffer when one
-        # holds them; mode="clip" writes them there directly, where "raise"
-        # would gather into a temporary first
-        won = np.take(enc_acts[top], winners, axis=0, mode="clip",
-                      out=_free_view(free, winners.shape + enc_acts[top].shape[1:]))
-        enc_grads[top] = (np.einsum("bjk,bj->kj", won, d_pool), d_pool.sum(axis=0))
-        scatter = sparse.csr_array(
-            (d_pool.ravel(), (winners.ravel(), np.tile(np.arange(wide_w), b))),
-            shape=(bn, wide_w))
-        delta = scatter @ w_top.T
-        if top == 2:
-            delta += d_skip
-        delta = _masked(delta, enc_acts[top], blocks, masks)
-        below = top - 1
+    d_pool = d_g * (g > 0)
+    # the winner rows (B, wide, w_in) go into a freed buffer when one
+    # holds them; mode="clip" writes them there directly, where "raise"
+    # would gather into a temporary first
+    won = np.take(enc_acts[top], winners, axis=0, mode="clip",
+                  out=_free_view(free, winners.shape + enc_acts[top].shape[1:]))
+    enc_grads[top] = (np.einsum("bjk,bj->kj", won, d_pool), d_pool.sum(axis=0))
+    scatter = sparse.csr_array(
+        (d_pool.ravel(), (winners.ravel(), np.tile(np.arange(wide_w), b))),
+        shape=(bn, wide_w))
+    delta = scatter @ w_top.T
+    # the skip gradient joins at the skip layer's output, enc_acts[skip_layer + 1]
+    if top == skip_layer + 1:
+        delta += d_skip
+    delta = _masked(delta, enc_acts[top], blocks, masks)
 
-    for li in range(below, -1, -1):
+    for li in range(top - 1, -1, -1):
         w, _ = weights.encoder[li]
         enc_grads[li] = (enc_acts[li].T @ delta, delta.sum(axis=0))
         if li > 0:
             delta = _relu_grad_over(delta, w, enc_acts[li], blocks, masks,
-                                    extra=d_skip if li == 2 else None)
+                                    extra=d_skip if li == skip_layer + 1 else None)
 
     grads = Gradients(encoder=enc_grads, classifier=cls_grads, segmenter=seg_grads)
     if want_input_grad:

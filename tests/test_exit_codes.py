@@ -114,6 +114,24 @@ def test_main_returns_argparse_codes():
     assert "error: the following arguments are required" in err.getvalue()
 
 
+def test_synth_count_below_0_exits_2(tmp_path):
+    """`synth --count -1` exits 2 with an `error:` line and writes nothing;
+    `--count 0` writes the model alone."""
+    def synth(out, count):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main(["synth", "--out", str(out), "--count", str(count)])
+        return code, stdout.getvalue(), stderr.getvalue()
+
+    code, out, _ = synth(tmp_path / "zero", 0)
+    assert code == 0 and json.loads(out)["scenes"] == 0
+    assert sorted(p.name for p in (tmp_path / "zero").iterdir()) == ["model.json", "model.ply"]
+    code, _, err = synth(tmp_path / "negative", -1)
+    assert code == 2
+    assert err == "error: --count -1: the scene count must be at least 0\n"
+    assert not (tmp_path / "negative").exists()
+
+
 # ---------------------------------------------------------------------------
 # empty and sparse scenes
 
@@ -222,6 +240,12 @@ def class_byte_5(path):
     path.write_bytes(bytes(blob))
 
 
+def length_0(path):
+    blob = bytearray(path.read_bytes())
+    blob[_HEADER.size:_HEADER.size + 4] = struct.pack("<I", 0)   # record 0's length
+    path.write_bytes(bytes(blob))
+
+
 def nan_position(path):
     blob = bytearray(path.read_bytes())
     blob[_HEADER.size + 5:_HEADER.size + 9] = struct.pack("<f", np.nan)
@@ -236,7 +260,9 @@ def nan_position(path):
     (2, [], None, "the dataset holds no examples"),
     (2, examples(), class_byte_5, "record 0: class byte 5, expected 0 or 1"),
     (2, examples(), nan_position, "record 0: a NaN or infinite value"),
-], ids=["k0", "one_point", "ragged", "label_above_k", "empty", "class_5", "nan"])
+    (2, examples(), length_0, "record 0: length prefix 0 leaves no room for the class byte"),
+], ids=["k0", "one_point", "ragged", "label_above_k", "empty", "class_5", "nan",
+        "length_0"])
 def test_invalid_dataset_values_exit_2(model, tmp_path, k, records, edit, message):
     write_files(tmp_path, model, scene_cloud(100))
     write_dataset(tmp_path / "d.bin", records, k=k)

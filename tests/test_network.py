@@ -218,6 +218,39 @@ def test_inference_encode_holds_no_whole_wide_product():
     assert peak < 2048 * 1024 * 4, peak / 2 ** 20
 
 
+def test_two_layer_segment_forward_holds_no_whole_wide_activation():
+    """A 2-layer encoder's skip is its first layer, so a segment call runs
+    the one tiled encoder pass. tracemalloc peak of this forward: 34.2 MiB
+    when the pooled layer was the skip layer and its (B*N, wide) activation
+    was held whole, 4.0 MiB now. The bound is one (B*N, wide) float32
+    array."""
+    w = init_weights(NetworkConfig(k=3, encoder=(64, 1024), classifier=(8, 1),
+                                   segmenter=(8, 0)), seed=0)
+    b, n = 4, 2048
+    x = np.random.default_rng(7).standard_normal((b, n, 7)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        forward(w, x, want_seg=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < b * n * 1024 * 4, peak / 2 ** 20
+
+
+@pytest.mark.parametrize("encoder, skip_layer, seg_input_width", [
+    ((4, 8), 0, 4 + 8),
+    ((4, 6, 8), 1, 6 + 8),
+    ((4, 6, 7, 8), 1, 6 + 8),
+])
+def test_skip_layer_is_below_the_pooled_layer(encoder, skip_layer, seg_input_width):
+    """The segmenter reads the encoder's second layer, or its first when
+    the encoder has two layers, next to the pooled last layer."""
+    cfg = NetworkConfig(k=2, encoder=encoder, classifier=(4, 1), segmenter=(4, 0))
+    assert cfg.skip_layer == skip_layer
+    assert cfg.seg_input_width == seg_input_width
+    assert init_weights(cfg).segmenter[0][0].shape == (seg_input_width, 4)
+
+
 @pytest.mark.parametrize("counts, kwargs, message", [
     ([4, 4], {"want_seg": True}, "inference without want_seg"),
     ([4, 4], {"keep_cache": True}, "inference without want_seg"),
@@ -358,8 +391,9 @@ def _numeric_grad(w: Weights, x, y, seg, w_cls, w_seg, param, idx, h=1e-4):
     return (up - down) / (2 * h)
 
 
-# the 2-layer cases keep their plain seed ids; deeper encoders put the
-# pooled layer above a separate skip layer
+# the 2-layer cases keep their plain seed ids. Every depth puts the pooled
+# layer above the skip layer: the first layer for 2-layer encoders, the
+# second for deeper ones
 GRADCHECK_CASES = [pytest.param(seed, enc, id=str(seed) if len(enc) == 2 else
                                 "-".join(map(str, enc + (seed,))))
                    for enc in [(4, 8), (4, 6, 8), (4, 6, 6, 8)] for seed in (0, 1, 2)]
@@ -409,7 +443,7 @@ def dense_reference(w: Weights, x, y, seg, w_cls=0.15, w_seg=0.85):
         cls_acts.append(np.maximum(cls_acts[-1] @ wm + bias, 0.0))
     w_last, b_last = w.classifier[-1]
     prob = network._sigmoid((cls_acts[-1] @ w_last + b_last).reshape(b))
-    skip, skip_w = enc[2], cfg.encoder[1]
+    skip, skip_w = enc[cfg.skip_layer + 1], cfg.encoder[cfg.skip_layer]
     w0, b0 = w.segmenter[0]
     g_part = g @ w0[skip_w:]
     g_part += b0
@@ -457,14 +491,12 @@ def dense_reference(w: Weights, x, y, seg, w_cls=0.15, w_seg=0.85):
     n_enc = len(w.encoder)
     delta = np.zeros((bn, cfg.encoder[-1]), dtype=dtype)
     delta[arg + (np.arange(b) * n)[:, None], np.arange(cfg.encoder[-1])] = d_g
-    if n_enc == 2:
-        delta += d_skip
     delta *= enc[-1] > 0
     enc_grads = [None] * n_enc
     for li in range(n_enc - 1, -1, -1):
         enc_grads[li] = (enc[li].T @ delta, delta.sum(axis=0))
         delta = delta @ w.encoder[li][0].T
-        if li == 2:
+        if li == cfg.skip_layer + 1:
             delta += d_skip
         if li > 0:
             delta *= enc[li] > 0
