@@ -8,9 +8,11 @@ alone picks the code:
 - 0: success.
 - 2: an `InputError` or a missing file: a bad config or option value
   (such as `synth --count` below 0) or option combination, or an input
-  file that is malformed or does not fit the run (a PLY of no points,
-  weights for another keypoint count, scenes with and without colours in
-  one `prepare`), and a `prepare` in which every scene failed.
+  file that is malformed or does not fit the run (a PLY of no points, a
+  scene with a NaN or infinite position, normal, curvature or colour, scene
+  intrinsics that form no image, weights for another keypoint count,
+  scenes with and without colours in one `prepare`), and a `prepare` in
+  which every scene failed.
 - 1: any other `PointPoseError`, a run that cannot finish on valid
   input, such as a `detect` that finds no pose (`NoHypothesisError`) or
   a `train` whose loss turns NaN (`TrainingDivergedError`). `eval`
@@ -34,7 +36,8 @@ import numpy as np
 from .config import (RunConfig, apply_override, config_from_dict, config_to_dict,
                      load_config, save_config)
 from .dataset import build_instance_training_set, read_dataset, write_dataset
-from .errors import DatasetFormatError, InputError, NoHypothesisError, PointPoseError
+from .errors import (DatasetFormatError, InputError, NoHypothesisError, NonFiniteSceneError,
+                     PointPoseError)
 from .modelprep import load_object_model, save_object_model
 from .network import assemble_features, load_weights, save_weights, train
 from .pipeline import detect, ensure_channels, evaluate, oracle_detect
@@ -103,7 +106,7 @@ def cmd_synth(args, config: RunConfig) -> None:
 def cmd_prepare(args, config: RunConfig) -> None:
     model = load_object_model(Path(args.model))
     sampling = config.sampling_params()
-    normal_radius_mm = config.detect_params().normal_radius_mm
+    normal_radius_mm = config.detect.normal_radius_mm
 
     examples = []
     failures = []
@@ -117,10 +120,14 @@ def cmd_prepare(args, config: RunConfig) -> None:
             raise InputError(f"{scene_id} {'has no' if has_rgb else 'has a'} colour channel "
                              f"and {first_id} {'has one' if has_rgb else 'has none'}: the "
                              "scenes of one dataset need the same channels")
+        # a malformed scene file stops prepare, as above
+        try:
+            cloud = ensure_channels(cloud, normal_radius_mm)
+        except NonFiniteSceneError as exc:
+            raise NonFiniteSceneError(f"{scene_id}: {exc}") from exc
         try:
             inst = build_instance_training_set(
-                ensure_channels(cloud, normal_radius_mm), model, gt,
-                np.random.default_rng([config.seed, i]),
+                cloud, model, gt, np.random.default_rng([config.seed, i]),
                 sampling, config.augmentation)
         except PointPoseError as exc:
             failures.append({"scene": scene_id, "error": str(exc)})

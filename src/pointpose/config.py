@@ -252,8 +252,7 @@ def _from_dict(cls, data, path=""):
     kwargs = {}
     for name, value in data.items():
         f = fields[name]
-        if dataclasses.is_dataclass(f.type) or (isinstance(f.default_factory, type)
-                                                and dataclasses.is_dataclass(f.default_factory)):
+        if dataclasses.is_dataclass(f.default_factory):
             kwargs[name] = _from_dict(f.default_factory, value, f"{path}{name}.")
         elif isinstance(value, dict):
             raise ConfigError(f"{path}{name}: unexpected nested object")

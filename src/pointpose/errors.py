@@ -50,7 +50,8 @@ class InvalidHypothesisError(PointPoseError):
 
 
 class NonFiniteSceneError(InputError, ValueError):
-    """A scene point position is NaN or infinite."""
+    """A scene channel (position, normal, curvature or colour) holds a NaN
+    or infinite value."""
 
 
 class MissingChannelError(InputError):
@@ -68,8 +69,8 @@ class PlyFormatError(InputError, ValueError):
 
 class SceneFormatError(InputError, ValueError):
     """A scene PLY of no points, or a malformed scene sidecar
-    (`<scene>.json`): invalid JSON, or a pose, intrinsics or view origin of
-    the wrong type or shape."""
+    (`<scene>.json`): invalid JSON, a pose, intrinsics or view origin of
+    the wrong type or shape, or intrinsics that form no image."""
 
 
 class ModelFormatError(InputError, ValueError):

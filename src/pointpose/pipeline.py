@@ -134,7 +134,21 @@ def ensure_channels(scene: PointCloud, normal_radius_mm: float) -> PointCloud:
     """The scene with the normal and curvature channels the network reads:
     PCA normals and curvatures from `normal_radius_mm` neighbourhoods when
     it has no normals, zero curvatures when it has normals alone. `detect`
-    and `prepare` both complete a scene by this rule."""
+    and `prepare` both check and complete a scene by this rule.
+
+    Raises NonFiniteSceneError, naming the channel and the number of points,
+    when the positions or a normal, curvature or colour channel the scene
+    holds has a NaN or infinite value.
+    """
+    for name, channel in (("position", scene.positions), ("normal", scene.normals),
+                          ("curvature", scene.curvatures), ("colour", scene.colors)):
+        if channel is None:
+            continue
+        bad = ~np.isfinite(channel)
+        if bad.any():
+            count = int(bad.reshape(len(bad), -1).any(axis=1).sum())
+            raise NonFiniteSceneError(f"{count} of {len(scene)} scene points have a NaN "
+                                      f"or infinite {name}")
     if scene.normals is None:
         scene = estimate_normals(scene, normal_radius_mm, scene.view_origin)
     if scene.curvatures is None:
@@ -179,10 +193,10 @@ def _finish_anchor(scene: PointCloud, scene_index: NNIndex, model: ObjectModel,
     # drag the refinement
     icp_points = icp_model
     if depth_buffer is not None:
-        occ = remove_occluded(hyp.pose.apply(icp_model), scene,
-                              params.verification, depth_buffer)
-        if occ.visible_mask.sum() >= 16:
-            icp_points = icp_model[occ.visible_mask]
+        visible = remove_occluded(hyp.pose.apply(icp_model), scene,
+                                  params.verification, depth_buffer)
+        if visible.sum() >= 16:
+            icp_points = icp_model[visible]
     try:
         refined = icp_refine(icp_points, scene_index, hyp.pose, params.icp_schedule)
         hyp = replace(hyp, pose=refined)
@@ -509,10 +523,6 @@ def _oracle_segmentation(gt_pose: RigidPose, scene: PointCloud, scene_index: NNI
 def _stage_chain(scene: PointCloud, model: ObjectModel, params: DetectParams,
                  segment, debug_dir, rgb_input: bool = False) -> DetectionResult:
     """Every stage but segmentation, which `segment` supplies."""
-    finite = np.isfinite(scene.positions).all(axis=1)
-    if not finite.all():
-        raise NonFiniteSceneError(f"{int((~finite).sum())} of {len(scene)} scene points "
-                                  "have a NaN or infinite coordinate")
     if rgb_input and scene.colors is None:
         raise MissingChannelError("weights expect RGB input but the scene has no colors")
     clock = _StageClock()
@@ -527,8 +537,7 @@ def _stage_chain(scene: PointCloud, model: ObjectModel, params: DetectParams,
     # distance instead of a centroid-offset floor
     icp_model = model.cloud.positions[snapped_voxel_ids(model.cloud, params.icp_model_leaf_mm)]
     clock.lap("icp")
-    depth_buffer = build_depth_buffer(scene, params.verification.splat_px) \
-        if scene.intrinsics is not None else None
+    depth_buffer = build_depth_buffer(scene, params.verification.splat_px)
     clock.lap("verify")
 
     per_anchor = _finish_anchors(scene, scene_index, model, seg, icp_model, params,

@@ -7,6 +7,7 @@ channel or none does.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -15,7 +16,8 @@ import numpy as np
 
 @dataclass(frozen=True)
 class Intrinsics:
-    """Pinhole camera model (pixels / mm depth)."""
+    """Pinhole camera model (pixels / mm depth) of an image of at least one
+    pixel: finite focal lengths above 0 and a finite principal point."""
 
     fx: float
     fy: float
@@ -23,6 +25,17 @@ class Intrinsics:
     cy: float
     width: int
     height: int
+
+    def __post_init__(self):
+        if not (self.width >= 1 and self.height >= 1):
+            raise ValueError(f"image size {self.width} x {self.height}: width and height "
+                             "must be at least 1")
+        # math.isfinite raises OverflowError on an int beyond the float range
+        if not (all(math.isfinite(v) for v in (self.fx, self.fy, self.cx, self.cy))
+                and self.fx > 0 and self.fy > 0):
+            raise ValueError(f"fx {self.fx}, fy {self.fy}, cx {self.cx}, cy {self.cy}: "
+                             "focal lengths must be finite and above 0, and the principal "
+                             "point finite")
 
 
 @dataclass

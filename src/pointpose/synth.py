@@ -225,13 +225,12 @@ def synth_scene(model: ObjectModel, rng: np.random.Generator,
     vp = VerificationParams(occlusion_margin_mm=HPR_MARGIN_MM, splat_px=HPR_SPLAT_PX,
                             color=False)
     buf = build_depth_buffer(combined, HPR_SPLAT_PX)
-    occ = remove_occluded(combined.positions, combined, vp, depth_buffer=buf)
     z = combined.positions[:, 2]
     with np.errstate(invalid="ignore"):
         xs = intr.fx * combined.positions[:, 0] / np.where(z > 0, z, 1.0) + intr.cx
         ys = intr.fy * combined.positions[:, 1] / np.where(z > 0, z, 1.0) + intr.cy
     in_frustum = (z > 0) & (xs >= 0) & (xs < intr.width) & (ys >= 0) & (ys < intr.height)
-    keep = occ.visible_mask & in_frustum
+    keep = remove_occluded(combined.positions, combined, vp, depth_buffer=buf) & in_frustum
 
     visible = combined.select(np.nonzero(keep)[0])
     if params.noise_sigma_mm > 0:
@@ -266,8 +265,8 @@ def _is_number(value, types=(int, float)) -> bool:
 
 def read_scene_sidecar(path):
     """A scene sidecar's (ground-truth pose, intrinsics, view origin), each
-    None when absent. Raises SceneFormatError on invalid JSON, or on a
-    field of the wrong type or shape."""
+    None when absent. Raises SceneFormatError on invalid JSON, on a field
+    of the wrong type or shape, or on intrinsics that form no image."""
     try:
         with open(path) as f:
             sidecar = json.load(f)
@@ -296,8 +295,11 @@ def read_scene_sidecar(path):
                 and all(_is_number(d.get(k), int) for k in ("width", "height"))):
             raise SceneFormatError(f"{path}: intrinsics: expected numbers fx, fy, cx, cy "
                                    f"and integers width, height")
-        intrinsics = Intrinsics(fx=d["fx"], fy=d["fy"], cx=d["cx"], cy=d["cy"],
-                                width=d["width"], height=d["height"])
+        try:
+            intrinsics = Intrinsics(fx=d["fx"], fy=d["fy"], cx=d["cx"], cy=d["cy"],
+                                    width=d["width"], height=d["height"])
+        except (ValueError, OverflowError) as exc:   # no image, or an int beyond float
+            raise SceneFormatError(f"{path}: intrinsics: {exc}") from exc
     if "view_origin_mm" in sidecar:
         view_origin = sidecar_array(sidecar["view_origin_mm"], (3,),
                                     f"{path}: view_origin_mm", SceneFormatError)

@@ -13,7 +13,7 @@ Lower is better; the detection pipeline keeps the minimizer.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -35,12 +35,6 @@ class VerificationParams:
     def __post_init__(self):
         if not self.occlusion_margin_mm >= 0 or self.splat_px < 0:  # NaN fails too
             raise ValueError("margin and splat radius must be non-negative")
-
-
-@dataclass
-class OcclusionResult:
-    visible_mask: np.ndarray
-    fallback: bool = False  # intrinsics missing: everything kept
 
 
 def _project(points: np.ndarray, intr: Intrinsics):
@@ -85,45 +79,36 @@ def build_depth_buffer(scene: PointCloud, splat_px: int = 2) -> Optional[np.ndar
 
 def remove_occluded(model_points: np.ndarray, scene: PointCloud,
                     params: VerificationParams = VerificationParams(),
-                    depth_buffer: Optional[np.ndarray] = None) -> OcclusionResult:
-    """Drop transformed model points lying behind the scene's depth buffer.
+                    depth_buffer: Optional[np.ndarray] = None) -> np.ndarray:
+    """The (N,) bool mask of transformed model points not hidden behind the
+    scene's depth buffer.
 
-    A point is removed iff it projects onto a pixel with scene depth and
+    A point is hidden iff it projects onto a pixel with scene depth and
     sits more than the occlusion margin behind it. Points projecting
-    outside the image, onto empty pixels, or behind the camera are kept.
-    Missing intrinsics keep everything and set the fallback flag.
+    outside the image, onto empty pixels, or behind the camera are
+    visible. Without intrinsics every point is visible.
     """
     model_points = np.asarray(model_points, dtype=np.float64).reshape(-1, 3)
+    visible = np.ones(len(model_points), dtype=bool)
     if scene.intrinsics is None:
-        return OcclusionResult(np.ones(len(model_points), dtype=bool), fallback=True)
+        return visible
     if depth_buffer is None:
         depth_buffer = build_depth_buffer(scene, params.splat_px)
 
     u, v, inside = _project(model_points, scene.intrinsics)
-    visible = np.ones(len(model_points), dtype=bool)
     idx = np.nonzero(inside)[0]
     scene_depth = depth_buffer[v[idx], u[idx]]
     occluded = np.isfinite(scene_depth) & \
         (model_points[idx, 2] > scene_depth + params.occlusion_margin_mm)
     visible[idx[occluded]] = False
-    return OcclusionResult(visible_mask=visible)
+    return visible
 
 
-def color_loss(point_colors: Optional[np.ndarray],
-               nn_colors: Optional[np.ndarray]) -> Tuple[float, bool]:
-    """RMS RGB distance to the geometric nearest neighbors' colors.
-
-    Either side lacking color returns (1.0, fallback=True): the
-    multiplicative identity for the combined loss.
-    """
-    if point_colors is None or nn_colors is None:
-        return 1.0, True
-    point_colors = np.asarray(point_colors, dtype=np.float64).reshape(-1, 3)
-    nn_colors = np.asarray(nn_colors, dtype=np.float64).reshape(-1, 3)
-    if len(point_colors) == 0:
-        return INFINITE_LOSS, False
+def color_loss(point_colors: np.ndarray, nn_colors: np.ndarray) -> float:
+    """RMS RGB distance of one or more point colours to the colours of
+    their geometric nearest neighbours."""
     d2 = np.sum((point_colors - nn_colors) ** 2, axis=1)
-    return float(np.sqrt(np.mean(d2))), False
+    return float(np.sqrt(np.mean(d2)))
 
 
 def localization_loss(l_geometric: float, l_color: float, s_kde: float) -> float:
@@ -140,29 +125,30 @@ def verify(hypothesis: PoseHypothesis, model: ObjectModel, scene: PointCloud,
     """Fill the hypothesis' losses against the scene.
 
     The scene NN index and depth buffer can be shared across the 16
-    verifications of one detection.
+    verifications of one detection. Two fallbacks are recorded on the
+    result: `occlusion_fallback` when the scene has no intrinsics (every
+    model point counts as visible), and `color_fallback` when the colour
+    loss is the identity 1.0 (colour off, or either cloud without
+    colours). A pose that leaves no point visible gets infinite losses.
     """
     if scene_index is None:
         scene_index = NNIndex(scene.positions)
+    occlusion_fallback = scene.intrinsics is None
+    use_color = params.color and model.cloud.colors is not None and scene.colors is not None
     transformed = hypothesis.pose.apply(model.cloud.positions)
-    occ = remove_occluded(transformed, scene, params, depth_buffer)
-    visible = transformed[occ.visible_mask]
+    visible_mask = remove_occluded(transformed, scene, params, depth_buffer)
+    visible = transformed[visible_mask]
 
     if len(visible) == 0:
         return replace(hypothesis, l_geometric=INFINITE_LOSS, l_color=1.0,
                        l_loc=INFINITE_LOSS, color_fallback=True,
-                       occlusion_fallback=occ.fallback, visible_count=0)
+                       occlusion_fallback=occlusion_fallback, visible_count=0)
 
     ids, dists = scene_index.nearest_batch(visible)
     l_geo = float(np.sqrt(np.mean(dists * dists)))
-
-    use_color = params.color and model.cloud.colors is not None and scene.colors is not None
-    if use_color:
-        l_col, fallback = color_loss(model.cloud.colors[occ.visible_mask], scene.colors[ids])
-    else:
-        l_col, fallback = 1.0, True
+    l_col = color_loss(model.cloud.colors[visible_mask], scene.colors[ids]) if use_color else 1.0
 
     return replace(hypothesis, l_geometric=l_geo, l_color=l_col,
                    l_loc=localization_loss(l_geo, l_col, hypothesis.s_kde),
-                   color_fallback=fallback, occlusion_fallback=occ.fallback,
+                   color_fallback=not use_color, occlusion_fallback=occlusion_fallback,
                    visible_count=int(len(visible)))

@@ -145,6 +145,29 @@ def test_scene_file_of_no_points_exits_2(model, tmp_path, command):
     assert err.startswith("error: ") and "scene.ply: the scene holds no points" in err
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("width", -1, "image size -1 x 480: width and height must be at least 1"),
+    ("height", 0, "image size 640 x 0: width and height must be at least 1"),
+    ("fx", 0.0, "fx 0.0, fy 570.0, cx 320.0, cy 240.0: focal lengths must be finite"),
+    ("fx", float("nan"), "fx nan, fy 570.0, cx 320.0, cy 240.0: focal lengths must be"),
+    ("cy", 10 ** 400, "int too large to convert to float"),
+], ids=["width_-1", "height_0", "fx_0", "fx_nan", "cy_beyond_float"])
+def test_scene_intrinsics_that_form_no_image_exit_2(model, tmp_path, key, value, message):
+    """A real `detect --oracle` (not the stubbed one of the fuzz tests):
+    intrinsics without a pixel or with a focal length that is not finite
+    and positive are a malformed sidecar, not a numpy error or a run that
+    projects every point outside the image."""
+    write_files(tmp_path, model, scene_cloud(200))
+    sidecar = json.loads(json.dumps(SIDECAR))
+    sidecar["intrinsics"][key] = value
+    (tmp_path / "scene.json").write_text(json.dumps(sidecar))
+    code, err = run(tmp_path, "detect", "oracle")
+    assert code == 2
+    assert err.startswith(f"error: {tmp_path / 'scene.json'}: intrinsics: ") and message in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "pose.json").exists()
+
+
 @pytest.mark.parametrize("source", ["weights", "oracle"])
 def test_scene_whose_anchors_hold_too_few_points_exits_1(model, tmp_path, source):
     """30 points make no 64-point anchor sphere: either segmentation source

@@ -76,9 +76,16 @@ def test_cli_detect_rgb_weights_on_colourless_scene_exits_2(model, tmp_path, cap
     assert not (tmp_path / "pose.json").exists()
 
 
-def nan_scene(n=500):
+def nan_scene(channel="position", n=500):
+    """A scene with every channel, whose point 7 has a NaN or infinite
+    value in `channel`."""
     cloud = colourless_scene(n)
-    cloud.positions[7, 2] = np.nan
+    cloud.normals = np.tile([0.0, 0.0, -1.0], (n, 1))
+    cloud.curvatures = np.zeros(n)
+    cloud.colors = np.full((n, 3), 0.5)
+    attr = {"position": "positions", "normal": "normals", "curvature": "curvatures",
+            "colour": "colors"}[channel]
+    getattr(cloud, attr)[7] = np.inf if channel == "colour" else np.nan
     return cloud
 
 
@@ -86,18 +93,23 @@ IDENTITY_SIDECAR = ('{"pose": {"rotation": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],'
                     ' "translation_mm": [0, 0, 900]}}')
 
 
+@pytest.mark.parametrize("channel", ["position", "normal", "curvature", "colour"])
 @pytest.mark.parametrize("entry", ["oracle_detect", "detect"])
-def test_detect_non_finite_scene_is_rejected(model, monkeypatch, entry):
+def test_detect_non_finite_scene_is_rejected(model, monkeypatch, entry, channel):
+    """A NaN or infinite value in any scene channel is bad input, found
+    before an index is built or normals are estimated."""
     def no_index(*args, **kwargs):
         raise AssertionError("an index was built before the input check")
 
     monkeypatch.setattr(pipeline, "NNIndex", no_index)
     monkeypatch.setattr(pipeline, "estimate_normals", no_index)
-    with pytest.raises(NonFiniteSceneError, match="1 of 500 scene points"):
+    with pytest.raises(NonFiniteSceneError,
+                       match=f"^1 of 500 scene points have a NaN or infinite {channel}$"):
         if entry == "detect":
-            pipeline.detect(nan_scene(), model, init_weights(NetworkConfig(k=model.k), 0))
+            pipeline.detect(nan_scene(channel), model,
+                            init_weights(NetworkConfig(k=model.k), 0))
         else:
-            pipeline.oracle_detect(nan_scene(), model, RigidPose.identity())
+            pipeline.oracle_detect(nan_scene(channel), model, RigidPose.identity())
 
 
 @pytest.mark.parametrize("n", [0, 30])
@@ -117,16 +129,23 @@ def test_scene_without_a_usable_sphere_is_a_failed_detection(model, entry, n):
     assert set(result.timings_ms) == set(pipeline.STAGES)
 
 
-def test_cli_detect_non_finite_scene_exits_2(model, tmp_path, capsys):
+@pytest.mark.parametrize("channel", ["position", "normal"])
+@pytest.mark.parametrize("command", ["detect", "prepare"])
+def test_cli_detect_non_finite_scene_exits_2(model, tmp_path, capsys, command, channel):
+    """`detect` and `prepare` check a scene file by the one rule: exit 2
+    with an `error:` line, and no output written."""
     save_object_model(tmp_path / "model", model)
-    write_ply(tmp_path / "scene.ply", nan_scene())
+    write_ply(tmp_path / "scene.ply", nan_scene(channel))
     (tmp_path / "scene.json").write_text(IDENTITY_SIDECAR)
-    code = cli.main(["detect", "--scene", str(tmp_path / "scene.ply"),
-                     "--model", str(tmp_path / "model"), "--oracle",
-                     "--out", str(tmp_path / "pose.json")])
+    io_args = {"detect": ["--scene", str(tmp_path / "scene.ply"), "--oracle",
+                          "--out", str(tmp_path / "out")],
+               "prepare": ["--scenes", str(tmp_path), "--out", str(tmp_path / "out")]}
+    code = cli.main([command, "--model", str(tmp_path / "model")] + io_args[command])
     assert code == 2
-    assert "NaN or infinite" in capsys.readouterr().err
-    assert not (tmp_path / "pose.json").exists()
+    prefix = "scene: " if command == "prepare" else ""
+    assert capsys.readouterr().err == (f"error: {prefix}1 of 500 scene points have a NaN or "
+                                       f"infinite {channel}\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_classify_chunk_is_not_a_config_key():

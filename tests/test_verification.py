@@ -33,23 +33,21 @@ def camera_plane(z, extent=250.0, step=2.5, color=None):
 def test_occlusion_points_in_front_kept():
     scene = camera_plane(z=800.0)
     probe = np.array([[0.0, 0, 700.0], [20.0, -10, 650.0]])
-    res = remove_occluded(probe, scene)
-    assert not res.fallback
-    assert res.visible_mask.all()
+    visible = remove_occluded(probe, scene)
+    assert visible.dtype == bool and visible.shape == (2,)
+    assert visible.all()
 
 
 def test_occlusion_point_behind_wall_removed():
     scene = camera_plane(z=800.0)
-    res = remove_occluded(np.array([[0.0, 0, 900.0]]), scene)
-    assert not res.visible_mask[0]
+    assert remove_occluded(np.array([[0.0, 0, 900.0]]), scene).tolist() == [False]
 
 
 def test_occlusion_outside_image_and_behind_camera_kept():
     scene = camera_plane(z=800.0)
     probe = np.array([[10000.0, 0, 500.0],   # projects far outside
                       [0.0, 0, -300.0]])     # behind the camera
-    res = remove_occluded(probe, scene)
-    assert res.visible_mask.all()
+    assert remove_occluded(probe, scene).all()
 
 
 def test_occlusion_huge_finite_coordinate_projects_outside():
@@ -61,16 +59,15 @@ def test_occlusion_huge_finite_coordinate_projects_outside():
     scene.positions = np.vstack([scene.positions, [[1e300, -1e300, 900.0]]])
     buf = build_depth_buffer(scene)
     assert np.array_equal(buf, build_depth_buffer(camera_plane(z=800.0)))
-    res = remove_occluded(np.array([[1e300, 0, 900.0], [0.0, 1e300, 900.0],
-                                    [0.0, 0, 900.0]]), scene, depth_buffer=buf)
-    assert res.visible_mask.tolist() == [True, True, False]
+    visible = remove_occluded(np.array([[1e300, 0, 900.0], [0.0, 1e300, 900.0],
+                                        [0.0, 0, 900.0]]), scene, depth_buffer=buf)
+    assert visible.tolist() == [True, True, False]
 
 
 def test_occlusion_missing_intrinsics_falls_back():
+    """Without a camera every point is visible; `verify` records the fallback."""
     scene = PointCloud(positions=np.random.default_rng(0).uniform(0, 100, (50, 3)))
-    res = remove_occluded(np.zeros((5, 3)), scene)
-    assert res.fallback
-    assert res.visible_mask.all()
+    assert remove_occluded(np.zeros((5, 3)), scene).tolist() == [True] * 5
 
 
 def test_occlusion_matches_ray_oracle_two_planes():
@@ -83,13 +80,13 @@ def test_occlusion_matches_ray_oracle_two_planes():
     probe[:, 0] = rng.uniform(-150, 150, 500)
     probe[:, 1] = rng.uniform(-110, 110, 500)
     probe[:, 2] = rng.uniform(500, 1100, 500)
-    res = remove_occluded(probe, scene, params, depth_buffer=buf)
+    mask = remove_occluded(probe, scene, params, depth_buffer=buf)
 
     # per-point oracle: occluded iff some scene point within the splat
     # window projects Chebyshev-close and is more than margin nearer
     su = np.floor(INTR.fx * scene.positions[:, 0] / scene.positions[:, 2] + INTR.cx + 0.5)
     sv = np.floor(INTR.fy * scene.positions[:, 1] / scene.positions[:, 2] + INTR.cy + 0.5)
-    for p, visible in zip(probe, res.visible_mask):
+    for p, visible in zip(probe, mask):
         u = np.floor(INTR.fx * p[0] / p[2] + INTR.cx + 0.5)
         v = np.floor(INTR.fy * p[1] / p[2] + INTR.cy + 0.5)
         if not (0 <= u < INTR.width and 0 <= v < INTR.height):
@@ -111,8 +108,7 @@ def test_occlusion_idempotent_and_subset():
     probe = np.column_stack([rng.uniform(-100, 100, 300), rng.uniform(-80, 80, 300),
                              rng.uniform(400, 1000, 300)])
     first = remove_occluded(probe, scene)
-    again = remove_occluded(probe[first.visible_mask], scene)
-    assert again.visible_mask.all()  # surviving points survive again
+    assert remove_occluded(probe[first], scene).all()  # surviving points survive again
 
 
 # ---------------------------------------------------------------------------
@@ -121,19 +117,10 @@ def test_occlusion_idempotent_and_subset():
 
 def test_color_loss_identical_and_analytic():
     c = np.random.default_rng(5).uniform(0, 1, (50, 3))
-    assert color_loss(c, c)[0] == 0.0
-    white = np.ones((10, 3))
-    black = np.zeros((10, 3))
-    val, fb = color_loss(white, black)
+    assert color_loss(c, c) == 0.0
+    val = color_loss(np.ones((10, 3)), np.zeros((10, 3)))
+    assert isinstance(val, float)
     assert val == pytest.approx(np.sqrt(3), rel=1e-12)
-    assert not fb
-
-
-def test_color_loss_missing_side_falls_back():
-    val, fb = color_loss(None, np.ones((5, 3)))
-    assert val == 1.0 and fb
-    val, fb = color_loss(np.ones((5, 3)), None)
-    assert val == 1.0 and fb
 
 
 def test_localization_loss_arithmetic():
@@ -176,6 +163,7 @@ def test_verify_true_pose_beats_perturbations():
     base = verify(PoseHypothesis(pose=gt, s_kde=0.5, vote_support=10),
                   model, scene, scene_index=index, depth_buffer=buf)
     assert base.l_loc is not None and np.isfinite(base.l_loc)
+    assert not base.color_fallback and not base.occlusion_fallback
 
     from pointpose.pose import rotation_about_axis
     worse = 0
@@ -234,13 +222,20 @@ def test_verify_skde_scales_loss():
     assert b.l_loc == pytest.approx(2 * a.l_loc, rel=1e-12)
 
 
-def test_verify_colorless_uses_identity_color():
+@pytest.mark.parametrize("model_color, scene_color, params", [
+    (False, True, VerificationParams()),
+    (True, False, VerificationParams()),
+    (True, True, VerificationParams(color=False)),
+], ids=["model_without_colours", "scene_without_colours", "colour_off"])
+def test_verify_colorless_uses_identity_color(model_color, scene_color, params):
+    """Colour is compared only when it is on and both clouds carry it;
+    otherwise the colour loss is the identity 1.0 and the fallback is set."""
     rng = np.random.default_rng(8)
-    model = small_model(with_color=False)
     gt = RigidPose(random_rotation(rng), np.array([0.0, 0.0, 700.0]))
-    scene = scene_with_object(model, gt, with_color=False)
-    h = verify(PoseHypothesis(pose=gt, s_kde=0.5, vote_support=1), model, scene)
-    assert h.color_fallback
+    scene = scene_with_object(small_model(), gt, with_color=scene_color)
+    model = small_model(with_color=model_color)
+    h = verify(PoseHypothesis(pose=gt, s_kde=0.5, vote_support=1), model, scene, params)
+    assert h.color_fallback and not h.occlusion_fallback
     assert h.l_color == 1.0
     assert h.l_loc == pytest.approx(h.l_geometric / 0.5, rel=1e-12)
 
