@@ -5,15 +5,15 @@ keypoint/anchor spacing, 10/20 mm labeling band, 2048-point spheres of
 radius 0.6 x diameter, 20/20/10 sampling, 0.15/0.85 loss weights, batch
 16, learning rate 0.001). Unknown keys are rejected.
 
-A module dataclass is a section when its fields are that section's keys,
-apart from fields marked `metadata={"config": False}`, which the run fills
-in (a seed): `augmentation`, `training`, `voting`,
-`verification` and `synth`. The other sections span several module classes
-or feed derived values, so the builders below assemble those. Every
-section checks its values when it loads (`network` and `icp` by the
-checks of the module values they feed), and so does the top level (the
-seed). A section's own `__post_init__` check fails as a `ConfigError`
-naming the section.
+Every section but `keypoints`, `network` and `evaluation` is a module
+dataclass: its fields are the section's keys, apart from fields marked
+`metadata={"config": False}`, which the run fills in (a seed, the thread
+budget, other sections). The builders below fill those in with one
+`replace`. The three sections here feed derived values, and take their
+defaults from the module values they feed. Every section checks its
+values when it loads (`network` by the checks of the NetworkConfig it
+feeds), and so does the top level (the seed). A section's own
+`__post_init__` check fails as a `ConfigError` naming the section.
 """
 
 from __future__ import annotations
@@ -24,76 +24,33 @@ import typing
 from dataclasses import dataclass, field, replace
 from typing import List
 
-from .dataset import AugmentParams, SamplingParams
+from .dataset import AugmentParams, LabelingParams, SamplingParams, SphereParams
 from .errors import ConfigError
-from .geometry import check_icp_schedule
+from .modelprep import DEFAULT_KEYPOINT_SPACING_MM
 from .network import NetworkConfig, TrainConfig
-from .pipeline import DetectParams
+from .pipeline import THRESHOLD_FACTOR, DetectParams, IcpParams
 from .synth import SynthParams
 from .verification import VerificationParams
 from .voting import VotingParams
 
 
-def _check_positive(section, *names) -> None:
-    """ValueError naming the first of the section's fields `names` that is
-    not above 0 (NaN included)."""
-    for name in names:
-        if not getattr(section, name) > 0:
-            raise ValueError(f"{name} must be positive")
-
-
 @dataclass
 class KeypointSection:
-    spacing_mm: float = 25.0
+    spacing_mm: float = DEFAULT_KEYPOINT_SPACING_MM
 
     def __post_init__(self):
-        _check_positive(self, "spacing_mm")
-
-
-@dataclass
-class LabelingSection:
-    foreground_mm: float = 10.0
-    background_mm: float = 20.0
-
-    def __post_init__(self):
-        if not 0 < self.foreground_mm < self.background_mm:
-            raise ValueError("need 0 < foreground_mm < background_mm")
-
-
-@dataclass
-class ExampleSection:
-    n_points: int = 2048
-    radius_factor: float = 0.6
-
-    def __post_init__(self):
-        if self.n_points < 2:
-            raise ValueError("n_points must be at least 2 (the network's point sets)")
-        _check_positive(self, "radius_factor")
-
-
-@dataclass
-class SamplingSection:
-    positives: int = 20
-    easy_negatives: int = 20
-    hard_negatives: int = 10
-    hard_band: List[float] = field(default_factory=lambda: [0.6, 1.2])
-
-    def __post_init__(self):
-        if self.positives < 1:  # augmentation swaps the backgrounds of positives
-            raise ValueError("positives must be at least 1")
-        for name in ("easy_negatives", "hard_negatives"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be at least 0")
-        if not (len(self.hard_band) == 2 and 0 < self.hard_band[0] < self.hard_band[1]):
-            raise ValueError("hard_band must be [lo, hi] with 0 < lo < hi")
+        if not self.spacing_mm > 0:  # written so that NaN fails too
+            raise ValueError("spacing_mm must be positive")
 
 
 @dataclass
 class NetworkSection:
     use_color: bool = False
-    encoder: List[int] = field(default_factory=lambda: [64, 64, 128, 1024])
-    classifier: List[int] = field(default_factory=lambda: [512, 256, 1])
-    segmenter_hidden: List[int] = field(default_factory=lambda: [512, 256, 128])
+    encoder: List[int] = field(default_factory=lambda: list(NetworkConfig.encoder))
+    classifier: List[int] = field(default_factory=lambda: list(NetworkConfig.classifier))
+    # the segmenter's hidden widths; its output width is k + 1
+    segmenter_hidden: List[int] = field(
+        default_factory=lambda: list(NetworkConfig.segmenter[:-1]))
     normalize: bool = True  # divide xyz by 0.6 x diameter
 
     def __post_init__(self):
@@ -111,36 +68,12 @@ class NetworkSection:
 
 
 @dataclass
-class IcpSection:
-    schedule: List[List[float]] = field(default_factory=lambda: [[50.0, 30],
-                                                                 [25.0, 30],
-                                                                 [10.0, 30]])
-    model_leaf_mm: float = 5.0
-
-    def __post_init__(self):
-        check_icp_schedule(self.schedule)
-        _check_positive(self, "model_leaf_mm")
-
-
-@dataclass
-class DetectSection:
-    anchor_leaf_mm: float = 25.0
-    top_anchors: int = 16
-    min_sphere_points: int = 64
-    normal_radius_mm: float = 10.0
-    oracle_anchors: int = 1
-
-    def __post_init__(self):
-        _check_positive(self, "anchor_leaf_mm", "top_anchors", "min_sphere_points",
-                        "normal_radius_mm", "oracle_anchors")
-
-
-@dataclass
 class EvaluationSection:
-    threshold_factor: float = 0.1
+    threshold_factor: float = THRESHOLD_FACTOR
 
     def __post_init__(self):
-        _check_positive(self, "threshold_factor")
+        if not self.threshold_factor > 0:  # written so that NaN fails too
+            raise ValueError("threshold_factor must be positive")
 
 
 @dataclass
@@ -148,16 +81,16 @@ class RunConfig:
     seed: int = 0
     threads: int = 0  # 0 -> every CPU this process may use
     keypoints: KeypointSection = field(default_factory=KeypointSection)
-    labeling: LabelingSection = field(default_factory=LabelingSection)
-    examples: ExampleSection = field(default_factory=ExampleSection)
-    sampling: SamplingSection = field(default_factory=SamplingSection)
+    labeling: LabelingParams = field(default_factory=LabelingParams)
+    examples: SphereParams = field(default_factory=SphereParams)
+    sampling: SamplingParams = field(default_factory=SamplingParams)
     augmentation: AugmentParams = field(default_factory=AugmentParams)
     network: NetworkSection = field(default_factory=NetworkSection)
     training: TrainConfig = field(default_factory=TrainConfig)
     voting: VotingParams = field(default_factory=VotingParams)
-    icp: IcpSection = field(default_factory=IcpSection)
+    icp: IcpParams = field(default_factory=IcpParams)
     verification: VerificationParams = field(default_factory=VerificationParams)
-    detect: DetectSection = field(default_factory=DetectSection)
+    detect: DetectParams = field(default_factory=DetectParams)
     evaluation: EvaluationSection = field(default_factory=EvaluationSection)
     synth: SynthParams = field(default_factory=SynthParams)
 
@@ -169,37 +102,16 @@ class RunConfig:
     # -- builders for the module-level parameter objects ---------------------
 
     def sampling_params(self) -> SamplingParams:
-        return SamplingParams(
-            foreground_mm=self.labeling.foreground_mm,
-            background_mm=self.labeling.background_mm,
-            n_points=self.examples.n_points,
-            radius_factor=self.examples.radius_factor,
-            positives=self.sampling.positives,
-            easy_negatives=self.sampling.easy_negatives,
-            hard_negatives=self.sampling.hard_negatives,
-            hard_band=tuple(self.sampling.hard_band),
-        )
+        return replace(self.sampling, labeling=self.labeling, spheres=self.examples)
 
     def train_config(self) -> TrainConfig:
         return replace(self.training, seed=self.seed)
 
     def detect_params(self) -> DetectParams:
-        d = self.detect
-        return DetectParams(
-            anchor_leaf_mm=d.anchor_leaf_mm,
-            top_anchors=d.top_anchors,
-            min_sphere_points=d.min_sphere_points,
-            n_points=self.examples.n_points,
-            radius_factor=self.examples.radius_factor,
-            normal_radius_mm=d.normal_radius_mm,
-            icp_schedule=tuple((float(g), int(it)) for g, it in self.icp.schedule),
-            icp_model_leaf_mm=self.icp.model_leaf_mm,
-            oracle_anchors=d.oracle_anchors,
-            seed=self.seed,
-            threads=self.threads,
-            voting=replace(self.voting, subsample_seed=self.seed),
-            verification=replace(self.verification),
-        )
+        return replace(self.detect, spheres=self.examples, icp=self.icp,
+                       voting=replace(self.voting, subsample_seed=self.seed),
+                       verification=self.verification, seed=self.seed,
+                       threads=self.threads)
 
 
 def _keys(cls) -> dict:

@@ -22,26 +22,63 @@ from .modelprep import ObjectModel, nearest_keypoint_labels
 from .pointcloud import PointCloud, concatenate_clouds
 from .pose import RigidPose
 
-FOREGROUND_MM = 10.0
-BACKGROUND_MM = 20.0
-POINTS_PER_EXAMPLE = 2048
-SPHERE_RADIUS_FACTOR = 0.6
-
 DISCARD = -1
 BACKGROUND = 0
 JITTER_CHANNELS = ("xyz", "normal", "curvature", "rgb")
 
 
 @dataclass
+class LabelingParams:
+    """The `labeling` section: scene points within foreground_mm of the
+    posed model are foreground, those in (foreground_mm, background_mm] are
+    discarded, and those beyond are background."""
+
+    foreground_mm: float = 10.0
+    background_mm: float = 20.0
+
+    def __post_init__(self):
+        if not 0 < self.foreground_mm < self.background_mm:
+            raise ValueError("need 0 < foreground_mm < background_mm")
+
+
+@dataclass
+class SphereParams:
+    """The `examples` section: the spheres of training examples and of
+    detect's anchors alike hold n_points points within radius_factor x the
+    model diameter of their center."""
+
+    n_points: int = 2048
+    radius_factor: float = 0.6
+
+    def __post_init__(self):
+        if self.n_points < 2:
+            raise ValueError("n_points must be at least 2 (the network's point sets)")
+        if not self.radius_factor > 0:  # written so that NaN fails too
+            raise ValueError("radius_factor must be positive")
+
+
+@dataclass
 class SamplingParams:
-    foreground_mm: float = FOREGROUND_MM
-    background_mm: float = BACKGROUND_MM
-    n_points: int = POINTS_PER_EXAMPLE
-    radius_factor: float = SPHERE_RADIUS_FACTOR
+    """The `sampling` section: the examples drawn per instance. `labeling`
+    and `spheres` are the run's `labeling` and `examples` sections."""
+
     positives: int = 20
     easy_negatives: int = 20
     hard_negatives: int = 10
-    hard_band: Tuple[float, float] = (0.6, 1.2)  # x diameter, from object centroid
+    # hard negative centers: [lo, hi] x diameter from the object centroid
+    hard_band: List[float] = field(default_factory=lambda: [0.6, 1.2])
+    labeling: LabelingParams = field(default_factory=LabelingParams,
+                                     metadata={"config": False})
+    spheres: SphereParams = field(default_factory=SphereParams, metadata={"config": False})
+
+    def __post_init__(self):
+        if self.positives < 1:  # augmentation swaps the backgrounds of positives
+            raise ValueError("positives must be at least 1")
+        for name in ("easy_negatives", "hard_negatives"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be at least 0")
+        if not (len(self.hard_band) == 2 and 0 < self.hard_band[0] < self.hard_band[1]):
+            raise ValueError("hard_band must be [lo, hi] with 0 < lo < hi")
 
 
 @dataclass
@@ -103,12 +140,12 @@ class LabeledExample:
 
 
 def label_scene(scene: PointCloud, model: ObjectModel, gt: RigidPose,
-                foreground_mm: float = FOREGROUND_MM,
-                background_mm: float = BACKGROUND_MM) -> np.ndarray:
+                labeling: LabelingParams = LabelingParams()) -> np.ndarray:
     """Per-point labels of the scene by distance to the posed dense model
     cloud, as an (N,) int32 array: -1 (DISCARD) within the band
     (foreground_mm, background_mm], 0 (BACKGROUND) beyond it, and 1..K, the
     nearest posed keypoint, within foreground_mm. Reads positions only."""
+    foreground_mm, background_mm = labeling.foreground_mm, labeling.background_mm
     posed = gt.apply(model.cloud.positions)
     # points beyond the background band are all background: a bounded
     # search leaves them early instead of finding their nearest model point
@@ -134,8 +171,7 @@ def _sample_fill(ids: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarra
 def extract_example(scene: PointCloud, labels: np.ndarray, center: np.ndarray,
                     model: ObjectModel, class_label: int, rng: np.random.Generator,
                     scene_index: Optional[NNIndex] = None,
-                    n_points: int = POINTS_PER_EXAMPLE,
-                    radius_factor: float = SPHERE_RADIUS_FACTOR) -> LabeledExample:
+                    spheres: SphereParams = SphereParams()) -> LabeledExample:
     """Uniformly sample a centered n-point sphere around `center`.
 
     `labels` is `label_scene`'s array: discard-band points are excluded,
@@ -148,13 +184,13 @@ def extract_example(scene: PointCloud, labels: np.ndarray, center: np.ndarray,
         raise MissingChannelError("a training example needs scene normals and curvatures")
     center = np.asarray(center, dtype=np.float64).reshape(3)
     index = scene_index if scene_index is not None else NNIndex(scene.positions)
-    radius = radius_factor * model.diameter
+    radius = spheres.radius_factor * model.diameter
     in_sphere = index.ball(center, radius)
     in_sphere = in_sphere[labels[in_sphere] != DISCARD]
     if len(in_sphere) == 0:
         raise EmptyNeighborhoodError(f"no usable points within {radius:.1f} mm of {center}")
 
-    chosen = _sample_fill(in_sphere, n_points, rng)
+    chosen = _sample_fill(in_sphere, spheres.n_points, rng)
     positions = scene.positions[chosen]
     centroid = positions.mean(axis=0)
     seg = np.maximum(labels[chosen], 0).astype(np.uint16)
@@ -189,9 +225,9 @@ def generate_instance_examples(scene: PointCloud, model: ObjectModel, gt: RigidP
     foreground, class stays 0). Shortfalls are reported, not fatal.
     """
     if labels is None:
-        labels = label_scene(scene, model, gt, params.foreground_mm, params.background_mm)
+        labels = label_scene(scene, model, gt, params.labeling)
     index = NNIndex(scene.positions)
-    radius = params.radius_factor * model.diameter
+    radius = params.spheres.radius_factor * model.diameter
 
     fg_ids = np.nonzero(labels > 0)[0]
     bg_ids = np.nonzero(labels == BACKGROUND)[0]
@@ -201,8 +237,7 @@ def generate_instance_examples(scene: PointCloud, model: ObjectModel, gt: RigidP
 
     def extract(center, cls):
         return extract_example(scene, labels, center, model, cls, rng,
-                               scene_index=index, n_points=params.n_points,
-                               radius_factor=params.radius_factor)
+                               scene_index=index, spheres=params.spheres)
 
     examples: List[LabeledExample] = []
 
@@ -367,11 +402,11 @@ def jitter_example(e: LabeledExample, rng: np.random.Generator,
 def augment(instance_examples: Sequence[LabeledExample], model: ObjectModel,
             rng: np.random.Generator,
             params: AugmentParams = AugmentParams(),
-            radius_factor: float = SPHERE_RADIUS_FACTOR) -> List[LabeledExample]:
+            spheres: SphereParams = SphereParams()) -> List[LabeledExample]:
     """Create the 60 augmented examples for one instance (jitter applied).
 
-    Backgrounds are cut to spheres of radius_factor x diameter, the radius
-    the originals were extracted with.
+    Backgrounds are cut to spheres of `spheres.radius_factor` x diameter,
+    the radius the originals were extracted with.
 
     balanced=True emits 15 background-swap positives, 15 object-only
     positives and 30 mixed-background negatives (equal class split);
@@ -383,6 +418,7 @@ def augment(instance_examples: Sequence[LabeledExample], model: ObjectModel,
     if not positives:
         raise ValueError("augmentation needs at least one positive example")
 
+    radius_factor = spheres.radius_factor
     m = params.background_swap_multiplier
     if params.balanced:
         n_swap, n_obj = 15 * m, 15
@@ -412,7 +448,7 @@ def build_instance_training_set(scene: PointCloud, model: ObjectModel, gt: Rigid
                                 ) -> InstanceExamples:
     """Full per-instance recipe: 50 originals + 60 augmented, all jittered."""
     inst = generate_instance_examples(scene, model, gt, rng, sampling)
-    augmented = augment(inst.examples, model, rng, augmentation, sampling.radius_factor)
+    augmented = augment(inst.examples, model, rng, augmentation, sampling.spheres)
     originals = [jitter_example(e, rng, augmentation) for e in inst.examples]
     return InstanceExamples(examples=originals + augmented,
                             easy_shortfall=inst.easy_shortfall,

@@ -264,12 +264,14 @@ class _TrackedNearest:
 
 
 def icp_refine(model_points: np.ndarray, scene: NNIndex, init: RigidPose,
-               schedule: Sequence[Tuple[float, int]],
+               schedule: Sequence[Sequence[float]],
                history_out: Optional[list] = None) -> RigidPose:
     """Coarse-to-fine ICP: shrinking correspondence gates, Kabsch re-solves.
 
-    Per level, alternate NN pairing (gated at max_corr_dist) with a full
-    re-solve until the RMS change drops below 1e-6 mm or max_iters is hit.
+    Per level of the schedule, a [gate, iterations] pair as
+    `check_icp_schedule` takes it, alternate NN pairing (gated at gate)
+    with a full re-solve until the RMS change drops below 1e-6 mm or the
+    iterations are spent.
     An update that would increase the gated RMS is rejected and ends the
     level, so the per-level residual sequence is non-increasing. Raises
     NoOverlapError if no level ever finds 3 pairs.
@@ -295,7 +297,7 @@ def icp_refine(model_points: np.ndarray, scene: NNIndex, init: RigidPose,
     for gate, max_iters in schedule:
         prev_rms = None
         level_hist: list = []
-        for _ in range(max_iters):
+        for _ in range(int(max_iters)):
             transformed = pose.apply(model_points)
             ids, dists = tracked.nearest(transformed)
             keep = dists <= gate

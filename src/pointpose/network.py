@@ -145,6 +145,11 @@ class TrainConfig:
             raise ValueError("epsilon must be positive")
 
 
+def _flatten(groups) -> List[np.ndarray]:
+    """Every (w, b) layer of the groups as one list: w, b, w, b, ..."""
+    return [array for group in groups for layer in group for array in layer]
+
+
 @dataclass
 class Weights:
     """Dense layer parameters in declaration order: encoder, classifier, segmenter."""
@@ -156,11 +161,7 @@ class Weights:
     input_scale_mm: float = 0.0  # 0 = raw mm inputs, else xyz are divided by this
 
     def params(self) -> List[np.ndarray]:
-        out = []
-        for group in (self.encoder, self.classifier, self.segmenter):
-            for w, b in group:
-                out.extend((w, b))
-        return out
+        return _flatten((self.encoder, self.classifier, self.segmenter))
 
     @property
     def dtype(self):
@@ -168,7 +169,7 @@ class Weights:
 
 
 def _layer_dims(config: NetworkConfig):
-    enc = [(config.input_channels,) + tuple(config.encoder)][0]
+    enc = (config.input_channels,) + tuple(config.encoder)
     cls = (config.encoder[-1],) + tuple(config.classifier)
     seg = (config.seg_input_width,) + tuple(config.segmenter)
     return enc, cls, seg
@@ -497,7 +498,7 @@ def forward(weights: Weights, points: np.ndarray, want_seg: bool = True,
 
 def joint_loss(class_prob: np.ndarray, seg_logits: np.ndarray,
                class_labels: np.ndarray, seg_labels: np.ndarray,
-               w_cls: float = 0.15, w_seg: float = 0.85) -> float:
+               w_cls: float = TrainConfig.w_cls, w_seg: float = TrainConfig.w_seg) -> float:
     """w_cls * BCE(class) + w_seg * mean categorical CE over all points."""
     p = np.asarray(class_prob, dtype=np.float64)
     y = np.asarray(class_labels, dtype=np.float64)
@@ -519,11 +520,7 @@ class Gradients:
     segmenter: List[Tuple[np.ndarray, np.ndarray]]
 
     def params(self) -> List[np.ndarray]:
-        out = []
-        for group in (self.encoder, self.classifier, self.segmenter):
-            for w, b in group:
-                out.extend((w, b))
-        return out
+        return _flatten((self.encoder, self.classifier, self.segmenter))
 
 
 def _mlp_backward(layers, acts, delta):
@@ -585,7 +582,8 @@ def _relu_grad_over(delta, w, act, blocks, masks, extra=None):
 
 
 def backward(weights: Weights, points: np.ndarray, class_labels: np.ndarray,
-             seg_labels: np.ndarray, w_cls: float = 0.15, w_seg: float = 0.85,
+             seg_labels: np.ndarray, w_cls: float = TrainConfig.w_cls,
+             w_seg: float = TrainConfig.w_seg,
              want_input_grad: bool = False,
              pool: Optional[BufferPool] = None,
              head_losses_out: Optional[list] = None):

@@ -52,10 +52,11 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dataset import _sample_fill, label_scene
+from .dataset import SphereParams, _sample_fill, label_scene
 from .errors import (MissingChannelError, NoHypothesisError, NonFiniteSceneError,
                      NoOverlapError, WeightsFormatError)
-from .geometry import NNIndex, estimate_normals, icp_refine, voxel_downsample
+from .geometry import (NNIndex, check_icp_schedule, estimate_normals, icp_refine,
+                       voxel_downsample)
 from .modelprep import ObjectModel, snapped_voxel_ids
 from .network import (BufferPool, Weights, _softmax, classify, encode, encoder_block,
                       forward, write_features)
@@ -67,23 +68,49 @@ from .voting import (PoseHypothesis, VotingParams, correspondences_from_segmenta
                      estimate_pose, pose_votes, segment_labels, subsample_correspondences)
 
 STAGES = ("normals", "anchors", "classify", "segment", "vote", "icp", "verify")
+THRESHOLD_FACTOR = 0.1  # success: ADD below this x the model diameter
+
+
+@dataclass
+class IcpParams:
+    """The `icp` section: `icp_refine`'s [gate mm, iterations] levels, run
+    on the model points snapped to a model_leaf_mm grid."""
+
+    schedule: List[List[float]] = field(default_factory=lambda: [[50.0, 30], [25.0, 30],
+                                                                 [10.0, 30]])
+    model_leaf_mm: float = 5.0
+
+    def __post_init__(self):
+        check_icp_schedule(self.schedule)
+        if not self.model_leaf_mm > 0:  # written so that NaN fails too
+            raise ValueError("model_leaf_mm must be positive")
 
 
 @dataclass
 class DetectParams:
+    """The `detect` section. The other fields are the run's `examples`,
+    `icp`, `voting` and `verification` sections, its seed and its thread
+    budget (0: every CPU this process may use)."""
+
     anchor_leaf_mm: float = 25.0
     top_anchors: int = 16
     min_sphere_points: int = 64
-    n_points: int = 2048
-    radius_factor: float = 0.6
     normal_radius_mm: float = 10.0
-    icp_schedule: Tuple[Tuple[float, int], ...] = ((50.0, 30), (25.0, 30), (10.0, 30))
-    icp_model_leaf_mm: float = 5.0
     oracle_anchors: int = 1
-    seed: int = 0
-    threads: int = 0  # thread budget; 0 -> every CPU this process may use
-    voting: VotingParams = field(default_factory=VotingParams)
-    verification: VerificationParams = field(default_factory=VerificationParams)
+    spheres: SphereParams = field(default_factory=SphereParams, metadata={"config": False})
+    icp: IcpParams = field(default_factory=IcpParams, metadata={"config": False})
+    voting: VotingParams = field(default_factory=VotingParams, metadata={"config": False})
+    verification: VerificationParams = field(default_factory=VerificationParams,
+                                             metadata={"config": False})
+    seed: int = field(default=0, metadata={"config": False})
+    threads: int = field(default=0, metadata={"config": False})
+
+    def __post_init__(self):
+        # written so that NaN fails too
+        for name in ("anchor_leaf_mm", "top_anchors", "min_sphere_points",
+                     "normal_radius_mm", "oracle_anchors"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
 
 
 @dataclass
@@ -198,7 +225,7 @@ def _finish_anchor(scene: PointCloud, scene_index: NNIndex, model: ObjectModel,
         if visible.sum() >= 16:
             icp_points = icp_model[visible]
     try:
-        refined = icp_refine(icp_points, scene_index, hyp.pose, params.icp_schedule)
+        refined = icp_refine(icp_points, scene_index, hyp.pose, params.icp.schedule)
         hyp = replace(hyp, pose=refined)
     except NoOverlapError:
         pass  # keep the voted pose
@@ -410,8 +437,8 @@ def _network_segmentation(weights: Weights, scene: PointCloud, scene_index: NNIn
     "anchors"; encoder blocks and the head as "classify".
     """
     anchors = voxel_downsample(scene, params.anchor_leaf_mm)
-    radius = params.radius_factor * model.diameter
-    n = params.n_points
+    radius = params.spheres.radius_factor * model.diameter
+    n = params.spheres.n_points
     channels = weights.config.input_channels
 
     def sphere(ai: int):
@@ -499,8 +526,8 @@ def _oracle_segmentation(gt_pose: RigidPose, scene: PointCloud, scene_index: NNI
     fg = np.nonzero(labels > 0)[0]
     draws = params.oracle_anchors if len(fg) else 0
     rng = np.random.default_rng([params.seed, 0xFACE])
-    radius = params.radius_factor * model.diameter
-    certain = np.ones(params.n_points)
+    radius = params.spheres.radius_factor * model.diameter
+    certain = np.ones(params.spheres.n_points)
 
     anchors, kept, sphere_ids, point_labels = [], [], [], []
     for _ in range(draws):
@@ -509,7 +536,7 @@ def _oracle_segmentation(gt_pose: RigidPose, scene: PointCloud, scene_index: NNI
         ids = ids[labels[ids] >= 0]  # exclude the discard band
         if len(ids) < params.min_sphere_points:
             continue
-        chosen = _sample_fill(ids, params.n_points, rng)
+        chosen = _sample_fill(ids, params.spheres.n_points, rng)
         kept.append(anchors[-1])
         sphere_ids.append(chosen)
         point_labels.append(np.maximum(labels[chosen], 0))
@@ -535,7 +562,7 @@ def _stage_chain(scene: PointCloud, model: ObjectModel, params: DetectParams,
 
     # real surface points, so that a correct pose pairs at (near-)zero
     # distance instead of a centroid-offset floor
-    icp_model = model.cloud.positions[snapped_voxel_ids(model.cloud, params.icp_model_leaf_mm)]
+    icp_model = model.cloud.positions[snapped_voxel_ids(model.cloud, params.icp.model_leaf_mm)]
     clock.lap("icp")
     depth_buffer = build_depth_buffer(scene, params.verification.splat_px)
     clock.lap("verify")
@@ -662,8 +689,12 @@ def evaluate_scene(scene: PointCloud, gt: RigidPose, model: ObjectModel,
                    weights: Optional[Weights], params: DetectParams,
                    threshold_factor: float, scene_id: str = "scene",
                    use_oracle: bool = False) -> SceneRecord:
-    if use_oracle or weights is None:
+    """One scene's record from `oracle_detect` under `use_oracle`, else from
+    `detect` with `weights`, which must then be given."""
+    if use_oracle:
         result = oracle_detect(scene, model, gt, params)
+    elif weights is None:
+        raise ValueError("evaluate_scene needs weights unless use_oracle is set")
     else:
         result = detect(scene, model, weights, params)
     symmetric = model.symmetry.kind != "none"
@@ -725,7 +756,8 @@ def _evaluate_one(i: int, run: tuple = ()) -> SceneRecord:
 
 def evaluate(scenes: Sequence[Tuple[str, PointCloud, RigidPose]], model: ObjectModel,
              weights: Optional[Weights], params: DetectParams = DetectParams(),
-             threshold_factor: float = 0.1, use_oracle: bool = False) -> EvaluationReport:
+             threshold_factor: float = THRESHOLD_FACTOR,
+             use_oracle: bool = False) -> EvaluationReport:
     """Detect on every (id, cloud, gt) scene; success = ADD (ADD-S when the
     model is symmetric) below threshold_factor x diameter.
 

@@ -17,7 +17,8 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .errors import SceneFormatError
-from .modelprep import ObjectModel, build_object_model, sidecar_array
+from .modelprep import (DEFAULT_KEYPOINT_SPACING_MM, ObjectModel, build_object_model,
+                        sidecar_array)
 from .ply import read_ply, write_ply
 from .pointcloud import Intrinsics, PointCloud, concatenate_clouds
 from .pose import RigidPose, pose_to_dict, random_rotation
@@ -102,7 +103,8 @@ def _sphere_surface(radius: float, step: float,
     return dirs * radius, dirs
 
 
-def make_test_object(n_points: int = 4500, spacing: float = 25.0) -> ObjectModel:
+def make_test_object(n_points: int = 4500,
+                     spacing: float = DEFAULT_KEYPOINT_SPACING_MM) -> ObjectModel:
     """Smooth asymmetric blob: a sphere with chiral radial lobes.
 
     Smoothness keeps segment-member normals coherent with their keypoint's

@@ -187,7 +187,7 @@ def _base_quats(kp_normals: np.ndarray, scene_normals: np.ndarray) -> np.ndarray
     return np.hstack([np.sin(half)[:, None] * axes, np.cos(half)[:, None]])
 
 
-def pose_votes(corr: Correspondences, n_theta: int = 36) -> VoteSet:
+def pose_votes(corr: Correspondences, n_theta: int = VotingParams.n_theta) -> VoteSet:
     """The 1-DoF pose family of each correspondence, sampled at n_theta angles.
 
     Every emitted vote maps the keypoint exactly onto the scene point and
@@ -228,8 +228,8 @@ def _mean_rotation(rotations: np.ndarray) -> np.ndarray:
     return u @ np.diag([1.0, 1.0, d]) @ vt
 
 
-def density_peak(votes: VoteSet, delta_t_mm: float = 10.0,
-                 delta_r_rad: float = 0.20943951023931953
+def density_peak(votes: VoteSet, delta_t_mm: float = VotingParams.delta_t_mm,
+                 delta_r_rad: float = VotingParams().delta_r_rad
                  ) -> Tuple[PoseHypothesis, np.ndarray]:
     """Max-support vote under translation/rotation kernels, as
     (hypothesis, supporters): the winner's supporting vote indices, ascending.

@@ -1,5 +1,6 @@
 """The run configuration: its JSON schema, round trips, run-time fields that
-are not keys, section checks, and the builders of the remaining sections."""
+are not keys, section checks, the module parameter classes' own checks, and
+the builders that fill in a run's seed, thread budget and other sections."""
 
 import json
 import re
@@ -11,13 +12,14 @@ import pytest
 from pointpose import cli
 from pointpose.config import (RunConfig, _fits, apply_override, config_from_dict,
                               config_to_dict, save_config)
-from pointpose.dataset import SamplingParams
+from pointpose.dataset import LabelingParams, SamplingParams, SphereParams
 from pointpose.errors import ConfigError
 from pointpose.network import NetworkConfig, TrainConfig
-from pointpose.pipeline import DetectParams
+from pointpose.pipeline import DetectParams, IcpParams
 
 # `pointpose synth --dump-config` of the default config, recorded before the
-# module parameter classes became config sections
+# module parameter classes became config sections; every section but
+# `keypoints`, `network` and `evaluation` is now one, and the file is unchanged
 DEFAULT_CONFIG = Path(__file__).parent / "data" / "default_config.json"
 
 # fields the run fills in (seeds, the thread budget), and a synth constant
@@ -227,6 +229,22 @@ def test_mirror_section_check_fails_at_load(command, assignment, message, tmp_pa
     assert cli.main(argv + ["--set", assignment]) == 2
     assert f"error: {message}" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("build", [
+    lambda: DetectParams(oracle_anchors=0),
+    lambda: DetectParams(top_anchors=0),
+    lambda: SamplingParams(positives=0),
+    lambda: LabelingParams(foreground_mm=30, background_mm=20),
+    lambda: SphereParams(n_points=1),
+    lambda: IcpParams(schedule=[]),
+], ids=["detect_oracle_anchors", "detect_top_anchors", "sampling_positives",
+        "labeling_inverted_band", "spheres_n_points", "icp_empty_schedule"])
+def test_module_params_check_their_values(build):
+    """A module parameter class built in Python rejects what its config
+    section rejects."""
+    with pytest.raises(ValueError):
+        build()
 
 
 @pytest.mark.parametrize("order", [1, -1])

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from pointpose.dataset import (DISCARD, AugmentParams, LabeledExample, SamplingParams,
-                               augment, build_instance_training_set, extract_example,
-                               generate_instance_examples, iter_dataset,
+                               SphereParams, augment, build_instance_training_set,
+                               extract_example, generate_instance_examples, iter_dataset,
                                jitter_example, label_scene, read_dataset,
                                write_dataset)
 from pointpose.errors import (DatasetFormatError, EmptyNeighborhoodError,
@@ -111,7 +111,7 @@ def test_extract_exact_fit_uses_each_point_once(setup):
     ids = index.ball(center, 0.6 * model.diameter)
     ids = ids[labels[ids] != -1]
     ex = extract_example(scene, labels, center, model, 1, rng, scene_index=index,
-                         n_points=len(ids))
+                         spheres=SphereParams(n_points=len(ids)))
     got = np.sort(ex.positions + ex.meta.centroid_mm, axis=0)
     expected = np.sort(scene.positions[ids], axis=0)
     np.testing.assert_allclose(got, expected, atol=2e-4)  # f32 storage
@@ -390,10 +390,10 @@ def test_augment_cuts_backgrounds_at_the_sampling_radius(setup):
     originals, not at the module default."""
     model, scene, gt, labels = setup
     factor = 0.4
+    sampling = SamplingParams(spheres=SphereParams(radius_factor=factor))
     # small background shifts keep every cut non-empty, so no mixed negative
     # takes the fallback background
-    inst = build_instance_training_set(scene, model, gt, np.random.default_rng(5),
-                                       SamplingParams(radius_factor=factor),
+    inst = build_instance_training_set(scene, model, gt, np.random.default_rng(5), sampling,
                                        AugmentParams(background_shift_factor=0.1))
     augmented = inst.examples[-60:]  # emission order: swaps, object-only, mixed
     with_background = augmented[:15] + augmented[30:]
@@ -412,8 +412,8 @@ def test_augment_examples_lie_within_the_radius_of_their_anchor(setup):
     at the same radius around the anchor it records."""
     model, scene, gt, labels = setup
     factor = 0.4
-    inst = build_instance_training_set(scene, model, gt, np.random.default_rng(5),
-                                       SamplingParams(radius_factor=factor))
+    sampling = SamplingParams(spheres=SphereParams(radius_factor=factor))
+    inst = build_instance_training_set(scene, model, gt, np.random.default_rng(5), sampling)
     for i, e in enumerate(inst.examples[-60:]):
         center = e.meta.anchor_mm - e.meta.centroid_mm
         dist = np.linalg.norm(e.positions - center, axis=1)

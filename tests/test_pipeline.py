@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from pointpose import cli, network, pipeline
 from pointpose.config import RunConfig, apply_override, config_from_dict
-from pointpose.dataset import LabeledExample, _sample_fill, write_dataset
+from pointpose.dataset import LabeledExample, SphereParams, _sample_fill, write_dataset
 from pointpose.errors import (ConfigError, MissingChannelError, NonFiniteSceneError,
                               WeightsFormatError)
 from pointpose.geometry import NNIndex, estimate_normals, voxel_downsample
@@ -499,9 +499,11 @@ def test_detect_with_untrained_weights_runs_every_stage(baseline_model, noisy_sc
     assert all(h.vote_support >= 1 for h in result.ranked)
 
 
-def segment_scene(weights, cloud, model, **changes):
-    """`_network_segmentation` alone, with DetectParams fields changed."""
-    params = replace(pipeline.DetectParams(), **changes)
+def segment_scene(weights, cloud, model, n_points, **changes):
+    """`_network_segmentation` alone on spheres of n_points, with
+    DetectParams fields changed."""
+    params = replace(pipeline.DetectParams(), spheres=SphereParams(n_points=n_points),
+                     **changes)
     cloud = pipeline.ensure_channels(cloud, params.normal_radius_mm)
     return pipeline._network_segmentation(weights, cloud, NNIndex(cloud.positions), model,
                                           params, pipeline._StageClock())
@@ -514,10 +516,10 @@ def full_spheres(cloud, model, params):
     anchors = voxel_downsample(cloud, params.anchor_leaf_mm)
     spheres, balls = [], []
     for ai, anchor in enumerate(anchors):
-        ids = index.ball(anchor, params.radius_factor * model.diameter)
+        ids = index.ball(anchor, params.spheres.radius_factor * model.diameter)
         if len(ids) >= params.min_sphere_points:
             rng = np.random.default_rng([params.seed, ai])
-            spheres.append(_sample_fill(ids, params.n_points, rng))
+            spheres.append(_sample_fill(ids, params.spheres.n_points, rng))
             balls.append(len(ids))
     return spheres, np.array(balls)
 
@@ -560,7 +562,7 @@ def test_classify_scores_equal_one_forward_over_full_spheres(baseline_model, sma
         return encode(w, x, **kwargs)
 
     monkeypatch.setattr(pipeline, "encode", recording_encode)
-    params = replace(pipeline.DetectParams(), n_points=1024, threads=1)
+    params = replace(pipeline.DetectParams(), spheres=SphereParams(n_points=1024), threads=1)
     cloud = pipeline.ensure_channels(small_scene.cloud, params.normal_radius_mm)
     seg = pipeline._network_segmentation(weights, cloud, NNIndex(cloud.positions),
                                          baseline_model, params, pipeline._StageClock())
@@ -864,10 +866,11 @@ def test_classify_encodes_fixed_anchor_blocks_at_every_budget(baseline_model, sm
     monkeypatch.setattr(pipeline, "encode", recording_encode)
     cfg = NetworkConfig(k=baseline_model.k, encoder=(8, 8, 16), classifier=(8, 1),
                         segmenter=(8, 0))
-    params = replace(pipeline.DetectParams(), n_points=1024, min_sphere_points=1000)
+    params = replace(pipeline.DetectParams(), spheres=SphereParams(n_points=1024),
+                     min_sphere_points=1000)
     cloud = pipeline.ensure_channels(small_scene.cloud, params.normal_radius_mm)
     index = NNIndex(cloud.positions)
-    balls = [len(index.ball(anchor, params.radius_factor * baseline_model.diameter))
+    balls = [len(index.ball(anchor, params.spheres.radius_factor * baseline_model.diameter))
              for anchor in voxel_downsample(cloud, params.anchor_leaf_mm)]
     per_block = network.encoder_block(1024)
     blocks = [tuple(min(ball, 1024) for ball in balls[lo:lo + per_block] if ball >= 1000)
@@ -1202,8 +1205,8 @@ def baseline_spheres(baseline_model, baseline_cloud):
     picks = np.linspace(0, len(spheres) - 1, 8).astype(int)
     weights = init_weights(NetworkConfig(k=baseline_model.k), seed=0)
     feats = pipeline._sphere_features(cloud, np.stack([spheres[i] for i in picks]), weights,
-                                      np.empty((8, params.n_points, 7), np.float32))
-    return weights, feats, np.minimum(balls[picks], params.n_points)
+                                      np.empty((8, params.spheres.n_points, 7), np.float32))
+    return weights, feats, np.minimum(balls[picks], params.spheres.n_points)
 
 
 @pytest.mark.perf
@@ -1259,3 +1262,16 @@ def test_eval_scores_a_symmetric_model_by_adds(symmetric, monkeypatch):
     assert record.add > 3 * threshold
     assert record.adds < 1e-9
     assert record.success == symmetric
+
+
+def test_evaluate_scene_without_weights_needs_the_oracle(model, monkeypatch):
+    """weights=None without use_oracle raises: no oracle record stands in
+    for a detection."""
+    def detected(*args):
+        raise AssertionError("no detection may run")
+
+    monkeypatch.setattr(pipeline, "oracle_detect", detected)
+    monkeypatch.setattr(pipeline, "detect", detected)
+    with pytest.raises(ValueError, match="needs weights unless use_oracle is set"):
+        pipeline.evaluate_scene(colourless_scene(), RigidPose.identity(), model, None,
+                                pipeline.DetectParams(), threshold_factor=0.1)
