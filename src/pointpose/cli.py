@@ -21,6 +21,9 @@ alone picks the code:
 Arguments that do not parse, such as `detect` or `eval` with both or
 neither of `--weights` and `--oracle`, return 2 after argparse's usage
 line and `error: ...` on stderr; `--help` returns 0.
+
+`--scene` and `--model` take a PLY path or its stem, the name of the
+`<stem>.ply` and `<stem>.json` pair; a dot within the stem stays in it.
 """
 
 from __future__ import annotations
@@ -61,6 +64,14 @@ def _build_config(args) -> RunConfig:
     return config
 
 
+def _stem(path: str) -> Path:
+    """A PLY path or its stem, as the stem: one trailing `.ply` removed."""
+    stem = Path(path.removesuffix(".ply"))
+    if not stem.name:
+        raise argparse.ArgumentTypeError(f"{path!r} names no file")
+    return stem
+
+
 class _SceneFiles(Sequence):
     """The annotated scenes of a directory: .ply files whose JSON sidecar
     carries a gt pose. Indexing reads one scene as (id, cloud, gt pose)."""
@@ -91,7 +102,7 @@ def cmd_synth(args, config: RunConfig) -> None:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.model:
-        model = load_object_model(Path(args.model))
+        model = load_object_model(args.model)
     else:
         model = make_test_object(spacing=config.keypoints.spacing_mm)
         save_object_model(out / "model", model)
@@ -104,7 +115,7 @@ def cmd_synth(args, config: RunConfig) -> None:
 
 
 def cmd_prepare(args, config: RunConfig) -> None:
-    model = load_object_model(Path(args.model))
+    model = load_object_model(args.model)
     sampling = config.sampling_params()
     normal_radius_mm = config.detect.normal_radius_mm
 
@@ -162,7 +173,7 @@ def cmd_train(args, config: RunConfig) -> None:
     if args.model:
         # weights of another keypoint count would train, and then fail
         # every detect with this model
-        model = load_object_model(Path(args.model))
+        model = load_object_model(args.model)
         if model.k != header.k:
             raise InputError(f"{args.dataset}: the dataset labels {header.k} keypoints, "
                              f"the model {args.model} has {model.k}")
@@ -198,8 +209,8 @@ def cmd_train(args, config: RunConfig) -> None:
 
 
 def cmd_detect(args, config: RunConfig) -> None:
-    model = load_object_model(Path(args.model))
-    cloud, gt = load_scene(Path(args.scene).with_suffix(""))
+    model = load_object_model(args.model)
+    cloud, gt = load_scene(args.scene)
     params = config.detect_params()
     debug_dir = Path(args.dump_debug) if args.dump_debug else None
 
@@ -216,15 +227,17 @@ def cmd_detect(args, config: RunConfig) -> None:
             f"no pose: {result.anchors_segmented} of {result.anchors_total} anchors "
             f"segmented ({result.anchors_skipped} held fewer than "
             f"{params.min_sphere_points} points), and none gave a hypothesis")
-    save_pose_json(args.out, result.best.pose)
-    info = {"pose": str(args.out), "l_loc": result.best.l_loc,
-            "s_kde": result.best.s_kde, "hypotheses": len(result.ranked),
+    best = result.best
+    save_pose_json(args.out, best.pose)
+    # strict JSON: a pose that leaves no model point visible has l_loc inf
+    info = {"pose": str(args.out), "l_loc": best.l_loc if np.isfinite(best.l_loc) else None,
+            "s_kde": best.s_kde, "hypotheses": len(result.ranked),
             "timings_ms": result.timings_ms}
     print(json.dumps(info))
 
 
 def cmd_eval(args, config: RunConfig) -> None:
-    model = load_object_model(Path(args.model))
+    model = load_object_model(args.model)
     scenes = _SceneFiles(args.scenes)
     weights = load_weights(args.weights) if args.weights else None
     params = config.detect_params()
@@ -241,6 +254,7 @@ def cmd_eval(args, config: RunConfig) -> None:
 
 ORACLE_HELP = ("bypass the network with gt labels (needs sidecar); they use fixed "
                "10/20 mm foreground/discard bands, not the labeling section")
+MODEL_HELP = "model: a PLY path or its stem (PLY + JSON sidecar)"
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -274,26 +288,28 @@ def make_parser() -> argparse.ArgumentParser:
     p = add_command("synth", "generate synthetic scenes + gt poses")
     p.add_argument("--out", required=True)
     p.add_argument("--count", type=int, default=10)
-    p.add_argument("--model", help="reuse an existing model stem instead of "
-                                   "generating the built-in test object")
+    p.add_argument("--model", type=_stem, help="reuse an existing model (a PLY path or "
+                   "its stem) instead of generating the built-in test object")
     p.set_defaults(fn=cmd_synth)
 
     p = add_command("prepare", "build the training dataset from scenes")
     p.add_argument("--scenes", required=True)
-    p.add_argument("--model", required=True, help="model stem (PLY + JSON sidecar)")
+    p.add_argument("--model", required=True, type=_stem, help=MODEL_HELP)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_prepare)
 
     p = add_command("train", "train the network on a dataset file")
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--model", help="model stem: its keypoint count must be the "
-                   "dataset's; its diameter scales the inputs under network.normalize")
+    p.add_argument("--model", type=_stem, help="model, a PLY path or its stem: its "
+                   "keypoint count must be the dataset's; its diameter scales the inputs "
+                   "under network.normalize")
     p.set_defaults(fn=cmd_train)
 
     p = add_command("detect", "estimate the object pose in one scene")
-    p.add_argument("--scene", required=True)
-    p.add_argument("--model", required=True)
+    p.add_argument("--scene", required=True, type=_stem,
+                   help="scene: a PLY path or its stem (PLY + optional JSON sidecar)")
+    p.add_argument("--model", required=True, type=_stem, help=MODEL_HELP)
     add_source(p)
     p.add_argument("--dump-debug", metavar="DIR",
                    help="write per-stage debug artifacts A-F")
@@ -302,7 +318,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = add_command("eval", "evaluate detection over a scene set")
     p.add_argument("--scenes", required=True)
-    p.add_argument("--model", required=True)
+    p.add_argument("--model", required=True, type=_stem, help=MODEL_HELP)
     add_source(p)
     p.add_argument("--out-csv", required=True)
     p.add_argument("--out-json", required=True)

@@ -109,8 +109,8 @@ class AugmentParams:
 
 @dataclass
 class ExampleMeta:
-    anchor_mm: Optional[np.ndarray] = None    # sphere center, scene/working frame
-    centroid_mm: Optional[np.ndarray] = None  # subtracted centroid, same frame
+    anchor_mm: np.ndarray = field(default_factory=lambda: np.zeros(3))    # sphere center
+    centroid_mm: np.ndarray = field(default_factory=lambda: np.zeros(3))  # subtracted centroid
 
 
 @dataclass
@@ -168,42 +168,52 @@ def _sample_fill(ids: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarra
     return np.concatenate([ids, extra])
 
 
+def draw_sphere(index: NNIndex, center: np.ndarray, radius: float, n: int,
+                rng: np.random.Generator, labels: Optional[np.ndarray] = None,
+                min_points: int = 1) -> Optional[Tuple[np.ndarray, int]]:
+    """The sphere of training examples and detect anchors alike: n ids of
+    the ball of `radius` around `center`, less its DISCARD points when
+    `labels` is given, each ball id once before any repeats (so that
+    `network.encode` may run the min(ball, n) distinct ones alone), and
+    that count. None, drawing nothing from rng, below min_points points."""
+    ids = index.ball(center, radius)
+    if labels is not None:
+        ids = ids[labels[ids] != DISCARD]
+    if len(ids) < min_points:
+        return None
+    return _sample_fill(ids, n, rng), min(len(ids), n)
+
+
+def _pack(cloud: PointCloud, seg: np.ndarray, cls: int, meta: ExampleMeta) -> LabeledExample:
+    """The example of the cloud's points and seg labels, centred on their
+    centroid, which goes into `meta`."""
+    centroid = cloud.positions.mean(axis=0)
+    return LabeledExample(positions=cloud.positions - centroid, normals=cloud.normals,
+                          curvatures=cloud.curvatures, seg_labels=seg, class_label=cls,
+                          colors=cloud.colors, meta=replace(meta, centroid_mm=centroid))
+
+
 def extract_example(scene: PointCloud, labels: np.ndarray, center: np.ndarray,
                     model: ObjectModel, class_label: int, rng: np.random.Generator,
                     scene_index: Optional[NNIndex] = None,
                     spheres: SphereParams = SphereParams()) -> LabeledExample:
-    """Uniformly sample a centered n-point sphere around `center`.
+    """The centered n-point sphere around `center` (see draw_sphere).
 
     `labels` is `label_scene`'s array: discard-band points are excluded,
     and each point's seg label is its keypoint label, 0 for background.
-    Fewer than n available points are topped up by sampling with
-    replacement. The scene needs normals and curvatures (see
-    `pipeline.ensure_channels`).
+    The scene needs normals and curvatures (see `pipeline.ensure_channels`).
     """
     if scene.normals is None or scene.curvatures is None:
         raise MissingChannelError("a training example needs scene normals and curvatures")
     center = np.asarray(center, dtype=np.float64).reshape(3)
     index = scene_index if scene_index is not None else NNIndex(scene.positions)
     radius = spheres.radius_factor * model.diameter
-    in_sphere = index.ball(center, radius)
-    in_sphere = in_sphere[labels[in_sphere] != DISCARD]
-    if len(in_sphere) == 0:
+    drawn = draw_sphere(index, center, radius, spheres.n_points, rng, labels)
+    if drawn is None:
         raise EmptyNeighborhoodError(f"no usable points within {radius:.1f} mm of {center}")
-
-    chosen = _sample_fill(in_sphere, spheres.n_points, rng)
-    positions = scene.positions[chosen]
-    centroid = positions.mean(axis=0)
-    seg = np.maximum(labels[chosen], 0).astype(np.uint16)
-
-    return LabeledExample(
-        positions=positions - centroid,
-        normals=scene.normals[chosen],
-        curvatures=scene.curvatures[chosen],
-        seg_labels=seg,
-        class_label=class_label,
-        colors=scene.colors[chosen] if scene.colors is not None else None,
-        meta=ExampleMeta(anchor_mm=center, centroid_mm=centroid),
-    )
+    chosen = drawn[0]
+    return _pack(scene.select(chosen), np.maximum(labels[chosen], 0), class_label,
+                 ExampleMeta(anchor_mm=center))
 
 
 @dataclass
@@ -239,39 +249,29 @@ def generate_instance_examples(scene: PointCloud, model: ObjectModel, gt: RigidP
         return extract_example(scene, labels, center, model, cls, rng,
                                scene_index=index, spheres=params.spheres)
 
-    examples: List[LabeledExample] = []
+    def negatives(candidates: np.ndarray, count: int) -> List[LabeledExample]:
+        return [extract(scene.positions[candidates[i]], 0)
+                for i in rng.permutation(len(candidates))[:count]]
 
     pos_centers = fg_ids[rng.choice(len(fg_ids), size=params.positives, replace=False)]
-    for i in pos_centers:
-        examples.append(extract(scene.positions[i], 1))
-
-    # easy negatives: no foreground anywhere in the sphere
-    easy_taken = 0
-    if len(bg_ids) and len(fg_ids):
+    positives = [extract(scene.positions[i], 1) for i in pos_centers]
+    easy, hard = [], []
+    if len(bg_ids):
+        # easy negatives: no foreground anywhere in the sphere
         fg_index = NNIndex(scene.positions[fg_ids], max_dist=radius)
         _, fg_dist = fg_index.nearest_batch(scene.positions[bg_ids])
-        candidates = bg_ids[fg_dist > radius]
-        for i in rng.permutation(len(candidates))[:params.easy_negatives]:
-            examples.append(extract(scene.positions[candidates[i]], 0))
-            easy_taken += 1
+        easy = negatives(bg_ids[fg_dist > radius], params.easy_negatives)
 
-    # hard negatives: background centers in an annulus around the object
-    hard_taken = 0
-    if len(bg_ids):
+        # hard negatives: background centers in an annulus around the object
         obj_centroid = gt.apply(model.cloud.positions).mean(axis=0)
         d_centroid = np.linalg.norm(scene.positions[bg_ids] - obj_centroid, axis=1)
         lo, hi = params.hard_band
-        candidates = bg_ids[(d_centroid > lo * model.diameter) &
-                            (d_centroid <= hi * model.diameter)]
-        for i in rng.permutation(len(candidates))[:params.hard_negatives]:
-            examples.append(extract(scene.positions[candidates[i]], 0))
-            hard_taken += 1
+        hard = negatives(bg_ids[(d_centroid > lo * model.diameter) &
+                                (d_centroid <= hi * model.diameter)], params.hard_negatives)
 
-    return InstanceExamples(
-        examples=examples,
-        easy_shortfall=params.easy_negatives - easy_taken,
-        hard_shortfall=params.hard_negatives - hard_taken,
-    )
+    return InstanceExamples(examples=positives + easy + hard,
+                            easy_shortfall=params.easy_negatives - len(easy),
+                            hard_shortfall=params.hard_negatives - len(hard))
 
 
 # ---------------------------------------------------------------------------
@@ -305,11 +305,7 @@ def _assemble(parts, n_points: int, rng: np.random.Generator, cls: int,
     cloud = concatenate_clouds([c for c, _ in parts])
     seg = np.concatenate([s for _, s in parts])
     ids = _sample_fill(np.arange(len(cloud)), n_points, rng)
-    cloud, seg = cloud.select(ids), seg[ids]
-    centroid = cloud.positions.mean(axis=0)
-    return LabeledExample(positions=cloud.positions - centroid, normals=cloud.normals,
-                          curvatures=cloud.curvatures, seg_labels=seg, class_label=cls,
-                          colors=cloud.colors, meta=replace(meta, centroid_mm=centroid))
+    return _pack(cloud.select(ids), seg[ids], cls, meta)
 
 
 def _moved(e: LabeledExample, offset: np.ndarray) -> PointCloud:
@@ -331,8 +327,7 @@ def _swap_positive(pos: LabeledExample, easy: Optional[LabeledExample],
                    params: AugmentParams, radius_factor: float) -> LabeledExample:
     """Augmented positive: the shifted object over a shifted background cut
     from `easy`, or over none when `easy` is None."""
-    keep = pos.seg_labels > 0
-    keep = _drop_segments(pos.seg_labels, keep, rng, params)
+    keep = _drop_segments(pos.seg_labels, pos.seg_labels > 0, rng, params)
     if not keep.any():
         keep = pos.seg_labels > 0  # dropping everything would void the positive
 
@@ -340,10 +335,7 @@ def _swap_positive(pos: LabeledExample, easy: Optional[LabeledExample],
         * model.diameter
     parts = [(_moved(pos, obj_offset).select(keep), pos.seg_labels[keep])]
 
-    anchor = np.zeros(3)
-    if pos.meta.anchor_mm is not None and pos.meta.centroid_mm is not None:
-        anchor = pos.meta.anchor_mm - pos.meta.centroid_mm
-    cut_center = anchor + obj_offset
+    cut_center = pos.meta.anchor_mm - pos.meta.centroid_mm + obj_offset
 
     if easy is not None:
         bg_offset = rng.uniform(-params.background_shift_factor,
@@ -371,7 +363,7 @@ def _mixed_negative(easies: Sequence[LabeledExample], model: ObjectModel,
         # not empty: its points lie within the radius of its anchor, so some
         # lie within it of their centroid, the origin.
         parts = [_sphere_part(easies[picks[0]], np.zeros(3), np.zeros(3), radius)]
-    return _assemble(parts, len(easies[picks[0]]), rng, 0, ExampleMeta(anchor_mm=np.zeros(3)))
+    return _assemble(parts, len(easies[picks[0]]), rng, 0, ExampleMeta())
 
 
 def jitter_example(e: LabeledExample, rng: np.random.Generator,
@@ -394,9 +386,8 @@ def jitter_example(e: LabeledExample, rng: np.random.Generator,
     if colors is not None and "rgb" in chans:
         colors = np.clip(colors.astype(np.float64) + rng.normal(0.0, sigma, colors.shape),
                          0.0, 1.0)
-    return LabeledExample(positions=positions, normals=normals, curvatures=curv,
-                          seg_labels=e.seg_labels.copy(), class_label=e.class_label,
-                          colors=colors, meta=e.meta)
+    return replace(e, positions=positions, normals=normals, curvatures=curv,
+                   seg_labels=e.seg_labels.copy(), colors=colors)
 
 
 def augment(instance_examples: Sequence[LabeledExample], model: ObjectModel,
@@ -450,9 +441,7 @@ def build_instance_training_set(scene: PointCloud, model: ObjectModel, gt: Rigid
     inst = generate_instance_examples(scene, model, gt, rng, sampling)
     augmented = augment(inst.examples, model, rng, augmentation, sampling.spheres)
     originals = [jitter_example(e, rng, augmentation) for e in inst.examples]
-    return InstanceExamples(examples=originals + augmented,
-                            easy_shortfall=inst.easy_shortfall,
-                            hard_shortfall=inst.hard_shortfall)
+    return replace(inst, examples=originals + augmented)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ModelFormatError
 from .geometry import NNIndex, voxel_downsample
 from .ply import read_ply, write_ply
-from .pointcloud import PointCloud
+from .pointcloud import PointCloud, check_finite
 from .pose import rotation_about_axis
 
 DEFAULT_KEYPOINT_SPACING_MM = 25.0
@@ -231,14 +231,14 @@ def build_object_model(cloud: PointCloud, spacing: float = DEFAULT_KEYPOINT_SPAC
 def save_object_model(stem, model: ObjectModel) -> None:
     """Write `<stem>.ply` (dense cloud) and `<stem>.json` (keypoints sidecar)."""
     stem = Path(stem)
-    write_ply(stem.with_suffix(".ply"), model.cloud)
+    write_ply(stem.with_name(stem.name + ".ply"), model.cloud)
     sidecar = {
         "keypoints": [{"position_mm": kp.position.tolist(), "normal": kp.normal.tolist()}
                       for kp in model.keypoints],
         "diameter_mm": model.diameter,
         "symmetry": model.symmetry.to_dict(),
     }
-    with open(stem.with_suffix(".json"), "w") as f:
+    with open(stem.with_name(stem.name + ".json"), "w") as f:
         json.dump(sidecar, f, indent=2)
 
 
@@ -274,15 +274,15 @@ def _read_symmetry(d, where: str) -> SymmetryDescriptor:
 
 def load_object_model(stem) -> ObjectModel:
     """Read `<stem>.ply` and its `<stem>.json` sidecar. Raises
-    ModelFormatError on a PLY of no points or of a non-finite coordinate,
-    on invalid JSON, or on keypoints, a diameter or a symmetry of the
-    wrong type, shape or value."""
+    ModelFormatError on a PLY of no points or of a NaN or infinite
+    coordinate, normal, curvature or colour, on invalid JSON, or on
+    keypoints, a diameter or a symmetry of the wrong type, shape or value."""
     stem = Path(stem)
-    cloud = read_ply(stem.with_suffix(".ply"))
+    ply, path = stem.with_name(stem.name + ".ply"), stem.with_name(stem.name + ".json")
+    cloud = read_ply(ply)
     if len(cloud) == 0 or not np.isfinite(cloud.positions).all():
-        raise ModelFormatError(f"{stem.with_suffix('.ply')}: expected one or more points "
-                               "with finite coordinates")
-    path = stem.with_suffix(".json")
+        raise ModelFormatError(f"{ply}: expected one or more points with finite coordinates")
+    check_finite(cloud, ModelFormatError, f"points of {ply}")
     try:
         with open(path) as f:
             sidecar = json.load(f)

@@ -201,7 +201,7 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
+def softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
@@ -348,7 +348,7 @@ def encode(weights: Weights, points: np.ndarray, want_seg: bool = False,
 
     `counts` (B,), for inference without want_seg, is each example's count
     of leading distinct rows, 1 to N: the rows after them repeat earlier
-    ones, as `dataset._sample_fill` draws them. Max-pool ignores repeats,
+    ones, as `dataset.draw_sphere` draws them. Max-pool ignores repeats,
     so each block gathers each example's counted rows alone, and g equals
     the one of all N rows to float rounding: the products hold fewer rows,
     and a BLAS may round a row differently in a product of another size.
@@ -505,7 +505,7 @@ def joint_loss(class_prob: np.ndarray, seg_logits: np.ndarray,
     bce = -np.mean(y * np.log(np.maximum(p, _EPS))
                    + (1.0 - y) * np.log(np.maximum(1.0 - p, _EPS)))
 
-    sm = _softmax(np.asarray(seg_logits, dtype=np.float64))
+    sm = softmax(np.asarray(seg_logits, dtype=np.float64))
     b, n, _ = sm.shape
     labels = np.asarray(seg_labels, dtype=np.int64).reshape(b, n)
     picked = np.take_along_axis(sm, labels[:, :, None], axis=2)[:, :, 0]

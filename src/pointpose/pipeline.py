@@ -52,15 +52,15 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dataset import SphereParams, _sample_fill, label_scene
+from .dataset import SphereParams, draw_sphere, label_scene
 from .errors import (MissingChannelError, NoHypothesisError, NonFiniteSceneError,
                      NoOverlapError, WeightsFormatError)
 from .geometry import (NNIndex, check_icp_schedule, estimate_normals, icp_refine,
                        voxel_downsample)
 from .modelprep import ObjectModel, snapped_voxel_ids
-from .network import (BufferPool, Weights, _softmax, classify, encode, encoder_block,
-                      forward, write_features)
-from .pointcloud import PointCloud
+from .network import (BufferPool, Weights, classify, encode, encoder_block, forward,
+                      softmax, write_features)
+from .pointcloud import PointCloud, check_finite
 from .pose import RigidPose
 from .verification import (VerificationParams, build_depth_buffer,
                            remove_occluded, verify)
@@ -163,25 +163,14 @@ def ensure_channels(scene: PointCloud, normal_radius_mm: float) -> PointCloud:
     it has no normals, zero curvatures when it has normals alone. `detect`
     and `prepare` both check and complete a scene by this rule.
 
-    Raises NonFiniteSceneError, naming the channel and the number of points,
-    when the positions or a normal, curvature or colour channel the scene
-    holds has a NaN or infinite value.
+    Raises NonFiniteSceneError (see `pointcloud.check_finite`) when a
+    channel the scene holds has a NaN or infinite value.
     """
-    for name, channel in (("position", scene.positions), ("normal", scene.normals),
-                          ("curvature", scene.curvatures), ("colour", scene.colors)):
-        if channel is None:
-            continue
-        bad = ~np.isfinite(channel)
-        if bad.any():
-            count = int(bad.reshape(len(bad), -1).any(axis=1).sum())
-            raise NonFiniteSceneError(f"{count} of {len(scene)} scene points have a NaN "
-                                      f"or infinite {name}")
+    check_finite(scene, NonFiniteSceneError, "scene points")
     if scene.normals is None:
         scene = estimate_normals(scene, normal_radius_mm, scene.view_origin)
     if scene.curvatures is None:
-        scene = PointCloud(positions=scene.positions, normals=scene.normals,
-                           curvatures=np.zeros(len(scene)), colors=scene.colors,
-                           view_origin=scene.view_origin, intrinsics=scene.intrinsics)
+        scene = replace(scene, curvatures=np.zeros(len(scene)))
     return scene
 
 
@@ -420,11 +409,11 @@ def _network_segmentation(weights: Weights, scene: PointCloud, scene_index: NNIn
     one shared list, draws each usable anchor's sphere of the block from
     its own `[seed, ai]` stream, builds their features with one gather
     into a reused buffer, and encodes them in one `encode` call with its
-    own `BufferPool`. `_sample_fill` draws a sphere's min(ball, n_points)
-    distinct points first and only then repeats them, so `encode` runs
-    each sphere's distinct rows alone. Each pooled row goes in at its
-    anchor's index, and the pooled features of all spheres then go
-    through the classifier head at once. So every sphere meets the same
+    own `BufferPool`. `dataset.draw_sphere` draws a sphere's min(ball,
+    n_points) distinct points first and only then repeats them, so
+    `encode` runs each sphere's distinct rows alone. Each pooled row goes
+    in at its anchor's index, and the pooled features of all spheres then
+    go through the classifier head at once. So every sphere meets the same
     products at every budget, and the scores are the same bit for bit;
     they equal one `forward` over every full sphere to float rounding.
     OpenBLAS runs one thread per participant for the stage; where its
@@ -442,12 +431,10 @@ def _network_segmentation(weights: Weights, scene: PointCloud, scene_index: NNIn
     channels = weights.config.input_channels
 
     def sphere(ai: int):
-        """Anchor ai's sampled ids and their count of distinct leading ids,
-        or None when its ball holds too few points."""
-        ids = scene_index.ball(anchors[ai], radius)
-        if len(ids) < params.min_sphere_points:
-            return None
-        return _sample_fill(ids, n, np.random.default_rng([params.seed, ai])), min(len(ids), n)
+        """Anchor ai's (ids, distinct count) from its own stream, or None."""
+        return draw_sphere(scene_index, anchors[ai], radius, n,
+                           np.random.default_rng([params.seed, ai]),
+                           min_points=params.min_sphere_points)
 
     per_block = encoder_block(n)
     pooled = np.empty((len(anchors), weights.config.encoder[-1]), dtype=weights.dtype)
@@ -509,7 +496,7 @@ def _network_segmentation(weights: Weights, scene: PointCloud, scene_index: NNIn
     for ids in sphere_ids:
         _sphere_features(scene, ids[None], weights, feats)
         logits = forward(weights, feats, want_seg=True, pool=pool).seg_logits[0]
-        point_labels, conf = segment_labels(_softmax(logits.astype(np.float64)))
+        point_labels, conf = segment_labels(softmax(logits.astype(np.float64)))
         labels.append(point_labels)
         confidences.append(conf)
     clock.lap("segment")
@@ -532,14 +519,13 @@ def _oracle_segmentation(gt_pose: RigidPose, scene: PointCloud, scene_index: NNI
     anchors, kept, sphere_ids, point_labels = [], [], [], []
     for _ in range(draws):
         anchors.append(scene.positions[fg[rng.integers(len(fg))]])
-        ids = scene_index.ball(anchors[-1], radius)
-        ids = ids[labels[ids] >= 0]  # exclude the discard band
-        if len(ids) < params.min_sphere_points:
+        drawn = draw_sphere(scene_index, anchors[-1], radius, params.spheres.n_points, rng,
+                            labels, params.min_sphere_points)
+        if drawn is None:
             continue
-        chosen = _sample_fill(ids, params.spheres.n_points, rng)
         kept.append(anchors[-1])
-        sphere_ids.append(chosen)
-        point_labels.append(np.maximum(labels[chosen], 0))
+        sphere_ids.append(drawn[0])
+        point_labels.append(np.maximum(labels[drawn[0]], 0))
     clock.lap("segment")
     kept = np.reshape(kept, (-1, 3))
     return _Segmentation(anchors=np.reshape(anchors, (-1, 3)), skipped=draws - len(kept),

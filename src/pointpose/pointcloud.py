@@ -120,3 +120,16 @@ def concatenate_clouds(clouds: list) -> PointCloud:
         view_origin=clouds[0].view_origin,
         intrinsics=clouds[0].intrinsics,
     )
+
+
+def check_finite(cloud: PointCloud, error: type, what: str) -> None:
+    """Raise `error`("<count> of <len(cloud)> <what> have a NaN or infinite
+    <channel>") for the first of the cloud's channels that holds one."""
+    for name, channel in (("position", cloud.positions), ("normal", cloud.normals),
+                          ("curvature", cloud.curvatures), ("colour", cloud.colors)):
+        if channel is None:
+            continue
+        bad = ~np.isfinite(channel)
+        if bad.any():
+            count = int(bad.reshape(len(bad), -1).any(axis=1).sum())
+            raise error(f"{count} of {len(cloud)} {what} have a NaN or infinite {name}")

@@ -194,12 +194,9 @@ def synth_scene(model: ObjectModel, rng: np.random.Generator,
         else:
             p, n = _sphere_surface(rng.uniform(15, 40), 4.0, rng)
         ct = _rest_on_plane(p, c_rot, spot, normal, rng.uniform(0.5, 2.0))
-        parts.append(PointCloud(
-            positions=p @ c_rot.T + ct,
-            normals=n @ c_rot.T,
-            curvatures=np.zeros(len(p)),
-            colors=np.tile(col, (len(p), 1)),
-        ))
+        parts.append(PointCloud(positions=p, normals=n, curvatures=np.zeros(len(p)),
+                                colors=np.tile(col, (len(p), 1)))
+                     .transformed(RigidPose(c_rot, ct)))
 
     # occluder between camera and object
     if rng.random() < params.occluder_probability:
@@ -207,12 +204,9 @@ def synth_scene(model: ObjectModel, rng: np.random.Generator,
         dims = rng.uniform(40, 90, 3)
         p, n = _box_surface(dims, 4.0)
         o_rot = random_rotation(rng)
-        parts.append(PointCloud(
-            positions=(p - dims / 2) @ o_rot.T + frac * t,
-            normals=n @ o_rot.T,
-            curvatures=np.zeros(len(p)),
-            colors=np.tile(rng.uniform(0.1, 0.9, 3), (len(p), 1)),
-        ))
+        parts.append(PointCloud(positions=p - dims / 2, normals=n, curvatures=np.zeros(len(p)),
+                                colors=np.tile(rng.uniform(0.1, 0.9, 3), (len(p), 1)))
+                     .transformed(RigidPose(o_rot, frac * t)))
 
     combined = concatenate_clouds(parts)
     combined.view_origin = np.zeros(3)
@@ -248,7 +242,7 @@ def synth_scene(model: ObjectModel, rng: np.random.Generator,
 
 def save_scene(stem, scene: SyntheticScene) -> None:
     stem = Path(stem)
-    write_ply(stem.with_suffix(".ply"), scene.cloud)
+    write_ply(stem.with_name(stem.name + ".ply"), scene.cloud)
     intr = scene.cloud.intrinsics
     sidecar = {
         "pose": pose_to_dict(scene.gt_pose),
@@ -257,7 +251,7 @@ def save_scene(stem, scene: SyntheticScene) -> None:
         "view_origin_mm": scene.cloud.view_origin.tolist(),
         "noise_sigma_mm": scene.params.noise_sigma_mm,
     }
-    with open(stem.with_suffix(".json"), "w") as f:
+    with open(stem.with_name(stem.name + ".json"), "w") as f:
         json.dump(sidecar, f, indent=2)
 
 
@@ -313,11 +307,11 @@ def load_scene(stem) -> Tuple[PointCloud, Optional[RigidPose]]:
     no points raises SceneFormatError: it is bad input, not a scene in which
     detection fails."""
     stem = Path(stem)
-    cloud = read_ply(stem.with_suffix(".ply"))
+    ply, sidecar_path = stem.with_name(stem.name + ".ply"), stem.with_name(stem.name + ".json")
+    cloud = read_ply(ply)
     if len(cloud) == 0:
-        raise SceneFormatError(f"{stem.with_suffix('.ply')}: the scene holds no points")
+        raise SceneFormatError(f"{ply}: the scene holds no points")
     gt = None
-    sidecar_path = stem.with_suffix(".json")
     if sidecar_path.exists():
         gt, intrinsics, view_origin = read_scene_sidecar(sidecar_path)
         if intrinsics is not None:

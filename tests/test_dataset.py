@@ -5,7 +5,8 @@ import pytest
 
 from pointpose.dataset import (DISCARD, AugmentParams, LabeledExample, SamplingParams,
                                SphereParams, augment, build_instance_training_set,
-                               extract_example, generate_instance_examples, iter_dataset,
+                               draw_sphere, extract_example, generate_instance_examples,
+                               iter_dataset,
                                jitter_example, label_scene, read_dataset,
                                write_dataset)
 from pointpose.errors import (DatasetFormatError, EmptyNeighborhoodError,
@@ -101,6 +102,22 @@ def test_label_foreground_gets_nearest_keypoint(setup):
 
 # ---------------------------------------------------------------------------
 # extract_example
+
+
+def test_draw_sphere_drops_the_discard_band_and_draws_nothing_below_min_points():
+    """The ball less its DISCARD points, each once before any repeat, with
+    that count; a ball below min_points is None and leaves the RNG as it
+    was."""
+    index = NNIndex(np.array([[0.0, 0, 0], [1, 0, 0], [2, 0, 0], [50, 0, 0]]))
+    labels = np.array([1, DISCARD, 0, 0])
+    rng = np.random.default_rng(0)
+    ids, distinct = draw_sphere(index, np.zeros(3), 5.0, 6, rng, labels)
+    assert distinct == 2 and sorted(ids[:2]) == [0, 2] and set(ids[2:]) <= {0, 2}
+    state = rng.bit_generator.state
+    assert draw_sphere(index, np.zeros(3), 5.0, 6, rng, labels, min_points=3) is None
+    assert rng.bit_generator.state == state
+    ids, distinct = draw_sphere(index, np.zeros(3), 5.0, 2, rng, min_points=3)
+    assert distinct == 2 and len(set(ids.tolist())) == 2 and set(ids) <= {0, 1, 2}
 
 
 def test_extract_exact_fit_uses_each_point_once(setup):

@@ -8,8 +8,10 @@ import csv
 import functools
 import io
 import json
+import shutil
 import struct
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -25,7 +27,8 @@ from pointpose.network import NetworkConfig, init_weights, save_weights
 from pointpose.ply import read_ply, write_ply
 from pointpose.pointcloud import PointCloud
 from pointpose.pose import RigidPose
-from pointpose.synth import make_test_object
+from pointpose.synth import make_test_object, save_scene, synth_scene
+from pointpose.verification import INFINITE_LOSS
 from pointpose.voting import PoseHypothesis
 
 SIDECAR = {"pose": {"rotation": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
@@ -100,6 +103,19 @@ def test_detect_and_eval_take_exactly_one_source(model, tmp_path, command, sourc
     assert code == 2
     assert message in err
     assert not any((tmp_path / name).exists() for name in ("pose.json", "eval.csv"))
+
+
+@pytest.mark.parametrize("value", ["", ".ply", "/"])
+@pytest.mark.parametrize("option", ["--scene", "--model"])
+def test_scene_or_model_that_names_no_file_exits_2(tmp_path, capsys, option, value):
+    """A `--scene` or `--model` without a file name, even after its `.ply`
+    is removed, is a usage error, not a traceback."""
+    argv = {"--scene": "scene", "--model": "model"}
+    argv[option] = value
+    code = cli.main(["detect", "--oracle", "--scene", argv["--scene"], "--model",
+                     argv["--model"], "--out", str(tmp_path / "pose.json")])
+    assert code == 2
+    assert f"error: argument {option}: {value!r} names no file" in capsys.readouterr().err
 
 
 def test_main_returns_argparse_codes():
@@ -242,6 +258,103 @@ def test_model_file_of_no_or_non_finite_points_exits_2(model, tmp_path, points):
     code, err = run(tmp_path, "detect", "oracle")
     assert code == 2
     assert err.startswith("error: ") and "expected one or more points" in err
+
+
+def ascii_model_ply(path: Path, model, channel: str) -> None:
+    """The model's cloud as an ASCII PLY with float colours, whose point 3
+    has a NaN colour or an infinite normal."""
+    cloud = model.cloud
+    normals, colours = cloud.normals.copy(), cloud.colors.copy()
+    if channel == "colour":
+        colours[3, 1] = np.nan
+    else:
+        normals[3, 0] = np.inf
+    header = ["ply", "format ascii 1.0", f"element vertex {len(cloud)}",
+              *(f"property float {p}" for p in ("x", "y", "z", "nx", "ny", "nz",
+                                                 "red", "green", "blue")), "end_header"]
+    rows = (" ".join(repr(float(v)) for v in row)
+            for row in np.hstack([cloud.positions, normals, colours]))
+    path.write_text("\n".join([*header, *rows]) + "\n")
+
+
+@pytest.mark.parametrize("channel", ["colour", "normal"])
+def test_model_file_of_a_non_finite_normal_or_colour_exits_2(model, tmp_path, channel):
+    """A model point with a NaN colour or an infinite normal is a malformed
+    model, named with the channel and the point count, not a detection
+    whose losses turn NaN."""
+    write_files(tmp_path, model, scene_cloud(100))
+    ascii_model_ply(tmp_path / "model.ply", model, channel)
+    code, err = run(tmp_path, "detect", "oracle")
+    assert code == 2
+    assert err == (f"error: 1 of {len(model.cloud)} points of {tmp_path / 'model.ply'} have "
+                   f"a NaN or infinite {channel}\n")
+    assert not (tmp_path / "pose.json").exists()
+
+
+def strict_json(line: str):
+    """`line` parsed as JSON that holds no NaN or Infinity."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not strict JSON")
+    return json.loads(line, parse_constant=reject)
+
+
+def test_detect_prints_an_infinite_loss_as_null(model, tmp_path, monkeypatch):
+    """A pose that leaves no model point visible has an infinite loss;
+    `detect` prints it as null, so that its line stays strict JSON."""
+    save_object_model(tmp_path / "model", model)
+    save_scene(tmp_path / "scene", synth_scene(model, np.random.default_rng(3)))
+    verify = pipeline.verify
+    monkeypatch.setattr(pipeline, "verify",
+                        lambda *args, **kwargs: replace(verify(*args, **kwargs),
+                                                        l_loc=INFINITE_LOSS))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["detect", "--oracle", "--scene", str(tmp_path / "scene.ply"),
+                         "--model", str(tmp_path / "model"), "--out",
+                         str(tmp_path / "pose.json"), "--threads", "1"])
+    assert code == 0
+    info = strict_json(out.getvalue())
+    assert info["l_loc"] is None and info["hypotheses"] >= 1
+
+
+# ---------------------------------------------------------------------------
+# file names
+
+
+def test_dotted_scene_names_read_their_own_files(model, tmp_path):
+    """`scene_0000.v2`, a copy of scene_0001 beside a different scene_0000,
+    is read as itself by `detect --oracle`, named by its PLY path or its
+    stem, and by `eval`; `--model` takes a PLY path too."""
+    scenes = tmp_path / "scenes"
+    save_object_model(tmp_path / "model", model)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["synth", "--out", str(scenes), "--count", "2",
+                         "--model", str(tmp_path / "model.ply")]) == 0
+    for suffix in (".ply", ".json"):
+        shutil.copy(scenes / f"scene_0001{suffix}", scenes / f"scene_0000.v2{suffix}")
+
+    def detect(scene: str) -> str:
+        out = tmp_path / "pose.json"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["detect", "--oracle", "--scene", str(scenes / scene),
+                             "--model", str(tmp_path / "model"), "--out", str(out),
+                             "--threads", "1"]) == 0
+        return out.read_text()
+
+    pose = {scene: detect(scene) for scene in ("scene_0000.ply", "scene_0001.ply",
+                                               "scene_0000.v2.ply", "scene_0000.v2")}
+    assert pose["scene_0000.v2.ply"] == pose["scene_0000.v2"] == pose["scene_0001.ply"]
+    assert pose["scene_0000.v2"] != pose["scene_0000.ply"]
+
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["eval", "--oracle", "--scenes", str(scenes),
+                         "--model", str(tmp_path / "model.ply"), "--threads", "1",
+                         "--out-csv", str(tmp_path / "eval.csv"),
+                         "--out-json", str(tmp_path / "eval.json")]) == 0
+    rows = {r.pop("scene_id"): {k: v for k, v in r.items() if not k.endswith("_ms")}
+            for r in csv.DictReader(io.StringIO((tmp_path / "eval.csv").read_text()))}
+    assert sorted(rows) == ["scene_0000", "scene_0000.v2", "scene_0001"]
+    assert rows["scene_0000.v2"] == rows["scene_0001"] != rows["scene_0000"]
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,8 @@ from hypothesis import strategies as st
 from pointpose import cli, network, pipeline
 from pointpose.config import RunConfig, apply_override, config_from_dict
 from pointpose.dataset import LabeledExample, SphereParams, _sample_fill, write_dataset
-from pointpose.errors import (ConfigError, MissingChannelError, NonFiniteSceneError,
-                              WeightsFormatError)
+from pointpose.errors import (ConfigError, MissingChannelError, NoHypothesisError,
+                              NonFiniteSceneError, NoOverlapError, WeightsFormatError)
 from pointpose.geometry import NNIndex, estimate_normals, voxel_downsample
 from pointpose.modelprep import (Keypoint, ObjectModel, SymmetryDescriptor, load_object_model,
                                  model_diameter, save_object_model)
@@ -581,7 +581,7 @@ def test_classify_scores_equal_one_forward_over_full_spheres(baseline_model, sma
     assert all(np.array_equal(seg.sphere_ids[i], spheres[r]) for i, r in enumerate(top))
     logits = network.forward(weights, features[top], want_seg=True).seg_logits
     for i, lg in enumerate(logits):
-        labels, conf = segment_labels(network._softmax(lg.astype(np.float64)))
+        labels, conf = segment_labels(network.softmax(lg.astype(np.float64)))
         assert np.array_equal(seg.labels[i], labels)
         assert np.abs(seg.confidences[i] - conf).max() <= PROBABILITY_TOL
 
@@ -1054,6 +1054,66 @@ def test_anchor_error_reaches_the_caller(baseline_model, small_scene, monkeypatc
     caller.join(timeout=120)
     assert not caller.is_alive(), "detection hung after an anchor failed"
     assert [str(exc) for exc in raised] == ["third anchor failed"]
+
+
+def spy(monkeypatch, name, fail=None):
+    """Wrap `pipeline.<name>`: the list of its results in call order, where
+    its first call raises `fail` instead when `fail` is given (None in the
+    list)."""
+    results = []
+    fn = getattr(pipeline, name)
+
+    def wrapper(*args, **kwargs):
+        if fail is not None and not results:
+            results.append(None)
+            raise fail
+        results.append(fn(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(pipeline, name, wrapper)
+    return results
+
+
+# three oracle anchors, finished in anchor order on the calling thread
+FINISH_PARAMS = pipeline.DetectParams(oracle_anchors=3, threads=1)
+
+
+def test_anchor_without_a_hypothesis_is_left_out_of_the_ranking(baseline_model, small_scene,
+                                                                 monkeypatch):
+    """An anchor whose vote raises NoHypothesisError gives no hypothesis,
+    and the other anchors still rank as they did beside it."""
+    run = partial(pipeline.oracle_detect, small_scene.cloud, baseline_model,
+                  small_scene.gt_pose, FINISH_PARAMS)
+    with monkeypatch.context() as patch:
+        every = spy(patch, "verify")
+        run()
+    assert len(every) == 3
+
+    spy(monkeypatch, "estimate_pose", fail=NoHypothesisError("no density peak"))
+    verified = spy(monkeypatch, "verify")
+    result = run()
+    assert (result.anchors_segmented, len(verified), len(result.ranked)) == (3, 2, 2)
+    others = pipeline.DetectionResult(ranked=sorted(every[1:], key=lambda h: h.l_loc),
+                                      timings_ms={})
+    assert all(np.array_equal(g, w) for g, w in zip(outputs(result)[:4], outputs(others)[:4]))
+
+
+def test_anchor_whose_icp_finds_no_overlap_keeps_its_voted_pose(baseline_model, small_scene,
+                                                                 monkeypatch):
+    """An anchor whose ICP raises NoOverlapError is verified and ranked
+    with its voted pose; the other anchors are refined."""
+    voted = spy(monkeypatch, "estimate_pose")
+    refined = spy(monkeypatch, "icp_refine", fail=NoOverlapError("no pairs in the gate"))
+    verified = spy(monkeypatch, "verify")
+    result = pipeline.oracle_detect(small_scene.cloud, baseline_model, small_scene.gt_pose,
+                                    FINISH_PARAMS)
+    assert len(voted) == len(refined) == len(verified) == 3
+    assert np.array_equal(verified[0].pose.rotation, voted[0].pose.rotation)
+    assert np.array_equal(verified[0].pose.translation, voted[0].pose.translation)
+    assert np.isfinite(verified[0].l_loc)
+    assert any(h is verified[0] for h in result.ranked)
+    for k in (1, 2):
+        assert verified[k].pose is refined[k]
 
 
 # ---------------------------------------------------------------------------
